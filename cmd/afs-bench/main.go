@@ -20,19 +20,19 @@
 //     through the retained legacy executor (per-point graph builds, static
 //     per-worker striping, a join barrier per point) and through the
 //     work-stealing engine — reporting trials/sec and the speedup;
+//   - a tile heavy-window micro: near-threshold syndromes decoded by the
+//     sequential full pipeline and by core.TileDecoder, reporting the
+//     wall-clock ratio (informational; bounded by this host's cores) and
+//     the deterministic critical-path model speedup. The tile engine is a
+//     model-only experiment: no production decode path routes through it;
 //   - an early-stopping demonstration: the same sweep with an adaptive
 //     CI-driven stop, reporting the fraction of the trial budget saved;
-//   - a lane-engine benchmark: the cross-stream lane-batched StreamEngine
-//     (up to 64 streams' ready windows transposed into bit-plane lane
-//     groups) vs the same-run scalar engine on identical pregenerated
-//     rounds, at L = 256 and 1024 streams, reporting aggregate stream
-//     rounds/sec, the fast/gathered/ineligible lane split, and the
-//     same-run speedup;
 //   - streaming benchmarks: single-stream sliding-window decoding measured
 //     on the rebuilt ring-buffer decoder and on the preserved pre-rebuild
 //     baseline, interleaved on identical pregenerated rounds so the
 //     speedup is an apples-to-apples same-machine number, plus
-//     multi-stream StreamEngine fleets (L = 16, 256, 1000) reporting
+//     multi-stream StreamEngine fleets (L = 16, 256, 1000; every
+//     non-robust engine lane-batches its streams' ready windows) reporting
 //     aggregate throughput and scaling efficiency;
 //   - a robustness overhead benchmark: the same single-stream workload
 //     through the fault-free CRC-framed link with deadline enforcement and
@@ -47,11 +47,7 @@
 //
 //	afs-bench [-out BENCH_10.json] [-trials N] [-workers W] [-quick]
 //	          [-ref-tps T] [-ref-label L] [-metrics addr] [-trace file]
-//	          [-fleet-json file] [-cpuprofile file] [-memprofile file]
-//
-// -fleet-json embeds the fleet section of a cmd/afs-fleet -out artifact
-// (typically a -lanebatch soak) so the sharded fleet's stream-rounds/sec
-// lands in the same report, compared against BENCH_8's recorded soak.
+//	          [-cpuprofile file] [-memprofile file]
 //
 // -ref-tps records an externally measured reference throughput (for
 // example, the repository's seed commit rebuilt and timed on the same
@@ -61,7 +57,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -260,24 +255,6 @@ type report struct {
 		ScalingEfficiency float64 `json:"scaling_efficiency_16_to_256"`
 	} `json:"stream"`
 
-	// LaneEngine is the cross-stream lane-batched engine vs the same-run
-	// scalar engine on identical pregenerated rounds. Unlike the Fleet
-	// points above, the noise sampler stays out of the timed region (it is
-	// ~a third of an end-to-end RunRounds profile), so the ratio isolates
-	// the window-decode path the lane batcher replaces. The two engines
-	// commit bit-identical corrections (test-enforced); the correction
-	// counts recorded per point are a cheap cross-check of that.
-	LaneEngine struct {
-		Points []lanePoint `json:"points"`
-		// Sharded-fleet trajectory, embedded from a cmd/afs-fleet -out
-		// artifact via -fleet-json and compared against BENCH_8's soak
-		// (3 shards, L=1000, d=5, p=0.01, chaos, kill+restart).
-		FleetRPS       float64 `json:"fleet_lane_stream_rounds_per_sec,omitempty"`
-		FleetLaneBatch bool    `json:"fleet_lane_batch,omitempty"`
-		Bench8FleetRPS float64 `json:"bench8_fleet_stream_rounds_per_sec"`
-		FleetVsBench8  float64 `json:"fleet_speedup_vs_bench8,omitempty"`
-	} `json:"lane_engine"`
-
 	// Obs records the observability layer's cost: the primitives in
 	// isolation, a registry scrape, and the instrumented single-stream
 	// workload A/B'd against the same decoder with metrics disabled. The
@@ -301,32 +278,6 @@ type report struct {
 	} `json:"obs"`
 
 	Reference *reference `json:"reference,omitempty"`
-}
-
-type lanePoint struct {
-	Streams         int     `json:"streams"`
-	Distance        int     `json:"d"`
-	P               float64 `json:"p"`
-	Workers         int     `json:"workers"`
-	RoundsPerStream uint64  `json:"rounds_per_stream"`
-	Segments        int     `json:"interleaved_segments"`
-	// Aggregate stream-rounds/sec, scalar vs lane-batched, interleaved in
-	// alternating segments over the identical pregenerated rounds.
-	ScalarRoundsPerS float64 `json:"scalar_stream_rounds_per_sec"`
-	LaneRoundsPerS   float64 `json:"lane_stream_rounds_per_sec"`
-	Speedup          float64 `json:"lane_speedup_vs_scalar_same_run"`
-	// Lane-group shape over the measured run: mean fill (windows per group
-	// out of 64) and the per-window routing split, as fractions of batched
-	// windows (fast + gathered + ineligible + w0 = 1; w0 is the zero-defect
-	// skip, which commits without touching the planes).
-	GroupFill      float64 `json:"lane_group_fill"`
-	FastFrac       float64 `json:"lane_fast_frac"`
-	GatheredFrac   float64 `json:"lane_gathered_frac"`
-	IneligibleFrac float64 `json:"lane_ineligible_frac"`
-	W0Frac         float64 `json:"lane_w0_frac"`
-	// Corrections committed by each side (must match).
-	CorrectionsScalar uint64 `json:"corrections_scalar"`
-	CorrectionsLane   uint64 `json:"corrections_lane"`
 }
 
 type fleetPoint struct {
@@ -379,8 +330,6 @@ func main() {
 		quick    = flag.Bool("quick", false, "shrink budgets ~10x for a smoke run")
 		refTPS   = flag.Float64("ref-tps", 0, "externally measured reference sweep trials/sec (for before/after)")
 		refLabel = flag.String("ref-label", "", "provenance of -ref-tps (e.g. a commit hash)")
-
-		fleetJSON = flag.String("fleet-json", "", "embed a cmd/afs-fleet -out artifact's fleet throughput (trajectory vs BENCH_8)")
 
 		metricsAddr = flag.String("metrics", "", "serve live metrics + pprof on this host:port while benchmarking")
 		traceFile   = flag.String("trace", "", "write a Chrome/Perfetto trace of the robust stream benchmark to this file")
@@ -521,32 +470,7 @@ func main() {
 		r.EarlyStop.PointsStopped, r.EarlyStop.Points, r.EarlyStop.SavingsFactor)
 
 	benchStream(&r, *quick, trace)
-	benchLane(&r, *quick)
 	benchObs(&r, *quick)
-
-	r.LaneEngine.Bench8FleetRPS = bench8FleetRPS
-	if *fleetJSON != "" {
-		blob, err := os.ReadFile(*fleetJSON)
-		if err != nil {
-			fatal(err)
-		}
-		var fb struct {
-			Fleet struct {
-				RoundsPerSec float64 `json:"stream_rounds_per_sec"`
-				LaneBatch    bool    `json:"lane_batch"`
-			} `json:"fleet"`
-		}
-		if err := json.Unmarshal(blob, &fb); err != nil {
-			fatal(err)
-		}
-		r.LaneEngine.FleetRPS = fb.Fleet.RoundsPerSec
-		r.LaneEngine.FleetLaneBatch = fb.Fleet.LaneBatch
-		if fb.Fleet.RoundsPerSec > 0 {
-			r.LaneEngine.FleetVsBench8 = fb.Fleet.RoundsPerSec / bench8FleetRPS
-			fmt.Printf("\nfleet soak (lanebatch=%v): %.0f stream-rounds/sec, %.2fx vs BENCH_8 (%.0f)\n",
-				fb.Fleet.LaneBatch, fb.Fleet.RoundsPerSec, r.LaneEngine.FleetVsBench8, bench8FleetRPS)
-		}
-	}
 
 	if *refTPS > 0 {
 		r.Reference = &reference{
@@ -809,9 +733,11 @@ func benchBitPlane(r *report, quick bool) {
 // engine vs the sequential full decoder over the same pregenerated
 // near-threshold syndrome sets, interleaved in alternating slices so
 // machine drift cancels. Near threshold every window is heavy — many
-// multi-defect clusters spanning the lattice — which is exactly the punt
-// traffic the tile engine exists for; at the design point (p=1e-3) these
-// windows are the <0.1% tail the triage layer cannot certify.
+// multi-defect clusters spanning the lattice — which is exactly the
+// traffic a tile-parallel hardware decoder exists for; at the design point
+// (p=1e-3) these windows are the <0.1% tail the triage layer cannot
+// certify. No production path routes through the tile engine: this micro
+// and its model floor are what remain of it.
 //
 // Wall-clock numbers are honest for this host and therefore bounded by
 // GOMAXPROCS (on a single-core runner the tile engine pays its coordination
@@ -1032,163 +958,6 @@ func benchStream(r *report, quick bool, trace *obs.Trace) {
 		(r.Stream.Fleet[1].AggRoundsPerSec / r.Stream.Fleet[0].AggRoundsPerSec) / ideal
 	fmt.Printf("scaling efficiency 16->256: %.2f (1.0 = linear in parallel capacity)\n",
 		r.Stream.ScalingEfficiency)
-}
-
-// bench8FleetRPS is BENCH_8.json's soak stream-rounds/sec (3 shards,
-// L=1000, d=5, p=0.01, chaos, kill -9 + restart) — the sharded-fleet
-// number a -fleet-json artifact is compared against.
-const bench8FleetRPS = 209967.56
-
-// laneObsCounters reads the stream lane counters off the default registry.
-// The bench process's only lane traffic is the engine under measurement, so
-// a diff around a timed run is exactly that run's group statistics.
-func laneObsCounters() (groups, windows, fast, gathered, inel uint64) {
-	var buf bytes.Buffer
-	if err := obs.Default().WriteVarsJSON(&buf); err != nil {
-		fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		fatal(err)
-	}
-	get := func(name string) (v uint64) {
-		if raw, ok := m[name]; ok {
-			if err := json.Unmarshal(raw, &v); err != nil {
-				fatal(err)
-			}
-		}
-		return
-	}
-	return get("afs_stream_lane_groups_total"), get("afs_stream_lane_windows_total"),
-		get("afs_stream_lane_fast_total"), get("afs_stream_lane_gathered_total"),
-		get("afs_stream_lane_ineligible_total")
-}
-
-// benchLane times the cross-stream lane-batched engine against the same-run
-// scalar engine. Both consume identical pregenerated rounds — the sampler is
-// ~a third of an end-to-end RunRounds profile, and it costs the same on both
-// sides, so keeping it out of the timed region is what lets the ratio speak
-// for the window-decode path alone. Segments alternate so machine drift
-// cancels; corrections per side are recorded as a cheap identity cross-check
-// (the bit-level identity itself is test-enforced).
-func benchLane(r *report, quick bool) {
-	points := []struct {
-		d       int
-		p       float64
-		streams int
-	}{
-		{d: 11, p: 1e-3, streams: 256},
-		{d: 11, p: 1e-3, streams: 1024},
-		{d: 5, p: 1e-2, streams: 256},
-	}
-	budget := 1 << 21 // aggregate timed stream-rounds per engine per point
-	if quick {
-		budget = 1 << 17
-	}
-	const reps = 8
-	for _, pc := range points {
-		seg := budget / pc.streams / reps
-		if seg < 1 {
-			seg = 1
-		}
-		rounds := seg * reps
-		poolRounds := rounds
-		if poolRounds > 1<<10 {
-			poolRounds = 1 << 10
-		}
-		pool := make([][][]int32, pc.streams)
-		for i := range pool {
-			s := noise.NewRoundSampler(pc.d, pc.p, 99, uint64(i)+1)
-			rs := make([][]int32, poolRounds)
-			for t := range rs {
-				rs[t] = append([]int32(nil), s.SampleRound()...)
-			}
-			pool[i] = rs
-		}
-		mk := func(lane bool) *stream.Engine {
-			eng, err := stream.NewEngine(stream.EngineConfig{
-				Streams: pc.streams, Distance: pc.d,
-				Sink:      func(int, stream.Correction) {},
-				LaneBatch: lane,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			return eng
-		}
-		scalarEng, laneEng := mk(false), mk(true)
-		runSeg := func(eng *stream.Engine, base, n int) float64 {
-			t0 := time.Now()
-			if err := eng.RunRounds(n, func(i, rr int) []int32 {
-				return pool[i][(base+rr)%poolRounds]
-			}); err != nil {
-				fatal(err)
-			}
-			return time.Since(t0).Seconds()
-		}
-		// Warm long enough that every decoder in the fleet has decoded many
-		// windows: the lane path grows per-stream emit/list scratch lazily,
-		// and at large L a 4d warm-up would leave that growth — and its
-		// allocations — inside the timed region (it read as a bogus 0.4x at
-		// L=1024 before the timed region was made steady-state).
-		warm := 256
-		runSeg(scalarEng, 0, warm)
-		runSeg(laneEng, 0, warm)
-		g0, w0, f0, ga0, in0 := laneObsCounters()
-		var scalarSecs, laneSecs float64
-		sBase, lBase := warm, warm
-		for k := 0; k < reps; k++ {
-			// Swap order every rep so neither side always runs first.
-			if k%2 == 0 {
-				scalarSecs += runSeg(scalarEng, sBase, seg)
-				sBase += seg
-				laneSecs += runSeg(laneEng, lBase, seg)
-				lBase += seg
-			} else {
-				laneSecs += runSeg(laneEng, lBase, seg)
-				lBase += seg
-				scalarSecs += runSeg(scalarEng, sBase, seg)
-				sBase += seg
-			}
-		}
-		g1, w1, f1, ga1, in1 := laneObsCounters()
-
-		agg := float64(pc.streams) * float64(rounds)
-		lp := lanePoint{
-			Streams:           pc.streams,
-			Distance:          pc.d,
-			P:                 pc.p,
-			Workers:           scalarEng.Workers(),
-			RoundsPerStream:   uint64(rounds),
-			Segments:          reps,
-			ScalarRoundsPerS:  agg / scalarSecs,
-			LaneRoundsPerS:    agg / laneSecs,
-			CorrectionsScalar: scalarEng.TotalCorrections(),
-			CorrectionsLane:   laneEng.TotalCorrections(),
-		}
-		lp.Speedup = lp.LaneRoundsPerS / lp.ScalarRoundsPerS
-		if windows := w1 - w0; windows > 0 {
-			lp.GroupFill = float64(windows) / float64(64*(g1-g0))
-			lp.FastFrac = float64(f1-f0) / float64(windows)
-			lp.GatheredFrac = float64(ga1-ga0) / float64(windows)
-			lp.IneligibleFrac = float64(in1-in0) / float64(windows)
-			lp.W0Frac = 1 - lp.FastFrac - lp.GatheredFrac - lp.IneligibleFrac
-		}
-		r.LaneEngine.Points = append(r.LaneEngine.Points, lp)
-		scalarEng.Close()
-		laneEng.Close()
-
-		fmt.Printf("\n== lane engine: L=%d, d=%d p=%g, %d rounds/stream, pregenerated feed ==\n",
-			pc.streams, pc.d, pc.p, rounds)
-		fmt.Printf("scalar: %9.0f stream-rounds/sec; lane: %9.0f (%.2fx same run)\n",
-			lp.ScalarRoundsPerS, lp.LaneRoundsPerS, lp.Speedup)
-		fmt.Printf("groups: fill %.1f/64; lanes: w0 %.1f%%, fast %.1f%%, gathered %.1f%%, ineligible %.1f%%\n",
-			64*lp.GroupFill, 100*lp.W0Frac, 100*lp.FastFrac, 100*lp.GatheredFrac, 100*lp.IneligibleFrac)
-		if lp.CorrectionsScalar != lp.CorrectionsLane {
-			fatal(fmt.Errorf("lane engine committed %d corrections, scalar %d — identity broken",
-				lp.CorrectionsLane, lp.CorrectionsScalar))
-		}
-	}
 }
 
 // benchRobust times the hardened single-stream path — every round framed

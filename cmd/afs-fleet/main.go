@@ -69,7 +69,6 @@ func main() {
 		stall     = flag.Float64("stall", 0.05, "chaos: per-round decoder-stall probability")
 		deadline  = flag.Float64("deadline", 0, "per-window decode deadline in model ns (0 = off)")
 		queueCap  = flag.Int("queuecap", 0, "decode backlog bound in rounds (0 = off)")
-		laneBatch = flag.Bool("lanebatch", false, "soak: shards decode windows in 64-lane bit-plane groups (ignored with -deadline/-queuecap)")
 	)
 	flag.Parse()
 
@@ -103,7 +102,6 @@ func main() {
 			d: *d, p: *p, rounds: *rounds, seed: *seed,
 			killRound: *killRound, killShard: *killShard, restart: *restart,
 			chaos: fc, deadline: *deadline, queueCap: *queueCap,
-			laneBatch: *laneBatch,
 			out: *out, corpusDir: *corpusDir,
 		}); err != nil {
 			fatalf("%v", err)
@@ -126,7 +124,6 @@ type soakConfig struct {
 	chaos           *faults.Config
 	deadline        float64
 	queueCap        int
-	laneBatch       bool
 	out, corpusDir  string
 }
 
@@ -143,7 +140,6 @@ type benchOut struct {
 		P              float64 `json:"p"`
 		Rounds         int     `json:"rounds"`
 		Chaos          bool    `json:"chaos"`
-		LaneBatch      bool    `json:"lane_batch,omitempty"`
 		KilledShard    *int    `json:"killed_shard,omitempty"`
 		Restarted      bool    `json:"restarted,omitempty"`
 		WallSeconds    float64 `json:"wall_seconds"`
@@ -238,14 +234,14 @@ func soak(cfg soakConfig) error {
 	if cfg.corpusDir != "" {
 		feed = captureFrames(feed, cfg.d*(cfg.d-1), cfg.corpusDir)
 	}
-	// The reference engine above stays scalar even with -lanebatch, so the
-	// identity check below doubles as an end-to-end lane-vs-scalar proof.
+	// Without -deadline/-queuecap the reference engine above lane-batches
+	// while the shards decode each window at fill, so the identity check
+	// below doubles as an end-to-end proof that the two paths agree.
 	r, err := fleet.Dial(fleet.Config{
 		Network: cfg.network, Shards: addrs,
 		Streams: cfg.streams, Distance: cfg.d,
 		DeadlineNS: cfg.deadline, QueueCap: cfg.queueCap,
-		LaneBatch: cfg.laneBatch,
-		Chaos:     cfg.chaos,
+		Chaos: cfg.chaos,
 	})
 	if err != nil {
 		return err
@@ -323,7 +319,6 @@ func soak(cfg soakConfig) error {
 	f := &b.Fleet
 	f.Shards, f.Streams, f.Distance, f.P, f.Rounds = cfg.shards, cfg.streams, cfg.d, cfg.p, cfg.rounds
 	f.Chaos = cfg.chaos != nil
-	f.LaneBatch = cfg.laneBatch
 	f.KilledShard, f.Restarted = killed, cfg.restart
 	f.WallSeconds = wall.Seconds()
 	f.RoundsPerSec = float64(cfg.streams) * float64(cfg.rounds) / wall.Seconds()

@@ -66,12 +66,6 @@ import (
 // constant.
 const DefaultTileSize = 7
 
-// DefaultTileMinDefects is the routing threshold consumers use when
-// deciding whether a syndrome is heavy enough for the tile engine: below
-// it, per-round tile dispatch overhead outweighs the parallel growth
-// (matching the residual-histogram notion of a heavy decode, >16 defects).
-const DefaultTileMinDefects = 16
-
 // TileConfig configures a TileDecoder.
 type TileConfig struct {
 	// TileSize is the spatial tile edge in ancilla rows/columns; tiles span

@@ -108,7 +108,9 @@ func feedFrom(streams, distance int, p float64, seed uint64) func(int, int) []in
 
 // runEngine decodes the same fleet configuration in-process and returns the
 // per-stream corrections and merged reports — the ground truth a fleet run
-// must match bit for bit.
+// must match bit for bit. For non-robust configurations the engine
+// lane-batches while shards decode each window at fill, so those checks
+// also compare the two decode paths end to end.
 func runEngine(t *testing.T, cfg Config, rounds int, seed uint64, p float64, chunks []int) ([][]stream.Correction, []faults.Report) {
 	t.Helper()
 	eng, err := stream.NewEngine(stream.EngineConfig{
@@ -597,95 +599,6 @@ func TestFleetMidSheddingCrashLedger(t *testing.T) {
 	shards[0].crash()
 	time.Sleep(20 * time.Millisecond)
 	if err := r.RunRounds(rounds-90, feed); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	checkIdentical(t, r, wantCorrs, wantReps)
-}
-
-// TestFleetLaneBatchKillMidBatch is the lane-batching crash-identity case:
-// shards resolve windows through the cross-stream lane batcher, a shard is
-// killed while its sessions hold deferred (pending) windows, and the
-// surviving shards adopt the streams from checkpoints — whose Snapshot
-// resolved any pending window scalar first. The fleet's corrections must
-// stay bit-identical to a scalar in-process engine (runEngine never enables
-// lane batching), so this doubles as the lane-vs-scalar end-to-end proof
-// under failover.
-func TestFleetLaneBatchKillMidBatch(t *testing.T) {
-	const (
-		streams = 12
-		rounds  = 160
-		d       = 5
-		p       = 0.012
-		seed    = 23
-	)
-	shards := []*testShard{
-		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
-		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
-		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
-	}
-	cfg := Config{
-		Network: "tcp", Shards: shardAddrs(shards),
-		Streams: streams, Distance: d,
-		LaneBatch:         true,
-		Chaos:             chaosCfg(31),
-		ReconnectAttempts: -1, // shard stays dead: fail over immediately
-	}
-	wantCorrs, wantReps := runEngine(t, cfg, rounds, seed, p, []int{rounds})
-
-	r, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	feed := feedFrom(streams, d, p, seed)
-	if err := r.RunRounds(75, feed); err != nil {
-		t.Fatal(err)
-	}
-	shards[1].crash()
-	time.Sleep(20 * time.Millisecond) // let the reader notice the EOF
-	if err := r.RunRounds(rounds-75, feed); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	checkIdentical(t, r, wantCorrs, wantReps)
-	if r.Recoveries() == 0 {
-		t.Fatal("crash went unrecovered")
-	}
-}
-
-// TestFleetLaneBatchRobustIgnored: LaneBatch must be dropped, not refused,
-// when the config is robust — robust decoders never defer their windows.
-func TestFleetLaneBatchRobustIgnored(t *testing.T) {
-	const (
-		streams = 6
-		rounds  = 120
-		d       = 5
-		p       = 0.012
-		seed    = 3
-	)
-	shards := []*testShard{
-		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
-		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
-	}
-	cfg := Config{
-		Network: "tcp", Shards: shardAddrs(shards),
-		Streams: streams, Distance: d,
-		DeadlineNS: 600, QueueCap: 8,
-		LaneBatch: true, // silently ignored: robust mode wins
-	}
-	wantCorrs, wantReps := runEngine(t, cfg, rounds, seed, p, []int{rounds})
-
-	r, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.RunRounds(rounds, feedFrom(streams, d, p, seed)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Flush(); err != nil {

@@ -279,13 +279,6 @@ type openPayload struct {
 	DeadlineNS float64 `json:"deadline_ns,omitempty"`
 	QueueCap   int     `json:"queue_cap,omitempty"`
 
-	// LaneBatch asks the shard to resolve this stream's windows through its
-	// cross-stream lane batcher (stream.LaneBatcher): ready windows from up
-	// to 64 same-shape streams decode word-parallel as bit-plane lanes. The
-	// router sets it only for non-robust configurations (robust decoders
-	// never defer), and committed corrections are bit-identical either way.
-	LaneBatch bool `json:"lane_batch,omitempty"`
-
 	// Rounds and CorrSeq are the checkpoint's counters; the shard resumes
 	// its round count and correction sequence from them so replayed rounds
 	// regenerate the original sequence numbers. Snapshot holds the

@@ -30,13 +30,6 @@ type Config struct {
 	DeadlineNS               float64
 	QueueCap                 int
 
-	// LaneBatch asks every shard to batch ready windows from up to 64 of its
-	// streams into bit-plane lane groups decoded word-parallel
-	// (stream.LaneBatcher). Committed corrections stay bit-identical to
-	// per-stream scalar decoding; ignored when DeadlineNS or QueueCap enable
-	// robust mode, because robust decoders never defer their windows.
-	LaneBatch bool
-
 	// Chaos, when non-nil, injects link faults on every stream's
 	// qubit→decoder channel — router-side, before the socket, so the wire
 	// carries post-fault syndromes. Each stream's channel is seeded with
@@ -615,7 +608,6 @@ func (r *Router) openOn(st *streamState, l *link) (ok bool, reason string, plan 
 		Commit:     r.cfg.Commit,
 		DeadlineNS: r.cfg.DeadlineNS,
 		QueueCap:   r.cfg.QueueCap,
-		LaneBatch:  r.cfg.LaneBatch && r.cfg.DeadlineNS == 0 && r.cfg.QueueCap == 0,
 	}
 	// The open and the replay plan must be one atomic read of the stream's
 	// recovery state: a checkpoint arriving between them would trim the

@@ -96,18 +96,6 @@ type shardSession struct {
 	pbuf    []byte // payload write scratch
 	streams map[uint32]*shardStream
 	werr    error // sticky write error, surfaced at the next message boundary
-
-	// lane is the session's cross-stream lane batcher, built lazily on the
-	// first open that asks for lane batching. Streams opened with LaneBatch
-	// defer their window decodes (stream.SetDeferDecode); flushPendingLanes
-	// resolves the deferred windows in 64-lane bit-plane groups at three
-	// points: when a round arrives for a stream that is already pending
-	// (its window must resolve before the next ingest), at the session idle
-	// boundary (liveness: corrections must not wait for more traffic), and
-	// at the head of a fleet flush. laneIDs/laneDecs are reused scratch.
-	lane     *stream.LaneBatcher
-	laneIDs  []uint32
-	laneDecs []*stream.Decoder
 }
 
 func (s *shardSession) send(typ uint8, id uint32, payload []byte) error {
@@ -130,7 +118,6 @@ func session(conn net.Conn, cfg ShardConfig) error {
 		// heartbeat replies must not sit in the buffer while both sides
 		// wait on each other.
 		if s.br.Buffered() == 0 {
-			s.flushPendingLanes()
 			if err := s.bw.Flush(); err != nil {
 				return err
 			}
@@ -198,14 +185,6 @@ func (s *shardSession) handleOpen(env envelope) error {
 			return s.refuse(id, err.Error())
 		}
 	}
-	if op.LaneBatch {
-		if err := dec.SetDeferDecode(true); err != nil {
-			return s.refuse(id, err.Error())
-		}
-		if s.lane == nil {
-			s.lane = stream.NewLaneBatcher()
-		}
-	}
 	st := &shardStream{
 		dec:     dec,
 		per:     op.Distance * (op.Distance - 1),
@@ -248,13 +227,6 @@ func (s *shardSession) handleRound(env envelope) error {
 	if seq != uint32(st.rounds) {
 		return fmt.Errorf("fleet: stream %d got round seq %d, want %d", env.stream, seq, uint32(st.rounds))
 	}
-	if st.dec.Pending() {
-		// The stream's previous window is still deferred and the ring has no
-		// room for another layer: resolve the pending lanes now. Lane-batched
-		// decoding only ever defers to the next message boundary, never past
-		// a stream's own next round.
-		s.flushPendingLanes()
-	}
 	st.dec.AddPenaltyNS(pen)
 	if erased {
 		st.dec.PushErased()
@@ -269,34 +241,6 @@ func (s *shardSession) handleRound(env envelope) error {
 		return s.checkpoint(env.stream, st)
 	}
 	return nil
-}
-
-// flushPendingLanes resolves every deferred (pending) window on the shard
-// through the lane batcher, in ascending stream id so the per-stream
-// correction sequence — the identity the router checks and dedups on — is a
-// pure function of the rounds ingested. Which windows share a lane group
-// depends on how many rounds the socket delivered before an idle boundary,
-// but grouping never changes any stream's corrections, only the cross-stream
-// interleaving on the wire.
-func (s *shardSession) flushPendingLanes() {
-	if s.lane == nil {
-		return
-	}
-	s.laneIDs = s.laneIDs[:0]
-	for id, st := range s.streams {
-		if st.dec.Pending() {
-			s.laneIDs = append(s.laneIDs, id)
-		}
-	}
-	if len(s.laneIDs) == 0 {
-		return
-	}
-	sort.Slice(s.laneIDs, func(i, j int) bool { return s.laneIDs[i] < s.laneIDs[j] })
-	s.laneDecs = s.laneDecs[:0]
-	for _, id := range s.laneIDs {
-		s.laneDecs = append(s.laneDecs, s.streams[id].dec)
-	}
-	s.lane.Decode(s.laneDecs)
 }
 
 // checkpoint snapshots the stream and ships it to the router, which trims
@@ -322,7 +266,6 @@ func (s *shardSession) checkpoint(id uint32, st *shardStream) error {
 // that flushed a stream is done with it, and the router re-opens if it
 // wants more.
 func (s *shardSession) handleFlush() error {
-	s.flushPendingLanes()
 	ids := make([]uint32, 0, len(s.streams))
 	for id := range s.streams {
 		ids = append(ids, id)

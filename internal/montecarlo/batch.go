@@ -92,12 +92,6 @@ type kernel struct {
 	peel    bool // run PeelResidual on punted syndromes
 	b       noise.Batch
 
-	// tile, when non-nil, decodes full-pipeline trials with at least
-	// tileMin defects through the tile-parallel Union-Find engine
-	// (AccuracyConfig.TileParallel); every lighter trial keeps dec.
-	tile    *core.TileDecoder
-	tileMin int
-
 	// failLog, when non-nil, records every trial's failure bit in order —
 	// the hook the triage-equivalence property tests use to compare paths
 	// trial for trial. Production runs leave it nil.
@@ -117,11 +111,6 @@ func newKernel(cfg AccuracyConfig, g *lattice.Graph) *kernel {
 	if k.triage {
 		k.tri = core.NewTriage(g)
 		k.peel = !cfg.DisablePeel
-	}
-	if cfg.TileParallel {
-		k.tile = core.NewTileDecoder(g, core.Options{LeanStats: true},
-			core.TileConfig{TileSize: cfg.TileSize, Workers: cfg.tileWorkers()})
-		k.tileMin = cfg.tileMinDefects()
 	}
 	return k
 }
@@ -215,13 +204,7 @@ func (k *kernel) run(n uint64) chunkTally {
 				}
 			}
 			t.full++
-			var corr []int32
-			if k.tile != nil && len(df) >= k.tileMin {
-				corr = k.tile.Decode(df)
-			} else {
-				corr = k.dec.Decode(df)
-			}
-			for _, e := range corr {
+			for _, e := range k.dec.Decode(df) {
 				if k.cutEdge[e] {
 					par = !par
 				}

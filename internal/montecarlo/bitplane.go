@@ -49,12 +49,6 @@ type bpKernel struct {
 	peel    bool // run PeelResidual on gathered lanes the scalar triage punts
 	pg      noise.PlaneGroup
 
-	// tile mirrors the scalar kernel's heavy-tail routing
-	// (AccuracyConfig.TileParallel): gathered lanes that reach fullDecode
-	// with at least tileMin defects use the tile-parallel engine.
-	tile    *core.TileDecoder
-	tileMin int
-
 	// Per-lane gather scratch, reused across groups: defect lists for the
 	// gathered lanes.
 	lists [64][]int32
@@ -75,11 +69,6 @@ func newBPKernel(cfg AccuracyConfig, g *lattice.Graph) *bpKernel {
 	}
 	k.peel = k.triage && !cfg.DisablePeel
 	k.cutEdge = k.s.CutEdges()
-	if cfg.TileParallel {
-		k.tile = core.NewTileDecoder(g, core.Options{LeanStats: true},
-			core.TileConfig{TileSize: cfg.TileSize, Workers: cfg.tileWorkers()})
-		k.tileMin = cfg.tileMinDefects()
-	}
 	return k
 }
 
@@ -88,13 +77,7 @@ func (k *bpKernel) reseed(seed1, seed2 uint64) { k.s.Reseed(seed1, seed2) }
 // fullDecode resolves one lane through the full decoder, folding the
 // correction's cut-edge crossings into the sampled parity.
 func (k *bpKernel) fullDecode(df []int32, par bool) bool {
-	var corr []int32
-	if k.tile != nil && len(df) >= k.tileMin {
-		corr = k.tile.Decode(df)
-	} else {
-		corr = k.dec.Decode(df)
-	}
-	for _, e := range corr {
+	for _, e := range k.dec.Decode(df) {
 		if k.cutEdge[e] {
 			par = !par
 		}

@@ -17,7 +17,6 @@ package montecarlo
 import (
 	"time"
 
-	"afs/internal/core"
 	"afs/internal/lattice"
 	"afs/internal/noise"
 	"afs/internal/stats"
@@ -96,28 +95,6 @@ type AccuracyConfig struct {
 	// Implied by DisableTriage.
 	DisablePeel bool
 
-	// TileParallel routes trials that reach the full decoder with at least
-	// TileMinDefects defects — the heavy tail that survives triage and
-	// partial-residual peeling — through the tile-parallel Union-Find
-	// engine (core.TileDecoder) instead of New's decoder. The tile engine
-	// is bit-identical to the sequential full grow/peel pipeline for every
-	// tile size and worker count (test-enforced), so measured rates are
-	// unchanged whenever New builds a decoder failure-equivalent to it —
-	// every Union-Find variant in the repo qualifies; the MWPM baseline
-	// does not (its routed trials would be decoded by Union-Find).
-	TileParallel bool
-	// TileSize and TileWorkers configure the engine (core.TileConfig
-	// semantics), except that TileWorkers=0 selects 1 worker here, not
-	// GOMAXPROCS: the Monte-Carlo engine already runs one kernel per core,
-	// so per-kernel growth pools would oversubscribe the host ~quadratically
-	// (wall-clock only — decode results are worker-count deterministic).
-	// Set TileWorkers explicitly to give each kernel a pool anyway.
-	// TileMinDefects is the routing threshold; 0 selects
-	// core.DefaultTileMinDefects.
-	TileSize       int
-	TileWorkers    int
-	TileMinDefects int
-
 	// StopRelCI, when positive, enables adaptive early stopping: the point
 	// terminates once the Wilson 95% CI half-width divided by the observed
 	// rate is <= StopRelCI (e.g. 0.1 stops at ±10% relative precision).
@@ -144,23 +121,6 @@ func (c AccuracyConfig) chunkTrials() uint64 {
 		return DefaultChunkTrials
 	}
 	return c.ChunkTrials
-}
-
-// tileWorkers resolves TileWorkers for a kernel's TileDecoder: unset means
-// one worker, since the engine already saturates the host with one kernel
-// per core (see the TileWorkers field comment).
-func (c AccuracyConfig) tileWorkers() int {
-	if c.TileWorkers <= 0 {
-		return 1
-	}
-	return c.TileWorkers
-}
-
-func (c AccuracyConfig) tileMinDefects() int {
-	if c.TileMinDefects == 0 {
-		return core.DefaultTileMinDefects
-	}
-	return c.TileMinDefects
 }
 
 func (c AccuracyConfig) stopMinFailures() uint64 {

@@ -41,15 +41,18 @@ type Engine struct {
 	next    atomic.Int64
 	closed  bool
 
-	// Lane batching (cfg.LaneBatch, non-robust engines only): workers claim
-	// fixed chunks of up to 64 consecutive streams instead of single
-	// streams, deliver each round chunk-wide, and resolve the deferred
-	// windows through their per-worker LaneBatcher. Corrections stay
+	// Lane batching (every non-robust engine): workers claim fixed chunks
+	// of up to 64 consecutive streams instead of single streams, deliver
+	// each round chunk-wide, and resolve the deferred windows through their
+	// per-worker laneBatcher — up to 64 streams' ready windows transposed
+	// into bit-plane lanes and certified word-parallel. Corrections stay
 	// bit-identical to per-stream decoding — chunk boundaries and worker
-	// count affect grouping, never results.
+	// count affect grouping, never results. Robust engines decode each
+	// window as it fills: their deadline clocks assume decode-at-fill, and
+	// degraded windows must never enter a lane group.
 	lane     bool
 	chunk    int
-	batchers []*LaneBatcher
+	batchers []*laneBatcher
 }
 
 // EngineConfig configures a multi-stream engine.
@@ -80,13 +83,6 @@ type EngineConfig struct {
 	// stream index as tid — so a fixed-seed fleet exports the identical
 	// trace for any worker count.
 	Trace *obs.Trace
-	// LaneBatch batches ready-to-decode windows from up to 64 streams into
-	// bit-plane lane groups (LaneBatcher) instead of decoding each stream's
-	// window as it fills. Corrections are bit-identical to the per-stream
-	// path for every worker count and fleet size; only throughput changes.
-	// Ignored (off) when Robust is enabled — deadline accounting assumes
-	// decode-at-fill, and degraded windows must never enter a lane group.
-	LaneBatch bool
 }
 
 // engineJob is one round batch (or a flush) broadcast to every worker.
@@ -114,6 +110,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		errs:    make([]error, cfg.Streams),
 		totals:  make([]uint64, cfg.Streams),
 		robust:  cfg.Robust.enabled(),
+		lane:    !cfg.Robust.enabled(),
 		workers: workers,
 	}
 	if cfg.Sink == nil {
@@ -153,11 +150,10 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			e.chans[i] = faults.NewChannel(per, c)
 		}
 	}
-	if cfg.LaneBatch && !e.robust {
-		e.lane = true
+	if e.lane {
 		for _, dec := range e.decs {
-			// Cannot fail: the engine is non-robust by the guard above.
-			if err := dec.SetDeferDecode(true); err != nil {
+			// Cannot fail: lane engines are non-robust.
+			if err := dec.setDeferDecode(true); err != nil {
 				return nil, err
 			}
 		}
@@ -168,9 +164,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		if e.chunk > 64 {
 			e.chunk = 64
 		}
-		e.batchers = make([]*LaneBatcher, workers)
+		e.batchers = make([]*laneBatcher, workers)
 		for w := range e.batchers {
-			e.batchers[w] = NewLaneBatcher()
+			e.batchers[w] = newLaneBatcher()
 		}
 	}
 	e.jobs = make([]chan engineJob, workers)
@@ -241,7 +237,7 @@ func (e *Engine) worker(w int, ch chan engineJob) {
 // the feed contract (per-stream round order, one owner per stream per
 // batch) while letting every stream in the chunk reach pending before any
 // of them decodes.
-func (e *Engine) laneRounds(b *LaneBatcher, job engineJob) {
+func (e *Engine) laneRounds(b *laneBatcher, job engineJob) {
 	for {
 		lo := int(e.next.Add(int64(e.chunk))) - e.chunk
 		if lo >= len(e.decs) {
@@ -350,9 +346,12 @@ func (e *Engine) PushRound(events [][]int32) error {
 	// Without robust degradation all streams ingest in lockstep, so stream
 	// 0's fill level is the fleet's: decide once whether this round
 	// completes a window. A degraded (deadline-overrun) commit finalizes
-	// fewer layers and desyncs fill levels, so robust engines scan.
+	// fewer layers and desyncs fill levels, and a poisoned stream 0 stops
+	// ingesting, so those engines scan. A lane engine must not take the
+	// serial path on a round that fills a window: nothing there resolves
+	// the deferred decode until that stream's next round.
 	willDecode := false
-	if e.robust {
+	if e.robust || e.errs[0] != nil {
 		for _, dec := range e.decs {
 			if dec.Buffered()+1 >= dec.Window {
 				willDecode = true
@@ -402,9 +401,9 @@ func (e *Engine) PushRounds(rounds [][][]int32) error {
 	}
 	// Same fill-level reasoning as PushRound, over the whole batch: in
 	// lockstep mode stream 0's level is the fleet's; robust (degradable)
-	// engines scan because degraded commits desync fill levels.
+	// engines and a poisoned stream 0 desync fill levels, so those scan.
 	willDecode := false
-	if e.robust {
+	if e.robust || e.errs[0] != nil {
 		for _, dec := range e.decs {
 			if dec.Buffered()+k >= dec.Window {
 				willDecode = true

@@ -24,10 +24,7 @@ func runEngine(t *testing.T, streams, workers, d, w, c, rounds int) [][]Correcti
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	samplers := make([]*noise.RoundSampler, streams)
-	for i := range samplers {
-		samplers[i] = noise.NewRoundSampler(d, 0.01, 42, uint64(i)*0x9e37+1)
-	}
+	samplers := seededSamplers(streams, d)
 	eng.RunRounds(rounds, func(stream, _ int) []int32 {
 		return samplers[stream].SampleRound()
 	})

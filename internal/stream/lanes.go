@@ -7,7 +7,7 @@ import (
 	"afs/internal/lattice"
 )
 
-// LaneBatcher resolves deferred (SetDeferDecode) stream windows in
+// laneBatcher resolves deferred (setDeferDecode) stream windows in
 // cross-stream lane groups: up to 64 pending windows sharing a
 // (distance, window) shape are transposed into bit-plane defect planes —
 // one uint64 per window-graph vertex, bit t = lane t's window has a defect
@@ -26,16 +26,15 @@ import (
 //     the shape key, because classification is horizon-independent and
 //     each lane commits against its own decoder's Commit;
 //   - windows containing an erased round, decoders with the weight-0 skip
-//     disabled, windows past core.MaxShortcutDefects, and windows at or
-//     past a tile-punt threshold route straight to the scalar path without
-//     touching the planes (counted laneIneligible) — erasure flags and
-//     punt routing are per-stream state the planes cannot carry;
+//     disabled, and windows past core.MaxShortcutDefects route straight to
+//     the scalar path without touching the planes (counted laneIneligible)
+//     — erasure flags are per-stream state the planes cannot carry;
 //   - robust (deadline/backpressure) decoders never defer in the first
-//     place (SetDeferDecode rejects them), so degraded windows cannot
+//     place (setDeferDecode rejects them), so degraded windows cannot
 //     reach a lane group.
 //
 // Not safe for concurrent use; engines hold one batcher per worker.
-type LaneBatcher struct {
+type laneBatcher struct {
 	shapes map[laneKey]*laneShape
 	om     *streamObs
 	omSh   int
@@ -60,17 +59,17 @@ type laneShape struct {
 	lanes   [64]*Decoder
 }
 
-// NewLaneBatcher returns an empty batcher; per-shape working sets build
+// newLaneBatcher returns an empty batcher; per-shape working sets build
 // lazily on the first pending window of each shape.
-func NewLaneBatcher() *LaneBatcher {
-	return &LaneBatcher{
+func newLaneBatcher() *laneBatcher {
+	return &laneBatcher{
 		shapes: map[laneKey]*laneShape{},
 		om:     obsSink.Load(),
 		omSh:   nextObsShard(),
 	}
 }
 
-func (b *LaneBatcher) shapeFor(d *Decoder) *laneShape {
+func (b *laneBatcher) shapeFor(d *Decoder) *laneShape {
 	k := laneKey{distance: d.Distance, window: d.Window}
 	if sh, ok := b.shapes[k]; ok {
 		return sh
@@ -89,7 +88,7 @@ func (b *LaneBatcher) shapeFor(d *Decoder) *laneShape {
 // pending windows into lane groups of up to 64 in slice order (skipping
 // over non-pending and different-shape entries; those shapes form their
 // own groups on later sweeps of the same pass). nil entries are ignored.
-func (b *LaneBatcher) Decode(decs []*Decoder) {
+func (b *laneBatcher) Decode(decs []*Decoder) {
 	for i := 0; i < len(decs); i++ {
 		d := decs[i]
 		if d == nil || !d.pending {
@@ -114,7 +113,7 @@ func (b *LaneBatcher) Decode(decs []*Decoder) {
 // decodeGroup resolves one formed group: scatter the eligible windows into
 // the planes, classify, fast-commit the certified lanes, gather and
 // scalar-decode the rest.
-func (b *LaneBatcher) decodeGroup(sh *laneShape, n int) {
+func (b *laneBatcher) decodeGroup(sh *laneShape, n int) {
 	var elig uint64
 	scalar := 0
 	for lane := 0; lane < n; lane++ {
@@ -123,12 +122,10 @@ func (b *LaneBatcher) decodeGroup(sh *laneShape, n int) {
 		nd, anyErased := d.windowSummary()
 		sh.counts[lane] = nd
 		switch {
-		case anyErased || d.disableW0Skip,
-			nd > core.MaxShortcutDefects,
-			d.tdec != nil && nd >= d.tileMin:
-			// Per-stream state the planes cannot carry (erasure flags,
-			// punt routing, the W0-skip test hook): the unchanged scalar
-			// window decode, outside the group.
+		case anyErased || d.disableW0Skip, nd > core.MaxShortcutDefects:
+			// Per-stream state the planes cannot carry (erasure flags, the
+			// W0-skip test hook) or a window past the certifier's defect
+			// cap: the unchanged scalar window decode, outside the group.
 			d.decodeWindow(false)
 			sh.lanes[lane] = nil
 			scalar++

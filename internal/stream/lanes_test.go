@@ -5,21 +5,19 @@ import (
 	"slices"
 	"testing"
 
-	"afs/internal/core"
 	"afs/internal/faults"
 	"afs/internal/noise"
 )
 
-// runLaneEngine mirrors runEngine with the lane batcher enabled (and an
-// optional chaos config) so engine-level tests can diff the two paths on
-// identical seeded feeds.
-func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, lane bool, chaos *faults.Config) [][]Correction {
+// runLaneEngine drives a non-robust (hence lane-batched) engine over seeded
+// per-stream samplers, with an optional chaos config, and returns each
+// stream's flushed corrections.
+func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, chaos *faults.Config) [][]Correction {
 	t.Helper()
 	out := make([][]Correction, streams)
 	eng, err := NewEngine(EngineConfig{
 		Streams: streams, Distance: d, Window: w, Commit: c, Workers: workers,
-		LaneBatch: lane,
-		Chaos:     chaos,
+		Chaos: chaos,
 		Sink: func(stream int, corr Correction) {
 			out[stream] = append(out[stream], corr)
 		},
@@ -28,10 +26,10 @@ func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, lane boo
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	samplers := make([]*noise.RoundSampler, streams)
-	for i := range samplers {
-		samplers[i] = noise.NewRoundSampler(d, 0.01, 42, uint64(i)*0x9e37+1)
+	if !eng.lane {
+		t.Fatal("non-robust engine does not lane-batch")
 	}
+	samplers := seededSamplers(streams, d)
 	if err := eng.RunRounds(rounds, func(stream, _ int) []int32 {
 		return samplers[stream].SampleRound()
 	}); err != nil {
@@ -43,20 +41,55 @@ func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, lane boo
 	return out
 }
 
-// TestLaneEngineIdentity is the tentpole acceptance criterion at the engine
-// level: the lane-batched engine must commit bit-identical corrections to
-// the scalar engine for every worker count and fleet size — full 64-lane
+// runSoloDecoders is runLaneEngine's oracle: each stream decoded by its own
+// Decoder at fill, fed the same sampler and — under chaos — its own
+// faults.Channel seeded by faults.StreamSeed, driven as Engine.deliverRound
+// drives it.
+func runSoloDecoders(t *testing.T, streams, d, w, c, rounds int, chaos *faults.Config) [][]Correction {
+	t.Helper()
+	out := make([][]Correction, streams)
+	samplers := seededSamplers(streams, d)
+	for i := range out {
+		dec, err := New(d, w, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ch *faults.Channel
+		if chaos != nil {
+			cc := *chaos
+			cc.Seed = faults.StreamSeed(chaos.Seed, i)
+			ch = faults.NewChannel(d*(d-1), cc)
+		}
+		feedRounds(t, dec, samplers[i], ch, rounds)
+		out[i] = dec.Flush()
+	}
+	return out
+}
+
+// seededSamplers returns the per-stream round samplers the engine identity
+// tests feed: p=0.01, seed 42, one stream id per stream.
+func seededSamplers(streams, d int) []*noise.RoundSampler {
+	samplers := make([]*noise.RoundSampler, streams)
+	for i := range samplers {
+		samplers[i] = noise.NewRoundSampler(d, 0.01, 42, uint64(i)*0x9e37+1)
+	}
+	return samplers
+}
+
+// TestLaneEngineIdentity is the engine-level identity contract: the
+// lane-batched engine must commit bit-identical corrections to solo
+// per-stream decoders for every worker count and fleet size — full 64-lane
 // groups, partial groups, and single-lane remainders alike.
 func TestLaneEngineIdentity(t *testing.T) {
 	for _, d := range []int{3, 5} {
 		const rounds = 120
 		for _, streams := range []int{1, 2, 5, 64, 65, 130} {
-			want := runLaneEngine(t, streams, 1, d, d, 0, rounds, false, nil)
+			want := runSoloDecoders(t, streams, d, d, 0, rounds, nil)
 			for _, workers := range []int{1, 2, 3} {
-				got := runLaneEngine(t, streams, workers, d, d, 0, rounds, true, nil)
+				got := runLaneEngine(t, streams, workers, d, d, 0, rounds, nil)
 				for i := range want {
 					if !slices.Equal(got[i], want[i]) {
-						t.Fatalf("d=%d L=%d workers=%d stream %d: lane corrections diverge from scalar (%d vs %d)",
+						t.Fatalf("d=%d L=%d workers=%d stream %d: lane corrections diverge from a solo decoder (%d vs %d)",
 							d, streams, workers, i, len(got[i]), len(want[i]))
 					}
 				}
@@ -67,11 +100,11 @@ func TestLaneEngineIdentity(t *testing.T) {
 
 // TestLaneEngineIdentityNonDefaultCommit: the commit depth is not part of
 // the lane-shape key, so streams with a deeper commit must still match
-// scalar decoding exactly (the horizon filter runs per lane).
+// solo decoding exactly (the horizon filter runs per lane).
 func TestLaneEngineIdentityNonDefaultCommit(t *testing.T) {
 	const streams, d, w, c, rounds = 33, 4, 6, 3, 150
-	want := runLaneEngine(t, streams, 1, d, w, c, rounds, false, nil)
-	got := runLaneEngine(t, streams, 2, d, w, c, rounds, true, nil)
+	want := runSoloDecoders(t, streams, d, w, c, rounds, nil)
+	got := runLaneEngine(t, streams, 2, d, w, c, rounds, nil)
 	for i := range want {
 		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("stream %d: lane corrections diverge under commit=%d", i, c)
@@ -85,9 +118,9 @@ func TestLaneEngineIdentityNonDefaultCommit(t *testing.T) {
 func TestLaneEngineIdentityUnderChaos(t *testing.T) {
 	chaos := &faults.Config{Seed: 7, DropRate: 0.05, DuplicateRate: 0.02, ReorderRate: 0.02, CorruptRate: 0.03}
 	const streams, d, rounds = 70, 3, 200
-	want := runLaneEngine(t, streams, 1, d, d, 0, rounds, false, chaos)
+	want := runSoloDecoders(t, streams, d, d, 0, rounds, chaos)
 	for _, workers := range []int{1, 3} {
-		got := runLaneEngine(t, streams, workers, d, d, 0, rounds, true, chaos)
+		got := runLaneEngine(t, streams, workers, d, d, 0, rounds, chaos)
 		for i := range want {
 			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("workers=%d stream %d: lane corrections diverge under chaos", workers, i)
@@ -113,7 +146,7 @@ func newLaneTwinPair(t *testing.T, d, w, c int) *laneTwinPair {
 	if p.scalar, err = New(d, w, c); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.lane.SetDeferDecode(true); err != nil {
+	if err := p.lane.setDeferDecode(true); err != nil {
 		t.Fatal(err)
 	}
 	p.lane.SetSink(func(c Correction) { p.laneOut = append(p.laneOut, c) })
@@ -151,8 +184,8 @@ func randLayer(rng *rand.Rand, per int, p float64) []int32 {
 // TestLaneBatcherMatchesScalarTwins is the decoder-level property test: for
 // every group size 1..64, a set of lane-batched decoders fed random rounds
 // must commit exactly what scalar twins commit on the identical rounds —
-// including erased rounds, a W0-skip-disabled lane, a tile-punting lane,
-// and dense rounds past the sparse-shortcut defect cap.
+// including erased rounds, a W0-skip-disabled lane, and dense rounds past
+// the sparse-shortcut defect cap.
 func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 	const d, w = 4, 4
 	per := d * (d - 1)
@@ -168,18 +201,9 @@ func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 				pairs[i].lane.disableW0Skip = true
 				pairs[i].scalar.disableW0Skip = true
 			}
-			if i == 2 {
-				// One lane that punts heavy windows to the tile engine.
-				if err := pairs[i].lane.EnableTilePunt(core.TileConfig{}, 3); err != nil {
-					t.Fatal(err)
-				}
-				if err := pairs[i].scalar.EnableTilePunt(core.TileConfig{}, 3); err != nil {
-					t.Fatal(err)
-				}
-			}
 			decs[i] = pairs[i].lane
 		}
-		b := NewLaneBatcher()
+		b := newLaneBatcher()
 		const rounds = 160
 		for r := 0; r < rounds; r++ {
 			for i, p := range pairs {
@@ -221,7 +245,7 @@ func TestLaneBatcherMixedShapes(t *testing.T) {
 			decs = append(decs, p.lane)
 		}
 	}
-	b := NewLaneBatcher()
+	b := newLaneBatcher()
 	for r := 0; r < 200; r++ {
 		for _, p := range pairs {
 			per := p.lane.Distance * (p.lane.Distance - 1)
@@ -242,7 +266,7 @@ func TestLaneBatcherMixedShapes(t *testing.T) {
 }
 
 // TestLaneDeferredResolution covers the pending-window state machine: a
-// deferred window reports Pending, resolves scalar on the next ingest if no
+// deferred window is marked pending, resolves scalar on the next ingest if no
 // batcher runs, resolves before a snapshot (so Restore's layer invariant
 // holds), and resolves on Flush — all bit-identically to a scalar twin.
 func TestLaneDeferredResolution(t *testing.T) {
@@ -250,16 +274,16 @@ func TestLaneDeferredResolution(t *testing.T) {
 	per := d * (d - 1)
 	rng := rand.New(rand.NewSource(5))
 	p := newLaneTwinPair(t, d, w, 0)
-	b := NewLaneBatcher()
+	b := newLaneBatcher()
 	for r := 0; r < 90; r++ {
 		p.push(t, randLayer(rng, per, 0.1), false)
-		if r >= w-1 && !p.lane.Pending() {
+		if r >= w-1 && !p.lane.pending {
 			t.Fatalf("round %d: full deferred window not pending", r)
 		}
 		switch r % 3 {
 		case 0:
 			b.Decode([]*Decoder{p.lane})
-			if p.lane.Pending() {
+			if p.lane.pending {
 				t.Fatal("pending after a batched decode")
 			}
 		case 1:
@@ -270,14 +294,14 @@ func TestLaneDeferredResolution(t *testing.T) {
 			if len(snap.Layers) >= w {
 				t.Fatalf("snapshot holds %d layers with window %d", len(snap.Layers), w)
 			}
-			if p.lane.Pending() {
+			if p.lane.pending {
 				t.Fatal("pending survived a snapshot")
 			}
 		}
 	}
 	p.lane.Flush()
 	p.scalar.Flush()
-	if p.lane.Pending() {
+	if p.lane.pending {
 		t.Fatal("pending after Flush")
 	}
 	if !slices.Equal(p.laneOut, p.scalarOut) {
@@ -296,29 +320,29 @@ func TestDeferDecodeRobustMutualExclusion(t *testing.T) {
 	if err := dec.SetRobust(Robust{DeadlineNS: 350, QueueCap: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.SetDeferDecode(true); err == nil {
-		t.Fatal("SetDeferDecode accepted on a robust decoder")
+	if err := dec.setDeferDecode(true); err == nil {
+		t.Fatal("setDeferDecode accepted on a robust decoder")
 	}
 	dec2, err := New(4, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dec2.SetDeferDecode(true); err != nil {
+	if err := dec2.setDeferDecode(true); err != nil {
 		t.Fatal(err)
 	}
 	if err := dec2.SetRobust(Robust{DeadlineNS: 350, QueueCap: 8}); err == nil {
 		t.Fatal("SetRobust accepted on a deferred decoder")
 	}
 	// Robust on a decoder that turned deferral back off is fine.
-	if err := dec2.SetDeferDecode(false); err != nil {
+	if err := dec2.setDeferDecode(false); err != nil {
 		t.Fatal(err)
 	}
 	if err := dec2.SetRobust(Robust{DeadlineNS: 350, QueueCap: 8}); err != nil {
 		t.Fatal(err)
 	}
-	// The lane engine silently ignores LaneBatch under Robust.
+	// A robust engine decodes each window at fill: it never lane-batches.
 	eng, err := NewEngine(EngineConfig{
-		Streams: 2, Distance: 4, LaneBatch: true,
+		Streams: 2, Distance: 4,
 		Robust: Robust{DeadlineNS: 350, QueueCap: 8},
 		Sink:   func(int, Correction) {},
 	})
@@ -348,7 +372,7 @@ func FuzzLaneIdentity(f *testing.F) {
 			pairs[i] = newLaneTwinPair(t, d, w, 0)
 			decs[i] = pairs[i].lane
 		}
-		b := NewLaneBatcher()
+		b := newLaneBatcher()
 		// Each byte drives one lane-round: bit per ancilla (per=6 fits), with
 		// 0xff meaning an erased round.
 		for off := 0; off+n <= len(data); off += n {

@@ -29,7 +29,7 @@ type streamObs struct {
 	windowCostNS  *obs.Histogram // model decode cost per window (robust mode)
 	queueLag      *obs.Histogram // backlog in arrival periods after each window (robust mode)
 
-	// Lane-batching signals (LaneBatcher): group formation and the
+	// Lane-batching signals (laneBatcher): group formation and the
 	// fast/gathered/ineligible split. laneWindows / (64 * laneGroups) is
 	// the mean group fill fraction; laneFast / laneWindows the fraction of
 	// batched windows resolved closed-form without a scalar decode.
@@ -58,7 +58,7 @@ func newStreamObs(reg *obs.Registry) *streamObs {
 		laneWindows:     reg.NewCounter("afs_stream_lane_windows_total", "stream windows entering a lane group (fill = windows / (64*groups))", s),
 		laneFast:        reg.NewCounter("afs_stream_lane_fast_total", "lane-batched windows resolved by the closed-form fast path", s),
 		laneGathered:    reg.NewCounter("afs_stream_lane_gathered_total", "lane-batched windows gathered back to the scalar decode", s),
-		laneIneligible:  reg.NewCounter("afs_stream_lane_ineligible_total", "lane-group windows routed scalar without scattering (erased, heavy, tile punt, W0 skip off)", s),
+		laneIneligible:  reg.NewCounter("afs_stream_lane_ineligible_total", "lane-group windows routed scalar without scattering (erased, heavy, W0 skip off)", s),
 		windowDefects:   reg.NewHistogram("afs_stream_window_defects", "detection events per decoded window", 0, 64, 32, s),
 		windowCostNS:    reg.NewHistogram("afs_stream_window_cost_ns", "model decode cost per window in ns (deadline mode)", 0, 800, 40, s),
 		queueLag:        reg.NewHistogram("afs_stream_queue_lag_rounds", "decode backlog in arrival periods after each window (deadline mode)", 0, 32, 32, s),

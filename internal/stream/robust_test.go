@@ -434,6 +434,41 @@ func TestEngineStickyStreamError(t *testing.T) {
 	}
 }
 
+// TestEnginePushRoundPoisonedFirstStream: PushRound reads the fleet's fill
+// level off stream 0, which stops ingesting once poisoned. The healthy
+// streams must still decode every window in the round that fills it — a
+// lane engine's deferred window must not wait for the stream's next round.
+func TestEnginePushRoundPoisonedFirstStream(t *testing.T) {
+	const streams, d, rounds = 3, 4, 40
+	eng, err := NewEngine(EngineConfig{Streams: streams, Distance: d, Workers: 2,
+		Sink: func(int, Correction) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	samplers := make([]*noise.RoundSampler, streams)
+	for i := range samplers {
+		samplers[i] = noise.NewRoundSampler(d, 0.02, 53, uint64(i)+1)
+	}
+	events := make([][]int32, streams)
+	for r := 0; r < rounds; r++ {
+		for i := range events {
+			events[i] = samplers[i].SampleRound()
+		}
+		if r == 1 {
+			events[0] = []int32{-1}
+		}
+		if err := eng.PushRound(events); (err != nil) != (r >= 1) {
+			t.Fatalf("round %d: error %v, want the poisoned stream's error from round 1 on", r, err)
+		}
+		for i := 1; i < streams; i++ {
+			if eng.Decoder(i).pending {
+				t.Fatalf("round %d: stream %d left a filled window undecoded", r, i)
+			}
+		}
+	}
+}
+
 // TestEngineCloseWaitsForWorkers: Close must join the worker goroutines —
 // repeated create/run/close cycles leave the goroutine count where it
 // started.

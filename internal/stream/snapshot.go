@@ -98,7 +98,9 @@ func (d *Decoder) Snapshot() Snapshot {
 // snapshotted one went on to receive reproduces its corrections and its
 // fault ledger bit for bit. Any malformed snapshot — shape mismatch, too
 // many layers, an out-of-range ancilla index, a non-finite or negative
-// penalty — is rejected with an error before any decoder state changes.
+// penalty or queue clock (NowNS, FreeNS), or episode counters no queue can
+// reach (Sheds != Recoveries, plus one while Shedding) — is rejected with
+// an error before any decoder state changes.
 func (d *Decoder) Restore(s Snapshot) error {
 	if s.Distance != d.Distance || s.Window != d.Window || s.Commit != d.Commit {
 		return fmt.Errorf("stream: snapshot shape d=%d W=%d C=%d does not match decoder d=%d W=%d C=%d",
@@ -117,8 +119,24 @@ func (d *Decoder) Restore(s Snapshot) error {
 	// hand-patched back together) can carry a non-finite or negative
 	// penalty; accepting one would poison every subsequent deadline
 	// decision. Same guard the fleet wire protocol applies on decode.
-	if math.IsNaN(s.PenaltyNS) || math.IsInf(s.PenaltyNS, 0) || s.PenaltyNS < 0 {
+	if !finiteNonNeg(s.PenaltyNS) {
 		return fmt.Errorf("stream: snapshot penalty %v not a finite non-negative duration", s.PenaltyNS)
+	}
+	// The queue clocks only ever advance from zero, and every shedding
+	// episode opens with Sheds++ and closes with Recoveries++. A negative
+	// arrival clock reads as a backlog of that many rounds (a robust stream
+	// would shed nearly every round it receives), and unbalanced counters
+	// fail the merged ledger's final check however the stream continues.
+	q := s.Queue
+	if !finiteNonNeg(q.NowNS) || !finiteNonNeg(q.FreeNS) {
+		return fmt.Errorf("stream: snapshot queue clocks now=%v free=%v not finite non-negative times", q.NowNS, q.FreeNS)
+	}
+	open := uint64(0)
+	if q.Shedding {
+		open = 1
+	}
+	if q.Sheds != q.Recoveries+open {
+		return fmt.Errorf("stream: snapshot queue has %d shed episodes, %d recoveries and shedding=%v", q.Sheds, q.Recoveries, q.Shedding)
 	}
 	per := int32(d.per)
 	for t, layer := range s.Layers {
@@ -159,4 +177,10 @@ func (d *Decoder) Restore(s Snapshot) error {
 	d.rep.BacklogSheds = 0
 	d.rep.BacklogRecovers = 0
 	return nil
+}
+
+// finiteNonNeg reports whether x is a finite, non-negative duration or
+// model time.
+func finiteNonNeg(x float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0) && x >= 0
 }

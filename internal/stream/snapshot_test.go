@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"afs/internal/backlog"
 	"afs/internal/faults"
 	"afs/internal/noise"
 )
@@ -239,6 +240,13 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 		{Distance: 5, Window: 5, Commit: 2, PenaltyNS: math.NaN()},                               // NaN penalty
 		{Distance: 5, Window: 5, Commit: 2, PenaltyNS: math.Inf(1)},                              // Inf penalty
 		{Distance: 5, Window: 5, Commit: 2, PenaltyNS: -1},                                       // negative penalty
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{NowNS: -1e18}},             // negative arrival clock
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{FreeNS: -1}},               // negative server clock
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{NowNS: math.NaN()}},        // NaN arrival clock
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{FreeNS: math.Inf(1)}},      // Inf server clock
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{Shedding: true}},           // open episode never counted
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{Sheds: 2, Recoveries: 1}},  // episode neither open nor recovered
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{Recoveries: 1}},            // recovery without a shed
 	}
 	for i, s := range bad {
 		if err := dec.Restore(s); err == nil {

@@ -118,27 +118,18 @@ type Decoder struct {
 	w0CostNS     float64 // Model.WindowCost of an empty decode, precomputed by SetRobust
 	rep          faults.Report
 
-	// Tile punt (EnableTilePunt): sliding windows whose defect count
-	// reaches tileMin are decoded by the tile-parallel Union-Find engine
-	// instead of the sequential horizon decode — the heavy-tail windows
-	// that drive worst-case decode latency. tdec is rebuilt alongside dec
-	// when SetRobust toggles the profile options.
-	tdec    *core.TileDecoder
-	tileCfg core.TileConfig
-	tileMin int
-
 	// disableW0Skip forces weight-0 windows down the full DecodeHorizon
 	// path; it exists only so tests can prove the skip is bit-identical.
 	disableW0Skip bool
 
-	// Deferred decoding (SetDeferDecode): when on, a window that fills on
-	// ingest is not decoded immediately — the decoder marks itself pending
-	// and waits for a LaneBatcher (or any state-reading entry point:
-	// Flush, Snapshot, the next ingest) to resolve it. This is what lets
-	// the cross-stream lane scheduler see many ready windows at once
-	// instead of each decoder consuming its own the moment it fills.
-	// Mutually exclusive with robust mode, whose deadline clocks assume
-	// decode-at-fill.
+	// Deferred decoding (setDeferDecode, on in every non-robust Engine):
+	// a window that fills on ingest is not decoded immediately — the
+	// decoder marks itself pending and waits for the engine's laneBatcher
+	// (or any state-reading entry point: Flush, Snapshot, the next ingest)
+	// to resolve it. This is what lets the cross-stream lane scheduler see
+	// many ready windows at once instead of each decoder consuming its own
+	// the moment it fills. Mutually exclusive with robust mode, whose
+	// deadline clocks assume decode-at-fill.
 	deferDecode bool
 	pending     bool
 
@@ -339,42 +330,8 @@ func (d *Decoder) SetRobust(cfg Robust) error {
 		// per-access counters, so the robust decoder stays lean and adds
 		// only ClusterStats — the full profile would sit on the growth hot
 		// path and cost ~25% throughput.
-		opts := core.Options{LeanStats: true, ClusterStats: d.robustOn, SparseShortcut: true}
-		d.dec = core.NewDecoder(d.g, opts)
-		if d.tdec != nil {
-			// Keep the punt engine's profile options in lockstep so the
-			// deadline model sees per-cluster stats from either path.
-			d.tdec = core.NewTileDecoder(d.g, opts, d.tileCfg)
-		}
+		d.dec = core.NewDecoder(d.g, core.Options{LeanStats: true, ClusterStats: d.robustOn, SparseShortcut: true})
 	}
-	return nil
-}
-
-// EnableTilePunt routes sliding windows with at least minDefects detection
-// events — the heavy near-threshold windows that drive worst-case decode
-// latency — through the tile-parallel Union-Find engine (core.TileDecoder)
-// instead of the sequential horizon decode; minDefects <= 0 selects
-// core.DefaultTileMinDefects, and cfg's zero values select the engine
-// defaults. The punt decision is a pure function of the window's defect
-// count and the tile decode is bit-identical across worker counts, so
-// fixed-seed streams remain exactly reproducible. Committed corrections
-// are decision-identical to the unpunted decoder's (the horizon-filtered
-// correction agrees with a full decode below the horizon). Like SetRobust
-// it must be called on an empty decoder; a zero-Workers config uses
-// GOMAXPROCS. Passing minDefects < 0 with an all-zero cfg keeps the
-// defaults too; disable by never calling it (the punt has no off switch —
-// construct a fresh Decoder instead).
-func (d *Decoder) EnableTilePunt(cfg core.TileConfig, minDefects int) error {
-	if d.ringLen != 0 {
-		return fmt.Errorf("stream: EnableTilePunt on a decoder with %d buffered layers", d.ringLen)
-	}
-	if minDefects <= 0 {
-		minDefects = core.DefaultTileMinDefects
-	}
-	d.tileCfg = cfg
-	d.tileMin = minDefects
-	opts := core.Options{LeanStats: true, ClusterStats: d.robustOn}
-	d.tdec = core.NewTileDecoder(d.g, opts, cfg)
 	return nil
 }
 
@@ -462,15 +419,15 @@ func (d *Decoder) PushErased() {
 	d.ingest(nil, true)
 }
 
-// SetDeferDecode enables (or disables) deferred window decoding: a window
+// setDeferDecode enables (or disables) deferred window decoding: a window
 // that fills on ingest is left buffered and marked pending instead of
-// decoding immediately, so a LaneBatcher can resolve many streams' windows
+// decoding immediately, so a laneBatcher can resolve many streams' windows
 // as one lane group. Pending windows resolve transparently — through the
 // scalar path, bit-identically — whenever the decoder's state is needed
 // before a batcher gets to it (the next ingest, Flush, Snapshot).
 // Incompatible with robust mode: the deadline model's queue clocks assume
 // a window is served the round it completes.
-func (d *Decoder) SetDeferDecode(on bool) error {
+func (d *Decoder) setDeferDecode(on bool) error {
 	if on && d.robustOn {
 		return fmt.Errorf("stream: robust mode and deferred decoding are mutually exclusive")
 	}
@@ -480,10 +437,6 @@ func (d *Decoder) SetDeferDecode(on bool) error {
 	d.deferDecode = on
 	return nil
 }
-
-// Pending reports whether a filled window is buffered awaiting a deferred
-// decode (always false without SetDeferDecode).
-func (d *Decoder) Pending() bool { return d.pending }
 
 // resolvePending decodes a deferred window through the ordinary scalar
 // path. Safe to call any time; a no-op unless a window is pending.
@@ -715,16 +668,6 @@ func (d *Decoder) decodeCollected(final bool, layers, commit int) {
 			g, dec = d.finalDecoder(layers)
 			corr = dec.DecodeHorizon(d.defects, int32(commit))
 			stats = &dec.Stats
-		case d.tdec != nil && len(d.defects) >= d.tileMin:
-			// Heavy-window punt: grow the window's clusters tile-parallel.
-			// The full correction is a valid DecodeHorizon result for any
-			// horizon (the commit loop below keeps only rounds < commit),
-			// and the punt predicate is a pure function of the defect
-			// count, so the stream stays bit-identical across worker
-			// counts.
-			g = d.g
-			corr = d.tdec.Decode(d.defects)
-			stats = d.tdec.Stats()
 		default:
 			g, dec = d.g, d.dec
 			// Only edges with Round < commit are kept, so the decoder may
@@ -800,7 +743,7 @@ func (d *Decoder) decodeCollected(final bool, layers, commit int) {
 // computed by the lane batcher's closed-form fast path: corr holds the
 // fast groups' emit edges (window-graph edge ids) and ndefects the
 // window's defect count. Only valid on a non-robust decoder — exactly what
-// SetDeferDecode guarantees — so the deadline block decodeCollected would
+// setDeferDecode guarantees — so the deadline block decodeCollected would
 // run is vacuous and the window finishes with zero model cost, identical
 // to the scalar path's non-robust decode.
 func (d *Decoder) commitFast(corr []int32, ndefects int) {

@@ -228,11 +228,6 @@ type StreamEngineConfig struct {
 	// QueueCap bounds each stream's decode backlog in rounds (0 disables):
 	// past it the oldest undecoded round is shed and recorded.
 	QueueCap int
-	// LaneBatch batches ready windows from up to 64 streams into bit-plane
-	// lane groups decoded word-parallel. Committed corrections stay
-	// bit-identical to per-stream decoding; ignored when DeadlineNS or
-	// QueueCap enable robust mode.
-	LaneBatch bool
 	// Trace, when non-nil, records every stream's model-time decode events
 	// (stream index as tid); export with Trace.WriteChrome. Deterministic:
 	// a fixed-seed fleet emits the identical trace for any worker count.
@@ -257,8 +252,7 @@ func NewStreamEngine(cfg StreamEngineConfig) (*StreamEngine, error) {
 			DeadlineNS: cfg.DeadlineNS,
 			QueueCap:   cfg.QueueCap,
 		},
-		LaneBatch: cfg.LaneBatch,
-		Trace:     cfg.Trace,
+		Trace: cfg.Trace,
 	})
 	if err != nil {
 		return nil, err

@@ -64,15 +64,15 @@ func TestStreamSteadyStatePushZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLaneEngineSteadyStateZeroAllocs audits the cross-stream lane-gather
-// path: a lane-batched StreamEngine at the design point, once its bit
-// planes, gather lists, and emit buffers reach steady-state capacity, must
-// run rounds — transpose, word-parallel classification, heavy-lane scatter,
-// commits — without touching the heap.
-func TestLaneEngineSteadyStateZeroAllocs(t *testing.T) {
+// TestStreamEngineSteadyStateZeroAllocs audits the multi-stream engine's
+// round path at 2 workers: a default (hence lane-batched) StreamEngine at
+// the design point, once its bit planes, gather lists, and emit buffers
+// reach steady-state capacity, must run rounds — sampling, dispatch,
+// transpose, word-parallel classification, heavy-lane scatter, commits —
+// without touching the heap.
+func TestStreamEngineSteadyStateZeroAllocs(t *testing.T) {
 	eng, err := afs.NewStreamEngine(afs.StreamEngineConfig{
-		Streams: 128, Distance: 11, P: 1e-3, Seed: 13,
-		Workers: 2, LaneBatch: true,
+		Streams: 128, Distance: 11, P: 1e-3, Seed: 13, Workers: 2,
 		OnCorrection: func(int, afs.StreamCorrection) {},
 	})
 	if err != nil {
@@ -88,7 +88,7 @@ func TestLaneEngineSteadyStateZeroAllocs(t *testing.T) {
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state lane-batched RunRounds allocates %.2f objects/op, want 0", avg)
+		t.Fatalf("steady-state StreamEngine RunRounds allocates %.2f objects/op, want 0", avg)
 	}
 }
 
