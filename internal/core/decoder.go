@@ -267,9 +267,7 @@ func NewDecoder(g *lattice.Graph, opts Options) *Decoder {
 	d.fullMask = make([]uint16, n)
 	d.adjBase = make([]int32, g.V)
 	b := g.Boundary()
-	// First pass: per-vertex masks, row bases, and each edge's slot bit at
-	// each endpoint.
-	slotAt := make(map[[2]int32]uint16) // (vertex, edge) -> slot bit
+	// First pass: per-vertex masks and row bases.
 	total := 0
 	for v := int32(0); v < int32(g.V); v++ {
 		adj := g.AdjacentEdges(v)
@@ -279,9 +277,6 @@ func NewDecoder(g *lattice.Graph, opts Options) *Decoder {
 		d.fullMask[v] = uint16(1)<<uint(len(adj)) - 1
 		d.adjBase[v] = int32(total)
 		total += len(adj)
-		for s, e := range adj {
-			slotAt[[2]int32{v, e}] = 1 << uint(s)
-		}
 	}
 	// Second pass: each row entry holds the far endpoint and its mask bit
 	// for the shared edge (zero bit for the maskless boundary vertex).
@@ -293,7 +288,7 @@ func NewDecoder(g *lattice.Graph, opts Options) *Decoder {
 			far := g.Other(e, v)
 			d.adjFar[base+int32(s)] = far
 			if far != b {
-				d.adjFarBit[base+int32(s)] = slotAt[[2]int32{far, e}]
+				d.adjFarBit[base+int32(s)] = slotBit(g.AdjacentEdges(far), e)
 			}
 		}
 	}
@@ -304,6 +299,17 @@ func NewDecoder(g *lattice.Graph, opts Options) *Decoder {
 		d.sp = newSparseScratch()
 	}
 	return d
+}
+
+// slotBit returns the mask bit of edge e in the adjacency row adj (a real
+// vertex's, so at most 16 entries), or 0 if e is not in the row.
+func slotBit(adj []int32, e int32) uint16 {
+	for s, x := range adj {
+		if x == e {
+			return 1 << uint(s)
+		}
+	}
+	return 0
 }
 
 // Decode processes one syndrome (the sorted list of vertices with

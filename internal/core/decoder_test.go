@@ -262,3 +262,61 @@ func BenchmarkDecode3D(b *testing.B) {
 func benchName(d int) string {
 	return "d=" + string(rune('0'+d/10)) + string(rune('0'+d%10))
 }
+
+// TestAdjFarBitMatchesDefinition checks NewDecoder's adjacency mirror
+// against its definition on every vertex: entry adjBase[v]+s names the far
+// endpoint of v's s-th edge e and the bit of e in that endpoint's own
+// adjacency row (zero when the far endpoint is the maskless boundary).
+func TestAdjFarBitMatchesDefinition(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *lattice.Graph
+	}{
+		{"2D d=7", lattice.New2D(7)},
+		{"3D d=5 r=5", lattice.New3D(5, 5)},
+		{"window d=11 W=11", lattice.New3DWindow(11, 11)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			d := NewDecoder(g, Options{})
+			b := g.Boundary()
+			for v := int32(0); v < int32(g.V); v++ {
+				for s, e := range g.AdjacentEdges(v) {
+					pos := d.adjBase[v] + int32(s)
+					far := g.Other(e, v)
+					if d.adjFar[pos] != far {
+						t.Fatalf("vertex %d slot %d: far %d, want %d", v, s, d.adjFar[pos], far)
+					}
+					var want uint16
+					if far != b {
+						for fs, fe := range g.AdjacentEdges(far) {
+							if fe == e {
+								want = 1 << uint(fs)
+							}
+						}
+						if want == 0 {
+							t.Fatalf("edge %d missing from far vertex %d's row", e, far)
+						}
+					}
+					if d.adjFarBit[pos] != want {
+						t.Fatalf("vertex %d slot %d (edge %d, far %d): bit %#x, want %#x", v, s, e, far, d.adjFarBit[pos], want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewDecoder measures decoder construction on the streaming
+// window graph (d=11, W=11) — the set-up every stream, every closed-graph
+// flush decoder and every Monte-Carlo worker pays.
+func BenchmarkNewDecoder(b *testing.B) {
+	g := lattice.New3DWindow(11, 11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newDecoderSink = NewDecoder(g, Options{LeanStats: true, SparseShortcut: true})
+	}
+}
+
+var newDecoderSink *Decoder

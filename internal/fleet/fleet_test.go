@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -605,4 +606,222 @@ func TestFleetMidSheddingCrashLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkIdentical(t, r, wantCorrs, wantReps)
+}
+
+// TestFleetCrashFailoverNonRobustBitIdentical is the crash-failover check
+// on the lane-batched shard path: with no deadline or backpressure, shards
+// defer every window to their round envelope's lane resolve, and a shard
+// killed mid-stream must still leave the fleet's output bit-identical to
+// the in-process engine once the survivors have replayed its streams.
+func TestFleetCrashFailoverNonRobustBitIdentical(t *testing.T) {
+	const (
+		streams = 12
+		d       = 5
+		p       = 0.012
+		seed    = 19
+		rounds  = 160
+	)
+	shards := []*testShard{
+		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
+		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
+		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
+	}
+	cfg := Config{
+		Network: "tcp", Shards: shardAddrs(shards),
+		Streams: streams, Distance: d,
+		Chaos:             chaosCfg(5),
+		ReconnectAttempts: -1, // shard stays dead: fail over immediately
+	}
+	wantCorrs, wantReps := runEngine(t, cfg, rounds, seed, p, []int{rounds})
+
+	r, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	feed := feedFrom(streams, d, p, seed)
+	if err := r.RunRounds(70, feed); err != nil {
+		t.Fatal(err)
+	}
+	shards[1].crash()
+	time.Sleep(20 * time.Millisecond) // let the reader notice the EOF
+	if err := r.RunRounds(rounds-70, feed); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkIdentical(t, r, wantCorrs, wantReps)
+	rec := r.LastRecovery()
+	if r.Recoveries() == 0 || rec.Shard != 1 || rec.Reconnected || rec.Streams == 0 {
+		t.Fatalf("unexpected recovery stats after %d recoveries: %+v", r.Recoveries(), rec)
+	}
+}
+
+// cutProxy relays one shard's sessions and, on the cutAt-th msgRounds
+// envelope it relays, forwards only the first half of that envelope's
+// entries (re-sealed as a valid envelope) and then severs both sides. The
+// shard thus dies having ingested part of a round envelope — some streams
+// advanced, their windows unresolved, their corrections and checkpoints
+// never sent — while the router believes it sent the whole round.
+type cutProxy struct {
+	t      *testing.T
+	shard  string
+	ln     net.Listener
+	cutAt  int
+	rounds int // msgRounds envelopes relayed so far (proxy goroutine only)
+	cut    chan int
+	wg     sync.WaitGroup
+}
+
+func newCutProxy(t *testing.T, shard string, cutAt int) *cutProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &cutProxy{t: t, shard: shard, ln: ln, cutAt: cutAt, cut: make(chan int, 1)}
+	p.wg.Add(1)
+	go p.serve()
+	t.Cleanup(func() {
+		ln.Close()
+		p.wg.Wait()
+	})
+	return p
+}
+
+func (p *cutProxy) serve() {
+	defer p.wg.Done()
+	for {
+		down, err := p.ln.Accept()
+		if err != nil {
+			return
+		}
+		up, err := net.Dial("tcp", p.shard)
+		if err != nil {
+			down.Close()
+			continue
+		}
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			io.Copy(down, up) // shard → router, verbatim
+			down.Close()
+			// After a cut, keep reading until the shard hangs up: closing
+			// a socket with unread data resets the connection, and the
+			// reset could discard the half envelope before the shard
+			// reads it.
+			io.Copy(io.Discard, up)
+			up.Close()
+		}()
+		if p.relay(down, up) {
+			up.(*net.TCPConn).CloseWrite() // the half envelope, then EOF
+		} else {
+			up.Close()
+		}
+		down.Close()
+	}
+}
+
+// relay forwards router → shard messages envelope by envelope until either
+// side closes or the cut fires, and reports whether it cut.
+func (p *cutProxy) relay(down, up net.Conn) bool {
+	var buf, out []byte
+	for {
+		env, err := readEnvelope(down, &buf)
+		if err != nil {
+			return false
+		}
+		payload := env.payload
+		cut := false
+		if env.typ == msgRounds {
+			p.rounds++
+			if p.rounds == p.cutAt {
+				var n int
+				payload, n = firstHalfEntries(payload)
+				cut = true
+				p.cut <- n
+			}
+		}
+		out = appendEnvelope(out[:0], env.typ, env.stream, payload)
+		if _, err := up.Write(out); err != nil {
+			return false
+		}
+		if cut {
+			return true
+		}
+	}
+}
+
+// firstHalfEntries returns the prefix of a msgRounds payload holding its
+// first half of entries, and how many entries that is.
+func firstHalfEntries(p []byte) ([]byte, int) {
+	total := 0
+	for q := p; len(q) > 0; total++ {
+		_, _, rest, err := nextRoundsEntry(q)
+		if err != nil {
+			return nil, 0
+		}
+		q = rest
+	}
+	keep, q := total/2, p
+	for i := 0; i < keep; i++ {
+		_, _, q, _ = nextRoundsEntry(q)
+	}
+	return p[:len(p)-len(q)], keep
+}
+
+// TestFleetShardDiesMidEnvelope kills a shard partway through a round
+// envelope: it has ingested half of the envelope's entries (advancing
+// those streams' decoders past what the router has seen corrections or
+// checkpoints for) when its session is severed. Recovery must restore
+// every stream from its checkpoint, replay the journal — including the
+// round the dead shard half-applied — and keep the fleet's output
+// bit-identical to the in-process engine.
+func TestFleetShardDiesMidEnvelope(t *testing.T) {
+	const (
+		streams = 12
+		d       = 5
+		p       = 0.012
+		seed    = 29
+		rounds  = 120
+	)
+	shards := []*testShard{
+		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
+		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
+		newTestShard(t, ShardConfig{CheckpointEvery: 16}),
+	}
+	// Round 57 is past three checkpoints and mid-window for every stream.
+	proxy := newCutProxy(t, shards[1].addr, 57)
+	cfg := Config{
+		Network: "tcp", Shards: []string{shards[0].addr, proxy.ln.Addr().String(), shards[2].addr},
+		Streams: streams, Distance: d,
+		Chaos:             chaosCfg(13),
+		ReconnectAttempts: -1,
+	}
+	wantCorrs, wantReps := runEngine(t, cfg, rounds, seed, p, []int{rounds})
+
+	r, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.RunRounds(rounds, feedFrom(streams, d, p, seed)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkIdentical(t, r, wantCorrs, wantReps)
+	select {
+	case n := <-proxy.cut:
+		if n == 0 {
+			t.Fatal("the cut envelope had fewer than two entries: nothing was half-processed")
+		}
+	default:
+		t.Fatal("the proxy never cut a round envelope")
+	}
+	if rec := r.LastRecovery(); r.Recoveries() == 0 || rec.Shard != 1 || rec.ReplayedRounds == 0 {
+		t.Fatalf("unexpected recovery stats after %d recoveries: %+v", r.Recoveries(), rec)
+	}
 }

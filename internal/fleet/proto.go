@@ -27,7 +27,6 @@ package fleet
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -41,17 +40,20 @@ import (
 
 // ProtoVersion is the fleet wire-protocol version. A peer speaking a
 // different version is rejected at decode time — version skew must fail
-// loudly, never mis-decode.
-const ProtoVersion = 1
+// loudly, never mis-decode. Version 2 batches the data path by shard-round:
+// one msgRounds envelope carries a round of every stream a shard owns, one
+// msgCorrs envelope returns the corrections it produced, and opens and
+// checkpoints carry binary stream snapshots.
+const ProtoVersion = 2
 
-// Message types. Router→shard: open, round, flush, ping. Shard→router:
-// openOK/refuse, corr, checkpoint, flushOK, pong.
+// Message types. Router→shard: open, rounds, flush, ping, close.
+// Shard→router: openOK/refuse, corrs, checkpoint, flushOK, pong.
 const (
-	msgOpen       = 1  // open or adopt a stream (JSON openPayload)
+	msgOpen       = 1  // open or adopt a stream (openPayload)
 	msgOpenOK     = 2  // stream admitted
 	msgRefuse     = 3  // admission refused (payload = reason)
-	msgRound      = 4  // one syndrome round (roundPayload)
-	msgCorr       = 5  // one committed correction (corrPayload)
+	msgRounds     = 4  // one round for each of several streams (roundsPayload)
+	msgCorrs      = 5  // committed corrections (corrsPayload)
 	msgCheckpoint = 6  // periodic decoder snapshot (ckptPayload)
 	msgFlush      = 7  // flush every stream on the shard
 	msgFlushOK    = 8  // per-stream ledgers (JSON map[uint32]faults.Report)
@@ -76,12 +78,16 @@ const (
 	envHeadBytes = 1 + 1 + 4 // version + type + stream
 	envTailBytes = 4         // crc
 
-	// maxEnvelope bounds a single message. The largest legitimate payload
-	// is a checkpoint snapshot (JSON of a near-full window at high
-	// distance, tens of KiB); anything past this is garbage framing, and
-	// bounding it keeps a corrupted length field from provoking a huge
-	// allocation.
+	// maxEnvelope bounds a single message; anything past it is garbage
+	// framing, and bounding it keeps a corrupted length field from
+	// provoking a huge allocation. Senders split round and correction
+	// batches at maxBatch, far below it; the largest other payload is a
+	// checkpoint snapshot (a near-full window at high distance, a few KiB).
 	maxEnvelope = 1 << 22
+
+	// maxBatch is the payload size at which a msgRounds or msgCorrs batch
+	// is closed and a new envelope started.
+	maxBatch = 1 << 18
 )
 
 var envCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -137,14 +143,20 @@ func decodeEnvelope(body []byte) (envelope, error) {
 }
 
 // readEnvelope reads one length-prefixed message from r, reusing *buf
-// across calls. io.EOF is returned untouched on a clean close between
-// messages so callers can distinguish shutdown from mid-message truncation.
+// across calls for the length prefix and the body alike (a stack array
+// would escape through io.ReadFull's interface argument and cost a heap
+// allocation per message). io.EOF is returned untouched on a clean close
+// between messages so callers can distinguish shutdown from mid-message
+// truncation.
 func readEnvelope(r io.Reader, buf *[]byte) (envelope, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4, 512)
+	}
+	lb := (*buf)[:4]
+	if _, err := io.ReadFull(r, lb); err != nil {
 		return envelope{}, err
 	}
-	n := binary.LittleEndian.Uint32(lb[:])
+	n := binary.LittleEndian.Uint32(lb)
 	if n < envHeadBytes+envTailBytes || n > maxEnvelope {
 		return envelope{}, ErrEnvelope
 	}
@@ -159,6 +171,44 @@ func readEnvelope(r io.Reader, buf *[]byte) (envelope, error) {
 		return envelope{}, err
 	}
 	return decodeEnvelope(body)
+}
+
+// roundsPayload is a sequence of entries, one stream's round each:
+//
+//	stream  u32  stream id
+//	length  u32  bytes of the roundPayload that follows
+//	round        roundPayload
+//
+// The router sends each shard one msgRounds per round of RunRounds — the
+// same round-major group stream.Engine lane-batches — and a replay packs
+// one stream's journal into consecutive entries. A stream's entries are
+// in round order; the shard processes entries in order and answers the
+// envelope with the corrections they produced as one msgCorrs (none if
+// there were none, more than one past maxBatch).
+const roundsEntryHead = 4 + 4
+
+// appendRoundsEntry appends one entry to a roundsPayload.
+func appendRoundsEntry(dst []byte, id, seq uint32, events []int32, erased bool, penaltyNS float64, per int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, id)
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst = appendRoundPayload(dst, seq, events, erased, penaltyNS, per)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
+}
+
+// nextRoundsEntry splits the first entry off a non-empty roundsPayload. A
+// truncated head or a length running past the payload is an error.
+func nextRoundsEntry(p []byte) (id uint32, round, rest []byte, err error) {
+	if len(p) < roundsEntryHead {
+		return 0, nil, nil, ErrEnvelope
+	}
+	n := binary.LittleEndian.Uint32(p[4:])
+	if uint64(n) > uint64(len(p)-roundsEntryHead) {
+		return 0, nil, nil, ErrEnvelope
+	}
+	end := roundsEntryHead + int(n)
+	return binary.LittleEndian.Uint32(p), p[roundsEntryHead:end], p[end:], nil
 }
 
 // roundPayload carries one syndrome round:
@@ -211,8 +261,9 @@ func decodeRoundPayload(p []byte, per int, out []int32) (seq uint32, events []in
 	return seq, events, false, penaltyNS, err
 }
 
-// corrPayload carries one committed correction:
+// corrsPayload is a sequence of fixed-size correction entries:
 //
+//	stream  u32  stream id
 //	seq     u64  per-stream correction sequence number, 1-based
 //	kind    u8   lattice.EdgeKind
 //	qubit   i32
@@ -222,10 +273,11 @@ func decodeRoundPayload(p []byte, per int, out []int32) (seq uint32, events []in
 // The sequence number is the replay-dedup key: a restored shard replaying
 // journaled rounds regenerates corrections the router already delivered,
 // byte-identical and with the same seq, and the router drops seq <= the
-// last delivered.
-const corrPayloadBytes = 8 + 1 + 4 + 4 + 8
+// last delivered. A stream's entries are in seq order.
+const corrEntryBytes = 4 + 8 + 1 + 4 + 4 + 8
 
-func appendCorrPayload(dst []byte, seq uint64, c stream.Correction) []byte {
+func appendCorrEntry(dst []byte, id uint32, seq uint64, c stream.Correction) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, id)
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
 	dst = append(dst, uint8(c.Kind))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.Qubit))
@@ -233,58 +285,90 @@ func appendCorrPayload(dst []byte, seq uint64, c stream.Correction) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(int64(c.Round)))
 }
 
-func decodeCorrPayload(p []byte) (seq uint64, c stream.Correction, err error) {
-	if len(p) != corrPayloadBytes {
-		return 0, c, ErrEnvelope
+// decodeCorrEntry parses the entry at the head of p, which must hold at
+// least corrEntryBytes.
+func decodeCorrEntry(p []byte) (id uint32, seq uint64, c stream.Correction, err error) {
+	if p[12] > uint8(lattice.Temporal) {
+		return 0, 0, c, ErrEnvelope
 	}
-	seq = binary.LittleEndian.Uint64(p)
-	if p[8] > uint8(lattice.Temporal) {
-		return 0, c, ErrEnvelope
-	}
-	c.Kind = lattice.EdgeKind(p[8])
-	c.Qubit = int32(binary.LittleEndian.Uint32(p[9:]))
-	c.Ancilla = int32(binary.LittleEndian.Uint32(p[13:]))
-	c.Round = int(int64(binary.LittleEndian.Uint64(p[17:])))
-	return seq, c, nil
+	id = binary.LittleEndian.Uint32(p)
+	seq = binary.LittleEndian.Uint64(p[4:])
+	c.Kind = lattice.EdgeKind(p[12])
+	c.Qubit = int32(binary.LittleEndian.Uint32(p[13:]))
+	c.Ancilla = int32(binary.LittleEndian.Uint32(p[17:]))
+	c.Round = int(int64(binary.LittleEndian.Uint64(p[21:])))
+	return id, seq, c, nil
 }
 
 // ckptPayload carries one checkpoint:
 //
 //	rounds  u64  rounds the stream had ingested when the snapshot was taken
 //	corrSeq u64  corrections the stream had emitted by then
-//	snap         JSON of stream.Snapshot
+//	snap         stream.AppendSnapshot encoding
 const ckptHeadBytes = 16
 
-func appendCkptPayload(dst []byte, rounds, corrSeq uint64, snapJSON []byte) []byte {
+func appendCkptPayload(dst []byte, rounds, corrSeq uint64, snap []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, rounds)
 	dst = binary.LittleEndian.AppendUint64(dst, corrSeq)
-	return append(dst, snapJSON...)
+	return append(dst, snap...)
 }
 
-func decodeCkptPayload(p []byte) (rounds, corrSeq uint64, snapJSON []byte, err error) {
+func decodeCkptPayload(p []byte) (rounds, corrSeq uint64, snap []byte, err error) {
 	if len(p) < ckptHeadBytes {
 		return 0, 0, nil, ErrEnvelope
 	}
 	return binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:]), p[ckptHeadBytes:], nil
 }
 
-// openPayload is the JSON body of msgOpen: the stream's static decoder
+// openPayload is the body of msgOpen: the stream's static decoder
 // configuration plus, when adopting a stream across a crash, the checkpoint
-// to restore and the counters to resume from. A nil Snapshot opens a fresh
-// stream at round 0.
+// to restore and the counters to resume from.
+//
+//	distance   u32
+//	window     u32
+//	commit     u32
+//	queueCap   u32
+//	deadlineNS f64
+//	rounds     u64  the checkpoint's round count (0 for a fresh stream)
+//	corrSeq    u64  the checkpoint's correction count
+//	snapshot        stream.AppendSnapshot encoding; empty opens a fresh
+//	                stream at round 0
+//
+// The shard resumes its round count and correction sequence from the
+// counters, so replayed rounds regenerate the original sequence numbers.
+// The router forwards the shard-encoded snapshot bytes verbatim.
 type openPayload struct {
-	Distance   int     `json:"distance"`
-	Window     int     `json:"window"`
-	Commit     int     `json:"commit"`
-	DeadlineNS float64 `json:"deadline_ns,omitempty"`
-	QueueCap   int     `json:"queue_cap,omitempty"`
+	Distance, Window, Commit, QueueCap int
+	DeadlineNS                         float64
+	Rounds, CorrSeq                    uint64
+	Snapshot                           []byte
+}
 
-	// Rounds and CorrSeq are the checkpoint's counters; the shard resumes
-	// its round count and correction sequence from them so replayed rounds
-	// regenerate the original sequence numbers. Snapshot holds the
-	// checkpoint's stream.Snapshot verbatim (the router stores and forwards
-	// the shard-encoded JSON without re-marshaling it).
-	Rounds   uint64          `json:"rounds,omitempty"`
-	CorrSeq  uint64          `json:"corr_seq,omitempty"`
-	Snapshot json.RawMessage `json:"snapshot,omitempty"`
+const openHeadBytes = 4*4 + 8 + 8 + 8
+
+func appendOpenPayload(dst []byte, op openPayload) []byte {
+	for _, x := range [...]int{op.Distance, op.Window, op.Commit, op.QueueCap} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(op.DeadlineNS))
+	dst = binary.LittleEndian.AppendUint64(dst, op.Rounds)
+	dst = binary.LittleEndian.AppendUint64(dst, op.CorrSeq)
+	return append(dst, op.Snapshot...)
+}
+
+// decodeOpenPayload parses an openPayload; Snapshot aliases p. Decoder
+// construction validates the shape and stream.DecodeSnapshot the snapshot.
+func decodeOpenPayload(p []byte) (op openPayload, err error) {
+	if len(p) < openHeadBytes {
+		return op, ErrEnvelope
+	}
+	op.Distance = int(binary.LittleEndian.Uint32(p))
+	op.Window = int(binary.LittleEndian.Uint32(p[4:]))
+	op.Commit = int(binary.LittleEndian.Uint32(p[8:]))
+	op.QueueCap = int(binary.LittleEndian.Uint32(p[12:]))
+	op.DeadlineNS = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
+	op.Rounds = binary.LittleEndian.Uint64(p[24:])
+	op.CorrSeq = binary.LittleEndian.Uint64(p[32:])
+	op.Snapshot = p[openHeadBytes:]
+	return op, nil
 }

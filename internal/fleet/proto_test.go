@@ -1,17 +1,43 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
+	"afs/internal/faults"
 	"afs/internal/lattice"
 	"afs/internal/stream"
 )
+
+// testSnapshot is a small valid binary snapshot for payload tests.
+func testSnapshot() []byte {
+	return stream.AppendSnapshot(nil, stream.Snapshot{
+		Distance: 5, Window: 5, Commit: 2, Base: 32,
+		Layers: [][]int32{{1, 4}, nil}, Erased: []bool{false, true},
+		Ledger: faults.Report{Windows: 28},
+	})
+}
+
+// testRounds is a msgRounds payload of three entries: two streams, one of
+// them with two consecutive rounds (the replay shape), one round erased.
+func testRounds() []byte {
+	p := appendRoundsEntry(nil, 1234, 3, []int32{0, 5, 19}, false, 1.5, 20)
+	p = appendRoundsEntry(p, 7, 40, nil, true, 800, 20)
+	return appendRoundsEntry(p, 7, 41, []int32{2}, false, 0, 20)
+}
+
+// testCorrs is a msgCorrs payload of two entries.
+func testCorrs() []byte {
+	p := appendCorrEntry(nil, 42, 9, stream.Correction{Kind: lattice.Spatial, Qubit: 3, Ancilla: -1, Round: 17})
+	return appendCorrEntry(p, 7, 1, stream.Correction{Kind: lattice.Temporal, Qubit: -1, Ancilla: 11, Round: 2})
+}
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -19,12 +45,12 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		stream  uint32
 		payload []byte
 	}{
-		{msgOpen, 0, []byte(`{"distance":5}`)},
+		{msgOpen, 0, appendOpenPayload(nil, openPayload{Distance: 5, Window: 5, Commit: 2, Rounds: 64, CorrSeq: 3, Snapshot: testSnapshot()})},
 		{msgOpenOK, 7, nil},
 		{msgRefuse, 9, []byte("admission cap reached")},
-		{msgRound, 1234, appendRoundPayload(nil, 3, []int32{0, 5, 19}, false, 1.5, 20)},
-		{msgCorr, 42, appendCorrPayload(nil, 9, stream.Correction{Kind: lattice.Spatial, Qubit: 3, Ancilla: -1, Round: 17})},
-		{msgCheckpoint, 42, appendCkptPayload(nil, 64, 12, []byte(`{"base":32}`))},
+		{msgRounds, 0, testRounds()},
+		{msgCorrs, 0, testCorrs()},
+		{msgCheckpoint, 42, appendCkptPayload(nil, 64, 12, testSnapshot())},
 		{msgFlush, 0, nil},
 		{msgFlushOK, 0, []byte(`{"1":{}}`)},
 		{msgPing, 0, nil},
@@ -53,7 +79,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeRejectsCorruption(t *testing.T) {
-	wire := appendEnvelope(nil, msgRound, 5, appendRoundPayload(nil, 0, []int32{1, 2}, false, 0, 20))
+	wire := appendEnvelope(nil, msgRounds, 0, appendRoundsEntry(nil, 5, 0, []int32{1, 2}, false, 0, 20))
 
 	// Truncation at every prefix length must error, never panic. A cut
 	// before the full length prefix is a clean EOF boundary; anything past
@@ -153,26 +179,79 @@ func TestRoundPayloadRoundTrip(t *testing.T) {
 
 func TestCorrPayloadRoundTrip(t *testing.T) {
 	want := stream.Correction{Kind: lattice.Temporal, Qubit: -1, Ancilla: 19, Round: 1 << 40}
-	p := appendCorrPayload(nil, 77, want)
-	seq, got, err := decodeCorrPayload(p)
+	p := appendCorrEntry(nil, 5, 77, want)
+	if len(p) != corrEntryBytes {
+		t.Fatalf("entry is %d bytes, want %d", len(p), corrEntryBytes)
+	}
+	id, seq, got, err := decodeCorrEntry(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 77 || got != want {
-		t.Fatalf("got seq=%d %+v, want seq=77 %+v", seq, got, want)
+	if id != 5 || seq != 77 || got != want {
+		t.Fatalf("got stream=%d seq=%d %+v, want stream=5 seq=77 %+v", id, seq, got, want)
 	}
 	// A kind byte past the enum is corruption.
-	p[8] = uint8(lattice.Temporal) + 1
-	if _, _, err := decodeCorrPayload(p); err == nil {
+	p[12] = uint8(lattice.Temporal) + 1
+	if _, _, _, err := decodeCorrEntry(p); err == nil {
 		t.Fatal("invalid edge kind decoded")
 	}
-	if _, _, err := decodeCorrPayload(p[:len(p)-1]); err == nil {
-		t.Fatal("truncated corr payload decoded")
+	// So is a batch that is not a whole number of entries.
+	if err := (&Router{}).handleCorrs(&link{}, testCorrs()[:corrEntryBytes+3]); err == nil {
+		t.Fatal("truncated corrs batch delivered")
+	}
+}
+
+func TestRoundsEntriesRoundTrip(t *testing.T) {
+	want := []struct {
+		id, seq uint32
+		n       int
+		erased  bool
+	}{{1234, 3, 3, false}, {7, 40, 0, true}, {7, 41, 1, false}}
+	p := testRounds()
+	for i, w := range want {
+		id, round, rest, err := nextRoundsEntry(p)
+		if err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		seq, ev, erased, _, err := decodeRoundPayload(round, 20, nil)
+		if err != nil || id != w.id || seq != w.seq || len(ev) != w.n || erased != w.erased {
+			t.Fatalf("entry %d: got id=%d seq=%d events=%v erased=%v err=%v, want %+v", i, id, seq, ev, erased, err, w)
+		}
+		p = rest
+	}
+	if len(p) != 0 {
+		t.Fatalf("%d bytes left after the last entry", len(p))
+	}
+
+	// Every cut that splits an entry is an error, and so is a length
+	// running past the payload.
+	full := testRounds()
+	first := roundsEntryHead + int(binary.LittleEndian.Uint32(full[4:]))
+	for n := 1; n < first; n++ {
+		if _, _, _, err := nextRoundsEntry(full[:n]); err == nil {
+			t.Fatalf("entry truncated to %d of %d bytes split cleanly", n, first)
+		}
+	}
+	long := append([]byte(nil), full[:first]...)
+	binary.LittleEndian.PutUint32(long[4:], uint32(first))
+	if _, _, _, err := nextRoundsEntry(long); err == nil {
+		t.Fatal("over-long entry length split cleanly")
+	}
+}
+
+func TestOpenPayloadRoundTrip(t *testing.T) {
+	want := openPayload{Distance: 11, Window: 11, Commit: 5, QueueCap: 8, DeadlineNS: 600, Rounds: 640, CorrSeq: 12, Snapshot: testSnapshot()}
+	got, err := decodeOpenPayload(appendOpenPayload(nil, want))
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v (%v), want %+v", got, err, want)
+	}
+	if _, err := decodeOpenPayload(make([]byte, openHeadBytes-1)); err == nil {
+		t.Fatal("truncated open payload decoded")
 	}
 }
 
 func TestCkptPayloadRoundTrip(t *testing.T) {
-	snap := []byte(`{"base":64,"layers":[]}`)
+	snap := testSnapshot()
 	p := appendCkptPayload(nil, 640, 12, snap)
 	rounds, corrSeq, got, err := decodeCkptPayload(p)
 	if err != nil {
@@ -190,16 +269,20 @@ func TestCkptPayloadRoundTrip(t *testing.T) {
 // per-type payload decoders. Whatever the input — truncated, corrupted,
 // version-skewed, adversarial lengths — decoding must return an error or a
 // canonical message, and must never panic, hang, or mis-decode: any
-// envelope that decodes successfully must re-encode to the identical bytes.
+// envelope, batch or payload that decodes successfully must re-encode to
+// the identical bytes.
 func FuzzWireProtocol(f *testing.F) {
-	f.Add(appendEnvelope(nil, msgOpen, 0, []byte(`{"distance":5,"window":5,"commit":2}`)))
-	f.Add(appendEnvelope(nil, msgRound, 3, appendRoundPayload(nil, 9, []int32{0, 7, 19}, false, 2.5, 20)))
-	f.Add(appendEnvelope(nil, msgRound, 3, appendRoundPayload(nil, 0, nil, true, 100, 20)))
-	f.Add(appendEnvelope(nil, msgCorr, 1, appendCorrPayload(nil, 4, stream.Correction{Kind: lattice.Spatial, Qubit: 2, Ancilla: -1, Round: 11})))
-	f.Add(appendEnvelope(nil, msgCheckpoint, 1, appendCkptPayload(nil, 128, 40, []byte(`{"base":96}`))))
+	f.Add(appendEnvelope(nil, msgOpen, 0, appendOpenPayload(nil, openPayload{Distance: 5, Window: 5, Commit: 2})))
+	f.Add(appendEnvelope(nil, msgRounds, 0, appendRoundsEntry(nil, 3, 9, []int32{0, 7, 19}, false, 2.5, 20)))
+	f.Add(appendEnvelope(nil, msgRounds, 0, appendRoundsEntry(nil, 3, 0, nil, true, 100, 20)))
+	f.Add(appendEnvelope(nil, msgCorrs, 0, appendCorrEntry(nil, 1, 4, stream.Correction{Kind: lattice.Spatial, Qubit: 2, Ancilla: -1, Round: 11})))
+	f.Add(appendEnvelope(nil, msgCheckpoint, 1, appendCkptPayload(nil, 128, 40, testSnapshot())))
 	f.Add(appendEnvelope(nil, msgFlushOK, 0, []byte(`{"0":{"Windows":3}}`)))
 	f.Add(append(appendEnvelope(nil, msgPing, 0, nil), appendEnvelope(nil, msgPong, 0, nil)...))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add(appendEnvelope(nil, msgRounds, 0, testRounds()))
+	f.Add(appendEnvelope(nil, msgCorrs, 0, testCorrs()))
+	f.Add(appendEnvelope(nil, msgOpen, 4, appendOpenPayload(nil, openPayload{Distance: 5, Window: 5, Commit: 2, QueueCap: 8, DeadlineNS: 600, Rounds: 64, CorrSeq: 3, Snapshot: testSnapshot()})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bytes.NewReader(data)
@@ -221,28 +304,146 @@ func FuzzWireProtocol(f *testing.F) {
 			// The payload decoders must tolerate arbitrary payloads for
 			// their type.
 			switch env.typ {
-			case msgRound:
+			case msgRounds:
 				const per = 20
-				if seq, ev, erased, pen, err := decodeRoundPayload(env.payload, per, nil); err == nil {
+				var rp []byte
+				for p := env.payload; len(p) > 0; {
+					id, round, rest, err := nextRoundsEntry(p)
+					if err != nil {
+						rp = nil
+						break
+					}
+					p = rest
+					seq, ev, erased, pen, err := decodeRoundPayload(round, per, nil)
+					if err != nil {
+						rp = nil
+						break
+					}
 					for _, e := range ev {
 						if e < 0 || int(e) >= per {
 							t.Fatalf("round payload decoded out-of-range event %d", e)
 						}
 					}
-					rp := appendRoundPayload(nil, seq, ev, erased, pen, per)
-					if !bytes.Equal(rp, env.payload) {
-						t.Fatalf("round payload does not re-encode canonically")
+					rp = appendRoundsEntry(rp, id, seq, ev, erased, pen, per)
+					if len(p) == 0 && !bytes.Equal(rp, env.payload) {
+						t.Fatalf("rounds batch does not re-encode canonically")
 					}
 				}
-			case msgCorr:
-				if seq, c, err := decodeCorrPayload(env.payload); err == nil {
-					if !bytes.Equal(appendCorrPayload(nil, seq, c), env.payload) {
-						t.Fatalf("corr payload does not re-encode canonically")
+			case msgCorrs:
+				if len(env.payload)%corrEntryBytes != 0 {
+					break
+				}
+				var rp []byte
+				for p := env.payload; len(p) > 0; p = p[corrEntryBytes:] {
+					id, seq, c, err := decodeCorrEntry(p)
+					if err != nil {
+						rp = nil
+						break
+					}
+					rp = appendCorrEntry(rp, id, seq, c)
+				}
+				if rp != nil && !bytes.Equal(rp, env.payload) {
+					t.Fatalf("corrs batch does not re-encode canonically")
+				}
+			case msgOpen:
+				if op, err := decodeOpenPayload(env.payload); err == nil {
+					if !bytes.Equal(appendOpenPayload(nil, op), env.payload) {
+						t.Fatalf("open payload does not re-encode canonically")
 					}
 				}
 			case msgCheckpoint:
-				_, _, _, _ = func() (uint64, uint64, []byte, error) { return decodeCkptPayload(env.payload) }()
+				if rounds, corrSeq, snap, err := decodeCkptPayload(env.payload); err == nil {
+					if !bytes.Equal(appendCkptPayload(nil, rounds, corrSeq, snap), env.payload) {
+						t.Fatalf("checkpoint payload does not re-encode canonically")
+					}
+				}
 			}
 		}
 	})
+}
+
+// TestWireSteadyStateZeroAllocs pins the data path's allocation budget:
+// once buffers have grown, reading envelopes of every message type off a
+// bufio.Reader, splitting and decoding the round and correction batches,
+// framing envelopes and encoding batches all allocate nothing.
+func TestWireSteadyStateZeroAllocs(t *testing.T) {
+	payloads := map[uint8][]byte{
+		msgOpen:       appendOpenPayload(nil, openPayload{Distance: 5, Window: 5, Commit: 2, Snapshot: testSnapshot()}),
+		msgOpenOK:     nil,
+		msgRefuse:     []byte("admission cap reached"),
+		msgRounds:     testRounds(),
+		msgCorrs:      testCorrs(),
+		msgCheckpoint: appendCkptPayload(nil, 64, 12, testSnapshot()),
+		msgFlush:      nil,
+		msgFlushOK:    []byte(`{"1":{}}`),
+		msgPing:       nil,
+		msgPong:       nil,
+		msgClose:      nil,
+	}
+	var wire []byte
+	for typ := uint8(msgOpen); typ <= msgClose; typ++ {
+		p, ok := payloads[typ]
+		if !ok {
+			t.Fatalf("no payload for message type %d", typ)
+		}
+		wire = appendEnvelope(wire, typ, uint32(typ), p)
+	}
+	rd := bytes.NewReader(wire)
+	br := bufio.NewReaderSize(rd, 1<<16)
+	var buf []byte
+	var out []int32
+	read := testing.AllocsPerRun(100, func() {
+		rd.Reset(wire)
+		br.Reset(rd)
+		for {
+			env, err := readEnvelope(br, &buf)
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch env.typ {
+			case msgRounds:
+				for p := env.payload; len(p) > 0; {
+					_, round, rest, err := nextRoundsEntry(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, out, _, _, err = decodeRoundPayload(round, 20, out[:0]); err != nil {
+						t.Fatal(err)
+					}
+					p = rest
+				}
+			case msgCorrs:
+				for p := env.payload; len(p) > 0; p = p[corrEntryBytes:] {
+					if _, _, _, err := decodeCorrEntry(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	})
+	if read != 0 {
+		t.Fatalf("reading a stream of envelopes allocates %.1f times per pass, want 0", read)
+	}
+
+	events := []int32{0, 5, 19}
+	corr := stream.Correction{Kind: lattice.Spatial, Qubit: 3, Ancilla: -1, Round: 17}
+	var batch, env []byte
+	write := testing.AllocsPerRun(100, func() {
+		batch = batch[:0]
+		for id := uint32(0); id < 64; id++ {
+			batch = appendRoundsEntry(batch, id, 9, events, false, 0, 20)
+		}
+		env = appendEnvelope(env[:0], msgRounds, 0, batch)
+		batch = batch[:0]
+		for id := uint32(0); id < 64; id++ {
+			batch = appendCorrEntry(batch, id, 1, corr)
+		}
+		env = appendEnvelope(env[:0], msgCorrs, 0, batch)
+	})
+	if write != 0 {
+		t.Fatalf("encoding batches and envelopes allocates %.1f times per pass, want 0", write)
+	}
 }

@@ -158,9 +158,16 @@ type streamState struct {
 	sent      uint64 // rounds journaled (and sent, modulo an in-flight crash)
 	delivered uint64 // last correction seq delivered to the sink
 
+	// handed is the stream's watermark on its current session: rounds
+	// [0, handed) are on their way to the shard, from live sends or from
+	// the replay that opened the session. A recovery triggered mid-round
+	// replays that round for every stream it moves, so those streams are
+	// already at sent and must not be handed the round again.
+	handed uint64
+
 	// The bounded replay journal: entries for rounds [jbase, sent), where
 	// jbase equals the last received checkpoint's round count. ckptSnap is
-	// that checkpoint's snapshot JSON (nil before the first checkpoint —
+	// that checkpoint's binary snapshot (nil before the first checkpoint —
 	// recovery then re-opens fresh and replays from round 0).
 	jbase       uint64
 	journal     []journalEntry
@@ -180,6 +187,11 @@ type streamState struct {
 type link struct {
 	idx  int
 	addr string
+
+	// batch is the msgRounds payload RunRounds is filling for this shard,
+	// batched its entry count (caller thread only).
+	batch   []byte
+	batched int
 
 	wmu  sync.Mutex
 	conn net.Conn
@@ -221,6 +233,11 @@ type Router struct {
 	links   []*link
 	streams []*streamState
 	retain  [][]stream.Correction // when cfg.Sink == nil
+
+	// Per-round scratch of RunRounds (caller thread only): each stream's
+	// post-chaos round, and the streams whose journal went over budget.
+	in   []roundIn
+	over []*streamState
 
 	// mu guards stream state (journals, checkpoints, delivery counters),
 	// the pending-open table, and flush signaling. Never held across a
@@ -266,12 +283,17 @@ func Dial(cfg Config) (*Router, error) {
 	if cfg.Streams < 1 {
 		return nil, errors.New("fleet: need at least one stream")
 	}
-	if _, err := stream.New(cfg.Distance, cfg.Window, cfg.Commit); err != nil {
+	dec, err := stream.New(cfg.Distance, cfg.Window, cfg.Commit)
+	if err != nil {
+		return nil, err
+	}
+	if err := dec.SetRobust(stream.Robust{DeadlineNS: cfg.DeadlineNS, QueueCap: cfg.QueueCap}); err != nil {
 		return nil, err
 	}
 	r := &Router{
 		cfg:     cfg,
 		per:     cfg.Distance * (cfg.Distance - 1),
+		in:      make([]roundIn, cfg.Streams),
 		pending: map[pendingKey]chan pendingResult{},
 		flushCh: make(chan int, len(cfg.Shards)*4),
 	}
@@ -387,8 +409,8 @@ func (r *Router) reader(l *link, conn net.Conn, gen uint64) {
 			return
 		}
 		switch env.typ {
-		case msgCorr:
-			if err := r.handleCorr(l, env); err != nil {
+		case msgCorrs:
+			if err := r.handleCorrs(l, env.payload); err != nil {
 				r.markDead(l, gen, err, false)
 				return
 			}
@@ -419,33 +441,45 @@ func (r *Router) reader(l *link, conn net.Conn, gen uint64) {
 	}
 }
 
-func (r *Router) handleCorr(l *link, env envelope) error {
-	seq, c, err := decodeCorrPayload(env.payload)
-	if err != nil {
-		return err
+// handleCorrs delivers one msgCorrs batch under a single lock acquisition.
+func (r *Router) handleCorrs(l *link, p []byte) error {
+	if len(p)%corrEntryBytes != 0 {
+		return ErrEnvelope
 	}
-	i := int(env.stream)
-	if i >= len(r.streams) {
-		return fmt.Errorf("fleet: correction for unknown stream %d", i)
-	}
-	st := r.streams[i]
+	var delivered, dups uint64
+	defer func() {
+		fObs.corrections.Add(l.idx, delivered)
+		fObs.replayDups.Add(l.idx, dups)
+	}()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if seq <= st.delivered {
-		// A replay regenerated a correction the fleet already delivered:
-		// the dedup that makes recovery invisible downstream.
-		fObs.replayDups.Inc(l.idx)
-		return nil
-	}
-	if seq != st.delivered+1 {
-		return fmt.Errorf("fleet: stream %d correction seq %d after %d", i, seq, st.delivered)
-	}
-	st.delivered = seq
-	fObs.corrections.Inc(l.idx)
-	if r.cfg.Sink != nil {
-		r.cfg.Sink(i, c)
-	} else {
-		r.retain[i] = append(r.retain[i], c)
+	for ; len(p) > 0; p = p[corrEntryBytes:] {
+		id, seq, c, err := decodeCorrEntry(p)
+		if err != nil {
+			return err
+		}
+		i := int(id)
+		if i >= len(r.streams) {
+			return fmt.Errorf("fleet: correction for unknown stream %d", i)
+		}
+		st := r.streams[i]
+		if seq <= st.delivered {
+			// A replay regenerated a correction the fleet already
+			// delivered: the dedup that makes recovery invisible
+			// downstream.
+			dups++
+			continue
+		}
+		if seq != st.delivered+1 {
+			return fmt.Errorf("fleet: stream %d correction seq %d after %d", i, seq, st.delivered)
+		}
+		st.delivered = seq
+		delivered++
+		if r.cfg.Sink != nil {
+			r.cfg.Sink(i, c)
+		} else {
+			r.retain[i] = append(r.retain[i], c)
+		}
 	}
 	return nil
 }
@@ -612,20 +646,15 @@ func (r *Router) openOn(st *streamState, l *link) (ok bool, reason string, plan 
 	// The open and the replay plan must be one atomic read of the stream's
 	// recovery state: a checkpoint arriving between them would trim the
 	// journal in place under the replay's feet (and advance jbase past the
-	// base the open just promised). Marshal inside the lock too — ckptSnap
+	// base the open just promised). Encode inside the lock too — ckptSnap
 	// is rewritten in place when the next checkpoint lands.
 	r.mu.Lock()
 	op.Rounds = st.jbase
 	op.CorrSeq = st.ckptCorrSeq
-	if len(st.ckptSnap) > 0 {
-		op.Snapshot = json.RawMessage(st.ckptSnap)
-	}
-	blob, err := json.Marshal(op)
+	op.Snapshot = st.ckptSnap
+	blob := appendOpenPayload(nil, op)
 	plan = replayPlan{base: st.jbase, entries: append([]journalEntry(nil), st.journal...)}
 	r.mu.Unlock()
-	if err != nil {
-		return false, "", plan, err
-	}
 	ch := make(chan pendingResult, 1)
 	l.wmu.Lock()
 	gen := l.gen
@@ -679,21 +708,24 @@ func (r *Router) place(st *streamState) error {
 
 // replay re-sends st's captured journal to l: rounds [plan.base, sent at
 // capture) with their original sequence numbers, fault outcomes and
-// penalties. The shard regenerates any corrections the fleet already
-// delivered; seq dedup drops them.
+// penalties, packed as consecutive entries of msgRounds envelopes. The
+// shard regenerates any corrections the fleet already delivered; seq dedup
+// drops them. On success the session has been handed every round.
 func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 	entries := plan.entries
-	base := plan.base
-	for k := range entries {
-		e := &entries[k]
+	for k := 0; k < len(entries); {
 		l.wmu.Lock()
 		if !l.up.Load() {
 			l.wmu.Unlock()
 			return errShardDown
 		}
 		gen := l.gen
-		l.pbuf = appendRoundPayload(l.pbuf[:0], uint32(base+uint64(k)), e.events, e.erased, e.penalty, r.per)
-		err := r.sendLocked(l, msgRound, uint32(st.id), l.pbuf)
+		l.pbuf = l.pbuf[:0]
+		for ; k < len(entries) && len(l.pbuf) < maxBatch; k++ {
+			e := &entries[k]
+			l.pbuf = appendRoundsEntry(l.pbuf, uint32(st.id), uint32(plan.base+uint64(k)), e.events, e.erased, e.penalty, r.per)
+		}
+		err := r.sendLocked(l, msgRounds, 0, l.pbuf)
 		l.wmu.Unlock()
 		if err != nil {
 			r.markDead(l, gen, err, false)
@@ -704,7 +736,11 @@ func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 		fObs.replayed.Add(l.idx, uint64(len(entries)))
 		fObs.roundsRouted.Add(l.idx, uint64(len(entries)))
 	}
-	return r.flushLink(l)
+	if err := r.flushLink(l); err != nil {
+		return err
+	}
+	st.handed = plan.base + uint64(len(entries))
+	return nil
 }
 
 // recover handles the death of shard idx: bounded-backoff reconnection,
@@ -765,66 +801,107 @@ func (r *Router) recover(idx int) error {
 	return nil
 }
 
-// sendRound journals and sends one post-chaos round for st. The journal
-// append happens first, so a send that dies mid-flight is replayed by the
-// recovery the failure triggers.
-func (r *Router) sendRound(st *streamState, events []int32, erased bool, penalty float64) error {
-	r.mu.Lock()
-	var ev []int32
-	if n := len(st.free); n > 0 && !erased {
-		ev = append(st.free[n-1], events...)
-		st.free = st.free[:n-1]
-	} else if !erased {
-		ev = append([]int32(nil), events...)
-	}
-	seq := st.sent
-	st.journal = append(st.journal, journalEntry{events: ev, erased: erased, penalty: penalty})
-	st.jbytes += journalEntryCost(ev)
-	st.sent++
-	budget := r.cfg.journalMaxBytes()
-	over := budget > 0 && st.jbytes > budget
-	r.mu.Unlock()
+// roundIn is one stream's post-chaos round on its way to the journal and
+// the wire: exactly what the shard will ingest.
+type roundIn struct {
+	events  []int32
+	erased  bool
+	penalty float64
+}
 
+// journalRound appends the round in r.in to every stream's replay journal
+// under one r.mu acquisition, collecting the streams it puts over the
+// journal budget in r.over. Journaling before sending means a send that
+// dies mid-flight is replayed by the recovery the failure triggers.
+func (r *Router) journalRound() {
+	budget := r.cfg.journalMaxBytes()
+	r.over = r.over[:0]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, st := range r.streams {
+		in := &r.in[i]
+		var ev []int32
+		if n := len(st.free); n > 0 && !in.erased {
+			ev = append(st.free[n-1], in.events...)
+			st.free = st.free[:n-1]
+		} else if !in.erased {
+			ev = append([]int32(nil), in.events...)
+		}
+		st.journal = append(st.journal, journalEntry{events: ev, erased: in.erased, penalty: in.penalty})
+		st.jbytes += journalEntryCost(ev)
+		st.sent++
+		if budget > 0 && st.jbytes > budget {
+			r.over = append(r.over, st)
+		}
+	}
+}
+
+// enforceBudget handles a stream whose journal is over budget: its shard
+// has taken a cap's worth of rounds without a checkpoint. Flush the link
+// (the shard cannot checkpoint rounds still sitting in our write buffer)
+// and give it a bounded wall-clock window to catch up — a healthy shard
+// that just adopted the stream answers with a trimming checkpoint almost
+// immediately. If the journal is still over budget after the wait, the
+// shard is wedged: shed it. Declaring the session dead routes this through
+// the same recovery as a crash — the journal is replayed (nothing sheds
+// data), and the adopting shard's first checkpoint trims it.
+func (r *Router) enforceBudget(st *streamState) error {
 	l := r.links[st.cur]
-	if over {
-		// The journal is over budget: the shard has taken a cap's worth of
-		// rounds without a checkpoint. Flush the link (it cannot checkpoint
-		// rounds still sitting in our write buffer) and give it a bounded
-		// wall-clock window to catch up — a healthy shard that just adopted
-		// the stream answers with a trimming checkpoint almost immediately.
-		// If the journal is still over budget after the wait, the shard is
-		// wedged: shed it. Declaring the session dead routes this through
-		// the same recovery as a crash — the journal is replayed (nothing
-		// sheds data), and the adopting shard's first checkpoint trims it.
-		if r.flushLink(l) != nil {
-			return errShardDown
-		}
-		if !r.awaitJournalTrim(st, budget) {
-			fObs.journalSheds.Inc(l.idx)
-			l.wmu.Lock()
-			gen := l.gen
-			l.wmu.Unlock()
-			r.markDead(l, gen, errJournalOverflow, false)
-			return errShardDown
-		}
-	}
-	if !l.up.Load() {
+	if r.flushLink(l) != nil {
 		return errShardDown
 	}
-	l.wmu.Lock()
-	if !l.up.Load() {
+	if !r.awaitJournalTrim(st, r.cfg.journalMaxBytes()) {
+		fObs.journalSheds.Inc(l.idx)
+		l.wmu.Lock()
+		gen := l.gen
 		l.wmu.Unlock()
+		r.markDead(l, gen, errJournalOverflow, false)
 		return errShardDown
 	}
-	gen := l.gen
-	l.pbuf = appendRoundPayload(l.pbuf[:0], uint32(seq), ev, erased, penalty, r.per)
-	err := r.sendLocked(l, msgRound, uint32(st.id), l.pbuf)
-	l.wmu.Unlock()
+	return nil
+}
+
+// sendRound hands the journaled round in r.in to the shards: one msgRounds
+// envelope per shard (split at maxBatch), with one entry per stream that
+// has not had the round yet. A dead shard triggers recovery, which replays
+// the round to every stream it moves.
+func (r *Router) sendRound() error {
+	for i, st := range r.streams {
+		if st.handed == st.sent {
+			continue // a recovery this round already replayed it
+		}
+		in := &r.in[i]
+		l := r.links[st.cur]
+		l.batch = appendRoundsEntry(l.batch, uint32(st.id), uint32(st.handed), in.events, in.erased, in.penalty, r.per)
+		l.batched++
+		st.handed++
+		if len(l.batch) >= maxBatch {
+			if err := r.sendBatch(l); err != nil {
+				return err
+			}
+		}
+	}
+	for _, l := range r.links {
+		if err := r.sendBatch(l); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sendBatch writes l's pending msgRounds envelope, if any, recovering the
+// shard if the write fails.
+func (r *Router) sendBatch(l *link) error {
+	if l.batched == 0 {
+		return nil
+	}
+	n := l.batched
+	err := r.write(l, msgRounds, 0, l.batch)
+	l.batch, l.batched = l.batch[:0], 0
 	if err != nil {
-		r.markDead(l, gen, err, false)
-		return errShardDown
+		return r.recover(l.idx)
 	}
-	fObs.roundsRouted.Inc(l.idx)
+	fObs.roundsRouted.Add(l.idx, uint64(n))
 	return nil
 }
 
@@ -867,28 +944,34 @@ const flushEveryRounds = 16
 // RunRounds feeds n rounds to every stream, pulling each round's detection
 // events from feed(stream, round) — invoked exactly once per (stream,
 // round), in round order per stream, exactly like stream.Engine.RunRounds.
-// Each round passes through the stream's chaos channel (when configured),
-// is journaled, and is routed to the stream's shard; a shard crash anywhere
-// in the batch triggers recovery (reconnect or failover plus replay) and
-// the batch continues. Corrections arrive asynchronously; Flush is the
-// barrier that makes them all visible.
+// Each round passes through every stream's chaos channel (when
+// configured), is journaled for all streams under one lock acquisition,
+// and goes to each shard as one msgRounds envelope holding its streams'
+// rounds; a shard crash anywhere in the batch triggers recovery (reconnect
+// or failover plus replay) and the batch continues. Corrections arrive
+// asynchronously; Flush is the barrier that makes them all visible.
 func (r *Router) RunRounds(n int, feed func(stream, round int) []int32) error {
 	if r.closed || r.ended {
 		return errors.New("fleet: router used after Flush or Close")
 	}
 	for round := 0; round < n; round++ {
-		for _, st := range r.streams {
-			events := feed(st.id, round)
-			erased := false
-			var penalty float64
+		for i, st := range r.streams {
+			in := &r.in[i]
+			in.events, in.erased, in.penalty = feed(st.id, round), false, 0
 			if st.ch != nil {
-				events, erased, penalty = st.ch.Transfer(events)
+				in.events, in.erased, in.penalty = st.ch.Transfer(in.events)
 			}
-			if err := r.sendRound(st, events, erased, penalty); err != nil {
+		}
+		r.journalRound()
+		for _, st := range r.over {
+			if err := r.enforceBudget(st); err != nil {
 				if err := r.recover(st.cur); err != nil {
 					return err
 				}
 			}
+		}
+		if err := r.sendRound(); err != nil {
+			return err
 		}
 		if (round+1)%flushEveryRounds == 0 {
 			if err := r.flushAll(); err != nil {

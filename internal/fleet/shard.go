@@ -75,11 +75,13 @@ func Serve(l net.Listener, cfg ShardConfig) error {
 
 // shardStream is one logical-qubit stream resident on the shard.
 type shardStream struct {
+	id      uint32
 	dec     *stream.Decoder
 	per     int
 	rounds  uint64 // rounds ingested (resumes from the adopted checkpoint)
 	corrSeq uint64 // corrections emitted (resumes likewise)
 	ckptAt  uint64 // rounds at the last checkpoint sent
+	seen    uint64 // last msgRounds envelope that listed the stream
 	out     []int32
 }
 
@@ -94,8 +96,16 @@ type shardSession struct {
 	rbuf    []byte // envelope read buffer
 	wbuf    []byte // envelope write scratch
 	pbuf    []byte // payload write scratch
+	corrs   []byte // pending msgCorrs payload
 	streams map[uint32]*shardStream
 	werr    error // sticky write error, surfaced at the next message boundary
+
+	// Per-envelope state: the streams an envelope listed (touched, each
+	// once) and their decoders, whose deferred windows lanes resolves.
+	lanes   *stream.Lanes
+	touched []*shardStream
+	decs    []*stream.Decoder
+	env     uint64
 }
 
 func (s *shardSession) send(typ uint8, id uint32, payload []byte) error {
@@ -111,6 +121,7 @@ func session(conn net.Conn, cfg ShardConfig) error {
 		br:      bufio.NewReaderSize(conn, 1<<16),
 		bw:      bufio.NewWriterSize(conn, 1<<16),
 		streams: map[uint32]*shardStream{},
+		lanes:   stream.NewLanes(),
 	}
 	for {
 		// Everything queued for the router goes out before the session
@@ -139,8 +150,8 @@ func (s *shardSession) handle(env envelope) error {
 	switch env.typ {
 	case msgOpen:
 		return s.handleOpen(env)
-	case msgRound:
-		return s.handleRound(env)
+	case msgRounds:
+		return s.handleRounds(env.payload)
 	case msgClose:
 		// The stream moved to another shard (rebalance): drop it without a
 		// flush — its state travels in the router's checkpoint + journal,
@@ -157,8 +168,8 @@ func (s *shardSession) handle(env envelope) error {
 }
 
 func (s *shardSession) handleOpen(env envelope) error {
-	var op openPayload
-	if err := json.Unmarshal(env.payload, &op); err != nil {
+	op, err := decodeOpenPayload(env.payload)
+	if err != nil {
 		return fmt.Errorf("fleet: malformed open payload: %w", err)
 	}
 	id := env.stream
@@ -177,8 +188,8 @@ func (s *shardSession) handleOpen(env envelope) error {
 		return s.refuse(id, err.Error())
 	}
 	if len(op.Snapshot) > 0 {
-		var snap stream.Snapshot
-		if err := json.Unmarshal(op.Snapshot, &snap); err != nil {
+		snap, err := stream.DecodeSnapshot(op.Snapshot)
+		if err != nil {
 			return s.refuse(id, "malformed snapshot: "+err.Error())
 		}
 		if err := dec.Restore(snap); err != nil {
@@ -186,20 +197,24 @@ func (s *shardSession) handleOpen(env envelope) error {
 		}
 	}
 	st := &shardStream{
+		id:      id,
 		dec:     dec,
 		per:     op.Distance * (op.Distance - 1),
 		rounds:  op.Rounds,
 		corrSeq: op.CorrSeq,
 		ckptAt:  op.Rounds,
 	}
+	// Defer refuses robust decoders, which keep decoding each window the
+	// round it fills (their deadline clocks assume it); Resolve skips them.
+	_ = s.lanes.Defer(dec)
 	// The sink regenerates deterministic per-stream sequence numbers: a
 	// replayed round re-emits its corrections with the original seq, which
 	// is exactly what lets the router dedup them.
 	st.dec.SetSink(func(c stream.Correction) {
 		st.corrSeq++
-		s.pbuf = appendCorrPayload(s.pbuf[:0], st.corrSeq, c)
-		if err := s.send(msgCorr, id, s.pbuf); err != nil && s.werr == nil {
-			s.werr = err
+		s.corrs = appendCorrEntry(s.corrs, id, st.corrSeq, c)
+		if len(s.corrs) >= maxBatch {
+			s.sendCorrs()
 		}
 	})
 	s.streams[id] = st
@@ -210,52 +225,85 @@ func (s *shardSession) refuse(id uint32, reason string) error {
 	return s.send(msgRefuse, id, []byte(reason))
 }
 
-func (s *shardSession) handleRound(env envelope) error {
-	st, ok := s.streams[env.stream]
-	if !ok {
-		return fmt.Errorf("fleet: round for unknown stream %d", env.stream)
+// sendCorrs ships the pending correction batch, if any. A write error
+// sticks and surfaces at the next message boundary.
+func (s *shardSession) sendCorrs() {
+	if len(s.corrs) == 0 {
+		return
 	}
-	seq, events, erased, pen, err := decodeRoundPayload(env.payload, st.per, st.out[:0])
-	if err != nil {
-		return fmt.Errorf("fleet: stream %d round: %w", env.stream, err)
+	if err := s.send(msgCorrs, 0, s.corrs); err != nil && s.werr == nil {
+		s.werr = err
 	}
-	st.out = events[:0]
-	// End-to-end ordering check: the round-frame sequence number must match
-	// the stream's ingest count. A gap here means the transport delivered
-	// out of order or the router's journal drifted — either way decoding on
-	// would silently corrupt, so the session dies and recovery replays.
-	if seq != uint32(st.rounds) {
-		return fmt.Errorf("fleet: stream %d got round seq %d, want %d", env.stream, seq, uint32(st.rounds))
+	s.corrs = s.corrs[:0]
+}
+
+// handleRounds ingests one msgRounds envelope. Non-robust streams defer
+// the windows their rounds fill; once every entry is in, the deferred
+// windows resolve together through the lane entry point stream.Engine
+// uses — a round envelope is the same round-major group the engine
+// batches. The envelope's corrections then go out as one msgCorrs, and
+// only after that any checkpoints the envelope made due: every correction
+// a checkpoint's snapshot assumes delivered precedes it on the wire, which
+// is what the router's replay dedup relies on.
+func (s *shardSession) handleRounds(p []byte) error {
+	s.env++
+	s.touched, s.decs = s.touched[:0], s.decs[:0]
+	for len(p) > 0 {
+		id, round, rest, err := nextRoundsEntry(p)
+		if err != nil {
+			return err
+		}
+		p = rest
+		st, ok := s.streams[id]
+		if !ok {
+			return fmt.Errorf("fleet: round for unknown stream %d", id)
+		}
+		seq, events, erased, pen, err := decodeRoundPayload(round, st.per, st.out[:0])
+		if err != nil {
+			return fmt.Errorf("fleet: stream %d round: %w", id, err)
+		}
+		st.out = events[:0]
+		// End-to-end ordering check: the round-frame sequence number must
+		// match the stream's ingest count. A gap here means the transport
+		// delivered out of order or the router's journal drifted — either
+		// way decoding on would silently corrupt, so the session dies and
+		// recovery replays.
+		if seq != uint32(st.rounds) {
+			return fmt.Errorf("fleet: stream %d got round seq %d, want %d", id, seq, uint32(st.rounds))
+		}
+		st.dec.AddPenaltyNS(pen)
+		if erased {
+			st.dec.PushErased()
+		} else if err := st.dec.PushLayer(events); err != nil {
+			return fmt.Errorf("fleet: stream %d: %w", id, err)
+		}
+		st.rounds++
+		if st.seen != s.env {
+			st.seen = s.env
+			s.touched = append(s.touched, st)
+			s.decs = append(s.decs, st.dec)
+		}
 	}
-	st.dec.AddPenaltyNS(pen)
-	if erased {
-		st.dec.PushErased()
-	} else if err := st.dec.PushLayer(events); err != nil {
-		return fmt.Errorf("fleet: stream %d: %w", env.stream, err)
+	s.lanes.Resolve(s.decs)
+	s.sendCorrs()
+	every := uint64(s.cfg.ckptEvery())
+	for _, st := range s.touched {
+		if st.rounds-st.ckptAt >= every {
+			if err := s.checkpoint(st); err != nil {
+				return err
+			}
+		}
 	}
-	st.rounds++
-	if s.werr != nil {
-		return s.werr
-	}
-	if st.rounds-st.ckptAt >= uint64(s.cfg.ckptEvery()) {
-		return s.checkpoint(env.stream, st)
-	}
-	return nil
+	return s.werr
 }
 
 // checkpoint snapshots the stream and ships it to the router, which trims
-// its replay journal up to the snapshot's round count on receipt. The
-// corrections the sink emitted while decoding this round precede the
-// checkpoint on the wire, so by the time the router processes it, every
-// correction the snapshot assumes delivered has been.
-func (s *shardSession) checkpoint(id uint32, st *shardStream) error {
-	snap, err := json.Marshal(st.dec.Snapshot())
-	if err != nil {
-		return err
-	}
+// its replay journal up to the snapshot's round count on receipt.
+func (s *shardSession) checkpoint(st *shardStream) error {
 	st.ckptAt = st.rounds
-	s.pbuf = appendCkptPayload(s.pbuf[:0], st.rounds, st.corrSeq, snap)
-	return s.send(msgCheckpoint, id, s.pbuf)
+	s.pbuf = appendCkptPayload(s.pbuf[:0], st.rounds, st.corrSeq, nil)
+	s.pbuf = stream.AppendSnapshot(s.pbuf, st.dec.Snapshot())
+	return s.send(msgCheckpoint, st.id, s.pbuf)
 }
 
 // handleFlush ends every stream on the shard: remaining buffered layers are
@@ -275,11 +323,12 @@ func (s *shardSession) handleFlush() error {
 	for _, id := range ids {
 		st := s.streams[id]
 		st.dec.Flush()
-		if s.werr != nil {
-			return s.werr
-		}
 		ledgers[id] = st.dec.Report()
 		delete(s.streams, id)
+	}
+	s.sendCorrs()
+	if s.werr != nil {
+		return s.werr
 	}
 	blob, err := json.Marshal(ledgers)
 	if err != nil {

@@ -44,15 +44,15 @@ type Engine struct {
 	// Lane batching (every non-robust engine): workers claim fixed chunks
 	// of up to 64 consecutive streams instead of single streams, deliver
 	// each round chunk-wide, and resolve the deferred windows through their
-	// per-worker laneBatcher — up to 64 streams' ready windows transposed
+	// per-worker Lanes — up to 64 streams' ready windows transposed
 	// into bit-plane lanes and certified word-parallel. Corrections stay
 	// bit-identical to per-stream decoding — chunk boundaries and worker
 	// count affect grouping, never results. Robust engines decode each
 	// window as it fills: their deadline clocks assume decode-at-fill, and
 	// degraded windows must never enter a lane group.
-	lane     bool
-	chunk    int
-	batchers []*laneBatcher
+	lane  bool
+	chunk int
+	lanes []*Lanes
 }
 
 // EngineConfig configures a multi-stream engine.
@@ -151,6 +151,10 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		}
 	}
 	if e.lane {
+		e.lanes = make([]*Lanes, workers)
+		for w := range e.lanes {
+			e.lanes[w] = NewLanes()
+		}
 		for _, dec := range e.decs {
 			// Cannot fail: lane engines are non-robust.
 			if err := dec.setDeferDecode(true); err != nil {
@@ -163,10 +167,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		e.chunk = (cfg.Streams + workers - 1) / workers
 		if e.chunk > 64 {
 			e.chunk = 64
-		}
-		e.batchers = make([]*laneBatcher, workers)
-		for w := range e.batchers {
-			e.batchers[w] = newLaneBatcher()
 		}
 	}
 	e.jobs = make([]chan engineJob, workers)
@@ -201,7 +201,7 @@ func (e *Engine) worker(w int, ch chan engineJob) {
 	defer e.done.Done()
 	for job := range ch {
 		if e.lane && !job.flush {
-			e.laneRounds(e.batchers[w], job)
+			e.laneRounds(e.lanes[w], job)
 			e.wg.Done()
 			continue
 		}
@@ -237,7 +237,7 @@ func (e *Engine) worker(w int, ch chan engineJob) {
 // the feed contract (per-stream round order, one owner per stream per
 // batch) while letting every stream in the chunk reach pending before any
 // of them decodes.
-func (e *Engine) laneRounds(b *laneBatcher, job engineJob) {
+func (e *Engine) laneRounds(l *Lanes, job engineJob) {
 	for {
 		lo := int(e.next.Add(int64(e.chunk))) - e.chunk
 		if lo >= len(e.decs) {
@@ -257,7 +257,7 @@ func (e *Engine) laneRounds(b *laneBatcher, job engineJob) {
 					e.errs[i] = fmt.Errorf("stream %d: %w", i, err)
 				}
 			}
-			b.Decode(chunk)
+			l.Resolve(chunk)
 		}
 	}
 }

@@ -59,6 +59,30 @@ type laneShape struct {
 	lanes   [64]*Decoder
 }
 
+// Lanes is the lane-resolution entry point for code that drives many
+// decoders from one goroutine: an Engine worker's chunk of streams, or a
+// fleet shard's streams within one round envelope. Defer each decoder once,
+// right after construction; from then on a window that fills on ingest
+// stays pending until Resolve decodes it in a lane group (or until any call
+// that reads the decoder's state — the next ingest, Flush, Snapshot —
+// resolves it alone). Either way corrections are bit-identical to decoding
+// each window the round it fills. Not safe for concurrent use.
+type Lanes struct{ b *laneBatcher }
+
+// NewLanes returns an empty resolver; its working sets build lazily per
+// (distance, window) shape.
+func NewLanes() *Lanes { return &Lanes{b: newLaneBatcher()} }
+
+// Defer switches d to deferred window decoding. Robust decoders are
+// refused: their deadline clocks assume a window is served the round it
+// completes, so they keep decoding at fill.
+func (l *Lanes) Defer(d *Decoder) error { return d.setDeferDecode(true) }
+
+// Resolve decodes every pending window among decs as lane groups of up to
+// 64 same-shape windows, in slice order. Each decoder may appear at most
+// once; nil entries and decoders with nothing pending are skipped.
+func (l *Lanes) Resolve(decs []*Decoder) { l.b.Decode(decs) }
+
 // newLaneBatcher returns an empty batcher; per-shape working sets build
 // lazily on the first pending window of each shape.
 func newLaneBatcher() *laneBatcher {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -77,14 +78,25 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 				atCut := len(refCorr)
 				snap := ref.Snapshot()
 
-				// The snapshot crosses a wire in practice: round-trip JSON.
+				// The snapshot crosses a wire in practice: round-trip the
+				// binary checkpoint encoding, and check the JSON form too.
+				wire, err := DecodeSnapshot(AppendSnapshot(nil, snap))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(wire, snap) {
+					t.Fatalf("cut %d: binary round trip changed the snapshot:\n got  %+v\n want %+v", cut, wire, snap)
+				}
 				blob, err := json.Marshal(snap)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var wire Snapshot
-				if err := json.Unmarshal(blob, &wire); err != nil {
+				var viaJSON Snapshot
+				if err := json.Unmarshal(blob, &viaJSON); err != nil {
 					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(viaJSON, snap) {
+					t.Fatalf("cut %d: JSON round trip changed the snapshot", cut)
 				}
 
 				feedRounds(t, ref, sampler, ch, rounds-cut)
@@ -247,6 +259,8 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{Shedding: true}},           // open episode never counted
 		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{Sheds: 2, Recoveries: 1}},  // episode neither open nor recovered
 		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{Recoveries: 1}},            // recovery without a shed
+		{Distance: 5, Window: 5, Commit: 2, Ledger: faults.Report{PenaltyNS: math.NaN()}},        // NaN ledger penalty
+		{Distance: 5, Window: 5, Commit: 2, Ledger: faults.Report{PenaltyNS: -1}},                // negative ledger penalty
 	}
 	for i, s := range bad {
 		if err := dec.Restore(s); err == nil {
@@ -277,4 +291,102 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 			t.Fatal("garbled checkpoint restored cleanly")
 		}
 	}
+}
+
+// TestSnapshotBinaryRejectsCorruption pins the structural checks of
+// DecodeSnapshot: every truncation of a valid encoding fails, and so do a
+// wrong magic byte, trailing bytes, a non-minimal varint and a shedding
+// flag other than 0 or 1.
+func TestSnapshotBinaryRejectsCorruption(t *testing.T) {
+	snap := Snapshot{
+		Distance: 5, Window: 5, Commit: 2, Base: 300,
+		Layers:    [][]int32{{1, 7, 19}, nil, {0}},
+		Erased:    []bool{false, true, false},
+		PenaltyNS: 12.5,
+		Queue:     backlog.QueueState{NowNS: 1e6, FreeNS: 1.2e6, Shedding: true, Sheds: 3, Recoveries: 2},
+		Ledger:    faults.Report{Windows: 60, Timeouts: 2, ShedRounds: 4, PenaltyNS: 99},
+	}
+	enc := AppendSnapshot(nil, snap)
+	got, err := DecodeSnapshot(enc)
+	if err != nil || !reflect.DeepEqual(got, snap) {
+		t.Fatalf("round trip: %v\n got  %+v\n want %+v", err, got, snap)
+	}
+	for n := 0; n < len(enc); n++ {
+		if _, err := DecodeSnapshot(enc[:n]); err == nil {
+			t.Fatalf("truncation at %d/%d bytes decoded", n, len(enc))
+		}
+	}
+	bad := map[string][]byte{
+		"magic":    append([]byte{snapMagic + 1}, enc[1:]...),
+		"trailing": append(append([]byte(nil), enc...), 0),
+		// Distance 5 as the two-byte varint 0x85 0x00.
+		"non-minimal varint": append([]byte{snapMagic, 0x85, 0x00}, enc[2:]...),
+	}
+	// From the end: the ledger's f64, its 17 counters (one byte each at
+	// these values), Recoveries and Sheds (one byte each), then the flag.
+	flag := append([]byte(nil), enc...)
+	flag[len(enc)-8-17-2-1] = 2
+	bad["shedding flag"] = flag
+	for name, b := range bad {
+		if _, err := DecodeSnapshot(b); err == nil {
+			t.Fatalf("%s: corrupt encoding decoded", name)
+		}
+	}
+}
+
+// FuzzSnapshotBinary feeds arbitrary bytes to DecodeSnapshot. Decoding
+// never panics; whatever decodes re-encodes to the identical bytes (one
+// encoding per state); and a decoded snapshot that Restore accepts reads
+// back unchanged through Snapshot.
+func FuzzSnapshotBinary(f *testing.F) {
+	const d = 3
+	seed := func(robust Robust, rounds int) []byte {
+		dec, err := New(d, 0, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := dec.SetRobust(robust); err != nil {
+			f.Fatal(err)
+		}
+		sampler := noise.NewRoundSampler(d, 0.08, 5, 1)
+		for r := 0; r < rounds; r++ {
+			dec.AddPenaltyNS(float64(r % 3 * 700))
+			if r%5 == 4 {
+				dec.PushErased()
+				continue
+			}
+			if err := dec.PushLayer(sampler.SampleRound()); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return AppendSnapshot(nil, dec.Snapshot())
+	}
+	f.Add(seed(Robust{}, 0))
+	f.Add(seed(Robust{}, 7))
+	f.Add(seed(Robust{DeadlineNS: 300, QueueCap: 2}, 40))
+	f.Add([]byte{snapMagic})
+	f.Add([]byte{})
+
+	// One decoder serves every input: Restore overwrites all dynamic state
+	// or, on error, changes nothing. Restore rejects any other shape, and a
+	// decoder built for an arbitrary decoded shape could be huge.
+	dec, err := New(d, 0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if re := AppendSnapshot(nil, s); !bytes.Equal(re, data) {
+			t.Fatalf("snapshot does not re-encode canonically:\n in  %x\n out %x", data, re)
+		}
+		if err := dec.Restore(s); err != nil {
+			return
+		}
+		if got := dec.Snapshot(); !reflect.DeepEqual(got, s) {
+			t.Fatalf("restored decoder snapshots differently:\n got  %+v\n want %+v", got, s)
+		}
+	})
 }
