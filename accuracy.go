@@ -134,8 +134,11 @@ func MeasureLogicalErrorRate(cfg AccuracyConfig) (AccuracyResult, error) {
 	if cfg.Distance < 2 {
 		return AccuracyResult{}, fmt.Errorf("afs: distance %d < 2", cfg.Distance)
 	}
-	if cfg.P < 0 || cfg.P >= 1 {
-		return AccuracyResult{}, fmt.Errorf("afs: physical error rate %v outside [0,1)", cfg.P)
+	if err := checkRate(cfg.P); err != nil {
+		return AccuracyResult{}, err
+	}
+	if cfg.Rounds < 0 {
+		return AccuracyResult{}, fmt.Errorf("afs: rounds %d < 0", cfg.Rounds)
 	}
 	factory, err := cfg.factory()
 	if err != nil {

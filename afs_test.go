@@ -95,6 +95,15 @@ func TestMeasureLogicalErrorRateValidation(t *testing.T) {
 	if _, err := MeasureLogicalErrorRate(AccuracyConfig{Distance: 3, P: 0.01, Trials: 10, Decoder: "nonsense"}); err == nil {
 		t.Fatal("unknown decoder accepted")
 	}
+	if _, err := MeasureLogicalErrorRate(AccuracyConfig{Distance: 3, P: math.NaN(), Trials: 10}); err == nil {
+		t.Fatal("p=NaN accepted")
+	}
+	if _, err := MeasureLogicalErrorRate(AccuracyConfig{Distance: 3, P: 0.01, Rounds: -3, Trials: 10}); err == nil {
+		t.Fatal("rounds=-3 accepted")
+	}
+	if _, err := MeasureLogicalErrorRate(AccuracyConfig{Distance: 3, P: 0.01, Rounds: -2, Trials: 10, Repeated2D: true}); err == nil {
+		t.Fatal("repeated-2D rounds=-2 accepted")
+	}
 }
 
 func TestMeasureLogicalErrorRateSmoke(t *testing.T) {
@@ -158,6 +167,12 @@ func TestMeasureLatencyValidation(t *testing.T) {
 	}
 	if _, err := MeasureLatency(LatencyConfig{Distance: 3, P: 0.01}); err == nil {
 		t.Fatal("zero trials accepted")
+	}
+	if _, err := MeasureLatency(LatencyConfig{Distance: 3, P: 1.5, Trials: 10}); err == nil {
+		t.Fatal("p=1.5 accepted")
+	}
+	if _, err := MeasureLatency(LatencyConfig{Distance: 3, P: math.NaN(), Trials: 10}); err == nil {
+		t.Fatal("p=NaN accepted")
 	}
 	var empty LatencyResult
 	if _, err := SimulateCDA(&empty, CDAConfig{}); err == nil {

@@ -1,6 +1,10 @@
 package core
 
-import "afs/internal/lut"
+import (
+	"math/bits"
+
+	"afs/internal/lut"
+)
 
 // Partial-residual decomposition (the triage layer's last line before the
 // full decoder).
@@ -70,6 +74,51 @@ import "afs/internal/lut"
 // the residual — and the whole syndrome's cut parity is the XOR of the
 // certified closed forms with the residual decode's parity.
 //
+// # The fixpoint is a least fixpoint, so order is free
+//
+// Every certified radius is at most B (0 for pairs, ceil(D/2) <= min(B)
+// for duos, B for singles), so demoting a group never shrinks a radius, and
+// a pair that violates the invariant keeps violating it as more groups
+// join the residual. Each demotion the rule forces is therefore forced in
+// every closed superset of the residual it was derived from, and any
+// procedure that demotes only violating pairs' groups and stops only when
+// no violation is left ends on the same set: the least residual closed
+// under the rule. The result does not depend on the order pairs are
+// examined in, which lets the pass below visit them in whatever order is
+// cheapest and still return exactly what an all-pairs sweep to a clean
+// round returns (residual_ref_test.go keeps that sweep as the oracle).
+//
+// # Cost: follow the interactions, not k^2
+//
+// The pass is organised so its work tracks the syndrome's structure:
+//
+//   - Adjacency comes from the sorted order. A lattice neighbour's vertex
+//     id differs by 1, d or d(d-1) = LayerVertices (ids are t·d(d-1) +
+//     r·d + c), so defect i is compared only with the following defects
+//     whose ids lie within LayerVertices of its own. This is why defects
+//     must arrive sorted: on unsorted input adjacent defects can be missed.
+//
+//   - The all-pairs shape returns at once. With no adjacency conflict and
+//     every defect in a distance-1 pair, nothing can be demoted (two pair
+//     members in different groups sit at distance >= 2 > 0+0+1), so the
+//     syndrome resolves with parity 0 and one peeled component per pair.
+//     At the design point (d=11, p=1e-3) that is 70% of the syndromes
+//     with 3 or more defects.
+//
+//   - Isolation is a worklist, not a sweep. Distances are computed on
+//     demand. Only rows that can violate are scanned — every single, duo and
+//     residual member once, and each member again when its group is
+//     demoted (a uint32 pending mask: k <= maxTriageDefects = 32, so no
+//     scratch can overflow). A row skips defects still pending (their own
+//     scan covers the pair), its own group, and, for a residual row, other
+//     residual members, so residual rows visit only live defects. Pairs of
+//     certified pair/quad members are never checked: distance 1 would have
+//     put them in one component.
+//
+// Duo candidates are found among the leftover singles only, and quad
+// matchability reads the four members' coordinates, so the pass keeps no
+// distance matrix at all.
+//
 // Finally, a residual of weight <= 2 is retried through Classify: its
 // closed forms (W1 single at R = B, W2 interior merge at R < B,
 // W2 independent singles at R = B) all stay within the radius-B bound the
@@ -98,8 +147,9 @@ const (
 // returns the residual defect set the caller must still decode (empty when
 // everything certified). peeled counts the certified components. The
 // residual slice aliases either kernel-owned scratch or defects itself and
-// is valid until the next PeelResidual call. defects must be sorted as
-// produced by the samplers; the residual preserves that order.
+// is valid until the next PeelResidual call. defects must be sorted
+// ascending, as produced by the samplers (adjacency is found through the
+// sorted order); the residual preserves that order.
 //
 // Syndromes beyond maxTriageDefects (or trivially small ones) return
 // unpeeled: parity 0, the input as residual, peeled 0.
@@ -110,7 +160,7 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 	}
 	s := &t.ms
 	r, c, tt := s.r[:k], s.c[:k], s.t[:k]
-	rad, grp, deg, cnt := s.rad[:k], s.grp[:k], s.deg[:k], s.cnt[:k]
+	rad, grp, deg, gm := s.rad[:k], s.grp[:k], s.deg[:k], s.gm[:k]
 	bnd, st := s.bnd[:k], s.st[:k]
 	for i, v := range defects {
 		p := t.g.PackedCoords(v)
@@ -120,178 +170,191 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 		bnd[i] = int32(p >> 48)
 		rad[i] = bnd[i]
 		grp[i] = int8(i)
-		deg[i] = 0
-		cnt[i] = 1
+		gm[i] = 1 << i
 		st[i] = plSingle
 	}
-	// Pairwise distances (symmetric — the demotion fixpoint sweeps both
-	// triangles), distance-1 adjacency degrees, and the d == 1 pair list.
+	// Distance-1 pairs: only the following defects within one layer's ids
+	// can be lattice neighbours (see the doc). A defect touched twice is an
+	// adjacency conflict.
+	win := int32(t.g.LayerVertices())
+	var touched uint32
 	conflict := false
 	n1 := 0
-	for i := 0; i < k; i++ {
-		di := s.d[i][:k]
-		ri, ci, ti := r[i], c[i], tt[i]
-		for j := i + 1; j < k; j++ {
-			d := abs32(ri-r[j]) + abs32(ci-c[j]) + abs32(ti-tt[j])
-			di[j] = d
-			s.d[j][i] = d
-			if d == 1 {
-				deg[i]++
-				deg[j]++
-				conflict = conflict || deg[i] > 1 || deg[j] > 1
-				s.adj1[n1] = [2]int8{int8(i), int8(j)}
-				n1++
+	for i := 0; i < k-1; i++ {
+		lim := defects[i] + win
+		for j := i + 1; j < k && defects[j] <= lim; j++ {
+			if s.l1(i, j) != 1 {
+				continue
 			}
+			b := uint32(1)<<i | uint32(1)<<j
+			conflict = conflict || touched&b != 0
+			touched |= b
+			s.adj1[n1] = [2]int8{int8(i), int8(j)}
+			n1++
 		}
+	}
+	if !conflict && 2*n1 == k {
+		// Disjoint dominoes cover the syndrome: nothing can be demoted.
+		t.res = t.res[:0]
+		return false, t.res, n1
 	}
 	// Distance-1 components. Without adjacency conflicts the pairs are
 	// disjoint dominoes (classifyMulti's fast case); with conflicts, label
 	// propagation finds the components and each certifies or demotes on its
 	// own — the per-component form of mergeComponents' accept-or-punt.
+	// gm[g] holds group g's member mask, indexed by the group id.
 	if !conflict {
-		for a := 0; a < n1; a++ {
-			i, j := s.adj1[a][0], s.adj1[a][1]
+		for _, e := range s.adj1[:n1] {
+			i, j := e[0], e[1]
 			grp[j] = i
-			cnt[i], cnt[j] = 2, 0
+			gm[i] |= 1 << j
 			rad[i], rad[j] = 0, 0
 			st[i], st[j] = plPair, plPair
 		}
 	} else {
 		for changed := true; changed; {
 			changed = false
-			for a := 0; a < n1; a++ {
-				i, j := s.adj1[a][0], s.adj1[a][1]
+			for _, e := range s.adj1[:n1] {
+				i, j := e[0], e[1]
 				if grp[i] != grp[j] {
-					m := grp[i]
-					if grp[j] < m {
-						m = grp[j]
-					}
+					m := min(grp[i], grp[j])
 					grp[i], grp[j] = m, m
 					changed = true
 				}
 			}
 		}
-		for i := 0; i < k; i++ {
-			cnt[i] = 0
+		for i := range gm {
+			gm[i] = 0
 		}
 		for i := 0; i < k; i++ {
-			cnt[grp[i]]++
+			gm[grp[i]] |= 1 << i
 		}
 		for i := 0; i < k; i++ {
-			gi := int(grp[i])
-			if gi != i {
-				continue
+			m := gm[i]
+			if m&(m-1) == 0 {
+				continue // not a group id, or a leftover single: decided below
 			}
-			certified := cnt[i] == 2 || (cnt[i] == 4 && t.quadMatchable(k, i))
-			if cnt[i] == 1 {
-				continue // leftover single: decided below
-			}
-			for m := 0; m < k; m++ {
-				if int(grp[m]) != gi {
-					continue
-				}
+			n := bits.OnesCount32(m)
+			certified := n == 2 || (n == 4 && t.quadMatchable(k, i))
+			for ; m != 0; m &= m - 1 {
+				x := bits.TrailingZeros32(m)
 				if certified {
-					st[m], rad[m] = plPair, 0
+					st[x], rad[x] = plPair, 0
 				} else {
-					st[m] = plResid // rad stays B
+					st[x] = plResid // rad stays B
 				}
 			}
+		}
+	}
+	var single, pairs uint32
+	for i := 0; i < k; i++ {
+		switch st[i] {
+		case plSingle:
+			single |= 1 << i
+		case plPair:
+			pairs |= 1 << i
 		}
 	}
 	// Interior-duo pairing among the leftover singles: each single's
 	// candidates are the other singles within the interior-merge band
 	// 2 <= D < 2*min(B). A unique mutual candidate certifies the duo at
 	// radius ceil(D/2); zero or multiple candidates leave the defect a
-	// single —
-	// the ambiguity, if real, is caught by the isolation fixpoint below
-	// (a spurned candidate sits at D <= B(i)+B(j)+1 by construction, so
-	// uncertifiable closeness always demotes). deg is dead after the
-	// pairing pass and is reused as the candidate store.
-	for i := 0; i < k; i++ {
-		deg[i] = -1
+	// single — the ambiguity, if real, is caught by the isolation pass
+	// below (a spurned candidate sits at D <= B(i)+B(j)+1 by construction,
+	// so uncertifiable closeness always demotes). deg is the candidate
+	// store: -1 none, -2 several, else the unique candidate.
+	for m := single; m != 0; m &= m - 1 {
+		deg[bits.TrailingZeros32(m)] = -1
 	}
-	for i := 0; i < k; i++ {
-		if cnt[i] != 1 || st[i] != plSingle {
-			continue
-		}
-		di := s.d[i][:k]
-		for j := i + 1; j < k; j++ {
-			if cnt[j] != 1 || st[j] != plSingle {
+	for m := single; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		for m2 := m & (m - 1); m2 != 0; m2 &= m2 - 1 {
+			j := bits.TrailingZeros32(m2)
+			if s.l1(i, j) >= 2*min(bnd[i], bnd[j]) { // D >= 2 is automatic for singles
 				continue
 			}
-			mn := bnd[i]
-			if bnd[j] < mn {
-				mn = bnd[j]
+			if deg[i] == -1 {
+				deg[i] = int8(j)
+			} else {
+				deg[i] = -2
 			}
-			if di[j] < 2*mn { // D >= 2 is automatic for singles
-				if deg[i] == -1 {
-					deg[i] = int8(j)
-				} else {
-					deg[i] = -2
-				}
-				if deg[j] == -1 {
-					deg[j] = int8(i)
-				} else {
-					deg[j] = -2
-				}
+			if deg[j] == -1 {
+				deg[j] = int8(i)
+			} else {
+				deg[j] = -2
 			}
 		}
 	}
-	for i := 0; i < k; i++ {
-		if cnt[i] != 1 || st[i] != plSingle {
-			continue
-		}
+	for m := single; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
 		j := int(deg[i])
 		if j > i && deg[j] == int8(i) { // mutual uniqueness: see the doc
 			grp[j] = int8(i)
-			cnt[i], cnt[j] = 2, 0
-			rd := (s.d[i][j] + 1) / 2 // ceil(D/2)
+			gm[i] |= 1 << j
+			rd := (s.l1(i, j) + 1) / 2 // ceil(D/2)
 			rad[i], rad[j] = rd, rd
 			st[i], st[j] = plDuo, plDuo
+			single &^= 1<<i | 1<<j
 		}
 	}
 	// Remaining singles: strict side certifies (R = B, parity from the
 	// side bit, folded after the fixpoint); ties demote.
-	for i := 0; i < k; i++ {
-		if cnt[i] == 1 && st[i] == plSingle && t.bd.Side[defects[i]] == lut.SideTie {
+	for m := single; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros32(m); t.bd.Side[defects[i]] == lut.SideTie {
 			st[i] = plResid // rad is already B
 		}
 	}
-	// Isolation demotion fixpoint: a cross-group pair within the invariant
-	// slack demotes both groups (residual members keep radius B; certified
-	// members revert to it). Monotone — groups only ever enter the
-	// residual — so the sweep repeats until clean.
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < k; i++ {
-			di := s.d[i][:k]
-			slack := rad[i] + 1
-			for j := i + 1; j < k; j++ {
-				if grp[j] == grp[i] || (st[i] == plResid && st[j] == plResid) {
-					continue
-				}
-				if di[j] > slack+rad[j] {
-					continue
-				}
-				for _, x := range [2]int{i, j} {
-					if st[x] == plResid {
-						continue
-					}
-					gx := grp[x]
-					for m := 0; m < k; m++ {
-						if grp[m] == gx {
-							st[m] = plResid
-							rad[m] = bnd[m]
-						}
-					}
-					changed = true
-				}
-				slack = rad[i] + 1 // i's radius may have just grown
+	// Isolation demotion worklist (see the doc): scan each pending row
+	// against the defects already scanned, demoting both groups of a pair
+	// within the invariant slack. A demoted group's members turn pending
+	// again with radius B; a residual row only visits live defects.
+	all := ^uint32(0) >> (32 - k)
+	live := all
+	for i := 0; i < k; i++ {
+		if st[i] == plResid {
+			live &^= 1 << i
+		}
+	}
+	demote := func(g int8) uint32 {
+		m := gm[g]
+		for x := m; x != 0; x &= x - 1 {
+			y := bits.TrailingZeros32(x)
+			st[y], rad[y] = plResid, bnd[y]
+		}
+		return m
+	}
+	for pending := all &^ pairs; pending != 0; {
+		x := bits.TrailingZeros32(pending)
+		pending &^= 1 << x
+		cand := live &^ pending
+		if st[x] != plResid {
+			cand = all &^ pending &^ gm[grp[x]]
+		}
+		for cand != 0 {
+			y := bits.TrailingZeros32(cand)
+			cand &^= 1 << y
+			if s.l1(x, y) > rad[x]+rad[y]+1 {
+				continue
+			}
+			if st[y] != plResid {
+				m := demote(grp[y])
+				live &^= m
+				pending |= m
+				cand &^= m
+			}
+			if st[x] != plResid {
+				m := demote(grp[x])
+				live &^= m
+				pending |= m
+				break // x is pending again, to be rescanned at radius B
 			}
 		}
 	}
 	// Collect: certified parities XOR together; residual keeps input order
 	// (defects arrive sorted, so the residual is sorted too).
+	if live == 0 {
+		return false, defects, 0
+	}
 	t.res = t.res[:0]
 	for i := 0; i < k; i++ {
 		if st[i] == plResid {
@@ -304,9 +367,6 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 		if st[i] == plSingle && t.bd.Side[defects[i]] == lut.SideNorth {
 			parity = !parity
 		}
-	}
-	if len(t.res) == k {
-		return false, defects, 0
 	}
 	// A weight <= 2 residual gets one more shot at a closed form: the W1/W2
 	// rules' radii never exceed the B-per-member bound the fixpoint already

@@ -6,12 +6,14 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"afs/internal/core"
 	"afs/internal/lattice"
+	"afs/internal/noise"
 )
 
 // peelStats tallies how a body of syndromes moved through PeelResidual so
@@ -241,15 +243,19 @@ func TestPeelResidualSubsumesClassify(t *testing.T) {
 
 // Steady-state peeling must not allocate: the residual buffer and the
 // multi-defect scratch are owned by the Triage and reused across calls.
+// Besides small fault-sampled syndromes, the set holds the worst case the
+// scratch must absorb: 32-defect near-threshold syndromes (k ==
+// maxTriageDefects, every mask bit in use) whose isolation pass demotes
+// certified dominoes, so demoted groups re-enter the worklist.
 func TestPeelResidualZeroAllocSteadyState(t *testing.T) {
 	g := lattice.New3D(7, 7)
 	tri := core.NewTriage(g)
 	rng := rand.New(rand.NewPCG(19, 7))
 	var syndromes [][]int32
 	flip := make(map[int32]bool)
-	for len(syndromes) < 16 {
+	sample := func(faults int) []int32 {
 		clear(flip)
-		for f := 3 + rng.IntN(6); f > 0; f-- {
+		for f := faults; f > 0; f-- {
 			ed := &g.Edges[rng.IntN(len(g.Edges))]
 			for _, v := range [2]int32{ed.U, ed.V} {
 				if !g.IsBoundary(v) {
@@ -257,22 +263,41 @@ func TestPeelResidualZeroAllocSteadyState(t *testing.T) {
 				}
 			}
 		}
-		defects := make([]int32, 0, 16)
+		defects := make([]int32, 0, 40)
 		for v, on := range flip {
 			if on {
 				defects = append(defects, v)
 			}
 		}
 		slices.Sort(defects)
-		if len(defects) >= 3 {
+		return defects
+	}
+	for len(syndromes) < 16 {
+		if defects := sample(3 + rng.IntN(6)); len(defects) >= 3 {
 			syndromes = append(syndromes, defects)
 		}
+	}
+	heavy := 0
+	for tries := 0; heavy < 16; tries++ {
+		if tries == 200000 {
+			t.Fatalf("found only %d cascading 32-defect syndromes", heavy)
+		}
+		defects := sample(16 + rng.IntN(4))
+		if len(defects) != 32 {
+			continue
+		}
+		_, res, peeled := tri.PeelResidual(defects)
+		if peeled == 0 || len(res) == 0 || !demotedDomino(g, defects, res) {
+			continue
+		}
+		syndromes = append(syndromes, defects)
+		heavy++
 	}
 	for _, s := range syndromes {
 		tri.PeelResidual(s) // warm the residual buffer
 	}
 	i := 0
-	avg := testing.AllocsPerRun(50, func() {
+	avg := testing.AllocsPerRun(200, func() {
 		tri.PeelResidual(syndromes[i%len(syndromes)])
 		i++
 	})
@@ -281,15 +306,167 @@ func TestPeelResidualZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// demotedDomino reports whether res holds an isolated distance-1 pair of
+// defects. PeelResidual certifies such a pair on sight, so finding one in
+// the residual means the isolation pass demoted it.
+func demotedDomino(g *lattice.Graph, defects, res []int32) bool {
+	partner := func(u int32) (int32, bool) {
+		var nb []int32
+		for _, v := range defects {
+			if g.GraphDistance(u, v) == 1 {
+				nb = append(nb, v)
+			}
+		}
+		if len(nb) != 1 {
+			return 0, false
+		}
+		return nb[0], true
+	}
+	for _, u := range res {
+		if v, ok := partner(u); ok && slices.Contains(res, v) {
+			if w, ok := partner(v); ok && w == u {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// samePeel fails t unless the production peel and the original all-pairs
+// sweep agree on defects. Each runs on its own Triage, since the residual
+// aliases per-Triage scratch.
+func samePeel(t testing.TB, g *lattice.Graph, cur, ref *core.Triage, defects []int32) {
+	t.Helper()
+	p1, r1, n1 := cur.PeelResidual(defects)
+	p2, r2, n2 := core.PeelResidualRef(ref, defects)
+	if p1 != p2 || n1 != n2 || !slices.Equal(r1, r2) {
+		t.Fatalf("%v: PeelResidual(%v) = (%v, %v, %d), reference (%v, %v, %d)",
+			g, defects, p1, r1, n1, p2, r2, n2)
+	}
+}
+
+// TestPeelResidualMatchesReference pins the worklist peel to the original
+// all-pairs demotion sweep: both compute the least fixpoint of the same
+// demotion rule, so (parity, residual, peeled) must be equal on every
+// sorted input — sampled syndromes from the design point to past
+// threshold on the 2-D graph, closed logical-cycle graphs from d=3 to the
+// design point and continuous-window graphs (whose temporal boundary adds
+// side ties), and uniform random sorted sets of 3 to 32 defects.
+func TestPeelResidualMatchesReference(t *testing.T) {
+	batches := 40
+	if testing.Short() {
+		batches = 8
+	}
+	graphs := []*lattice.Graph{
+		lattice.New2D(11),
+		lattice.New3D(3, 3), lattice.New3D(5, 5), lattice.New3D(7, 7), lattice.New3D(11, 11),
+		lattice.New3DWindow(5, 5), lattice.New3DWindow(11, 11),
+	}
+	var st peelStats
+	for gi, g := range graphs {
+		cur, ref := core.NewTriage(g), core.NewTriage(g)
+		tally := func(defects []int32) {
+			samePeel(t, g, cur, ref, defects)
+			if k := len(defects); k < 3 || k > 32 {
+				return
+			}
+			switch _, res, _ := cur.PeelResidual(defects); {
+			case len(res) == 0:
+				st.resolved++
+			case len(res) == len(defects):
+				st.unpeeled++
+			default:
+				st.partial++
+			}
+		}
+		var b noise.Batch
+		for pi, p := range []float64{1e-3, 3e-3, 1e-2, 2e-2, 4e-2} {
+			s := noise.NewBatchSampler(g, p, 23+uint64(gi), uint64(pi), g.NorthCutQubits())
+			for n := 0; n < batches; n++ {
+				s.SampleBatch(&b, 256)
+				for i := 0; i < b.K; i++ {
+					tally(b.TrialDefects(i))
+				}
+			}
+		}
+		rng := rand.New(rand.NewPCG(29, uint64(g.V)))
+		seen := make(map[int32]bool)
+		defects := make([]int32, 0, 32)
+		for trial := 0; trial < 50*batches; trial++ {
+			clear(seen)
+			defects = defects[:0]
+			for n := min(3+rng.IntN(30), g.V); len(defects) < n; {
+				if v := int32(rng.IntN(g.V)); !seen[v] {
+					seen[v] = true
+					defects = append(defects, v)
+				}
+			}
+			slices.Sort(defects)
+			tally(defects)
+		}
+	}
+	if st.resolved == 0 || st.partial == 0 || st.unpeeled == 0 {
+		t.Fatalf("reference comparison missed a peel outcome class (stats %+v)", st)
+	}
+	t.Logf("compared %d peelable syndromes (stats %+v)", st.resolved+st.partial+st.unpeeled, st)
+}
+
+// BenchmarkPeelResidual times one in-cache PeelResidual call against the
+// original all-pairs sweep (core.PeelResidualRef) on the population the
+// kernels feed it: about 1k sampled syndromes with 3 or more defects at
+// the design point (d=11, p=1e-3) and near threshold (d=7, p=0.02). The
+// current and reference sub-benchmarks run back to back in one process,
+// a same-run ablation of the worklist.
+func BenchmarkPeelResidual(b *testing.B) {
+	for _, pt := range []struct {
+		d int
+		p float64
+	}{{11, 1e-3}, {7, 0.02}} {
+		g := lattice.New3D(pt.d, pt.d)
+		s := noise.NewBatchSampler(g, pt.p, 31, 0, g.NorthCutQubits())
+		var set [][]int32
+		var batch noise.Batch
+		for len(set) < 1024 {
+			s.SampleBatch(&batch, 256)
+			for i := 0; i < batch.K && len(set) < 1024; i++ {
+				if df := batch.TrialDefects(i); len(df) >= 3 {
+					set = append(set, slices.Clone(df))
+				}
+			}
+		}
+		tri := core.NewTriage(g)
+		for _, impl := range []struct {
+			name string
+			peel func(*core.Triage, []int32) (bool, []int32, int)
+		}{
+			{"current", (*core.Triage).PeelResidual},
+			{"reference", core.PeelResidualRef},
+		} {
+			b.Run(fmt.Sprintf("d=%d/p=%g/%s", pt.d, pt.p, impl.name), func(b *testing.B) {
+				for _, df := range set {
+					impl.peel(tri, df) // warm the residual buffer
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					impl.peel(tri, set[i%len(set)])
+				}
+			})
+		}
+	}
+}
+
 // FuzzPeelResidual is the differential fuzz gate (CI fuzz-smoke): on the
-// d=5 cubic graph, peel parity XOR residual decode parity must equal the
-// undecomposed decode parity for every syndrome the fuzzer constructs. The
+// d=5 cubic graph, PeelResidual must agree with the original all-pairs
+// sweep (core.PeelResidualRef), and peel parity XOR residual decode parity
+// must equal the undecomposed decode parity, for every syndrome the fuzzer
+// constructs. The
 // seed corpus is built from captured punted syndromes — fault-sampled
 // inputs classifyMulti rejects, exactly the population the kernels feed
 // PeelResidual.
 func FuzzPeelResidual(f *testing.F) {
 	g := lattice.New3D(5, 5)
-	tri := core.NewTriage(g)
+	tri, ref := core.NewTriage(g), core.NewTriage(g)
 	dec := core.NewDecoder(g, core.Options{})
 
 	// Punted-syndrome captures as seeds (deterministic).
@@ -340,6 +517,7 @@ func FuzzPeelResidual(f *testing.F) {
 			}
 		}
 		slices.Sort(defects)
+		samePeel(t, g, tri, ref, defects)
 		parity, res, _ := tri.PeelResidual(defects)
 		res = slices.Clone(res)
 		full := dec.Decode(defects)

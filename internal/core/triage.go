@@ -108,25 +108,35 @@ type Triage struct {
 // syndromes (far above the design-point mean) punt to the full decoder.
 const maxTriageDefects = 32
 
-// multiScratch is the fixed-size working set of classifyMulti: unpacked
-// defect coordinates, per-defect influence radii, the adjacency pairing,
-// and the cached pairwise L1 distances (upper triangle) so the isolation
-// pass reuses the pairing pass's arithmetic.
+// multiScratch is the fixed-size working set the multi-defect passes share.
+// classifyMulti (with mergeComponents and quadMatchable) uses r, c, t, rad,
+// grp, deg, cnt, d, adj1 and adj2. PeelResidual uses r, c, t, rad, bnd,
+// grp, deg, st, gm and adj1; it keeps no distance matrix and reads no d.
 type multiScratch struct {
 	r, c, t [maxTriageDefects]int32
 	rad     [maxTriageDefects]int32
-	bnd     [maxTriageDefects]int32 // boundary distance B (PeelResidual)
-	grp     [maxTriageDefects]int8  // group id (smallest member index)
-	deg     [maxTriageDefects]int8  // distance-1 adjacency degree
-	cnt     [maxTriageDefects]int8  // members per group id
-	st      [maxTriageDefects]uint8 // peel state (PeelResidual)
-	d       [maxTriageDefects][maxTriageDefects]int32
+	bnd     [maxTriageDefects]int32  // boundary distance B (PeelResidual)
+	grp     [maxTriageDefects]int8   // group id (smallest member index)
+	deg     [maxTriageDefects]int8   // adjacency degree, then duo candidate
+	cnt     [maxTriageDefects]int8   // members per group id (classifyMulti)
+	st      [maxTriageDefects]uint8  // peel state (PeelResidual)
+	gm      [maxTriageDefects]uint32 // member mask per group id (PeelResidual)
+	// d caches classifyMulti's pairwise L1 distances, upper triangle only
+	// (d[i][j] for i < j), so its isolation pass reuses the pairing pass's
+	// arithmetic.
+	d [maxTriageDefects][maxTriageDefects]int32
 	// Sparse pair lists filled by the pairwise pass so the merge and
 	// duo-candidate passes touch only the pairs that matter instead of
 	// re-sweeping the k x k matrix. A defect has at most 6 lattice
 	// neighbours and 18 sites at L1 distance 2, which bounds the lists.
 	adj1 [3 * maxTriageDefects][2]int8 // pairs at distance 1
 	adj2 [9 * maxTriageDefects][2]int8 // pairs at distance 2
+}
+
+// l1 returns the L1 (growth-metric) distance between defects i and j of
+// the current syndrome.
+func (s *multiScratch) l1(i, j int) int32 {
+	return abs32(s.r[i]-s.r[j]) + abs32(s.c[i]-s.c[j]) + abs32(s.t[i]-s.t[j])
 }
 
 // TriageClass labels how a syndrome was resolved; the Monte-Carlo kernel
@@ -245,7 +255,7 @@ func (t *Triage) classifyMulti(defects []int32) (parity bool, ok bool) {
 		deg[i] = 0
 		cnt[i] = 1
 	}
-	// Pairwise distances (cached symmetrically for the later passes),
+	// Pairwise distances (upper triangle, cached for the isolation pass),
 	// distance-1 adjacency degrees, and the sparse d==1 / d==2 pair lists
 	// the merge and duo passes iterate.
 	conflict := false
@@ -256,7 +266,6 @@ func (t *Triage) classifyMulti(defects []int32) (parity bool, ok bool) {
 		for j := i + 1; j < k; j++ {
 			d := abs32(ri-r[j]) + abs32(ci-c[j]) + abs32(ti-tt[j])
 			di[j] = d
-			s.d[j][i] = d
 			if d > 2 {
 				continue
 			}
@@ -422,10 +431,9 @@ func (t *Triage) quadMatchable(k, gid int) bool {
 			n++
 		}
 	}
-	d := &s.d
-	return (d[m[0]][m[1]] == 1 && d[m[2]][m[3]] == 1) ||
-		(d[m[0]][m[2]] == 1 && d[m[1]][m[3]] == 1) ||
-		(d[m[0]][m[3]] == 1 && d[m[1]][m[2]] == 1)
+	return (s.l1(m[0], m[1]) == 1 && s.l1(m[2], m[3]) == 1) ||
+		(s.l1(m[0], m[2]) == 1 && s.l1(m[1], m[3]) == 1) ||
+		(s.l1(m[0], m[3]) == 1 && s.l1(m[1], m[2]) == 1)
 }
 
 // Decode is Classify plus a materialized correction: a valid edge set whose

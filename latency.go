@@ -64,6 +64,9 @@ func MeasureLatency(cfg LatencyConfig) (LatencyResult, error) {
 	if cfg.Trials <= 0 {
 		return LatencyResult{}, fmt.Errorf("afs: trials must be positive")
 	}
+	if err := checkRate(cfg.P); err != nil {
+		return LatencyResult{}, err
+	}
 	r := microarch.CollectLatencies(microarch.CollectConfig{
 		Distance:       cfg.Distance,
 		P:              cfg.P,

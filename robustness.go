@@ -88,8 +88,8 @@ func MeasureStreamRobustness(cfg StreamRobustnessConfig) (StreamRobustnessResult
 	if cfg.Trials < 1 {
 		return StreamRobustnessResult{}, fmt.Errorf("afs: robustness run needs at least one trial")
 	}
-	if cfg.P < 0 || cfg.P >= 1 {
-		return StreamRobustnessResult{}, fmt.Errorf("afs: physical error rate %v outside [0,1)", cfg.P)
+	if err := checkRate(cfg.P); err != nil {
+		return StreamRobustnessResult{}, err
 	}
 	rounds := cfg.Rounds
 	if rounds == 0 {

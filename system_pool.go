@@ -53,8 +53,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Distance < 2 {
 		return nil, fmt.Errorf("afs: distance %d < 2", cfg.Distance)
 	}
-	if cfg.P < 0 || cfg.P >= 1 {
-		return nil, fmt.Errorf("afs: physical error rate %v outside [0,1)", cfg.P)
+	if err := checkRate(cfg.P); err != nil {
+		return nil, err
 	}
 	s := &System{workers: clampWorkers(cfg.Workers, cfg.LogicalQubits)}
 	for i := 0; i < cfg.LogicalQubits; i++ {
@@ -167,6 +167,14 @@ func (s *System) Memory() MemoryBreakdown {
 	return SystemMemory(len(s.qubits), s.qubits[0].Distance(), false)
 }
 
+// checkRate rejects a physical error rate outside [0, 1), NaN included.
+func checkRate(p float64) error {
+	if !(p >= 0 && p < 1) {
+		return fmt.Errorf("afs: physical error rate %v outside [0,1)", p)
+	}
+	return nil
+}
+
 // clampWorkers resolves a requested worker count against a fleet size:
 // 0 selects GOMAXPROCS, and the pool never exceeds one worker per unit of
 // work.
@@ -237,8 +245,8 @@ type StreamEngineConfig struct {
 // NewStreamEngine builds the fleet and starts its worker pool. Callers
 // should Close the engine when done.
 func NewStreamEngine(cfg StreamEngineConfig) (*StreamEngine, error) {
-	if cfg.P < 0 || cfg.P >= 1 {
-		return nil, fmt.Errorf("afs: physical error rate %v outside [0,1)", cfg.P)
+	if err := checkRate(cfg.P); err != nil {
+		return nil, err
 	}
 	eng, err := stream.NewEngine(stream.EngineConfig{
 		Streams:  cfg.Streams,

@@ -1,6 +1,7 @@
 package afs
 
 import (
+	"math"
 	"testing"
 )
 
@@ -65,6 +66,9 @@ func TestSystemValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(SystemConfig{LogicalQubits: 2, Distance: 3, P: 2}); err == nil {
 		t.Fatal("p=2 accepted")
+	}
+	if _, err := NewSystem(SystemConfig{LogicalQubits: 2, Distance: 3, P: math.NaN()}); err == nil {
+		t.Fatal("p=NaN accepted")
 	}
 }
 
@@ -131,6 +135,9 @@ func TestStreamEngineValidation(t *testing.T) {
 	}
 	if _, err := NewStreamEngine(StreamEngineConfig{Streams: 2, Distance: 5, P: 2}); err == nil {
 		t.Fatal("p=2 accepted")
+	}
+	if _, err := NewStreamEngine(StreamEngineConfig{Streams: 2, Distance: 5, P: math.NaN()}); err == nil {
+		t.Fatal("p=NaN accepted")
 	}
 	eng, err := NewStreamEngine(StreamEngineConfig{Streams: 3, Distance: 5, P: 0.01, Workers: 64})
 	if err != nil {
