@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"sync"
 
 	"afs/internal/lattice"
 	"afs/internal/lut"
@@ -117,6 +118,39 @@ import (
 // decomposition accepts, so resolved lanes agree with it bit for bit
 // (test-enforced).
 type LaneTriage struct {
+	*laneTables
+
+	// Per-Classify scratch: isolated-defect positions and lane masks for
+	// the singles post-pass, and the degree-2 analog for the 4-path
+	// post-pass. Preallocated by NewLaneTriage and truncated (never
+	// reallocated) between calls so heavy batches see no regrowth churn.
+	isoV []int32
+	isoM []uint64
+	d2V  []int32
+	d2M  []uint64
+	// isoPlane[v] = lanes in which v holds an ISOLATED defect, populated
+	// over the touched isolated vertices for the post-pass (so ring scans
+	// can split hits into isolated vs matched) and re-zeroed before
+	// returning. sOK/duoC/duoP are per-iso-entry lane masks: certified
+	// single, duo candidate, and certified duo member.
+	isoPlane []uint64
+	sOK      []uint64
+	duoC     []uint64
+	duoP     []uint64
+
+	// DefV/DefW are the compact defect list of the most recent Classify or
+	// ClassifySparse call: the touched vertices with a nonzero plane word,
+	// in increasing vertex order, paired with those words. The kernel's
+	// heavy-tail gather (GatherLanes) iterates this instead of re-scanning
+	// the touched bitmap. Valid until the next classification call.
+	DefV []int32
+	DefW []uint64
+}
+
+// laneTables is LaneTriage's immutable per-graph table set. It is built
+// once per *lattice.Graph and shared by every LaneTriage on that graph
+// (see laneTablesFor), so a classifier costs only its scratch.
+type laneTables struct {
 	g    *lattice.Graph
 	bd   *lut.Boundary
 	side []uint8
@@ -145,24 +179,6 @@ type LaneTriage struct {
 	northBits []uint64
 	tieBits   []uint64
 
-	// Per-Classify scratch: isolated-defect positions and lane masks for
-	// the singles post-pass, and the degree-2 analog for the 4-path
-	// post-pass. Preallocated by NewLaneTriage and truncated (never
-	// reallocated) between calls so heavy batches see no regrowth churn.
-	isoV []int32
-	isoM []uint64
-	d2V  []int32
-	d2M  []uint64
-	// isoPlane[v] = lanes in which v holds an ISOLATED defect, populated
-	// over the touched isolated vertices for the post-pass (so ring scans
-	// can split hits into isolated vs matched) and re-zeroed before
-	// returning. sOK/duoC/duoP are per-iso-entry lane masks: certified
-	// single, duo candidate, and certified duo member.
-	isoPlane []uint64
-	sOK      []uint64
-	duoC     []uint64
-	duoP     []uint64
-
 	// fb/upNbr/upEdge serve ClassifySparse (the streaming fast set).
 	// fb[v] is FirstBoundaryEdge(v) when v sits at boundary distance 1,
 	// else -1 — the spSingle emit edge. upNbr/upEdge hold, per vertex, the
@@ -173,14 +189,6 @@ type LaneTriage struct {
 	fb     []int32
 	upNbr  []int32
 	upEdge []int32
-
-	// DefV/DefW are the compact defect list of the most recent Classify or
-	// ClassifySparse call: the touched vertices with a nonzero plane word,
-	// in increasing vertex order, paired with those words. The kernel's
-	// heavy-tail gather (GatherLanes) iterates this instead of re-scanning
-	// the touched bitmap. Valid until the next classification call.
-	DefV []int32
-	DefW []uint64
 }
 
 // LaneClasses is LaneTriage.Classify's output: per-lane class masks (all
@@ -218,11 +226,48 @@ type LaneClasses struct {
 	Defects int
 }
 
-// NewLaneTriage builds the lane classifier for g, sharing the cached
-// boundary tables.
+// NewLaneTriage returns a lane classifier for g. The per-graph tables are
+// built on the first call for g and shared by every later classifier on
+// the same graph (and with the cached boundary tables), so a new
+// classifier costs only its own scratch. Classifiers are single-owner;
+// the shared tables are read-only.
 func NewLaneTriage(g *lattice.Graph) *LaneTriage {
+	lt := &LaneTriage{laneTables: laneTablesFor(g)}
+	// Preallocate the per-Classify scratch so steady-state calls never
+	// grow a slice: the iso/d2/defect lists are bounded by the touched
+	// vertex count, for which 1/4 of the lattice is far beyond any
+	// realistic batch; truncation keeps whatever larger capacity an
+	// outlier forced.
+	pre := g.V/4 + 16
+	lt.isoV = make([]int32, 0, pre)
+	lt.isoM = make([]uint64, 0, pre)
+	lt.d2V = make([]int32, 0, pre)
+	lt.d2M = make([]uint64, 0, pre)
+	lt.DefV = make([]int32, 0, pre)
+	lt.DefW = make([]uint64, 0, pre)
+	lt.sOK = make([]uint64, 0, pre)
+	lt.duoC = make([]uint64, 0, pre)
+	lt.duoP = make([]uint64, 0, pre)
+	lt.isoPlane = make([]uint64, g.V+1)
+	return lt
+}
+
+// laneTablesFor returns g's shared lane tables, building them on first
+// use. Like lut.BoundaryFor, the cache is keyed by graph identity and
+// never evicts: graphs themselves are cached per shape (lattice.Cached*).
+func laneTablesFor(g *lattice.Graph) *laneTables {
+	if t, ok := laneTableCache.Load(g); ok {
+		return t.(*laneTables)
+	}
+	t, _ := laneTableCache.LoadOrStore(g, newLaneTables(g))
+	return t.(*laneTables)
+}
+
+var laneTableCache sync.Map // *lattice.Graph → *laneTables
+
+func newLaneTables(g *lattice.Graph) *laneTables {
 	bd := lut.BoundaryFor(g)
-	lt := &LaneTriage{g: g, bd: bd, side: bd.Side}
+	lt := &laneTables{g: g, bd: bd, side: bd.Side}
 	words := (g.V + 63) / 64
 	lt.northBits = make([]uint64, words)
 	lt.tieBits = make([]uint64, words)
@@ -317,22 +362,6 @@ func NewLaneTriage(g *lattice.Graph) *LaneTriage {
 		lt.ring2Off[v+1] = int32(len(lt.ring2))
 		lt.ring3Off[v+1] = int32(len(lt.ring3))
 	}
-	// Preallocate the per-Classify scratch so steady-state calls never
-	// grow a slice: the iso/d2/defect lists are bounded by the touched
-	// vertex count, for which 1/4 of the lattice is far beyond any
-	// realistic batch; truncation keeps whatever larger capacity an
-	// outlier forced.
-	pre := g.V/4 + 16
-	lt.isoV = make([]int32, 0, pre)
-	lt.isoM = make([]uint64, 0, pre)
-	lt.d2V = make([]int32, 0, pre)
-	lt.d2M = make([]uint64, 0, pre)
-	lt.DefV = make([]int32, 0, pre)
-	lt.DefW = make([]uint64, 0, pre)
-	lt.sOK = make([]uint64, 0, pre)
-	lt.duoC = make([]uint64, 0, pre)
-	lt.duoP = make([]uint64, 0, pre)
-	lt.isoPlane = make([]uint64, g.V+1)
 	return lt
 }
 

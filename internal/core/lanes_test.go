@@ -2,6 +2,9 @@ package core
 
 import (
 	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"afs/internal/lattice"
@@ -373,6 +376,99 @@ func TestLaneClassifyZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("LaneTriage.Classify allocates %.1f times per call in steady state", avg)
 	}
 }
+
+// A second classifier on one graph must share that graph's tables, not
+// rebuild them: it may allocate only its own scratch (about 30 KB at d=11
+// against about 1 MB for the tables).
+func TestNewLaneTriageSharesGraphTables(t *testing.T) {
+	g := lattice.Cached3D(11, 11)
+	first := NewLaneTriage(g)
+	var best uint64 = 1 << 62
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		second := NewLaneTriage(g)
+		runtime.ReadMemStats(&after)
+		if second.laneTables != first.laneTables {
+			t.Fatal("second classifier on one graph built its own tables")
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best >= 64<<10 {
+		t.Fatalf("second NewLaneTriage on one graph allocated %d bytes, want < 64 KB", best)
+	}
+}
+
+// Classifiers on one graph share read-only tables and own their scratch,
+// so two of them driven from two goroutines must give exactly the results
+// one classifier gives serially. Run under -race, this also checks that
+// no classification path writes the shared tables.
+func TestLaneTriageConcurrentInstancesAgree(t *testing.T) {
+	for _, g := range []*lattice.Graph{lattice.Cached3D(5, 5), lattice.Cached3DWindow(5, 5)} {
+		rng := rand.New(rand.NewPCG(5, uint64(g.V)))
+		const groups = 40
+		type result struct {
+			cls   LaneClasses
+			fast  uint64
+			emits [64][]int32
+		}
+		planes := make([][]uint64, groups)
+		touched := make([][]uint64, groups)
+		for i := range planes {
+			planes[i], touched[i] = buildPlanes(g, randomLanes(g, rng), nil)
+		}
+		run := func(lt *LaneTriage) []result {
+			out := make([]result, groups)
+			for i := range out {
+				r := &out[i]
+				r.cls = lt.Classify(planes[i], touched[i], ^uint64(0))
+				r.fast = lt.ClassifySparse(planes[i], touched[i], ^uint64(0), &r.emits)
+			}
+			return out
+		}
+		want := run(NewLaneTriage(g))
+		var got [2][]result
+		var wg sync.WaitGroup
+		for w := range got {
+			lt := NewLaneTriage(g)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[w] = run(lt)
+			}()
+		}
+		wg.Wait()
+		for w := range got {
+			for i, r := range got[w] {
+				if r.cls != want[i].cls || r.fast != want[i].fast {
+					t.Fatalf("V=%d goroutine %d group %d: classes %+v fast %#x, serial %+v fast %#x",
+						g.V, w, i, r.cls, r.fast, want[i].cls, want[i].fast)
+				}
+				for lane := 0; lane < 64; lane++ {
+					if r.fast>>uint(lane)&1 != 0 && !slices.Equal(r.emits[lane], want[i].emits[lane]) {
+						t.Fatalf("V=%d goroutine %d group %d lane %d: emits %v, serial %v",
+							g.V, w, i, lane, r.emits[lane], want[i].emits[lane])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNewLaneTriage measures a classifier's construction once its
+// graph's tables exist (d=11 closed cycle): the per-worker cost every
+// Monte-Carlo point and stream lane shape pays.
+func BenchmarkNewLaneTriage(b *testing.B) {
+	g := lattice.Cached3D(11, 11)
+	NewLaneTriage(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchLaneSink = NewLaneTriage(g)
+	}
+}
+
+var benchLaneSink *LaneTriage
 
 // LaneTriage must agree lane for lane with the scalar reference, on closed
 // graphs (no ties) and window graphs (temporal-boundary ties).

@@ -8,10 +8,64 @@ import (
 	"afs/internal/noise"
 )
 
-// bpKernel is the bit-plane shot kernel (AccuracyConfig.BitPlane): the
-// fused pipeline rebuilt around 64-trial lane groups. One PlaneSampler
-// walk fills a group's defect planes, core.LaneTriage classifies all 64
-// lanes in one fused word-parallel pass, and lanes resolve in two tiers:
+// BatchTrials is the trial batch width of sample-only replays of the
+// kernel's draws (noise.BatchSampler.SampleBatch) and of the kernel
+// tests' warm-up runs. Any width replays the same trials: BatchSampler
+// hands out the kernel's 64-lane groups lane by lane.
+const BatchTrials = 256
+
+// chunkTally is one work chunk's outcome, accumulated locally and folded
+// into the point's atomics once per chunk — the batch-granular accounting
+// that keeps every per-trial cost out of the shared-state path.
+type chunkTally struct {
+	failures uint64
+	defects  uint64
+	w0       uint64 // trials resolved by the weight-0 fast path
+	w1       uint64 // trials resolved by the weight-1 closed form
+	w2       uint64 // trials resolved by the weight-2 closed form
+	multi    uint64 // trials resolved by the pair/single decomposition
+	full     uint64 // trials that fell through to the full decoder
+
+	// Lane tallies: lanes resolved straight from plane algebra vs lanes
+	// whose defect lists were gathered for the scalar triage and decoder
+	// path; bpFast+bpGathered == trials.
+	bpFast     uint64
+	bpGathered uint64
+
+	// Partial-residual peel tallies (core.Triage.PeelResidual): certified
+	// components peeled off, trials fully resolved by the peel
+	// decomposition without a decoder walk (those also count in multi),
+	// full decodes that ran on a strictly smaller residual (those also
+	// count in full), and the defect-count histogram of the residuals
+	// actually decoded. Every gathered multi-defect (>= 3) lane goes
+	// through the peel (PeelResidual's certified set contains
+	// classifyMulti's, test-enforced).
+	peeled       uint64
+	peelResolved uint64
+	residual     uint64
+	resHist      [5]uint64 // residual defect count: <=2, <=4, <=8, <=16, >16
+}
+
+// resBucket maps a residual defect count to its chunkTally.resHist bucket.
+func resBucket(n int) int {
+	switch {
+	case n <= 2:
+		return 0
+	case n <= 4:
+		return 1
+	case n <= 8:
+		return 2
+	case n <= 16:
+		return 3
+	}
+	return 4
+}
+
+// bpKernel is the Monte-Carlo shot kernel: the fused sample, triage and
+// decode pipeline for one measurement point, built around 64-trial lane
+// groups. One PlaneSampler walk fills a group's defect planes,
+// core.LaneTriage classifies all 64 lanes in one fused word-parallel
+// pass, and lanes resolve in two tiers:
 //
 //   - fast-pathed, straight from plane algebra with no per-lane loop at
 //     all: W0 (fail = sampled cut parity bit), W1 off the north-parity
@@ -25,19 +79,23 @@ import (
 //   - gathered: the remainder (conflicted adjacency, deep or crowded
 //     singles, W2 punt band, W1 ties) has its per-lane defect lists
 //     extracted from the classifier's compact defect list — vertex order
-//     ascends, so lists arrive sorted — and runs the existing scalar
-//     core.Triage / full-decoder path, with core.Triage.PeelResidual
-//     stripping certified components off punted lanes before the decoder
-//     sees them.
+//     ascends, so lists arrive sorted — and runs the scalar core.Triage /
+//     full-decoder path, with core.Triage.PeelResidual stripping
+//     certified components off punted lanes before the decoder sees them.
+//     Corrections are never materialized: a full decode's cut-edge
+//     crossings fold into the lane's sampled cut parity.
 //
 // The fast/gathered split is what the afs_mc_bitplane_* counters publish;
 // fast + gathered == trials by construction.
 //
-// Triage-class tallies keep the scalar kernel's semantics (Matched,
-// Chain4, and SinglesOK heavy lanes count as TriageMulti — they are
-// precisely pair/chain/single decompositions resolved without a walk), so
-// the partition invariant w0+w1+w2+multi+full == trials carries over
-// unchanged.
+// Triage-class tallies follow core.Triage's classes (Matched, Chain4, and
+// SinglesOK heavy lanes count as TriageMulti — they are precisely
+// pair/chain/single decompositions resolved without a walk), so
+// w0+w1+w2+multi+full == trials.
+//
+// A kernel is single-owner state; each engine worker builds its own per
+// point, exactly like the decoder it wraps. Its lane classifier shares the
+// graph's cached tables, so a build costs little more than the decoder.
 type bpKernel struct {
 	g       *lattice.Graph
 	s       *noise.PlaneSampler
@@ -58,6 +116,8 @@ type bpKernel struct {
 	failLog []bool
 }
 
+// newBPKernel builds the kernel for cfg over graph g (cfg.graph() or an
+// equivalent). Seeding happens per chunk via reseed.
 func newBPKernel(cfg AccuracyConfig, g *lattice.Graph) *bpKernel {
 	k := &bpKernel{
 		g:      g,
@@ -72,6 +132,8 @@ func newBPKernel(cfg AccuracyConfig, g *lattice.Graph) *bpKernel {
 	return k
 }
 
+// reseed rewinds the kernel's random stream to the chunk stream
+// PCG(seed1, seed2), the engine's chunk-seeded determinism contract.
 func (k *bpKernel) reseed(seed1, seed2 uint64) { k.s.Reseed(seed1, seed2) }
 
 // fullDecode resolves one lane through the full decoder, folding the
@@ -88,8 +150,8 @@ func (k *bpKernel) fullDecode(df []int32, par bool) bool {
 // run executes n trials in groups of up to 64 lanes and returns the
 // chunk's tally. Allocation is zero once the gather lists reach their
 // high-water mark (test-enforced). The group decomposition is a function
-// of n alone, so for the engine's fixed chunking the trial streams are
-// deterministic exactly as in the scalar kernel.
+// of n alone, so for the engine's fixed chunking each chunk's trials are a
+// pure function of its seed.
 func (k *bpKernel) run(n uint64) chunkTally {
 	var t chunkTally
 	for n > 0 {

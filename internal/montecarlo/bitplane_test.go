@@ -39,7 +39,7 @@ func TestBitPlaneTriagedBitIdenticalToFullPath(t *testing.T) {
 				"uf":        ufFactory,
 				"uf-sparse": sparseUFFactory,
 			} {
-				cfg := AccuracyConfig{Distance: d, P: p, Seed: 42, New: factory, BitPlane: true}
+				cfg := AccuracyConfig{Distance: d, P: p, Seed: 42, New: factory}
 				triaged := runLoggedBP(cfg, trials, chunk)
 				cfg.DisableTriage = true
 				full := runLoggedBP(cfg, trials, chunk)
@@ -58,7 +58,7 @@ func TestBitPlaneTriagedBitIdenticalToFullPath(t *testing.T) {
 	}
 	// MWPM cross-check at small d (its decode is much slower).
 	for _, d := range []int{3, 5} {
-		cfg := AccuracyConfig{Distance: d, P: 0.01, Seed: 23, New: mwpmFactory, BitPlane: true}
+		cfg := AccuracyConfig{Distance: d, P: 0.01, Seed: 23, New: mwpmFactory}
 		triaged := runLoggedBP(cfg, 2048, 512)
 		cfg.DisableTriage = true
 		full := runLoggedBP(cfg, 2048, 512)
@@ -85,7 +85,7 @@ func TestBitPlaneKernelMatchesPerLaneReference(t *testing.T) {
 		p float64
 	}{{3, 0.01}, {5, 0.003}, {7, 0.001}, {5, 0.02}, {9, 0.005}} {
 		const trials, chunk = 3072, 1024
-		cfg := AccuracyConfig{Distance: tc.d, P: tc.p, Seed: 7, New: ufFactory, BitPlane: true}
+		cfg := AccuracyConfig{Distance: tc.d, P: tc.p, Seed: 7, New: ufFactory}
 		got := runLoggedBP(cfg, trials, chunk)
 
 		g := cfg.graph()
@@ -136,10 +136,10 @@ func TestBitPlaneKernelMatchesPerLaneReference(t *testing.T) {
 }
 
 // Engine determinism: bit-plane results must be identical across worker
-// counts, exactly like the scalar kernel's contract.
+// counts.
 func TestBitPlaneEngineWorkerInvariance(t *testing.T) {
 	base := AccuracyConfig{
-		Distance: 5, P: 0.005, Trials: 30000, Seed: 77, New: sparseUFFactory, BitPlane: true,
+		Distance: 5, P: 0.005, Trials: 30000, Seed: 77, New: sparseUFFactory,
 	}
 	base.Workers = 1
 	one := RunAccuracy(base)
@@ -158,7 +158,6 @@ func TestBitPlaneEngineWorkerInvariance(t *testing.T) {
 func TestBitPlaneTalliesPartitionTrials(t *testing.T) {
 	res := RunAccuracy(AccuracyConfig{
 		Distance: 5, P: 0.003, Trials: 20000, Seed: 5, Workers: 2, New: sparseUFFactory,
-		BitPlane: true,
 	})
 	if sum := res.TriageW0 + res.TriageW1 + res.TriageW2 + res.TriageMulti + res.FullDecodes; sum != res.Trials {
 		t.Fatalf("triage classes sum to %d, trials %d", sum, res.Trials)
@@ -179,17 +178,17 @@ func TestBitPlaneTalliesPartitionTrials(t *testing.T) {
 	}
 }
 
-// Seeded distribution equivalence at the engine level: the bit-plane and
-// scalar kernels sample from the same per-site Bernoulli distribution, so
-// their measured logical error rates over a large fixed-seed run must
-// agree within tight Monte-Carlo tolerance (~6 sigma; both runs are
-// deterministic, so this never flakes).
+// Seeded distribution equivalence at the engine level: the bit-plane
+// kernel and the plain scalar path (RunAccuracyStatic: noise.Sampler
+// trials, full decode, residual parity) sample from the same per-site
+// Bernoulli distribution, so their measured logical error rates over a
+// large fixed-seed run must agree within tight Monte-Carlo tolerance
+// (~6 sigma; both runs are deterministic, so this never flakes).
 func TestBitPlaneLogicalRateMatchesScalarKernel(t *testing.T) {
 	base := AccuracyConfig{
 		Distance: 3, P: 0.01, Trials: 300000, Seed: 31, Workers: 4, New: sparseUFFactory,
 	}
-	scalar := RunAccuracy(base)
-	base.BitPlane = true
+	scalar := RunAccuracyStatic(base)
 	base.Seed = 77 // independent stream on purpose: this is a distribution check
 	plane := RunAccuracy(base)
 	rs, rp := scalar.LogicalErrorRate, plane.LogicalErrorRate
@@ -213,7 +212,7 @@ func TestBitPlaneLogicalRateMatchesScalarKernel(t *testing.T) {
 // deterministic rather than hostage to extreme-value record growth).
 func TestBitPlaneKernelZeroAllocSteadyState(t *testing.T) {
 	for _, p := range []float64{0.001, 0.02} {
-		cfg := AccuracyConfig{Distance: 11, P: p, Seed: 9, New: sparseUFFactory, BitPlane: true}
+		cfg := AccuracyConfig{Distance: 11, P: p, Seed: 9, New: sparseUFFactory}
 		k := newBPKernel(cfg, cfg.graph())
 		k.reseed(cfg.Seed, 0)
 		k.run(4 * BatchTrials) // reach the high-water mark
@@ -227,10 +226,10 @@ func TestBitPlaneKernelZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestPerfSmokeBitPlaneKernel pins the bit-plane kernel's floors at the
-// paper's design point (d=11, p=1e-3) — the tentpole's speedup claim lives
-// at this point, so a regression that silently falls back to scalar speed
-// trips here. Three floors: raw throughput (set ~2x under dev-machine
+// TestPerfSmokeBitPlaneKernel pins the kernel's floors at the paper's
+// design point (d=11, p=1e-3), where its speedup over per-trial
+// processing lives, so a regression that silently falls back to scalar
+// speed trips here. Three floors: raw throughput (set ~2x under dev-machine
 // numbers, so only real regressions — not CI jitter — fail), the
 // machine-independent fast-lane fraction (dev machines measure ~0.96; a
 // broken Matched/Chain4/SinglesOK/duo class drops it far below the 0.90
@@ -245,7 +244,7 @@ func TestPerfSmokeBitPlaneKernel(t *testing.T) {
 	const floorTPS = 1_500_000.0
 	const floorFastFrac = 0.90
 	const floorPeelFrac = 0.60
-	cfg := AccuracyConfig{Distance: 11, P: 1e-3, Seed: 1, New: sparseUFFactory, BitPlane: true}
+	cfg := AccuracyConfig{Distance: 11, P: 1e-3, Seed: 1, New: sparseUFFactory}
 	k := newBPKernel(cfg, cfg.graph())
 	k.reseed(cfg.Seed, 0)
 	k.run(1 << 16) // warm
@@ -271,9 +270,9 @@ func TestPerfSmokeBitPlaneKernel(t *testing.T) {
 	}
 }
 
-// BenchmarkBitPlaneKernel measures the bit-plane pipeline at the paper's
-// design point (d=11, p=0.001); ns/op is ns per trial. BENCH_6.json
-// records this against the scalar batch kernel's 515 ns/trial.
+// BenchmarkBitPlaneKernel measures the shot kernel at the paper's design
+// point (d=11, p=0.001); ns/op is ns per trial. BENCH_6.json records this
+// against the since-removed scalar batch kernel's 515 ns/trial.
 func BenchmarkBitPlaneKernel(b *testing.B) {
 	benchBPKernel(b, false, false)
 }
@@ -294,7 +293,7 @@ func BenchmarkBitPlaneKernelNoPeel(b *testing.B) {
 func benchBPKernel(b *testing.B, disableTriage, disablePeel bool) {
 	cfg := AccuracyConfig{
 		Distance: 11, P: 0.001, Seed: 2, New: sparseUFFactory,
-		BitPlane: true, DisableTriage: disableTriage, DisablePeel: disablePeel,
+		DisableTriage: disableTriage, DisablePeel: disablePeel,
 	}
 	k := newBPKernel(cfg, cfg.graph())
 	k.reseed(cfg.Seed, 0)

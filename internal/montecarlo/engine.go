@@ -23,12 +23,10 @@ type point struct {
 	defects  atomic.Uint64 // total defects observed (for MeanDefects)
 	stopped  atomic.Bool   // adaptive early-stopping latch
 
-	// Triage-class tallies (see kernel.run), folded in once per chunk.
+	// Triage-class and lane tallies (see bpKernel.run), folded in once per
+	// chunk.
 	w0, w1, w2, multi, full atomic.Uint64
-
-	// Bit-plane lane tallies (see bpKernel.run), zero under the scalar
-	// kernel.
-	bpFast, bpGathered atomic.Uint64
+	bpFast, bpGathered      atomic.Uint64
 
 	// Partial-residual peel tallies (see chunkTally).
 	peeled, peelResolved, residual atomic.Uint64
@@ -193,7 +191,7 @@ func runPoints(points []*point, workers int) {
 			shard := nextMCShard()
 			for _, pt := range points {
 				g := pt.cfg.graph()
-				var k runner
+				var k *bpKernel
 				for {
 					lo, hi, c, ok := pt.claim()
 					if !ok {
@@ -202,13 +200,11 @@ func runPoints(points []*point, workers int) {
 					// Lazy per-point state: a worker that never claims a
 					// chunk of this point builds nothing for it. Each chunk
 					// owns the deterministic random stream
-					// PCG(Seed, chunkIndex), so results do not depend on
-					// which worker runs it — nor on the batch width, since
-					// the batch sampler consumes the stream exactly like
-					// the scalar one (the bit-plane kernel keeps the same
-					// per-chunk contract on its own documented stream).
+					// PCG(Seed, chunkIndex), and the kernel's lane groups
+					// depend only on the chunk's length, so results do not
+					// depend on which worker runs it.
 					if k == nil {
-						k = newRunner(pt.cfg, g)
+						k = newBPKernel(pt.cfg, g)
 					}
 					k.reseed(pt.cfg.Seed, c)
 					t := k.run(hi - lo)

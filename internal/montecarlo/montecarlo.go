@@ -64,17 +64,6 @@ type AccuracyConfig struct {
 	// chunk is its own random stream), not on how chunks land on workers.
 	ChunkTrials uint64
 
-	// BitPlane selects the bit-plane SWAR shot kernel (bitplane.go): 64
-	// trials per machine word, sampled by noise.PlaneSampler and
-	// classified by core.LaneTriage, with only heavy-tail lanes gathered
-	// into the scalar triage/decoder path. The per-chunk determinism
-	// contract is unchanged, but the random stream differs from the scalar
-	// kernel's (the plane sampler interleaves 64 trials into one
-	// geometric-skip walk — see the PlaneSampler draw-order contract), so
-	// measured rates are reproducible per kernel, not across kernels;
-	// equivalence in distribution is test-enforced.
-	BitPlane bool
-
 	// DisableTriage turns off the weight-class triage fast paths
 	// (core.Triage) and routes every trial through New's full decoder.
 	// Triage is provably failure-equivalent for every decoder in the repo
@@ -166,11 +155,9 @@ type AccuracyResult struct {
 	TriageW2    uint64
 	TriageMulti uint64
 	FullDecodes uint64
-	// Bit-plane lane tallies, populated only by the bit-plane kernel
-	// (AccuracyConfig.BitPlane): lanes resolved straight from plane
-	// algebra vs lanes whose defect lists were gathered for the scalar
-	// path. BitPlaneFastLanes+BitPlaneGatheredLanes == Trials when the
-	// bit-plane kernel ran.
+	// Bit-plane lane tallies: lanes resolved straight from plane algebra
+	// vs lanes whose defect lists were gathered for the scalar triage and
+	// decoder path. BitPlaneFastLanes+BitPlaneGatheredLanes == Trials.
 	BitPlaneFastLanes     uint64
 	BitPlaneGatheredLanes uint64
 	// Partial-residual peel tallies (core.Triage.PeelResidual): certified
@@ -178,11 +165,9 @@ type AccuracyResult struct {
 	// decomposition (a subset of TriageMulti), full decodes that ran on a
 	// strictly smaller residual (a subset of FullDecodes), and the
 	// defect-count histogram of those residuals (buckets <=2, <=4, <=8,
-	// <=16, >16). Both kernels route every multi-defect (>= 3) syndrome
-	// through the peel — the bit-plane kernel on its gathered lanes, the
-	// scalar kernel fused into its triage loop — so the tallies are
-	// kernel-comparable; the triage partition
-	// w0+w1+w2+multi+full == trials is unaffected either way.
+	// <=16, >16). Every gathered multi-defect (>= 3) lane goes through the
+	// peel; the triage partition w0+w1+w2+multi+full == trials is
+	// unaffected.
 	PeeledComponents uint64
 	PeelResolved     uint64
 	ResidualDecodes  uint64
@@ -217,8 +202,8 @@ func (r *AccuracyResult) TriageFractions() (w0, w1, w2, multi, full float64) {
 }
 
 // BitPlaneFractions returns the bit-plane lane tallies as fractions of
-// executed trials; fast+gathered == 1 whenever the bit-plane kernel ran
-// (test-enforced). Both are 0 under the scalar kernel.
+// executed trials; fast+gathered == 1 whenever any trials ran
+// (test-enforced).
 func (r *AccuracyResult) BitPlaneFractions() (fast, gathered float64) {
 	if r.Trials == 0 {
 		return 0, 0

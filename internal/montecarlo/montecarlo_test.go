@@ -57,6 +57,32 @@ func TestRepeated2DDegradesWithDistance(t *testing.T) {
 	}
 }
 
+// RunRepeated2D seeds per fixed chunk, like the engine, so its failure
+// count is a function of (Seed, Trials, ChunkTrials) alone: the Figure
+// 3(b) transcript must not depend on the host's core count.
+func TestRepeated2DIndependentOfWorkerCount(t *testing.T) {
+	base := AccuracyConfig{Distance: 5, P: 0.01, Trials: 40000, Seed: 3, New: ufFactory}
+	var ref AccuracyResult
+	for i, w := range []int{1, 2, 3} {
+		cfg := base
+		cfg.Workers = w
+		r := RunRepeated2D(cfg)
+		if r.Trials != base.Trials {
+			t.Fatalf("workers=%d ran %d trials, want %d", w, r.Trials, base.Trials)
+		}
+		if i == 0 {
+			ref = r
+			if ref.Failures == 0 {
+				t.Fatal("test point produced no failures; pick a harder point")
+			}
+			continue
+		}
+		if r.Failures != ref.Failures || r.CI != ref.CI {
+			t.Fatalf("workers=%d: %d failures, 1 worker %d", w, r.Failures, ref.Failures)
+		}
+	}
+}
+
 // TestMWPMAtLeastAsAccurateAsUF2D: on the 2-D perfect-measurement problem,
 // exact matching is the more accurate decoder (UF approximates it).
 func TestMWPMAtLeastAsAccurateAsUF2D(t *testing.T) {

@@ -18,7 +18,7 @@ type mcObs struct {
 	failures   *obs.Counter
 	earlyStops *obs.Counter
 
-	// Triage-class tallies from the fused batch kernel: how many trials
+	// Triage-class tallies from the shot kernel: how many trials
 	// each fast path resolved and how many fell through to the full
 	// decoder. -metrics divides these by afs_mc_trials_total for live
 	// fast-path hit rates.
@@ -28,11 +28,9 @@ type mcObs struct {
 	triageMulti *obs.Counter
 	fullDecode  *obs.Counter
 
-	// Bit-plane kernel lane tallies: how many trial lanes the plane
-	// algebra resolved outright and how many were gathered into the
-	// scalar path. Both stay zero under the scalar kernel;
-	// bitplaneFast+bitplaneGathered == afs_mc_trials_total for pure
-	// bit-plane runs.
+	// Lane tallies: how many trial lanes the plane algebra resolved
+	// outright and how many were gathered into the scalar triage and
+	// decoder path; bitplaneFast+bitplaneGathered == afs_mc_trials_total.
 	bitplaneFast     *obs.Counter
 	bitplaneGathered *obs.Counter
 

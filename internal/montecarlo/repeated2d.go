@@ -1,8 +1,10 @@
 package montecarlo
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"afs/internal/lattice"
@@ -18,104 +20,105 @@ import (
 // the paper's motivation for processing d rounds at once.
 //
 // cfg.Rounds = 0 selects d rounds (one logical cycle); cfg.New builds the
-// 2-D decoder applied every round.
+// 2-D decoder applied every round. Trials run in chunks of
+// cfg.ChunkTrials (DefaultChunkTrials when zero) claimed off a shared
+// counter, chunk c drawing from its own stream PCG(Seed^0x2d2d, c), so
+// the result depends on (Seed, Trials, ChunkTrials) and not on Workers.
 func RunRepeated2D(cfg AccuracyConfig) AccuracyResult {
 	start := time.Now()
 	rounds := cfg.rounds()
 	g := lattice.Cached2D(cfg.Distance)
 	cut := g.NorthCutQubits()
+	chunk := cfg.chunkTrials()
+	nChunks := (cfg.Trials + chunk - 1) / chunk
 
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if uint64(workers) > cfg.Trials && cfg.Trials > 0 {
-		workers = int(cfg.Trials)
-	}
-	if workers < 1 {
-		workers = 1
+	if uint64(workers) > nChunks {
+		workers = int(nChunks)
 	}
 
-	failuresPer := make([]uint64, workers)
+	var next, failures atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		share := cfg.Trials / uint64(workers)
-		if uint64(w) < cfg.Trials%uint64(workers) {
-			share++
-		}
 		wg.Add(1)
-		go func(w int, share uint64) {
+		go func() {
 			defer wg.Done()
 			dec := cfg.New(g)
-			// The sampler is used purely as a seeded random stream here;
-			// fault placement is done round by round below.
-			s := noise.NewSampler(g, cfg.P, cfg.Seed^0x2d2d, uint64(w)+1)
-			rng := s.RNG()
+			pcg := rand.NewPCG(0, 0)
+			rng := rand.New(pcg)
 			nq := g.NumDataQubits()
 			data := noise.NewBitset(nq)
 			marks := make([]bool, g.V)
 			var defects []int32
-			for i := uint64(0); i < share; i++ {
-				data.Clear()
-				for r := 0; r < rounds; r++ {
-					// A round of data-qubit noise.
-					noise.SparseBernoulli(rng, nq, cfg.P, func(q int) {
-						data.Flip(q)
-					})
-					// True syndrome of the accumulated data error.
-					defects = defects[:0]
-					data.ForEachSet(func(q int) {
-						e := g.SpatialEdge(int32(q), 0)
-						ed := &g.Edges[e]
-						if !g.IsBoundary(ed.U) {
-							marks[ed.U] = !marks[ed.U]
+			for {
+				c := next.Add(1) - 1
+				if c >= nChunks {
+					return
+				}
+				pcg.Seed(cfg.Seed^0x2d2d, c)
+				var fails uint64
+				for i := c * chunk; i < min((c+1)*chunk, cfg.Trials); i++ {
+					data.Clear()
+					for r := 0; r < rounds; r++ {
+						// A round of data-qubit noise.
+						noise.SparseBernoulli(rng, nq, cfg.P, func(q int) {
+							data.Flip(q)
+						})
+						// True syndrome of the accumulated data error.
+						defects = defects[:0]
+						data.ForEachSet(func(q int) {
+							e := g.SpatialEdge(int32(q), 0)
+							ed := &g.Edges[e]
+							if !g.IsBoundary(ed.U) {
+								marks[ed.U] = !marks[ed.U]
+							}
+							if !g.IsBoundary(ed.V) {
+								marks[ed.V] = !marks[ed.V]
+							}
+						})
+						// Measurement errors flip observed syndrome bits.
+						noise.SparseBernoulli(rng, g.V, cfg.P, func(v int) {
+							marks[v] = !marks[v]
+						})
+						for v := int32(0); v < int32(g.V); v++ {
+							if marks[v] {
+								marks[v] = false
+								defects = append(defects, v)
+							}
 						}
-						if !g.IsBoundary(ed.V) {
-							marks[ed.V] = !marks[ed.V]
-						}
-					})
-					// Measurement errors flip observed syndrome bits.
-					noise.SparseBernoulli(rng, g.V, cfg.P, func(v int) {
-						marks[v] = !marks[v]
-					})
-					for v := int32(0); v < int32(g.V); v++ {
-						if marks[v] {
-							marks[v] = false
-							defects = append(defects, v)
+						// Decode on the 2-D graph and apply immediately.
+						for _, e := range dec.Decode(defects) {
+							ed := &g.Edges[e]
+							if ed.Kind == lattice.Spatial {
+								data.Flip(int(ed.Qubit))
+							}
 						}
 					}
-					// Decode on the 2-D graph and apply immediately.
-					for _, e := range dec.Decode(defects) {
-						ed := &g.Edges[e]
-						if ed.Kind == lattice.Spatial {
-							data.Flip(int(ed.Qubit))
-						}
+					if data.Parity(cut) {
+						fails++
 					}
 				}
-				if data.Parity(cut) {
-					failuresPer[w]++
-				}
+				failures.Add(fails)
 			}
-		}(w, share)
+		}()
 	}
 	wg.Wait()
 
-	var failures uint64
-	for _, f := range failuresPer {
-		failures += f
-	}
 	res := AccuracyResult{
 		Distance:        cfg.Distance,
 		Rounds:          rounds,
 		P:               cfg.P,
 		Trials:          cfg.Trials,
 		TrialsRequested: cfg.Trials,
-		Failures:        failures,
+		Failures:        failures.Load(),
 		Elapsed:         time.Since(start),
 	}
 	if cfg.Trials > 0 {
-		res.LogicalErrorRate = float64(failures) / float64(cfg.Trials)
+		res.LogicalErrorRate = float64(res.Failures) / float64(cfg.Trials)
 	}
-	res.CI = rateInterval(failures, cfg.Trials, cfg.Seed^0x3b3b)
+	res.CI = rateInterval(res.Failures, cfg.Trials, cfg.Seed^0x3b3b)
 	return res
 }

@@ -1,7 +1,7 @@
 // Tests for the partial-residual peel wiring: failure-bit identity with
 // peeling ablated, tally coherence through the engine, and the DisablePeel
 // switch. The peel's soundness certificate itself is tested in
-// internal/core (residual_test.go); these tests pin the kernels' use of it.
+// internal/core (residual_test.go); these tests pin the kernel's use of it.
 package montecarlo
 
 import (
@@ -9,35 +9,25 @@ import (
 )
 
 // Peeling must not change any trial's logical outcome — it only moves work
-// from the full decoder to closed forms. Both kernels, peel on vs off,
-// trial for trial. (TestTriagedBitIdenticalToFullPath separately checks
-// the peeled pipeline against the fully untriaged path.)
+// from the full decoder to closed forms. Peel on vs off, trial for trial.
+// (TestBitPlaneTriagedBitIdenticalToFullPath separately checks the peeled
+// pipeline against the fully untriaged path.)
 func TestPeelBitIdenticalToUnpeeled(t *testing.T) {
 	const trials, chunk = 4096, 1024
 	for _, tc := range []struct {
 		d int
 		p float64
 	}{{5, 0.01}, {7, 0.005}, {9, 0.003}} {
-		for _, bitPlane := range []bool{false, true} {
-			cfg := AccuracyConfig{
-				Distance: tc.d, P: tc.p, Seed: 42, New: sparseUFFactory, BitPlane: bitPlane,
-			}
-			run := runLogged
-			if bitPlane {
-				run = runLoggedBP
-			}
-			peeled := run(cfg, trials, chunk)
-			cfg.DisablePeel = true
-			plain := run(cfg, trials, chunk)
-			if len(peeled) != trials || len(plain) != trials {
-				t.Fatalf("d=%d p=%g bp=%v: logged %d/%d of %d trials",
-					tc.d, tc.p, bitPlane, len(peeled), len(plain), trials)
-			}
-			for i := range peeled {
-				if peeled[i] != plain[i] {
-					t.Fatalf("d=%d p=%g bp=%v: trial %d: peeled=%v unpeeled=%v",
-						tc.d, tc.p, bitPlane, i, peeled[i], plain[i])
-				}
+		cfg := AccuracyConfig{Distance: tc.d, P: tc.p, Seed: 42, New: sparseUFFactory}
+		peeled := runLoggedBP(cfg, trials, chunk)
+		cfg.DisablePeel = true
+		plain := runLoggedBP(cfg, trials, chunk)
+		if len(peeled) != trials || len(plain) != trials {
+			t.Fatalf("d=%d p=%g: logged %d/%d of %d trials", tc.d, tc.p, len(peeled), len(plain), trials)
+		}
+		for i := range peeled {
+			if peeled[i] != plain[i] {
+				t.Fatalf("d=%d p=%g: trial %d: peeled=%v unpeeled=%v", tc.d, tc.p, i, peeled[i], plain[i])
 			}
 		}
 	}
@@ -47,43 +37,39 @@ func TestPeelBitIdenticalToUnpeeled(t *testing.T) {
 // trials are a subset of TriageMulti, residual decodes a subset of
 // FullDecodes, the defect histogram partitions the residual decodes, and
 // every peel outcome accounts for at least one peeled component. Run at an
-// operating point with a real heavy tail so the tallies are exercised, for
-// both kernels.
+// operating point with a real heavy tail so the tallies are exercised.
 func TestPeelTalliesCoherent(t *testing.T) {
-	for _, bitPlane := range []bool{false, true} {
-		res := RunAccuracy(AccuracyConfig{
-			Distance: 7, P: 0.01, Trials: 40000, Seed: 5, Workers: 2, New: sparseUFFactory,
-			BitPlane: bitPlane,
-		})
-		if sum := res.TriageW0 + res.TriageW1 + res.TriageW2 + res.TriageMulti + res.FullDecodes; sum != res.Trials {
-			t.Fatalf("bp=%v: triage classes sum to %d, trials %d", bitPlane, sum, res.Trials)
-		}
-		if res.PeeledComponents == 0 || res.PeelResolved == 0 || res.ResidualDecodes == 0 {
-			t.Fatalf("bp=%v: peel never fired at d=7 p=0.01: %+v", bitPlane, res)
-		}
-		if res.PeelResolved > res.TriageMulti {
-			t.Fatalf("bp=%v: peel-resolved %d exceeds TriageMulti %d", bitPlane, res.PeelResolved, res.TriageMulti)
-		}
-		if res.ResidualDecodes > res.FullDecodes {
-			t.Fatalf("bp=%v: residual decodes %d exceed FullDecodes %d", bitPlane, res.ResidualDecodes, res.FullDecodes)
-		}
-		var hist uint64
-		for _, n := range res.ResidualDefects {
-			hist += n
-		}
-		if hist != res.ResidualDecodes {
-			t.Fatalf("bp=%v: residual histogram sums to %d, residual decodes %d", bitPlane, hist, res.ResidualDecodes)
-		}
-		// Every resolved trial and every residual decode peeled >= 1
-		// component.
-		if res.PeeledComponents < res.PeelResolved+res.ResidualDecodes {
-			t.Fatalf("bp=%v: %d components cannot cover %d resolved + %d residual trials",
-				bitPlane, res.PeeledComponents, res.PeelResolved, res.ResidualDecodes)
-		}
-		resolved, residual := res.PeelFractions()
-		if resolved <= 0 || residual <= 0 || resolved+residual > 1 {
-			t.Fatalf("bp=%v: implausible peel fractions resolved=%g residual=%g", bitPlane, resolved, residual)
-		}
+	res := RunAccuracy(AccuracyConfig{
+		Distance: 7, P: 0.01, Trials: 40000, Seed: 5, Workers: 2, New: sparseUFFactory,
+	})
+	if sum := res.TriageW0 + res.TriageW1 + res.TriageW2 + res.TriageMulti + res.FullDecodes; sum != res.Trials {
+		t.Fatalf("triage classes sum to %d, trials %d", sum, res.Trials)
+	}
+	if res.PeeledComponents == 0 || res.PeelResolved == 0 || res.ResidualDecodes == 0 {
+		t.Fatalf("peel never fired at d=7 p=0.01: %+v", res)
+	}
+	if res.PeelResolved > res.TriageMulti {
+		t.Fatalf("peel-resolved %d exceeds TriageMulti %d", res.PeelResolved, res.TriageMulti)
+	}
+	if res.ResidualDecodes > res.FullDecodes {
+		t.Fatalf("residual decodes %d exceed FullDecodes %d", res.ResidualDecodes, res.FullDecodes)
+	}
+	var hist uint64
+	for _, n := range res.ResidualDefects {
+		hist += n
+	}
+	if hist != res.ResidualDecodes {
+		t.Fatalf("residual histogram sums to %d, residual decodes %d", hist, res.ResidualDecodes)
+	}
+	// Every resolved trial and every residual decode peeled >= 1
+	// component.
+	if res.PeeledComponents < res.PeelResolved+res.ResidualDecodes {
+		t.Fatalf("%d components cannot cover %d resolved + %d residual trials",
+			res.PeeledComponents, res.PeelResolved, res.ResidualDecodes)
+	}
+	resolved, residual := res.PeelFractions()
+	if resolved <= 0 || residual <= 0 || resolved+residual > 1 {
+		t.Fatalf("implausible peel fractions resolved=%g residual=%g", resolved, residual)
 	}
 }
 
@@ -96,7 +82,6 @@ func TestDisablePeelZeroesTallies(t *testing.T) {
 	for _, cfg := range []AccuracyConfig{
 		func() AccuracyConfig { c := base; c.DisablePeel = true; return c }(),
 		func() AccuracyConfig { c := base; c.DisableTriage = true; return c }(),
-		func() AccuracyConfig { c := base; c.BitPlane = true; c.DisablePeel = true; return c }(),
 	} {
 		res := RunAccuracy(cfg)
 		if res.PeeledComponents != 0 || res.PeelResolved != 0 || res.ResidualDecodes != 0 {

@@ -1,39 +1,27 @@
 package noise
 
 import (
-	"math"
-	"math/rand/v2"
+	"math/bits"
 
 	"afs/internal/lattice"
 )
 
 // Batch is a structure-of-arrays block of K sampled trials: all trials'
-// fault edges in one slice, all defect lists in another, offsets delimiting
-// each trial. The layout amortizes per-trial setup across the block and
-// keeps the fused Monte-Carlo kernel's working set contiguous. All storage
-// is reused by the next SampleBatch call.
+// defect lists in one slice, offsets delimiting each trial. All storage is
+// reused by the next SampleBatch call.
 type Batch struct {
 	// K is the number of trials currently held.
 	K int
-	// EdgeOff has K+1 entries; trial i's fault edges are
-	// Edges[EdgeOff[i]:EdgeOff[i+1]].
-	EdgeOff []int32
-	Edges   []int32
-	// DefectOff has K+1 entries; trial i's defects (sorted, exactly as
-	// Sampler.Sample produces them) are Defects[DefectOff[i]:DefectOff[i+1]].
+	// DefectOff has K+1 entries; trial i's defects (sorted ascending) are
+	// Defects[DefectOff[i]:DefectOff[i+1]].
 	DefectOff []int32
 	Defects   []int32
 	// CutParity[i] is the parity of trial i's net data error over the
 	// sampler's logical cut — the XOR over sampled cut-qubit spatial edges.
 	// By linearity this replaces the per-trial NetData bitset: the residual
 	// parity the failure check needs is CutParity XOR the correction's own
-	// cut parity, so the batch pipeline never materializes data-qubit masks.
+	// cut parity, so a decode loop never materializes data-qubit masks.
 	CutParity []bool
-}
-
-// TrialEdges returns trial i's fault edges (aliasing batch storage).
-func (b *Batch) TrialEdges(i int) []int32 {
-	return b.Edges[b.EdgeOff[i]:b.EdgeOff[i+1]]
 }
 
 // TrialDefects returns trial i's sorted defect list (aliasing batch
@@ -42,175 +30,92 @@ func (b *Batch) TrialDefects(i int) []int32 {
 	return b.Defects[b.DefectOff[i]:b.DefectOff[i+1]]
 }
 
-// BatchSampler draws phenomenological-noise trials in structure-of-arrays
-// batches. It consumes its random stream exactly like Sampler — one
-// Float64 per geometric skip, trial after trial — so a BatchSampler seeded
-// like a Sampler produces bit-identical trial sequences; the Monte-Carlo
-// determinism contract (chunk-seeded results independent of worker count
-// and of batching) rides on this equivalence, which batch_test.go enforces.
+// BatchSampler is the list form of PlaneSampler's walk: it samples full
+// 64-lane plane groups and hands their lanes out in order, one trial per
+// lane, as sorted defect lists plus cut parity. Seeded like a PlaneSampler
+// and reseeded at the same points, it yields exactly the trials the
+// Monte-Carlo kernel classifies, lane for lane — the batch width never
+// matters, and a partial tail group of K lanes equals the first K lanes of
+// a full group (PlaneSampler's lane-prefix invariance) — so sample-only
+// replays and tests can rebuild any chunk of a run as per-trial lists.
 type BatchSampler struct {
-	G *lattice.Graph
-	P float64
-
-	pcg  *rand.PCG
-	rng  *rand.Rand
-	logq float64
-	// marks and epoch: the same stamped-parity scheme as Sampler, shared
-	// across the whole batch — the epoch bump is all the per-trial reset.
-	marks []uint64
-	epoch uint64
-	// cutEdge[e] reports whether a fault on edge e flips the logical cut:
-	// spatial edges on the cut qubits, in any detector layer.
-	cutEdge []bool
-	// ep is a compact per-edge endpoint table with boundary endpoints
-	// pre-resolved to -1: the stamping loops touch 8 bytes per fault edge
-	// instead of the full lattice.Edge record and skip the IsBoundary test.
-	ep     []edgeEP
-	faults uint64
-	trials uint64
+	ps *PlaneSampler
+	// pg is the buffered group; its storage is sized on the first draw, so
+	// constructing a sampler allocates no plane storage.
+	pg PlaneGroup
+	// lane is the next lane of pg to hand out; 64 means nothing buffered.
+	lane int
+	// The buffered group in list form: lane t's sorted defects are
+	// defs[off[t]:off[t+1]].
+	off  [65]int32
+	defs []int32
 }
-
-type edgeEP struct{ U, V int32 }
 
 // NewBatchSampler creates a batch sampler for graph g at physical error
 // rate p, tracking net-error parity over the data qubits in cut (normally
-// g.NorthCutQubits()). The seed words mirror NewSampler.
+// g.NorthCutQubits()). The seed words mirror NewPlaneSampler.
 func NewBatchSampler(g *lattice.Graph, p float64, seed1, seed2 uint64, cut []int32) *BatchSampler {
-	if p < 0 || p >= 1 {
-		panic("noise: physical error rate must be in [0,1)")
-	}
-	inCut := make([]bool, g.NumDataQubits())
-	for _, q := range cut {
-		inCut[q] = true
-	}
-	cutEdge := make([]bool, len(g.Edges))
-	ep := make([]edgeEP, len(g.Edges))
-	for e := range g.Edges {
-		ed := &g.Edges[e]
-		cutEdge[e] = ed.Kind == lattice.Spatial && inCut[ed.Qubit]
-		u, v := ed.U, ed.V
-		if g.IsBoundary(u) {
-			u = -1
-		}
-		if g.IsBoundary(v) {
-			v = -1
-		}
-		ep[e] = edgeEP{u, v}
-	}
-	pcg := rand.NewPCG(seed1, seed2)
-	return &BatchSampler{
-		G:       g,
-		P:       p,
-		pcg:     pcg,
-		rng:     rand.New(pcg),
-		logq:    math.Log1p(-p),
-		marks:   make([]uint64, g.V),
-		cutEdge: cutEdge,
-		ep:      ep,
-	}
+	return &BatchSampler{ps: NewPlaneSampler(g, p, seed1, seed2, cut), lane: 64}
 }
 
 // Reseed rewinds the sampler onto a fresh deterministic stream without
-// allocating (the per-chunk seeding the engine's determinism contract
-// needs).
+// allocating, dropping any buffered lanes — the per-chunk seeding the
+// engine's determinism contract needs.
 func (s *BatchSampler) Reseed(seed1, seed2 uint64) {
-	s.pcg.Seed(seed1, seed2)
+	s.ps.Reseed(seed1, seed2)
+	s.lane = 64
 }
 
-// CutEdges exposes the per-edge cut-flip table so the decode kernel can
-// fold a full decoder's correction into the same parity. The slice must
-// not be modified.
-func (s *BatchSampler) CutEdges() []bool { return s.cutEdge }
-
-// MeanFaults returns the empirical mean number of faults per trial sampled
-// so far.
-func (s *BatchSampler) MeanFaults() float64 {
-	if s.trials == 0 {
-		return 0
-	}
-	return float64(s.faults) / float64(s.trials)
-}
-
-// SampleBatch fills b with k freshly sampled trials, reusing its storage.
+// SampleBatch fills b with the next k trials, reusing its storage.
 func (s *BatchSampler) SampleBatch(b *Batch, k int) {
 	b.K = k
-	b.EdgeOff = append(b.EdgeOff[:0], 0)
 	b.DefectOff = append(b.DefectOff[:0], 0)
-	b.Edges = b.Edges[:0]
 	b.Defects = b.Defects[:0]
 	if cap(b.CutParity) < k {
 		b.CutParity = make([]bool, k)
 	}
 	b.CutParity = b.CutParity[:k]
-
-	n := len(s.G.Edges)
-	rng, logq := s.rng, s.logq
-	cutEdge, ep, marks := s.cutEdge, s.ep, s.marks
 	for t := 0; t < k; t++ {
-		edgeStart := len(b.Edges)
-		par := false
-		// Geometric-skip sampling; draw-for-draw identical to Sampler.Sample.
-		if logq < 0 {
-			i := -1
-			for {
-				u := rng.Float64()
-				if u == 0 {
-					break // skip of +inf
-				}
-				skip := math.Floor(math.Log(u) / logq)
-				if skip >= float64(n) { // also catches +inf
-					break
-				}
-				i += int(skip) + 1
-				if i >= n {
-					break
-				}
-				b.Edges = append(b.Edges, int32(i))
-				if cutEdge[i] {
-					par = !par
-				}
-			}
+		if s.lane == 64 {
+			s.nextGroup()
 		}
-		b.CutParity[t] = par
-		trialEdges := b.Edges[edgeStart:]
-		s.faults += uint64(len(trialEdges))
-
-		// Epoch-stamped parity toggles, one fresh epoch per trial (see
-		// Sampler.Sample); boundary endpoints arrive pre-resolved to -1.
-		s.epoch += 2
-		odd, even := s.epoch, s.epoch-1
-		for _, ei := range trialEdges {
-			e := ep[ei]
-			if e.U >= 0 {
-				if marks[e.U] == odd {
-					marks[e.U] = even
-				} else {
-					marks[e.U] = odd
-				}
-			}
-			if e.V >= 0 {
-				if marks[e.V] == odd {
-					marks[e.V] = even
-				} else {
-					marks[e.V] = odd
-				}
-			}
-		}
-		defectStart := len(b.Defects)
-		for _, ei := range trialEdges {
-			e := ep[ei]
-			if e.U >= 0 && marks[e.U] == odd {
-				marks[e.U] = even
-				b.Defects = append(b.Defects, e.U)
-			}
-			if e.V >= 0 && marks[e.V] == odd {
-				marks[e.V] = even
-				b.Defects = append(b.Defects, e.V)
-			}
-		}
-		sortInt32(b.Defects[defectStart:])
-		b.EdgeOff = append(b.EdgeOff, int32(len(b.Edges)))
+		b.Defects = append(b.Defects, s.defs[s.off[s.lane]:s.off[s.lane+1]]...)
 		b.DefectOff = append(b.DefectOff, int32(len(b.Defects)))
+		b.CutParity[t] = s.pg.CutParity>>uint(s.lane)&1 != 0
+		s.lane++
 	}
-	s.trials += uint64(k)
+}
+
+// nextGroup samples a full group and transposes it into per-lane lists:
+// count each lane's defects, prefix-sum the offsets, then place every
+// defect in ascending vertex order, which sorts each list.
+func (s *BatchSampler) nextGroup() {
+	s.ps.SampleGroup(&s.pg, 64)
+	var pos [64]int32
+	for wi, tw := range s.pg.Touched {
+		for base := wi << 6; tw != 0; tw &= tw - 1 {
+			for w := s.pg.Defects[base+bits.TrailingZeros64(tw)]; w != 0; w &= w - 1 {
+				pos[bits.TrailingZeros64(w)]++
+			}
+		}
+	}
+	for t, n := range pos {
+		s.off[t+1] = s.off[t] + n
+		pos[t] = s.off[t]
+	}
+	if n := int(s.off[64]); cap(s.defs) < n {
+		s.defs = make([]int32, n, 2*n)
+	}
+	s.defs = s.defs[:s.off[64]]
+	for wi, tw := range s.pg.Touched {
+		for base := wi << 6; tw != 0; tw &= tw - 1 {
+			v := base + bits.TrailingZeros64(tw)
+			for w := s.pg.Defects[v]; w != 0; w &= w - 1 {
+				t := bits.TrailingZeros64(w)
+				s.defs[pos[t]] = int32(v)
+				pos[t]++
+			}
+		}
+	}
+	s.lane = 0
 }

@@ -6,14 +6,15 @@ import (
 	"afs/internal/lattice"
 )
 
-// The batch sampler must consume its random stream exactly like the scalar
-// sampler: same seeds, same trials, edge-for-edge and defect-for-defect.
-// The Monte-Carlo engine's determinism contract (results independent of
-// worker count and of batching) rides on this equivalence, and the
-// bit-plane sampler's seeded distribution-equivalence harness leans on it
-// as the pinned draw-for-draw baseline — so beyond a few edge geometries
-// (2-D, above-sweep rate, p = 0) the table covers every tier-1 sweep
-// point d in {3,5,7,9,11} x p in {1e-3, 3e-3, 1e-2}.
+// BatchSampler must hand out exactly the plane sampler's lanes, in order:
+// seeded alike, trial i is lane i%64 of group i/64 read one lane at a time
+// (PlaneGroup.AppendLaneDefects plus its cut bit). The walk crosses group
+// boundaries with batch widths that straddle them, reseeds mid-group (the
+// buffered lanes must be dropped, as a kernel chunk starts a fresh group),
+// and ends every stream with a partial tail group like the kernel's last
+// group of a chunk. Beyond a few edge geometries (2-D, an above-sweep
+// rate, p = 0) the table covers every tier-1 sweep point d in
+// {3,5,7,9,11} x p in {1e-3, 3e-3, 1e-2}.
 func TestBatchSamplerMatchesScalarSampler(t *testing.T) {
 	type tcase struct {
 		d, rounds int
@@ -27,49 +28,69 @@ func TestBatchSamplerMatchesScalarSampler(t *testing.T) {
 			cases = append(cases, tcase{d, d, p})
 		}
 	}
+	widths := []int{64, 1, 63, 100, 7, 256, 3}
 	for _, tc := range cases {
 		g := lattice.New3D(tc.d, tc.rounds)
 		if tc.rounds == 1 {
 			g = lattice.New2D(tc.d)
 		}
 		cut := g.NorthCutQubits()
-		scalar := NewSampler(g, tc.p, 42, 99)
+		planes := NewPlaneSampler(g, tc.p, 42, 99, cut)
 		batched := NewBatchSampler(g, tc.p, 42, 99, cut)
-
-		const trials, k = 503, 64 // deliberately not a multiple of k
-		var tr Trial
+		var pg PlaneGroup
 		var b Batch
-		done := 0
-		for done < trials {
-			n := k
-			if trials-done < n {
-				n = trials - done
-			}
-			batched.SampleBatch(&b, n)
-			if b.K != n {
-				t.Fatalf("batch K = %d, want %d", b.K, n)
-			}
-			for i := 0; i < n; i++ {
-				scalar.Sample(&tr)
-				if !equalInt32(b.TrialEdges(i), tr.ErrorEdges) {
-					t.Fatalf("d=%d p=%g trial %d: edges %v != scalar %v",
-						tc.d, tc.p, done+i, b.TrialEdges(i), tr.ErrorEdges)
-				}
-				if !equalInt32(b.TrialDefects(i), tr.Defects) {
-					t.Fatalf("d=%d p=%g trial %d: defects %v != scalar %v",
-						tc.d, tc.p, done+i, b.TrialDefects(i), tr.Defects)
-				}
-				if want := tr.NetData.Parity(cut); b.CutParity[i] != want {
-					t.Fatalf("d=%d p=%g trial %d: cut parity %v, NetData says %v",
-						tc.d, tc.p, done+i, b.CutParity[i], want)
+		// groups queues the next plane groups' lanes (k lanes each, so the
+		// last may be a partial tail group); draw takes n trials from the
+		// batch sampler in widths that straddle group boundaries and
+		// checks them against the queue.
+		var want [][]int32
+		var wantCut []bool
+		groups := func(ks ...int) {
+			for _, k := range ks {
+				planes.SampleGroup(&pg, k)
+				for lane := 0; lane < k; lane++ {
+					want = append(want, pg.AppendLaneDefects(lane, nil))
+					wantCut = append(wantCut, pg.CutParity>>uint(lane)&1 != 0)
 				}
 			}
-			done += n
 		}
-		if scalar.MeanFaults() != batched.MeanFaults() {
-			t.Fatalf("mean faults diverge: scalar %g batched %g",
-				scalar.MeanFaults(), batched.MeanFaults())
+		trial := 0
+		draw := func(stream string) {
+			t.Helper()
+			for done := 0; done < len(want); {
+				w := min(widths[trial%len(widths)], len(want)-done)
+				batched.SampleBatch(&b, w)
+				if b.K != w || len(b.DefectOff) != w+1 || len(b.CutParity) != w {
+					t.Fatalf("d=%d p=%g: batch K=%d with %d offsets and %d cut bits, want %d",
+						tc.d, tc.p, b.K, len(b.DefectOff), len(b.CutParity), w)
+				}
+				for i := 0; i < w; i++ {
+					j := done + i
+					if got := b.TrialDefects(i); !equalInt32(got, want[j]) {
+						t.Fatalf("d=%d p=%g %s trial %d: defects %v, plane lane %d says %v",
+							tc.d, tc.p, stream, j, got, j%64, want[j])
+					}
+					if b.CutParity[i] != wantCut[j] {
+						t.Fatalf("d=%d p=%g %s trial %d: cut parity %v, plane lane %d says %v",
+							tc.d, tc.p, stream, j, b.CutParity[i], j%64, wantCut[j])
+					}
+				}
+				done += w
+				trial++
+			}
+			want, wantCut = want[:0], wantCut[:0]
 		}
+		groups(64, 64, 64, 64, 64, 64, 64, 55)
+		draw("first")
+		// Reseed mid-group: the buffered lanes go, a fresh group starts.
+		planes.Reseed(1234, 5)
+		batched.Reseed(1234, 5)
+		groups(64, 17)
+		draw("reseeded")
+		planes.Reseed(1234, 6)
+		batched.Reseed(1234, 6)
+		groups(1)
+		draw("reseeded twice")
 	}
 }
 

@@ -158,8 +158,10 @@ type PlaneSampler struct {
 	// per-site Bernoulli distribution is unchanged).
 	logq    float64
 	invLogq float64
-	// ep and cutEdge mirror BatchSampler: per-edge endpoints with boundary
-	// pre-resolved to -1, and the per-edge logical-cut membership.
+	// ep is a compact per-edge endpoint table with boundary endpoints
+	// pre-resolved to -1 (the walk touches 8 bytes per fault edge and
+	// skips the IsBoundary test); cutEdge is the per-edge logical-cut
+	// membership.
 	ep      []edgeEP
 	cutEdge []bool
 	faults  uint64
@@ -171,6 +173,8 @@ type PlaneSampler struct {
 	// nil.
 	FaultLog func(edge int32, lane int)
 }
+
+type edgeEP struct{ U, V int32 }
 
 // NewPlaneSampler creates a bit-plane sampler for graph g at physical
 // error rate p, tracking cut parity over the data qubits in cut (normally
