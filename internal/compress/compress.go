@@ -204,13 +204,6 @@ func (c *Compressor) Best(frame noise.Bitset) (Scheme, int) {
 	return best, bestSize
 }
 
-// Ratio returns the hybrid compression ratio for one frame: raw bits over
-// best encoded bits.
-func (c *Compressor) Ratio(frame noise.Bitset) float64 {
-	_, size := c.Best(frame)
-	return float64(c.n) / float64(size)
-}
-
 // Encode compresses frame with the best scheme and returns the encoded
 // stream; the returned slice is reused by the next call. The bit length of
 // the encoding equals Best's size.

@@ -178,6 +178,19 @@ func TestFig15Shape(t *testing.T) {
 	}
 }
 
+// The full result must not depend on the worker count: chunks, not
+// workers, own the random streams, and partial sums merge in chunk order.
+func TestRunExperimentIndependentOfWorkerCount(t *testing.T) {
+	cfg := ExperimentConfig{Distance: 5, P: 3e-3, Trials: 500, Seed: 3, Workers: 1}
+	want := RunExperiment(cfg)
+	for _, w := range []int{2, 3} {
+		cfg.Workers = w
+		if got := RunExperiment(cfg); got != want {
+			t.Fatalf("workers=%d: %+v, workers=1: %+v", w, got, want)
+		}
+	}
+}
+
 func BenchmarkEncodeHybrid(b *testing.B) {
 	l := syndrome.NewLayout(11)
 	c := New(l, Config{})

@@ -3,6 +3,7 @@ package compress
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"afs/internal/lattice"
 	"afs/internal/noise"
@@ -37,23 +38,25 @@ type ExperimentResult struct {
 	MeanWeight      float64 // mean non-zero bits per frame
 }
 
+// experimentChunk is RunExperiment's logical cycles per work chunk.
+const experimentChunk = 64
+
 // RunExperiment samples logical cycles under the phenomenological model for
 // both error types, forms each round's combined 2d(d-1)-bit frame, and
-// measures the compression each scheme achieves.
+// measures the compression each scheme achieves. Cycles run in chunks of
+// experimentChunk claimed off a shared counter, chunk c drawing its X and Z
+// errors from its own streams and merging in chunk order, so the result
+// depends on (Seed, Trials) and not on Workers.
 func RunExperiment(cfg ExperimentConfig) ExperimentResult {
 	layout := syndrome.NewLayout(cfg.Distance)
 	gx := lattice.New3D(cfg.Distance, cfg.Distance)
 
+	nChunks := (cfg.Trials + experimentChunk - 1) / experimentChunk
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Trials && cfg.Trials > 0 {
-		workers = cfg.Trials
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, nChunks), 1)
 
 	type part struct {
 		frames    uint64
@@ -64,46 +67,51 @@ func RunExperiment(cfg ExperimentConfig) ExperimentResult {
 		wins      [int(numSchemes)]uint64
 		weight    uint64
 	}
-	parts := make([]part, workers)
+	parts := make([]part, nChunks)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		share := cfg.Trials / workers
-		if w < cfg.Trials%workers {
-			share++
-		}
 		wg.Add(1)
-		go func(w, share int) {
+		go func() {
 			defer wg.Done()
 			comp := New(layout, cfg.Cfg)
 			// X- and Z-error streams are sampled independently; the two
 			// graphs are congruent, so one geometry serves both.
-			sx := noise.NewSampler(gx, cfg.P, cfg.Seed^0x5a5a, 2*uint64(w)+1)
-			sz := noise.NewSampler(gx, cfg.P, cfg.Seed^0xa5a5, 2*uint64(w)+2)
+			sx := noise.NewSampler(gx, cfg.P, cfg.Seed^0x5a5a, 1)
+			sz := noise.NewSampler(gx, cfg.P, cfg.Seed^0xa5a5, 2)
 			var tx, tz noise.Trial
 			var fx, fz []noise.Bitset
 			var combined noise.Bitset
-			pt := &parts[w]
-			for i := 0; i < share; i++ {
-				sx.Sample(&tx)
-				sz.Sample(&tz)
-				fx = syndrome.RoundFrames(gx, tx.Defects, fx)
-				fz = syndrome.RoundFrames(gx, tz.Defects, fz)
-				for t := 0; t < gx.Rounds; t++ {
-					syndrome.Combine(layout, fx[t], fz[t], &combined)
-					pt.frames++
-					pt.weight += uint64(combined.PopCount())
-					best, bestSize := comp.Best(combined)
-					pt.wins[best]++
-					pt.sumHybrid += float64(comp.FrameBits()) / float64(bestSize)
-					pt.rawBits += uint64(comp.FrameBits())
-					pt.encBits += uint64(bestSize)
-					for s := DZC; s < numSchemes; s++ {
-						size := comp.SizeScheme(s, combined)
-						pt.sum[s] += float64(comp.FrameBits()) / float64(size)
+			for {
+				c := int(next.Add(1) - 1)
+				if c >= nChunks {
+					return
+				}
+				sx.Reseed(cfg.Seed^0x5a5a, 2*uint64(c)+1)
+				sz.Reseed(cfg.Seed^0xa5a5, 2*uint64(c)+2)
+				pt := &parts[c]
+				for i := c * experimentChunk; i < min((c+1)*experimentChunk, cfg.Trials); i++ {
+					sx.Sample(&tx)
+					sz.Sample(&tz)
+					fx = syndrome.RoundFrames(gx, tx.Defects, fx)
+					fz = syndrome.RoundFrames(gx, tz.Defects, fz)
+					for t := 0; t < gx.Rounds; t++ {
+						syndrome.Combine(layout, fx[t], fz[t], &combined)
+						pt.frames++
+						pt.weight += uint64(combined.PopCount())
+						best, bestSize := comp.Best(combined)
+						pt.wins[best]++
+						pt.sumHybrid += float64(comp.FrameBits()) / float64(bestSize)
+						pt.rawBits += uint64(comp.FrameBits())
+						pt.encBits += uint64(bestSize)
+						for s := DZC; s < numSchemes; s++ {
+							size := comp.SizeScheme(s, combined)
+							pt.sum[s] += float64(comp.FrameBits()) / float64(size)
+						}
 					}
 				}
 			}
-		}(w, share)
+		}()
 	}
 	wg.Wait()
 

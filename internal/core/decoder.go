@@ -487,9 +487,9 @@ func (d *Decoder) growClusters() {
 		// which edges reach 2 does not depend on sweep order), but the union
 		// sequence decides which spanning tree the peeler walks. Fixing the
 		// sequence to ascending edge index makes the whole decode a pure
-		// function of the per-round support — the contract that lets the
-		// tile-parallel engine (tile.go) reproduce this decoder bit for bit
-		// from concurrently discovered merges.
+		// function of the per-round support, independent of the order the
+		// sweep discovers merges in. The correction slices the identity
+		// suites pin depend on this order.
 		slices.Sort(d.merged)
 		for _, e := range d.merged {
 			ed := &d.G.Edges[e]

@@ -47,18 +47,18 @@ import (
 // Soundness of the Matched rule. "Exactly one" makes the distance-1 graph
 // on the lane's defects a perfect matching: my unique neighbor's unique
 // neighbor is me (on this lattice L1 distance 1 between real vertices
-// always means exactly one shared edge). This is precisely
-// Triage.classifyMulti's conflict-free case with no leftover singles —
-// every defect pairs with its unique adjacent partner (radius 0, parity 0
-// per pair: the shared edge beats any alternative, and any two minimal
-// corrections differ by interior cycles), and the cross-group isolation
-// invariant L1(i,j) > R(i)+R(j)+1 = 1 holds automatically because a
-// cross-pair distance of 1 would raise someone's degree above one. Total
+// always means exactly one shared edge). This is precisely the peel's
+// all-pairs shape (Triage.PeelResidual: disjoint dominoes cover the
+// syndrome) — every defect pairs with its unique adjacent partner (radius
+// 0, parity 0 per pair: the shared edge beats any alternative, and any two
+// minimal corrections differ by interior cycles), and the cross-group
+// isolation invariant L1(i,j) > R(i)+R(j)+1 = 1 holds automatically
+// because a cross-pair distance of 1 would raise a degree above one. Total
 // parity is therefore 0 for every decoder the triage layer is sound for,
 // regardless of defect count — Matched lanes with more than
-// maxTriageDefects defects are resolved here even though the scalar walk
-// would have punted them to the full decoder (same failure outcome, less
-// work; the lane-classification tests check both facts).
+// maxTriageDefects defects are resolved here even though the peel would
+// have handed them to the full decoder (same failure outcome, less work;
+// the lane-classification tests check both facts).
 //
 // Soundness of the Chain4 rule. Degrees are over the lane's distance-1
 // defect graph. With no isolated defects, no degree >= 3, exactly two
@@ -78,10 +78,10 @@ import (
 // is automatic exactly as for Matched — distance 1 between components
 // would change a degree. Total parity is 0 regardless of defect count,
 // so (as with Matched) lanes beyond maxTriageDefects resolve here even
-// though the scalar walk would punt them.
+// though the peel would hand them to the full decoder.
 //
 // Soundness of the SinglesOK rule. Every isolated defect in a qualifying
-// lane is certified as one of classifyMulti's closed-form groups, with the
+// lane is certified as one of the peel's closed-form components, with the
 // sparse isolation invariant L1(i,j) > R(i)+R(j)+1 checked per certificate:
 //
 //   - Boundary single at B <= 2 on a strict side: influence radius B,
@@ -89,33 +89,34 @@ import (
 //     L1 > B+1, established by an empty non-isolated distance-2 ring (and,
 //     for B == 2, distance-3 ring); against other isolated defects the
 //     exact pairwise check below applies. A single must also have NO
-//     isolated defect at distance 2 — that would be a duo candidate, and
-//     the scalar decomposition would never classify it a lone single.
+//     isolated defect at distance 2 — that would be a duo candidate or
+//     an isolation violation, and the peel would never certify it a lone
+//     single.
 //
 //   - Interior duo: two isolated defects at L1 distance exactly 2, each
 //     the other's UNIQUE distance-2 isolated partner in that lane (the
-//     ring-2 hit counter saturates at two), both at B >= 2 — exactly
-//     classifyMulti's D == 2 duo rule (merge at round 2 beats any boundary
-//     resolution since 2 < 2*min(B); radius 1, parity 0). Against pair
-//     members a duo member needs L1 > 2, again from the empty non-isolated
-//     distance-2 ring. A distance-2 isolated pair that fails the duo
-//     certificate (a second candidate, or a B < 2 member) marks both
-//     members bad — the scalar walk punts those whole, so the lane must
-//     too.
+//     ring-2 hit counter saturates at two), both at B >= 2 — the D == 2
+//     case of the peel's interior-duo rule (merge at round 2 beats any
+//     boundary resolution since 2 < 2*min(B); radius 1, parity 0).
+//     Against pair members a duo member needs L1 > 2, again from the
+//     empty non-isolated distance-2 ring. A distance-2 isolated pair that
+//     fails the duo certificate (a second candidate, or a B < 2 member)
+//     marks both members bad and routes the lane to the gathered path.
 //
 //   - Pairwise across isolated defects, the conservative bound R = B is
 //     used: any two isolated defects at L1 <= B(i)+B(j)+1 (other than a
 //     certified duo pair) mark both bad. For singles this is the exact
-//     scalar invariant; for duo members (true radius 1) it punts slightly
-//     more than the scalar walk accepts, which is sound — bad defects
-//     route the lane to the scalar path.
+//     peel invariant; for duo members (true radius 1) it punts slightly
+//     more than the peel accepts, which is sound — bad defects route the
+//     lane to the gathered path.
 //
 // Pair-vs-pair isolation (L1 > 1) is automatic from degree-1 adjacency.
 // Singles deeper than B == 2 are excluded: their independence radius
 // exceeds what the distance-3 ring can certify, so those lanes punt to
-// the scalar path (which re-derives the full invariant from coordinates).
-// Every certificate here is strictly contained in what the scalar
-// decomposition accepts, so resolved lanes agree with it bit for bit
+// the gathered path (where the peel re-derives the full invariant from
+// coordinates). Every certificate here is strictly contained in what the
+// peel accepts, so resolved lanes of weight >= 3 peel to an empty residual
+// with the same parity, and resolved weight-2 lanes agree with Classify
 // (test-enforced).
 type LaneTriage struct {
 	*laneTables

@@ -511,11 +511,11 @@ func TestLaneTriageMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// Every bitwise-resolved heavy lane must be exactly a syndrome the scalar
-// pair/single decomposition resolves with the same parity — when it is
-// small enough for the scalar walk at all. Larger resolved lanes (beyond
-// maxTriageDefects) are the bit-plane layer's win over the scalar walk.
-// Resolved W2 lanes must agree with the scalar weight-2 closed form.
+// Every bitwise-resolved heavy lane must be a syndrome the peel certifies
+// whole (empty residual) with the same parity — when it is small enough
+// for the peel at all. Larger resolved lanes (beyond maxTriageDefects) are
+// the bit-plane layer's win over the peel. Resolved W2 lanes must agree
+// with the scalar weight-2 closed form.
 func TestLaneTriageResolvedAgreesWithScalarTriage(t *testing.T) {
 	g := lattice.New3D(7, 7)
 	lt := NewLaneTriage(g)
@@ -545,16 +545,18 @@ func TestLaneTriageResolvedAgreesWithScalarTriage(t *testing.T) {
 			default:
 				continue
 			}
-			class, parity, ok := tri.ClassifySyndrome(lanes[lane])
-			if !ok || parity != wantParity {
-				t.Fatalf("resolved lane %v: scalar triage says class=%v parity=%v ok=%v, want parity=%v",
-					lanes[lane], class, parity, ok, wantParity)
+			if len(lanes[lane]) == 2 {
+				class, parity, ok := tri.Classify(lanes[lane])
+				if !ok || class != TriageW2 || parity != wantParity {
+					t.Fatalf("resolved weight-2 lane %v: scalar triage says class=%v parity=%v ok=%v, want W2 parity=%v",
+						lanes[lane], class, parity, ok, wantParity)
+				}
+				continue
 			}
-			if len(lanes[lane]) == 2 && class != TriageW2 {
-				t.Fatalf("resolved weight-2 lane %v: scalar class %v, want W2", lanes[lane], class)
-			}
-			if len(lanes[lane]) > 2 && class != TriageMulti {
-				t.Fatalf("resolved heavy lane %v: scalar class %v, want multi", lanes[lane], class)
+			parity, res, _ := tri.PeelResidual(lanes[lane])
+			if len(res) != 0 || parity != wantParity {
+				t.Fatalf("resolved heavy lane %v: peel leaves residual %v parity=%v, want none and parity=%v",
+					lanes[lane], res, parity, wantParity)
 			}
 		}
 	}

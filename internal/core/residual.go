@@ -6,19 +6,17 @@ import (
 	"afs/internal/lut"
 )
 
-// Partial-residual decomposition (the triage layer's last line before the
-// full decoder).
+// Partial-residual decomposition: the triage layer's rule for syndromes of
+// weight >= 3, and its last line before the full decoder.
 //
-// classifyMulti answers all-or-nothing: one ambiguous defect punts the whole
-// syndrome, and at the design point that tail — ~2% of trials at ~3.7 µs per
-// full decode — is the batched pipeline's Amdahl floor. PeelResidual splits
-// the punt instead: it re-derives the pair/single decomposition with
-// per-component *demotion* in place of whole-syndrome rejection, applies the
-// certified components' closed-form cut parities directly, and returns only
-// the ambiguous remainder for the decoder. The full decode population
-// shrinks (syndromes whose every component certifies resolve here outright)
-// and each surviving decode gets smaller (the decoder sees the residual
-// defect set, not the whole syndrome) — both factors of the floor.
+// Classify's closed forms stop at weight 2. PeelResidual takes a heavier
+// syndrome apart into adjacent pairs, interior duos and boundary singles,
+// certifies every component whose isolation it can prove, applies the
+// certified components' closed-form cut parities directly, and returns
+// only the ambiguous remainder for the decoder. Syndromes whose every
+// component certifies resolve here outright, and each surviving decode
+// gets smaller (the decoder sees the residual defect set, not the whole
+// syndrome).
 //
 // # The certificate
 //
@@ -34,8 +32,13 @@ import (
 //
 //   - adjacent pair / matchable quad (distance-1 component of size 2, or
 //     size 4 with a perfect matching): merges in growth round one having
-//     absorbed nothing beyond its defects. R = 0, cut parity 0 — exactly
-//     classifyMulti's pairing classes.
+//     absorbed nothing beyond its defects, so R = 0, and every minimal
+//     correction pairs the defects through interior edges (any two such
+//     pairings differ by interior cycles): cut parity 0. The lattice is
+//     bipartite, so components are paths, stars or even cycles; a star
+//     K_{1,3} has no perfect matching and is demoted, which is necessary —
+//     its cheapest resolutions mix interior and boundary chains at equal
+//     cost. Odd or larger components are demoted too.
 //
 //   - interior duo (two leftover singles at distance D with
 //     2 <= D < 2*min(B(u), B(v)), each the other's unique such partner):
@@ -45,15 +48,12 @@ import (
 //     (for odd D one frontier completes the middle edge), so every absorbed
 //     vertex is within R = ceil(D/2) of its own defect, and D < 2*min(B)
 //     gives R <= min(B) <= B. The merged cluster is even and final: cut
-//     parity 0. Minimal-
-//     weight decoders concur: D < 2*min <= B(u)+B(v) makes the interior
-//     chain strictly cheaper than any boundary-touching resolution, so the
-//     u-v homology class is unique. (classifyMulti ships only the D == 2
-//     case of this rule; the decomposition framework makes the general
-//     band cheap to certify.)
+//     parity 0. Minimal-weight decoders concur: D < 2*min <= B(u)+B(v)
+//     makes the interior chain strictly cheaper than any boundary-touching
+//     resolution, so the u-v homology class is unique.
 //
 //   - boundary single (strict side): resolves to its nearest boundary.
-//     R = B, cut parity = the north-side bit — classifyMulti's singles rule.
+//     R = B, cut parity = the north-side bit (the W1 rule).
 //
 //   - residual (everything demoted: oversize or unmatchable distance-1
 //     components, side ties, singles with zero or multiple duo partners):
@@ -126,7 +126,7 @@ import (
 // parity in is sound and the trial resolves with no decoder work at all.
 //
 // The differential tests (residual_test.go) enforce the certificate the
-// same way the triage layer's were: exhaustive small-d placements,
+// same way as Classify's: exhaustive small-d placements,
 // randomized fault-shaped and adversarial syndromes, and fuzzing, with the
 // peeled-plus-residual parity compared against an undecomposed full decode
 // under every decoder in the repo including MWPM.
@@ -141,7 +141,7 @@ const (
 	plResid               // demoted to the residual decode set (R = B)
 )
 
-// PeelResidual decomposes a syndrome the closed-form triage punted: it
+// PeelResidual decomposes a syndrome of weight >= 3 (see the doc above): it
 // certifies the components whose isolation holds regardless of the
 // ambiguous remainder, XORs their closed-form cut parities into parity, and
 // returns the residual defect set the caller must still decode (empty when
@@ -199,10 +199,9 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 		return false, t.res, n1
 	}
 	// Distance-1 components. Without adjacency conflicts the pairs are
-	// disjoint dominoes (classifyMulti's fast case); with conflicts, label
-	// propagation finds the components and each certifies or demotes on its
-	// own — the per-component form of mergeComponents' accept-or-punt.
-	// gm[g] holds group g's member mask, indexed by the group id.
+	// disjoint dominoes; with conflicts, label propagation finds the
+	// components and each certifies or demotes on its own. gm[g] holds
+	// group g's member mask, indexed by the group id.
 	if !conflict {
 		for _, e := range s.adj1[:n1] {
 			i, j := e[0], e[1]
@@ -381,4 +380,21 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 		}
 	}
 	return parity, t.res, peeled
+}
+
+// quadMatchable reports whether the 4-defect component with group id gid
+// admits a perfect matching in its distance-1 graph.
+func (t *Triage) quadMatchable(k, gid int) bool {
+	s := &t.ms
+	var m [4]int
+	n := 0
+	for i := 0; i < k; i++ {
+		if int(s.grp[i]) == gid {
+			m[n] = i
+			n++
+		}
+	}
+	return (s.l1(m[0], m[1]) == 1 && s.l1(m[2], m[3]) == 1) ||
+		(s.l1(m[0], m[2]) == 1 && s.l1(m[1], m[3]) == 1) ||
+		(s.l1(m[0], m[3]) == 1 && s.l1(m[1], m[2]) == 1)
 }

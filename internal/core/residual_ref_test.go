@@ -2,12 +2,12 @@ package core
 
 import "afs/internal/lut"
 
-// The original implementation of PeelResidual, kept verbatim as the oracle
-// for the worklist version: it builds the full pairwise distance matrix and
-// sweeps every pair until a demotion sweep comes back clean. Both reach the
-// same least fixpoint (see residual.go), so TestPeelResidualMatchesReference
-// and FuzzPeelResidual require equal (parity, residual, peeled) on every
-// sorted input, and BenchmarkPeelResidual runs the two side by side.
+// The original implementation of PeelResidual, kept as the oracle for the
+// worklist version: it sweeps every pair of defects until a demotion sweep
+// comes back clean. Both reach the same least fixpoint (see residual.go), so
+// TestPeelResidualMatchesReference and FuzzPeelResidual require equal
+// (parity, residual, peeled) on every sorted input, and
+// BenchmarkPeelResidual runs the two side by side.
 
 // PeelResidualRef exposes the oracle to the external test package.
 var PeelResidualRef = (*Triage).peelResidualRef
@@ -30,7 +30,8 @@ func (t *Triage) peelResidualRef(defects []int32) (parity bool, residual []int32
 	}
 	s := &t.ms
 	r, c, tt := s.r[:k], s.c[:k], s.t[:k]
-	rad, grp, deg, cnt := s.rad[:k], s.grp[:k], s.deg[:k], s.cnt[:k]
+	var members [maxTriageDefects]int8
+	rad, grp, deg, cnt := s.rad[:k], s.grp[:k], s.deg[:k], members[:k]
 	bnd, st := s.bnd[:k], s.st[:k]
 	for i, v := range defects {
 		p := t.g.PackedCoords(v)
@@ -44,18 +45,12 @@ func (t *Triage) peelResidualRef(defects []int32) (parity bool, residual []int32
 		cnt[i] = 1
 		st[i] = plSingle
 	}
-	// Pairwise distances (symmetric — the demotion fixpoint sweeps both
-	// triangles), distance-1 adjacency degrees, and the d == 1 pair list.
+	// Distance-1 adjacency degrees and the d == 1 pair list.
 	conflict := false
 	n1 := 0
 	for i := 0; i < k; i++ {
-		di := s.d[i][:k]
-		ri, ci, ti := r[i], c[i], tt[i]
 		for j := i + 1; j < k; j++ {
-			d := abs32(ri-r[j]) + abs32(ci-c[j]) + abs32(ti-tt[j])
-			di[j] = d
-			s.d[j][i] = d
-			if d == 1 {
+			if s.l1(i, j) == 1 {
 				deg[i]++
 				deg[j]++
 				conflict = conflict || deg[i] > 1 || deg[j] > 1
@@ -65,9 +60,8 @@ func (t *Triage) peelResidualRef(defects []int32) (parity bool, residual []int32
 		}
 	}
 	// Distance-1 components. Without adjacency conflicts the pairs are
-	// disjoint dominoes (classifyMulti's fast case); with conflicts, label
-	// propagation finds the components and each certifies or demotes on its
-	// own — the per-component form of mergeComponents' accept-or-punt.
+	// disjoint dominoes; with conflicts, label propagation finds the
+	// components and each certifies or demotes on its own.
 	if !conflict {
 		for a := 0; a < n1; a++ {
 			i, j := s.adj1[a][0], s.adj1[a][1]
@@ -134,7 +128,6 @@ func (t *Triage) peelResidualRef(defects []int32) (parity bool, residual []int32
 		if cnt[i] != 1 || st[i] != plSingle {
 			continue
 		}
-		di := s.d[i][:k]
 		for j := i + 1; j < k; j++ {
 			if cnt[j] != 1 || st[j] != plSingle {
 				continue
@@ -143,7 +136,7 @@ func (t *Triage) peelResidualRef(defects []int32) (parity bool, residual []int32
 			if bnd[j] < mn {
 				mn = bnd[j]
 			}
-			if di[j] < 2*mn { // D >= 2 is automatic for singles
+			if s.l1(i, j) < 2*mn { // D >= 2 is automatic for singles
 				if deg[i] == -1 {
 					deg[i] = int8(j)
 				} else {
@@ -165,7 +158,7 @@ func (t *Triage) peelResidualRef(defects []int32) (parity bool, residual []int32
 		if j > i && deg[j] == int8(i) { // mutual uniqueness: see the doc
 			grp[j] = int8(i)
 			cnt[i], cnt[j] = 2, 0
-			rd := (s.d[i][j] + 1) / 2 // ceil(D/2)
+			rd := (s.l1(i, j) + 1) / 2 // ceil(D/2)
 			rad[i], rad[j] = rd, rd
 			st[i], st[j] = plDuo, plDuo
 		}
@@ -184,13 +177,12 @@ func (t *Triage) peelResidualRef(defects []int32) (parity bool, residual []int32
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < k; i++ {
-			di := s.d[i][:k]
 			slack := rad[i] + 1
 			for j := i + 1; j < k; j++ {
 				if grp[j] == grp[i] || (st[i] == plResid && st[j] == plResid) {
 					continue
 				}
-				if di[j] > slack+rad[j] {
+				if s.l1(i, j) > slack+rad[j] {
 					continue
 				}
 				for _, x := range [2]int{i, j} {

@@ -192,55 +192,6 @@ func TestPeelResidualRandomSyndromes(t *testing.T) {
 	}
 }
 
-// TestPeelResidualSubsumesClassify pins the containment relation between
-// the two layers: any syndrome classifyMulti certifies whole must peel to
-// an empty residual with the same parity. (PeelResidual re-derives the
-// same decomposition with demotion in place of rejection, and its duo band
-// strictly contains the D == 2 case classifyMulti ships, so certifying
-// strictly less would be a regression.)
-func TestPeelResidualSubsumesClassify(t *testing.T) {
-	for _, g := range triageGraphs() {
-		tri := core.NewTriage(g)
-		rng := rand.New(rand.NewPCG(13, uint64(g.V)))
-		agreed := 0
-		flip := make(map[int32]bool)
-		for trial := 0; trial < 4000; trial++ {
-			clear(flip)
-			for f := 2 + rng.IntN(6); f > 0; f-- {
-				ed := &g.Edges[rng.IntN(len(g.Edges))]
-				for _, v := range [2]int32{ed.U, ed.V} {
-					if !g.IsBoundary(v) {
-						flip[v] = !flip[v]
-					}
-				}
-			}
-			defects := make([]int32, 0, 16)
-			for v, on := range flip {
-				if on {
-					defects = append(defects, v)
-				}
-			}
-			slices.Sort(defects)
-			if len(defects) < 3 {
-				continue
-			}
-			_, want, ok := tri.ClassifySyndrome(defects)
-			if !ok {
-				continue
-			}
-			parity, res, _ := tri.PeelResidual(defects)
-			if len(res) != 0 || parity != want {
-				t.Fatalf("%v: classifyMulti certified %v (parity %v) but peel left residual %v parity %v",
-					g, defects, want, res, parity)
-			}
-			agreed++
-		}
-		if agreed == 0 {
-			t.Fatalf("%v: containment test never hit a certified syndrome", g)
-		}
-	}
-}
-
 // Steady-state peeling must not allocate: the residual buffer and the
 // multi-defect scratch are owned by the Triage and reused across calls.
 // Besides small fault-sampled syndromes, the set holds the worst case the
@@ -460,16 +411,14 @@ func BenchmarkPeelResidual(b *testing.B) {
 // d=5 cubic graph, PeelResidual must agree with the original all-pairs
 // sweep (core.PeelResidualRef), and peel parity XOR residual decode parity
 // must equal the undecomposed decode parity, for every syndrome the fuzzer
-// constructs. The
-// seed corpus is built from captured punted syndromes — fault-sampled
-// inputs classifyMulti rejects, exactly the population the kernels feed
-// PeelResidual.
+// constructs. The seed corpus is built from fault-sampled syndromes the
+// peel leaves a residual on, the population the kernels hand the decoder.
 func FuzzPeelResidual(f *testing.F) {
 	g := lattice.New3D(5, 5)
 	tri, ref := core.NewTriage(g), core.NewTriage(g)
 	dec := core.NewDecoder(g, core.Options{})
 
-	// Punted-syndrome captures as seeds (deterministic).
+	// Residual-leaving syndrome captures as seeds (deterministic).
 	rng := rand.New(rand.NewPCG(17, 5))
 	flip := make(map[int32]bool)
 	for seeds := 0; seeds < 12; {
@@ -492,7 +441,7 @@ func FuzzPeelResidual(f *testing.F) {
 		if len(defects) < 3 {
 			continue
 		}
-		if _, _, ok := tri.ClassifySyndrome(defects); ok {
+		if _, res, _ := tri.PeelResidual(defects); len(res) == 0 {
 			continue
 		}
 		raw := make([]byte, len(defects))

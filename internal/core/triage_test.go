@@ -5,8 +5,6 @@
 package core_test
 
 import (
-	"math/rand/v2"
-	"slices"
 	"testing"
 
 	"afs/internal/core"
@@ -139,119 +137,6 @@ func TestTriageExhaustiveWeightLE2(t *testing.T) {
 			t.Logf("%v: no punts (all weight<=2 in closed form)", g)
 		}
 	}
-}
-
-// TestTriageMultiRandomSyndromes drives ClassifySyndrome — the weight >= 3
-// pair/single decomposition — with two generators: fault-sampled syndromes
-// (XOR of random edge sets, matching the structure the noise model
-// produces) and adversarial uniform-random vertex sets. Wherever the
-// decomposition claims a closed form, every decoder in the repo must land
-// in the same homology class.
-func TestTriageMultiRandomSyndromes(t *testing.T) {
-	for _, g := range triageGraphs() {
-		tri := core.NewTriage(g)
-		decs := decodersFor(g)
-		rng := rand.New(rand.NewPCG(7, uint64(g.V)))
-		classified := 0
-		check := func(defects []int32) {
-			class, parity, ok := tri.ClassifySyndrome(defects)
-			if len(defects) <= 2 {
-				c2, p2, ok2 := tri.Classify(defects)
-				if c2 != class || p2 != parity || ok2 != ok {
-					t.Fatalf("%v: ClassifySyndrome/Classify disagree on %v", g, defects)
-				}
-				return
-			}
-			if !ok {
-				return
-			}
-			if class != core.TriageMulti {
-				t.Fatalf("%v: weight-%d syndrome %v classified %v", g, len(defects), defects, class)
-			}
-			classified++
-			for _, dec := range decs {
-				got := dec.decode(defects)
-				checkSyndrome(t, g, got, defects)
-				if cutParity(g, got) != parity {
-					t.Fatalf("%v: %s parity %v != decomposition parity %v on %v (corr %v)",
-						g, dec.name, !parity, parity, defects, got)
-				}
-			}
-		}
-		flip := make(map[int32]bool)
-		for trial := 0; trial < 3000; trial++ {
-			// Fault-sampled generator.
-			clear(flip)
-			for f := 2 + rng.IntN(5); f > 0; f-- {
-				ed := &g.Edges[rng.IntN(len(g.Edges))]
-				for _, v := range [2]int32{ed.U, ed.V} {
-					if !g.IsBoundary(v) {
-						flip[v] = !flip[v]
-					}
-				}
-			}
-			defects := make([]int32, 0, 12)
-			for v, on := range flip {
-				if on {
-					defects = append(defects, v)
-				}
-			}
-			slices.Sort(defects)
-			check(defects)
-
-			// Adversarial generator: uniform distinct vertices.
-			clear(flip)
-			for len(flip) < 3+rng.IntN(6) {
-				flip[int32(rng.IntN(g.V))] = true
-			}
-			defects = defects[:0]
-			for v := range flip {
-				defects = append(defects, v)
-			}
-			slices.Sort(defects)
-			check(defects)
-		}
-		if classified == 0 {
-			t.Fatalf("%v: decomposition never applied", g)
-		}
-	}
-}
-
-// FuzzClassifySyndrome fuzzes the decomposition against the plain
-// Union-Find decoder on the d=5 cubic graph: any syndrome the fuzzer
-// constructs where ClassifySyndrome claims a closed form must land in the
-// decoder's homology class.
-func FuzzClassifySyndrome(f *testing.F) {
-	f.Add([]byte{0, 1, 2})
-	f.Add([]byte{10, 40, 90, 91})
-	f.Add([]byte{5, 6, 7, 8, 60, 61})
-	g := lattice.New3D(5, 5)
-	tri := core.NewTriage(g)
-	dec := core.NewDecoder(g, core.Options{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) > 16 {
-			raw = raw[:16]
-		}
-		seen := make(map[int32]bool)
-		defects := make([]int32, 0, len(raw))
-		for _, b := range raw {
-			v := int32(b) % int32(g.V)
-			if !seen[v] {
-				seen[v] = true
-				defects = append(defects, v)
-			}
-		}
-		slices.Sort(defects)
-		_, parity, ok := tri.ClassifySyndrome(defects)
-		if !ok {
-			return
-		}
-		corr := dec.Decode(defects)
-		checkSyndrome(t, g, corr, defects)
-		if cutParity(g, corr) != parity {
-			t.Fatalf("uf parity %v != triage parity %v on %v", !parity, parity, defects)
-		}
-	})
 }
 
 // TestTriageW0 pins the trivial class.

@@ -96,12 +96,6 @@ func (c Config) linkActive() bool {
 		c.CorruptRate > 0 || c.ForceFraming
 }
 
-// Active reports whether the configuration injects any fault at all.
-func (c Config) Active() bool {
-	return c.DropRate > 0 || c.DuplicateRate > 0 || c.ReorderRate > 0 ||
-		c.CorruptRate > 0 || c.StallRate > 0 || c.InflateNS > 0
-}
-
 func (c Config) retryBudget() int {
 	if c.RetryBudget < 0 {
 		return 0

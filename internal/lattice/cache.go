@@ -50,11 +50,3 @@ func Cached3D(d, rounds int) *Graph { return Cached(d, rounds, false) }
 
 // Cached3DWindow returns the shared continuous-operation window graph.
 func Cached3DWindow(d, rounds int) *Graph { return Cached(d, rounds, true) }
-
-// CacheSize reports the number of distinct graph shapes currently
-// memoized (for tests and diagnostics).
-func CacheSize() int {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	return len(cache)
-}

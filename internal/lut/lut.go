@@ -139,6 +139,3 @@ func (d *Decoder) Decode(defects []int32) []int32 {
 	}
 	return d.correction
 }
-
-// SyndromeMask returns the syndrome bitmask produced by a fault on edge e.
-func (d *Decoder) SyndromeMask(e int) uint32 { return d.masks[e] }

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"afs/internal/core"
 	"afs/internal/lattice"
@@ -204,9 +205,14 @@ type CollectResult struct {
 	Breakdowns []Breakdown
 }
 
+// collectChunk is CollectLatencies' trials per work chunk.
+const collectChunk = 256
+
 // CollectLatencies samples cfg.Trials random syndromes, decodes each, and
-// returns the latency distribution under the hardware model. The workload
-// is split over a deterministic worker pool.
+// returns the latency distribution under the hardware model. Trials run
+// in chunks of collectChunk claimed off a shared counter, chunk c drawing
+// from its own stream PCG(Seed, c+1) and merging in chunk order, so the
+// result depends on (Seed, Trials) and not on Workers.
 func CollectLatencies(cfg CollectConfig) CollectResult {
 	rounds := cfg.Rounds
 	if rounds == 0 {
@@ -221,80 +227,68 @@ func CollectLatencies(cfg CollectConfig) CollectResult {
 	default:
 		g = lattice.New3DWindow(cfg.Distance, rounds)
 	}
+	nChunks := (cfg.Trials + collectChunk - 1) / collectChunk
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Trials && cfg.Trials > 0 {
-		workers = cfg.Trials
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, nChunks), 1)
 
+	res := CollectResult{ExposedNS: make([]float64, cfg.Trials)}
+	if cfg.KeepBreakdowns {
+		res.Breakdowns = make([]Breakdown, cfg.Trials)
+	}
 	type part struct {
-		exposed       []float64
-		breakdowns    []Breakdown
 		gg, dfs, corr float64
 		defects       uint64
 		maxRT, maxES  int
 	}
-	parts := make([]part, workers)
+	parts := make([]part, nChunks)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		share := cfg.Trials / workers
-		if w < cfg.Trials%workers {
-			share++
-		}
 		wg.Add(1)
-		go func(w, share int) {
+		go func() {
 			defer wg.Done()
 			dec := core.NewDecoder(g, cfg.Decoder)
-			s := noise.NewSampler(g, cfg.P, cfg.Seed, uint64(w)+1)
+			s := noise.NewSampler(g, cfg.P, cfg.Seed, 1)
 			var trial noise.Trial
-			pt := &parts[w]
-			pt.exposed = make([]float64, 0, share)
-			for i := 0; i < share; i++ {
-				s.Sample(&trial)
-				dec.Decode(trial.Defects)
-				b := cfg.Model.Latency(&dec.Stats)
-				pt.exposed = append(pt.exposed, b.Exposed)
-				if cfg.KeepBreakdowns {
-					pt.breakdowns = append(pt.breakdowns, b)
+			for {
+				c := int(next.Add(1) - 1)
+				if c >= nChunks {
+					return
 				}
-				pt.gg += b.GrGen
-				pt.dfs += b.DFS
-				pt.corr += b.Corr
-				pt.defects += uint64(len(trial.Defects))
-				if dec.Stats.MaxRuntimeStack > pt.maxRT {
-					pt.maxRT = dec.Stats.MaxRuntimeStack
-				}
-				if dec.Stats.MaxEdgeStack > pt.maxES {
-					pt.maxES = dec.Stats.MaxEdgeStack
+				s.Reseed(cfg.Seed, uint64(c)+1)
+				pt := &parts[c]
+				for i := c * collectChunk; i < min((c+1)*collectChunk, cfg.Trials); i++ {
+					s.Sample(&trial)
+					dec.Decode(trial.Defects)
+					b := cfg.Model.Latency(&dec.Stats)
+					res.ExposedNS[i] = b.Exposed
+					if cfg.KeepBreakdowns {
+						res.Breakdowns[i] = b
+					}
+					pt.gg += b.GrGen
+					pt.dfs += b.DFS
+					pt.corr += b.Corr
+					pt.defects += uint64(len(trial.Defects))
+					pt.maxRT = max(pt.maxRT, dec.Stats.MaxRuntimeStack)
+					pt.maxES = max(pt.maxES, dec.Stats.MaxEdgeStack)
 				}
 			}
-		}(w, share)
+		}()
 	}
 	wg.Wait()
 
-	var res CollectResult
 	var gg, dfs, corr float64
 	var defects uint64
 	for i := range parts {
-		res.ExposedNS = append(res.ExposedNS, parts[i].exposed...)
-		if cfg.KeepBreakdowns {
-			res.Breakdowns = append(res.Breakdowns, parts[i].breakdowns...)
-		}
 		gg += parts[i].gg
 		dfs += parts[i].dfs
 		corr += parts[i].corr
 		defects += parts[i].defects
-		if parts[i].maxRT > res.MaxRuntimeStack {
-			res.MaxRuntimeStack = parts[i].maxRT
-		}
-		if parts[i].maxES > res.MaxEdgeStack {
-			res.MaxEdgeStack = parts[i].maxES
-		}
+		res.MaxRuntimeStack = max(res.MaxRuntimeStack, parts[i].maxRT)
+		res.MaxEdgeStack = max(res.MaxEdgeStack, parts[i].maxES)
 	}
 	total := gg + dfs + corr
 	if total > 0 {

@@ -2,6 +2,7 @@ package microarch
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"afs/internal/core"
@@ -92,6 +93,22 @@ func TestCollectLatenciesDeterministicAcrossWorkerCounts(t *testing.T) {
 	for i := range a.ExposedNS {
 		if a.ExposedNS[i] != b.ExposedNS[i] {
 			t.Fatal("same seed, same workers produced different samples")
+		}
+	}
+}
+
+// The full result — every trial's latency and breakdown in trial order,
+// the stage sums and the stack high-water marks — must not depend on the
+// worker count: chunks, not workers, own the random streams.
+func TestCollectLatenciesIndependentOfWorkerCount(t *testing.T) {
+	cfg := CollectConfig{Distance: 7, P: 3e-3, Trials: 2000, Seed: 3, KeepBreakdowns: true}
+	cfg.Workers = 1
+	want := CollectLatencies(cfg)
+	for _, w := range []int{2, 3} {
+		cfg.Workers = w
+		if got := CollectLatencies(cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: result differs from workers=1 (mean defects %v vs %v)",
+				w, got.MeanDefects, want.MeanDefects)
 		}
 	}
 }

@@ -10,11 +10,9 @@ import (
 )
 
 // This file retains the pre-engine execution strategy — per-point graph
-// construction, static per-worker trial striping, a join barrier between
-// sweep points — as a living reference implementation. cmd/afs-bench runs
-// it next to the work-stealing engine so every future change has a
-// like-for-like scheduling comparison, and tests use it as an independent
-// oracle for the engine's statistics.
+// construction, static per-worker trial striping, scalar sampling and full
+// decoding of every trial — as a reference implementation that tests use
+// as an independent oracle for the engine's statistics.
 //
 // Note its per-worker seeding (PCG(Seed, worker+1)) makes results depend
 // on the worker count, which is exactly the defect the engine's per-chunk
@@ -102,20 +100,4 @@ func RunAccuracyStatic(cfg AccuracyConfig) AccuracyResult {
 	}
 	res.CI = rateInterval(failures, trials, cfg.Seed)
 	return res
-}
-
-// SweepAccuracySequential runs the cross product point by point with a
-// join barrier after each point, exactly as the seed implementation did.
-// Prefer SweepAccuracy.
-func SweepAccuracySequential(base AccuracyConfig, distances []int, ps []float64) []AccuracyResult {
-	out := make([]AccuracyResult, 0, len(distances)*len(ps))
-	for _, d := range distances {
-		for _, p := range ps {
-			cfg := base
-			cfg.Distance = d
-			cfg.P = p
-			out = append(out, RunAccuracyStatic(cfg))
-		}
-	}
-	return out
 }

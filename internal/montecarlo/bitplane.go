@@ -23,7 +23,7 @@ type chunkTally struct {
 	w0       uint64 // trials resolved by the weight-0 fast path
 	w1       uint64 // trials resolved by the weight-1 closed form
 	w2       uint64 // trials resolved by the weight-2 closed form
-	multi    uint64 // trials resolved by the pair/single decomposition
+	multi    uint64 // weight >= 3 trials resolved without a decoder walk
 	full     uint64 // trials that fell through to the full decoder
 
 	// Lane tallies: lanes resolved straight from plane algebra vs lanes
@@ -38,8 +38,7 @@ type chunkTally struct {
 	// full decodes that ran on a strictly smaller residual (those also
 	// count in full), and the defect-count histogram of the residuals
 	// actually decoded. Every gathered multi-defect (>= 3) lane goes
-	// through the peel (PeelResidual's certified set contains
-	// classifyMulti's, test-enforced).
+	// through the peel unless DisablePeel is set.
 	peeled       uint64
 	peelResolved uint64
 	residual     uint64
@@ -88,10 +87,10 @@ func resBucket(n int) int {
 // The fast/gathered split is what the afs_mc_bitplane_* counters publish;
 // fast + gathered == trials by construction.
 //
-// Triage-class tallies follow core.Triage's classes (Matched, Chain4, and
-// SinglesOK heavy lanes count as TriageMulti — they are precisely
-// pair/chain/single decompositions resolved without a walk), so
-// w0+w1+w2+multi+full == trials.
+// Triage-class tallies: w0, w1 and w2 follow core.Triage's classes, and
+// multi counts the weight >= 3 trials resolved without a decoder walk —
+// Matched, Chain4 and SinglesOK heavy lanes, and gathered lanes the peel
+// certifies whole — so w0+w1+w2+multi+full == trials.
 //
 // A kernel is single-owner state; each engine worker builds its own per
 // point, exactly like the decoder it wraps. Its lane classifier shares the
@@ -202,14 +201,10 @@ func (k *bpKernel) run(n uint64) chunkTally {
 					var fail bool
 					t.bpGathered++
 					if k.peel && len(df) >= 3 {
-						// Multi-defect lanes go straight to the partial-
-						// residual decomposition: its certified-whole set
-						// strictly contains classifyMulti's with identical
-						// parity (test-enforced containment), so one
-						// PeelResidual pass replaces the classify-then-peel
-						// double scan, peels certified components off
-						// whatever remains ambiguous, and hands the decoder
-						// only the residual (see core.Triage.PeelResidual).
+						// Multi-defect lanes go to the partial-residual
+						// decomposition, which peels certified components
+						// off and hands the decoder only the residual (see
+						// core.Triage.PeelResidual).
 						pp, res, comps := k.tri.PeelResidual(df)
 						t.peeled += uint64(comps)
 						if len(res) == 0 {
@@ -226,14 +221,13 @@ func (k *bpKernel) run(n uint64) chunkTally {
 							}
 							fail = k.fullDecode(res, par != pp)
 						}
-					} else if class, p, ok := k.tri.ClassifySyndrome(df); ok {
-						switch class {
-						case core.TriageW1:
+					} else if class, p, ok := k.tri.Classify(df); ok {
+						// Gathered lanes are never empty, so a resolved
+						// one is W1 or W2.
+						if class == core.TriageW1 {
 							t.w1++
-						case core.TriageW2:
+						} else {
 							t.w2++
-						default:
-							t.multi++
 						}
 						fail = par != p
 					} else {

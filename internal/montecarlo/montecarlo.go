@@ -72,16 +72,16 @@ type AccuracyConfig struct {
 	// decoders deliberately deviate from minimal-correction behavior.
 	DisableTriage bool
 
-	// DisablePeel turns off the partial-residual decomposition
-	// (core.Triage.PeelResidual) that strips certified components off
-	// syndromes the triage layer punts before the full decoder runs.
-	// Peeling is failure-equivalent for the Union-Find decoders the
-	// kernels use (the radius-bound certificate guarantees the peeled
-	// groups evolve independently), so this exists for ablation benches
-	// and for custom Factory decoders that are not group-additive — i.e.
-	// that may resolve an isolated defect group differently standalone
-	// than in context (the hierarchical router is the in-repo example).
-	// Implied by DisableTriage.
+	// DisablePeel is an ablation switch for the partial-residual
+	// decomposition (core.Triage.PeelResidual), which certifies isolated
+	// components of syndromes of weight >= 3 and hands the full decoder
+	// only the residual. With it set, gathered lanes of weight >= 3 go to
+	// the full decoder whole. Peeling is failure-equivalent for the
+	// group-additive decoders (Union-Find, MWPM); for the hierarchical
+	// router the bit-identity tests find no differing trial, though a
+	// weight tie could in principle split the two (DESIGN.md). The switch
+	// exists so the peel can prove in a same-run ablation that it still
+	// wins. Implied by DisableTriage.
 	DisablePeel bool
 
 	// StopRelCI, when positive, enables adaptive early stopping: the point
@@ -146,8 +146,8 @@ type AccuracyResult struct {
 	MeanDefects      float64
 	Elapsed          time.Duration
 	// Triage-class tallies: how many trials each closed-form fast path
-	// resolved (weight 0, 1, 2, and the weight >= 3 pair/single
-	// decomposition) and how many ran the full decoder.
+	// resolved (weight 0, 1, 2, and weight >= 3 syndromes resolved by the
+	// lane classes or the peel) and how many ran the full decoder.
 	// TriageW0+TriageW1+TriageW2+TriageMulti+FullDecodes == Trials; with
 	// DisableTriage set, FullDecodes == Trials.
 	TriageW0    uint64
@@ -172,44 +172,6 @@ type AccuracyResult struct {
 	PeelResolved     uint64
 	ResidualDecodes  uint64
 	ResidualDefects  [5]uint64
-}
-
-// PeelFractions returns the partial-residual peel outcomes as fractions of
-// executed trials: trials the peel resolved outright, and full decodes
-// that ran on a strictly smaller residual syndrome. Their sum bounds the
-// share of punted trials the decomposition touched.
-func (r *AccuracyResult) PeelFractions() (resolved, residual float64) {
-	if r.Trials == 0 {
-		return 0, 0
-	}
-	n := float64(r.Trials)
-	return float64(r.PeelResolved) / n, float64(r.ResidualDecodes) / n
-}
-
-// TriageFractions returns the triage-class tallies as fractions of the
-// trials actually executed — the one consistent denominator (early
-// stopping can leave Trials < TrialsRequested, and the executed count is
-// what the tallies partition). The five fractions sum to 1 whenever any
-// trials ran (test-enforced).
-func (r *AccuracyResult) TriageFractions() (w0, w1, w2, multi, full float64) {
-	if r.Trials == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	n := float64(r.Trials)
-	return float64(r.TriageW0) / n, float64(r.TriageW1) / n,
-		float64(r.TriageW2) / n, float64(r.TriageMulti) / n,
-		float64(r.FullDecodes) / n
-}
-
-// BitPlaneFractions returns the bit-plane lane tallies as fractions of
-// executed trials; fast+gathered == 1 whenever any trials ran
-// (test-enforced).
-func (r *AccuracyResult) BitPlaneFractions() (fast, gathered float64) {
-	if r.Trials == 0 {
-		return 0, 0
-	}
-	n := float64(r.Trials)
-	return float64(r.BitPlaneFastLanes) / n, float64(r.BitPlaneGatheredLanes) / n
 }
 
 // rateInterval attaches a 95% confidence interval to a Monte-Carlo rate:

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"afs/internal/core"
+	"afs/internal/hierarchical"
 	"afs/internal/lattice"
 	"afs/internal/mwpm"
 	"afs/internal/noise"
@@ -11,6 +12,11 @@ import (
 
 func ufFactory(g *lattice.Graph) Decoder   { return core.NewDecoder(g, core.Options{}) }
 func mwpmFactory(g *lattice.Graph) Decoder { return mwpm.NewDecoder(g) }
+
+// hierFactory builds the decoder the facade's Hierarchical kind runs.
+func hierFactory(g *lattice.Graph) Decoder {
+	return hierarchical.New(g, core.NewDecoder(g, core.Options{LeanStats: true}))
+}
 
 func TestZeroNoiseNeverFails(t *testing.T) {
 	r := RunAccuracy(AccuracyConfig{Distance: 5, P: 0, Trials: 1000, Seed: 1, New: ufFactory})

@@ -105,7 +105,7 @@ var (
 			triageW0:    reg.NewCounter("afs_mc_triage_w0_total", "trials resolved by the weight-0 fast path", s),
 			triageW1:    reg.NewCounter("afs_mc_triage_w1_total", "trials resolved by the weight-1 closed form", s),
 			triageW2:    reg.NewCounter("afs_mc_triage_w2_total", "trials resolved by the weight-2 closed form", s),
-			triageMulti: reg.NewCounter("afs_mc_triage_multi_total", "trials resolved by the pair/single decomposition", s),
+			triageMulti: reg.NewCounter("afs_mc_triage_multi_total", "weight >= 3 trials resolved without a decoder walk (lane classes or peel)", s),
 			fullDecode:  reg.NewCounter("afs_mc_full_decodes_total", "trials decoded by the full pipeline", s),
 			bitplaneFast: reg.NewCounter("afs_mc_bitplane_fast_lanes_total",
 				"trial lanes resolved by bit-plane algebra without gathering", s),

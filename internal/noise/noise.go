@@ -80,11 +80,6 @@ func (s *Sampler) Reseed(seed1, seed2 uint64) {
 	s.pcg.Seed(seed1, seed2)
 }
 
-// RNG exposes the sampler's random stream for auxiliary draws that must
-// remain coupled to the trial sequence (used by the sequential-round
-// simulation).
-func (s *Sampler) RNG() *rand.Rand { return s.rng }
-
 // MeanFaults returns the empirical mean number of faults per trial sampled
 // so far.
 func (s *Sampler) MeanFaults() float64 {

@@ -183,7 +183,7 @@ func BenchmarkStreamDecoder(b *testing.B) {
 }
 
 // BenchmarkStreamBaseline measures the pre-rebuild decoder on the identical
-// workload, for interleaved comparison in cmd/afs-bench.
+// workload, for interleaved comparison with BenchmarkStreamDecoder.
 func BenchmarkStreamBaseline(b *testing.B) {
 	benchSingle(b, func() pusher {
 		d, err := NewBaseline(11, 11, 0)

@@ -132,23 +132,6 @@ func (f *Forest) UnionRootsQuiet(ra, rb int32) int32 {
 	return ra
 }
 
-// FindReadOnly returns the representative of x without modifying the
-// forest or its access counters. It is the only find safe to call from
-// multiple goroutines concurrently (against a forest no goroutine is
-// mutating): it performs no path compression and touches no shared
-// bookkeeping, so the tile-parallel growth phase can resolve roots from
-// every worker while unions remain confined to the sequential
-// reconciliation phase.
-func (f *Forest) FindReadOnly(x int32) int32 {
-	for {
-		p := f.parent[x]
-		if p == x {
-			return x
-		}
-		x = p
-	}
-}
-
 // FindNoCompress returns the representative of x without modifying the
 // forest. It exists for the ablation study of path compression.
 func (f *Forest) FindNoCompress(x int32) int32 {
@@ -179,20 +162,6 @@ func (f *Forest) Union(a, b int32) int32 {
 	f.RootWrites++
 	f.size[ra] += f.size[rb]
 	f.SizeWrites++
-	return ra
-}
-
-// UnionUnweighted merges without consulting the Size Table (always attaches
-// b's root under a's root). It exists for the ablation study of weighted
-// union.
-func (f *Forest) UnionUnweighted(a, b int32) int32 {
-	ra, rb := f.Find(a), f.Find(b)
-	if ra == rb {
-		return ra
-	}
-	f.parent[rb] = ra
-	f.RootWrites++
-	f.size[ra] += f.size[rb]
 	return ra
 }
 
