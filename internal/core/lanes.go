@@ -9,135 +9,43 @@ import (
 	"afs/internal/swar"
 )
 
-// LaneTriage is the bit-plane counterpart of Triage: it classifies 64
-// trial lanes at once from defect planes (one uint64 per vertex, bit t =
-// lane t has a defect there — see noise.PlaneGroup), using the bit-sliced
-// saturating counters of internal/swar instead of per-trial index lists.
-// The output is a set of lane masks the bit-plane Monte-Carlo kernel
-// resolves without ever materializing a defect list for the fast-path
-// lanes:
+// LaneTriage is the plane certificate: it classifies 64 lanes at once from
+// defect planes (one uint64 per vertex, bit t = lane t has a defect there —
+// see noise.PlaneGroup) for the Monte-Carlo kernel (Classify) and for the
+// stream's lane batcher (ClassifySparse). Both entry points run one scan
+// and one single rule, which enforce the isolation rule of DESIGN.md
+// ("Isolation certificate") word-parallel:
 //
-//   - W0 (weight 0): identity correction, parity 0 — exactly Triage's W0.
-//   - W1 (weight 1): NorthParity carries the lane's side bit (parity 1 iff
-//     the lone defect's strictly nearest boundary is north); TieAny flags
-//     lanes whose defect sits on a SideTie vertex, which must punt exactly
-//     as Triage.Classify does.
-//   - Matched: the lane's distance-1 graph on its defects is a perfect
-//     matching — every defect has EXACTLY one defect at L1 distance 1.
-//     Parity 0 for any weight >= 2 (see below). Matched ∩ W2 is the
-//     adjacent defect pair of a single interior fault (Triage's W2
-//     interior rule at D == 1); Matched ∩ Heavy is the all-pairs
-//     decomposition of scattered interior faults.
-//   - Chain4: like Matched except exactly two defects have adjacency
-//     degree 2 and those two are adjacent to each other — the distance-1
-//     graph is a perfect matching plus ONE 4-defect path (the signature
-//     of two faults landing edge-adjacent, the dominant conflicted shape
-//     at deployment error rates). Parity 0 (see below).
-//   - SinglesOK: the lane decomposes into adjacent pairs plus certified
-//     isolated defects — strict-side boundary singles at fault distance
-//     B <= 2, and interior duos (two isolated defects at L1 distance 2,
-//     each the other's unique such partner, both at B >= 2) — with every
-//     isolation certificate checked against the ring tables. Parity is
-//     SingleParity's bit — the XOR of the certified singles' north-side
-//     bits; pairs and duos contribute parity 0.
-//   - Everything else (conflicted adjacency, deep or crowded singles,
-//     W2 pairs in the punt band, W1 ties) — gathered into index lists and
-//     routed through the scalar Triage / full-decoder path.
+//   - scan folds each defect's six lattice neighbours into a saturating
+//     per-lane degree (0, 1 or >= 2), refills the compact defect list
+//     DefV/DefW and lists the isolated (degree-0) defects. A lane holding a
+//     degree->=2 defect is conflicted. In any other lane the defects are
+//     adjacent pairs (R = 0; a cross-pair distance of 1 would have raised a
+//     degree) plus isolated defects.
+//   - singles certifies an isolated defect as a B = 1 boundary single
+//     (R = 1) iff fb[v] >= 0, no defect sits at L1 distance 2 (the ring-2
+//     scan over the planes: the single–pair bound 1+0+1) and no isolated
+//     defect sits at L1 distance 3 (the ring-3 scan over isoPlane: the
+//     single–single bound 1+1+1). Isolation already excludes distances 0
+//     and 1.
 //
-// Soundness of the Matched rule. "Exactly one" makes the distance-1 graph
-// on the lane's defects a perfect matching: my unique neighbor's unique
-// neighbor is me (on this lattice L1 distance 1 between real vertices
-// always means exactly one shared edge). This is precisely the peel's
-// all-pairs shape (Triage.PeelResidual: disjoint dominoes cover the
-// syndrome) — every defect pairs with its unique adjacent partner (radius
-// 0, parity 0 per pair: the shared edge beats any alternative, and any two
-// minimal corrections differ by interior cycles), and the cross-group
-// isolation invariant L1(i,j) > R(i)+R(j)+1 = 1 holds automatically
-// because a cross-pair distance of 1 would raise a degree above one. Total
-// parity is therefore 0 for every decoder the triage layer is sound for,
-// regardless of defect count — Matched lanes with more than
-// maxTriageDefects defects are resolved here even though the peel would
-// have handed them to the full decoder (same failure outcome, less work;
-// the lane-classification tests check both facts).
-//
-// Soundness of the Chain4 rule. Degrees are over the lane's distance-1
-// defect graph. With no isolated defects, no degree >= 3, exactly two
-// degree-2 defects, and those two adjacent, the components are forced:
-// two adjacent degree-2 defects share a component whose shape around them
-// is x–B–C–y with x, y at degree 1 (a fifth member would push a degree
-// past 2), i.e. exactly one 4-path, and every other component is a domino
-// (all remaining defects have degree 1; two 3-paths or longer chains
-// would contribute the wrong degree-2 census). A 4-path A–B–C–D has a
-// unique interior minimal correction — the matching {AB, CD} at weight 2;
-// {BC} leaves A, D unmatched, and any correction touching a boundary
-// costs at least 1 + B(A) + B(D) >= 3 — so every decoder resolves it
-// interior: parity 0. Union-Find concurs: all gaps are distance 1, so the
-// component merges into one even cluster in growth round one having
-// absorbed nothing beyond its defects (radius 0), and peeling pairs the
-// four defects through interior support edges. Cross-component isolation
-// is automatic exactly as for Matched — distance 1 between components
-// would change a degree. Total parity is 0 regardless of defect count,
-// so (as with Matched) lanes beyond maxTriageDefects resolve here even
-// though the peel would hand them to the full decoder.
-//
-// Soundness of the SinglesOK rule. Every isolated defect in a qualifying
-// lane is certified as one of the peel's closed-form components, with the
-// sparse isolation invariant L1(i,j) > R(i)+R(j)+1 checked per certificate:
-//
-//   - Boundary single at B <= 2 on a strict side: influence radius B,
-//     parity = its side bit. Against pair members (radius 0) it needs
-//     L1 > B+1, established by an empty non-isolated distance-2 ring (and,
-//     for B == 2, distance-3 ring); against other isolated defects the
-//     exact pairwise check below applies. A single must also have NO
-//     isolated defect at distance 2 — that would be a duo candidate or
-//     an isolation violation, and the peel would never certify it a lone
-//     single.
-//
-//   - Interior duo: two isolated defects at L1 distance exactly 2, each
-//     the other's UNIQUE distance-2 isolated partner in that lane (the
-//     ring-2 hit counter saturates at two), both at B >= 2 — the D == 2
-//     case of the peel's interior-duo rule (merge at round 2 beats any
-//     boundary resolution since 2 < 2*min(B); radius 1, parity 0).
-//     Against pair members a duo member needs L1 > 2, again from the
-//     empty non-isolated distance-2 ring. A distance-2 isolated pair that
-//     fails the duo certificate (a second candidate, or a B < 2 member)
-//     marks both members bad and routes the lane to the gathered path.
-//
-//   - Pairwise across isolated defects, the conservative bound R = B is
-//     used: any two isolated defects at L1 <= B(i)+B(j)+1 (other than a
-//     certified duo pair) mark both bad. For singles this is the exact
-//     peel invariant; for duo members (true radius 1) it punts slightly
-//     more than the peel accepts, which is sound — bad defects route the
-//     lane to the gathered path.
-//
-// Pair-vs-pair isolation (L1 > 1) is automatic from degree-1 adjacency.
-// Singles deeper than B == 2 are excluded: their independence radius
-// exceeds what the distance-3 ring can certify, so those lanes punt to
-// the gathered path (where the peel re-derives the full invariant from
-// coordinates). Every certificate here is strictly contained in what the
-// peel accepts, so resolved lanes of weight >= 3 peel to an empty residual
-// with the same parity, and resolved weight-2 lanes agree with Classify
-// (test-enforced).
+// A lane that certifies nothing is gathered (GatherLanes) for the scalar
+// certificate or the decoder, so the plane certificate needs soundness,
+// never completeness.
 type LaneTriage struct {
 	*laneTables
 
-	// Per-Classify scratch: isolated-defect positions and lane masks for
-	// the singles post-pass, and the degree-2 analog for the 4-path
-	// post-pass. Preallocated by NewLaneTriage and truncated (never
-	// reallocated) between calls so heavy batches see no regrowth churn.
+	// Per-call scratch: isolated-defect positions and lane masks for the
+	// single rule, and the degree-2 analog for Chain4's re-fold.
+	// Preallocated by NewLaneTriage and truncated (never reallocated)
+	// between calls so heavy batches see no regrowth churn.
 	isoV []int32
 	isoM []uint64
 	d2V  []int32
 	d2M  []uint64
-	// isoPlane[v] = lanes in which v holds an ISOLATED defect, populated
-	// over the touched isolated vertices for the post-pass (so ring scans
-	// can split hits into isolated vs matched) and re-zeroed before
-	// returning. sOK/duoC/duoP are per-iso-entry lane masks: certified
-	// single, duo candidate, and certified duo member.
+	// isoPlane[v] = lanes in which v holds an isolated defect, populated by
+	// singles for its ring-3 scan and re-zeroed before it returns.
 	isoPlane []uint64
-	sOK      []uint64
-	duoC     []uint64
-	duoP     []uint64
 
 	// DefV/DefW are the compact defect list of the most recent Classify or
 	// ClassifySparse call: the touched vertices with a nonzero plane word,
@@ -152,9 +60,7 @@ type LaneTriage struct {
 // once per *lattice.Graph and shared by every LaneTriage on that graph
 // (see laneTablesFor), so a classifier costs only its scratch.
 type laneTables struct {
-	g    *lattice.Graph
-	bd   *lut.Boundary
-	side []uint8
+	g *lattice.Graph
 
 	// nbr6 is the fixed-width coordinate-neighbor table: entries
 	// [6v, 6v+6) are v's L1-distance-1 real neighbors, padded with the
@@ -168,11 +74,10 @@ type laneTables struct {
 	interior []uint64
 	sr, st   int32
 	// ring2/ring2Off is CSR over vertices: the real vertices at L1
-	// distance exactly 2 (up to 18), consulted only for isolated defects.
+	// distance exactly 2 (up to 18). ring3/ring3Off: those at distance
+	// exactly 3 (up to 38). Both serve the single rule only.
 	ring2    []int32
 	ring2Off []int32
-	// ring3/ring3Off: the vertices at L1 distance exactly 3 (up to 38),
-	// consulted only for B == 2 single certificates.
 	ring3    []int32
 	ring3Off []int32
 	// northBits/tieBits are per-vertex side bitmaps (bit v of word v>>6),
@@ -180,13 +85,12 @@ type laneTables struct {
 	northBits []uint64
 	tieBits   []uint64
 
-	// fb/upNbr/upEdge serve ClassifySparse (the streaming fast set).
 	// fb[v] is FirstBoundaryEdge(v) when v sits at boundary distance 1,
-	// else -1 — the spSingle emit edge. upNbr/upEdge hold, per vertex, the
-	// three id-increasing lattice neighbors (+1 column, +d row, +d(d-1)
-	// layer) and the connecting edge, sentinel-padded (g.V / -1) at the
-	// faces — the spPair emit edge, looked up from the smaller member so
-	// each pair emits exactly once.
+	// else -1: the single rule's B = 1 test and a single's emit edge.
+	// upNbr/upEdge hold, per vertex, the three id-increasing lattice
+	// neighbors (+1 column, +d row, +d(d-1) layer) and the connecting edge,
+	// sentinel-padded (g.V / -1) at the faces — a pair's emit edge, looked
+	// up from the smaller member so each pair emits exactly once.
 	fb     []int32
 	upNbr  []int32
 	upEdge []int32
@@ -198,25 +102,23 @@ type laneTables struct {
 type LaneClasses struct {
 	W0, W1, W2 uint64 // syndrome weight exactly 0 / 1 / 2
 	Heavy      uint64 // syndrome weight >= 3
-	// Matched: every defect has exactly one defect at L1 distance 1 (a
-	// perfect matching; vacuously true for W0 lanes — mask with W2|Heavy
-	// before resolving). Parity 0.
+	// Matched: every defect has exactly one defect at L1 distance 1, so
+	// the lane is adjacent pairs only (vacuously true for W0 lanes — mask
+	// with W2|Heavy before resolving). Parity 0.
 	Matched uint64
-	// Chain4: adjacent pairs plus exactly one 4-defect path (see the type
-	// doc). Parity 0. Disjoint from Matched (it requires two degree-2
-	// defects) and from SinglesOK (no isolated defects allowed).
+	// Chain4: adjacent pairs plus exactly one 4-defect path. Parity 0.
+	// Disjoint from Matched (it requires two degree-2 defects) and from
+	// SinglesOK (no isolated defects allowed).
 	Chain4 uint64
-	// SinglesOK: adjacent pairs plus >= 1 certified isolated defects —
-	// B <= 2 boundary singles and distance-2 interior duos (see the type
-	// doc); parity = SingleParity. Disjoint from Matched (it requires at
-	// least one isolated defect).
+	// SinglesOK: adjacent pairs plus >= 1 isolated defects, each a
+	// strict-side B = 1 single the single rule certifies; parity =
+	// SingleParity. Disjoint from Matched (it requires an isolated defect).
 	SinglesOK uint64
 	// NorthParity bit t = XOR over lane t's defects of "strictly nearest
 	// boundary is north". For W1 lanes this is the closed-form parity.
 	NorthParity uint64
-	// SingleParity bit t = XOR over lane t's certified singles of their
-	// north-side bits (duos contribute 0); meaningful only on SinglesOK
-	// lanes (masked so).
+	// SingleParity bit t = XOR over lane t's singles of their north-side
+	// bits; meaningful only on SinglesOK lanes (masked so).
 	SingleParity uint64
 	// TieAny bit t = lane t contains a defect on a SideTie vertex. W1
 	// lanes in TieAny must punt (closed 3-D accuracy graphs never tie;
@@ -246,9 +148,6 @@ func NewLaneTriage(g *lattice.Graph) *LaneTriage {
 	lt.d2M = make([]uint64, 0, pre)
 	lt.DefV = make([]int32, 0, pre)
 	lt.DefW = make([]uint64, 0, pre)
-	lt.sOK = make([]uint64, 0, pre)
-	lt.duoC = make([]uint64, 0, pre)
-	lt.duoP = make([]uint64, 0, pre)
 	lt.isoPlane = make([]uint64, g.V+1)
 	return lt
 }
@@ -268,7 +167,7 @@ var laneTableCache sync.Map // *lattice.Graph → *laneTables
 
 func newLaneTables(g *lattice.Graph) *laneTables {
 	bd := lut.BoundaryFor(g)
-	lt := &laneTables{g: g, bd: bd, side: bd.Side}
+	lt := &laneTables{g: g}
 	words := (g.V + 63) / 64
 	lt.northBits = make([]uint64, words)
 	lt.tieBits = make([]uint64, words)
@@ -373,33 +272,30 @@ func abs32i(x int) int {
 	return x
 }
 
-// Classify runs the bitwise weight classification over a group's defect
-// planes. planes[v] bit t = lane t has a defect at v; it must include the
-// always-zero sentinel slot at index g.V (PlaneGroup provides it — the
-// padded neighbor table loads through it). touched is the vertex bitmap
-// of possibly-nonzero plane words (untouched vertices MUST be zero);
-// laneMask confines every returned mask to the live lanes.
-//
-// Cost: one fused pass over the touched vertices computing the
-// saturating weight counters, parity planes, and the bit-parallel
-// unique-adjacent-pair matcher, plus a short post-pass over the isolated
-// defects (rare) certifying the singles decomposition.
-func (lt *LaneTriage) Classify(planes []uint64, touched []uint64, laneMask uint64) LaneClasses {
-	var cnt, cnt2 swar.LaneCounts
-	var north, tie, conflict, deg3, isoAny, s0, sOv uint64
-	defects := 0
+// weights is Classify's per-lane tally, accumulated inside the shared scan.
+type weights struct {
+	cnt        swar.LaneCounts
+	north, tie uint64
+	defects    int
+}
+
+// scan is the shared pass over the touched vertices (see the type doc). It
+// returns the lanes holding a defect of degree >= 2 and the lanes holding
+// an isolated defect. planes must include the always-zero sentinel slot at
+// index g.V (the padded neighbor table loads through it); untouched
+// vertices must be zero. A non-nil wt also accumulates Classify's weight
+// counters and north/tie parities: fused here, because a separate pass
+// over DefV made Classify about 4% slower (median of 15 interleaved runs
+// at d=11, p=1e-3, 2-vCPU Intel Xeon).
+func (lt *LaneTriage) scan(planes, touched []uint64, wt *weights) (conflict, isoAny uint64) {
 	lt.isoV = lt.isoV[:0]
 	lt.isoM = lt.isoM[:0]
-	lt.d2V = lt.d2V[:0]
-	lt.d2M = lt.d2M[:0]
 	lt.DefV = lt.DefV[:0]
 	lt.DefW = lt.DefW[:0]
 	nbr6 := lt.nbr6
 	sr, st := int(lt.sr), int(lt.st)
 	for wi, tw := range touched {
 		base := wi << 6
-		nb := lt.northBits[wi]
-		tb := lt.tieBits[wi]
 		in := lt.interior[wi]
 		for tw != 0 {
 			b := bits.TrailingZeros64(tw)
@@ -411,38 +307,32 @@ func (lt *LaneTriage) Classify(planes []uint64, touched []uint64, laneMask uint6
 			}
 			lt.DefV = append(lt.DefV, int32(v))
 			lt.DefW = append(lt.DefW, w)
-			cnt.Add(w)
-			defects += bits.OnesCount64(w)
-			north ^= w & -(nb >> uint(b) & 1)
-			if tb != 0 {
-				tie |= w & -(tb >> uint(b) & 1)
+			if wt != nil {
+				wt.cnt.Add(w)
+				wt.defects += bits.OnesCount64(w)
+				wt.north ^= w & -(lt.northBits[wi] >> uint(b) & 1)
+				wt.tie |= w & -(lt.tieBits[wi] >> uint(b) & 1)
 			}
-			// Defect-neighbor count per lane, three-level saturating fold:
-			// n0 = count bit 0, n1 = count reached 2, n2 = count reached 3
-			// (the Chain4 class needs degree-2-exact). Interior vertices
-			// (the common case away from the faces) read their six
-			// neighbors at the fixed layout strides; face vertices go
-			// through the sentinel-padded nbr6 table.
-			var n0, n1, n2, p uint64
+			// Two-level saturating neighbor fold: n1 = "degree >= 2", and
+			// with it n0 separates degree 0 from degree 1. Interior
+			// vertices read their six neighbors at the fixed layout
+			// strides; face vertices go through the sentinel-padded nbr6.
+			var n0, n1, p uint64
 			if in>>uint(b)&1 != 0 {
 				n0 = planes[v-st]
 				p = planes[v-sr]
 				n1 = n0 & p
 				n0 ^= p
 				p = planes[v-1]
-				n2 |= n1 & p
 				n1 |= n0 & p
 				n0 ^= p
 				p = planes[v+1]
-				n2 |= n1 & p
 				n1 |= n0 & p
 				n0 ^= p
 				p = planes[v+sr]
-				n2 |= n1 & p
 				n1 |= n0 & p
 				n0 ^= p
 				p = planes[v+st]
-				n2 |= n1 & p
 				n1 |= n0 & p
 				n0 ^= p
 			} else {
@@ -452,160 +342,142 @@ func (lt *LaneTriage) Classify(planes []uint64, touched []uint64, laneMask uint6
 				n1 = n0 & p
 				n0 ^= p
 				p = planes[nbr6[o+2]]
-				n2 |= n1 & p
 				n1 |= n0 & p
 				n0 ^= p
 				p = planes[nbr6[o+3]]
-				n2 |= n1 & p
 				n1 |= n0 & p
 				n0 ^= p
 				p = planes[nbr6[o+4]]
-				n2 |= n1 & p
 				n1 |= n0 & p
 				n0 ^= p
 				p = planes[nbr6[o+5]]
-				n2 |= n1 & p
 				n1 |= n0 & p
 				n0 ^= p
 			}
 			conflict |= w & n1
-			deg3 |= w & n2
-			if d2 := w & n1 &^ n2; d2 != 0 {
-				cnt2.Add(d2)
-				lt.d2V = append(lt.d2V, int32(v))
-				lt.d2M = append(lt.d2M, d2)
-			}
 			if is := w &^ (n0 | n1); is != 0 {
 				isoAny |= is
-				sOv |= s0 & is
-				s0 ^= is
 				lt.isoV = append(lt.isoV, int32(v))
 				lt.isoM = append(lt.isoM, is)
 			}
 		}
 	}
-	cls := LaneClasses{
-		W0:          cnt.Exactly0() & laneMask,
-		W1:          cnt.Exactly1() & laneMask,
-		W2:          cnt.Exactly2() & laneMask,
-		Heavy:       cnt.AtLeast3() & laneMask,
-		Matched:     ^(conflict | isoAny) & laneMask,
-		NorthParity: north & laneMask,
-		TieAny:      tie & laneMask,
-		Defects:     defects,
-	}
-	// 4-path post-pass: a lane qualifies when it has exactly two degree-2
-	// defects (cnt2), those two are lattice-adjacent, no defect reached
-	// degree 3, and no defect is isolated.
-	if cand := cnt2.Exactly2() &^ deg3 &^ isoAny & laneMask; cand != 0 && len(lt.d2V) >= 2 {
-		var adjPair uint64
-		for i := 1; i < len(lt.d2V); i++ {
-			mi := lt.d2M[i]
-			pi := lt.g.PackedCoords(lt.d2V[i])
-			for j := 0; j < i; j++ {
-				both := mi & lt.d2M[j]
-				if both == 0 {
-					continue
-				}
-				pj := lt.g.PackedCoords(lt.d2V[j])
-				d := abs32(int32(pi&0xffff)-int32(pj&0xffff)) +
-					abs32(int32(pi>>16&0xffff)-int32(pj>>16&0xffff)) +
-					abs32(int32(pi>>32&0xffff)-int32(pj>>32&0xffff))
-				if d == 1 {
-					adjPair |= both
-				}
-			}
-		}
-		cls.Chain4 = cand & adjPair
-	}
-	if isoAny&^conflict == 0 {
-		return cls
-	}
-	// Isolated-defect post-pass: certify each isolated defect as a B <= 2
-	// strict-side single or a distance-2 interior duo member (see the type
-	// doc). isoPlane lets the ring scans split hits into isolated defects
-	// (potential duo partners / pairwise-checked peers) and matched ones
-	// (hard radius obstructions).
+	return conflict, isoAny
+}
+
+// singles applies the single rule (see the type doc) to the isolated
+// defects the last scan listed and returns the lanes holding one that
+// fails it.
+func (lt *LaneTriage) singles(planes []uint64) (bad uint64) {
 	iso := lt.isoV
-	lt.sOK, lt.duoC, lt.duoP = lt.sOK[:0], lt.duoC[:0], lt.duoP[:0]
 	for i, v := range iso {
 		lt.isoPlane[v] = lt.isoM[i]
 	}
 	for i, v := range iso {
 		m := lt.isoM[i]
-		bv := int32(lt.g.PackedCoords(v) >> 48)
-		// h1/h2: lanes with >= 1 / >= 2 isolated ring-2 hits; ni2: lanes
-		// with a matched (non-isolated) defect at distance 2.
-		var h1, h2, ni2 uint64
+		if lt.fb[v] < 0 {
+			bad |= m
+			continue
+		}
+		var hit uint64
 		for _, u := range lt.ring2[lt.ring2Off[v]:lt.ring2Off[v+1]] {
-			hit := m & lt.isoPlane[u]
-			h2 |= h1 & hit
-			h1 |= hit
-			ni2 |= m & (planes[u] &^ lt.isoPlane[u])
+			hit |= planes[u]
 		}
-		var sOK, duoC uint64
-		if lt.side[v] != lut.SideTie {
-			if bv >= 2 {
-				duoC = m & h1 &^ h2 &^ ni2
-			}
-			if bv <= 2 {
-				sOK = m &^ h1 &^ ni2
-				if bv == 2 && sOK != 0 {
-					// Radius-2 single vs pair members: L1 > 3.
-					var ni3 uint64
-					for _, u := range lt.ring3[lt.ring3Off[v]:lt.ring3Off[v+1]] {
-						ni3 |= planes[u] &^ lt.isoPlane[u]
-					}
-					sOK &^= ni3 & m
-				}
-			}
+		for _, u := range lt.ring3[lt.ring3Off[v]:lt.ring3Off[v+1]] {
+			hit |= lt.isoPlane[u]
 		}
-		lt.sOK = append(lt.sOK, sOK)
-		lt.duoC = append(lt.duoC, duoC)
-		lt.duoP = append(lt.duoP, 0)
+		bad |= m & hit
 	}
-	// Pairwise pass over isolated defects sharing a lane: distance-2
-	// candidate pairs either certify as a duo (both sides unique, B >= 2)
-	// or kill both; anything else within the conservative R = B invariant
-	// slack kills both.
-	for i := 1; i < len(iso); i++ {
-		mi := lt.isoM[i]
-		pi := lt.g.PackedCoords(iso[i])
-		bi := int32(pi >> 48)
-		for j := 0; j < i; j++ {
-			both := mi & lt.isoM[j]
+	for _, v := range iso {
+		lt.isoPlane[v] = 0
+	}
+	return bad
+}
+
+// Classify is the Monte-Carlo entry point. planes[v] bit t = lane t has a
+// defect at v, with the sentinel slot at g.V; touched is the vertex bitmap
+// of possibly-nonzero plane words (untouched vertices MUST be zero);
+// laneMask confines every returned mask to the live lanes.
+//
+// On top of the shared scan and single rule it adds the weight counters
+// and north/tie parities (accumulated in the scan), Chain4 (a three-level
+// re-fold over the conflicted lanes that hold no isolated defect), and the
+// strict-side requirement a single's parity needs.
+func (lt *LaneTriage) Classify(planes []uint64, touched []uint64, laneMask uint64) LaneClasses {
+	var wt weights
+	conflict, isoAny := lt.scan(planes, touched, &wt)
+	cls := LaneClasses{
+		W0:          wt.cnt.Exactly0() & laneMask,
+		W1:          wt.cnt.Exactly1() & laneMask,
+		W2:          wt.cnt.Exactly2() & laneMask,
+		Heavy:       wt.cnt.AtLeast3() & laneMask,
+		Matched:     ^(conflict | isoAny) & laneMask,
+		NorthParity: wt.north & laneMask,
+		TieAny:      wt.tie & laneMask,
+		Defects:     wt.defects,
+	}
+	if cand := conflict &^ isoAny & laneMask; cand != 0 {
+		cls.Chain4 = lt.chain4(planes, cand)
+	}
+	if cand := isoAny &^ conflict & laneMask; cand != 0 {
+		bad := lt.singles(planes)
+		var sNorth uint64
+		for i, v := range lt.isoV {
+			m := lt.isoM[i]
+			sNorth ^= m & -(lt.northBits[v>>6] >> (uint(v) & 63) & 1)
+			bad |= m & -(lt.tieBits[v>>6] >> (uint(v) & 63) & 1)
+		}
+		cls.SinglesOK = cand &^ bad
+		cls.SingleParity = sNorth & cls.SinglesOK
+	}
+	return cls
+}
+
+// chain4 returns the lanes of cand (conflicted, no isolated defect) whose
+// distance-1 graph is adjacent pairs plus one 4-path: no defect of degree
+// >= 3, exactly two of degree 2, and those two adjacent.
+func (lt *LaneTriage) chain4(planes []uint64, cand uint64) uint64 {
+	var cnt2 swar.LaneCounts
+	var deg3 uint64
+	lt.d2V = lt.d2V[:0]
+	lt.d2M = lt.d2M[:0]
+	for i, v := range lt.DefV {
+		w := lt.DefW[i] & cand
+		if w == 0 {
+			continue
+		}
+		var n0, n1, n2 uint64
+		for _, u := range lt.nbr6[6*int(v) : 6*int(v)+6] {
+			p := planes[u]
+			n2 |= n1 & p
+			n1 |= n0 & p
+			n0 ^= p
+		}
+		deg3 |= w & n2
+		if d2 := w & n1 &^ n2; d2 != 0 {
+			cnt2.Add(d2)
+			lt.d2V = append(lt.d2V, v)
+			lt.d2M = append(lt.d2M, d2)
+		}
+	}
+	cand &= cnt2.Exactly2() &^ deg3
+	var adjPair uint64
+	for i := 1; i < len(lt.d2V) && cand != 0; i++ {
+		mi := lt.d2M[i] & cand
+		pi := lt.g.PackedCoords(lt.d2V[i])
+		for j := 0; j < i && mi != 0; j++ {
+			both := mi & lt.d2M[j]
 			if both == 0 {
 				continue
 			}
-			pj := lt.g.PackedCoords(iso[j])
+			pj := lt.g.PackedCoords(lt.d2V[j])
 			d := abs32(int32(pi&0xffff)-int32(pj&0xffff)) +
 				abs32(int32(pi>>16&0xffff)-int32(pj>>16&0xffff)) +
 				abs32(int32(pi>>32&0xffff)-int32(pj>>32&0xffff))
-			if d == 2 {
-				duo := both & lt.duoC[i] & lt.duoC[j]
-				lt.duoP[i] |= duo
-				lt.duoP[j] |= duo
-			} else if d <= bi+int32(pj>>48)+1 {
-				lt.sOK[i] &^= both
-				lt.sOK[j] &^= both
-				lt.duoC[i] &^= both
-				lt.duoC[j] &^= both
-				lt.duoP[i] &^= both
-				lt.duoP[j] &^= both
+			if d == 1 {
+				adjPair |= both
 			}
 		}
 	}
-	// A lane qualifies iff every isolated defect in it certified; the
-	// certified singles' north bits form the lane parity (duos are 0).
-	var badS, singleNorth uint64
-	for i, v := range iso {
-		badS |= lt.isoM[i] &^ (lt.sOK[i] | lt.duoP[i])
-		if lt.side[v] == lut.SideNorth {
-			singleNorth ^= lt.sOK[i]
-		}
-		lt.isoPlane[v] = 0
-	}
-	cls.SinglesOK = (s0 | sOv) &^ conflict &^ badS & laneMask
-	cls.SingleParity = singleNorth & cls.SinglesOK
-	return cls
+	return cand & adjPair
 }

@@ -9,6 +9,7 @@ import (
 
 	"afs/internal/lattice"
 	"afs/internal/lut"
+	"afs/internal/noise"
 	"afs/internal/swar"
 )
 
@@ -70,76 +71,30 @@ func refClassify(g *lattice.Graph, bd *lut.Boundary, defs []int32) laneRef {
 		ref.chain4 = g.GraphDistance(defs[d2idx[0]], defs[d2idx[1]]) == 1
 	}
 	// singlesOK: no defect with two adjacent partners, at least one
-	// isolated defect, and every isolated defect certified — a strict-side
-	// B <= 2 boundary single (no isolated defect at distance 2, no matched
-	// defect within distance B+1) or a member of a certified distance-2
-	// interior duo (unique mutual isolated partner, both B >= 2, no
-	// matched defect within distance 2). This is a direct scalar
-	// transcription of LaneTriage's isolated-defect post-pass, including
-	// its pass order (candidate classification, then the pairwise
-	// duo/kill sweep in ascending-index order).
-	noDeg2 := true
-	var iso []int
-	for i, d := range deg {
-		if d >= 2 {
-			noDeg2 = false
-		}
-		if d == 0 {
-			iso = append(iso, i)
-		}
-	}
-	single := make([]bool, len(iso))
-	duoCand := make([]bool, len(iso))
-	duoPaired := make([]bool, len(iso))
-	for a, i := range iso {
-		u := defs[i]
-		if bd.Side[u] == lut.SideTie {
-			continue
-		}
-		b := int(bd.Dist[u])
-		isoHits, matched2, matched3 := 0, false, false
-		for j, v := range defs {
-			if j == i {
-				continue
-			}
-			switch d := g.GraphDistance(u, v); {
-			case d == 2 && deg[j] == 0:
-				isoHits++
-			case d == 2:
-				matched2 = true
-			case d == 3 && deg[j] != 0:
-				matched3 = true
-			}
-		}
-		duoCand[a] = b >= 2 && isoHits == 1 && !matched2
-		single[a] = b <= 2 && isoHits == 0 && !matched2 && !(b == 2 && matched3)
-	}
-	for a := 1; a < len(iso); a++ {
-		u := defs[iso[a]]
-		for b := 0; b < a; b++ {
-			v := defs[iso[b]]
-			switch d := g.GraphDistance(u, v); {
-			case d == 2:
-				if duoCand[a] && duoCand[b] {
-					duoPaired[a], duoPaired[b] = true, true
-				}
-			case d <= int(bd.Dist[u])+int(bd.Dist[v])+1:
-				single[a], single[b] = false, false
-				duoCand[a], duoCand[b] = false, false
-				duoPaired[a], duoPaired[b] = false, false
-			}
-		}
-	}
-	ok := noDeg2 && len(iso) > 0
-	for a, i := range iso {
-		if !single[a] && !duoPaired[a] {
+	// isolated defect, and every isolated defect a strict-side single at
+	// boundary distance 1 with no defect at distance 2 and no isolated
+	// defect at distance 3.
+	ok := len(defs) > 0
+	for i, u := range defs {
+		if deg[i] >= 2 {
 			ok = false
 		}
-		if single[a] && bd.Side[defs[i]] == lut.SideNorth {
+		if deg[i] != 0 {
+			continue
+		}
+		if bd.Side[u] == lut.SideTie || bd.Dist[u] != 1 {
+			ok = false
+		}
+		for j, v := range defs {
+			if d := g.GraphDistance(u, v); d == 2 || d == 3 && deg[j] == 0 {
+				ok = false
+			}
+		}
+		if bd.Side[u] == lut.SideNorth {
 			ref.singleNorth = !ref.singleNorth
 		}
 	}
-	ref.singlesOK = ok
+	ref.singlesOK = ok && !ref.matched
 	if !ref.singlesOK {
 		ref.singleNorth = false
 	}
@@ -353,9 +308,9 @@ func checkClasses(t *testing.T, g *lattice.Graph, bd *lut.Boundary, lt *LaneTria
 }
 
 // Steady-state lane classification must not allocate: every scratch slice
-// — the d2 capture, the defect gather list, and the iso post-pass state
-// (isoPlane, sOK/duoC/duoP) — is preallocated in NewLaneTriage or retained
-// at its high-water mark across Classify calls.
+// — the d2 capture, the defect gather list, and the single rule's
+// isoV/isoM/isoPlane — is preallocated in NewLaneTriage or retained at its
+// high-water mark across Classify calls.
 func TestLaneClassifyZeroAllocSteadyState(t *testing.T) {
 	g := lattice.New3D(7, 7)
 	lt := NewLaneTriage(g)
@@ -511,11 +466,10 @@ func TestLaneTriageMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// Every bitwise-resolved heavy lane must be a syndrome the peel certifies
-// whole (empty residual) with the same parity — when it is small enough
-// for the peel at all. Larger resolved lanes (beyond maxTriageDefects) are
-// the bit-plane layer's win over the peel. Resolved W2 lanes must agree
-// with the scalar weight-2 closed form.
+// Every bitwise-resolved lane must be a syndrome the scalar certificate
+// resolves whole (empty residual) with the same parity — when it is small
+// enough for the peel at all. Larger resolved lanes (beyond
+// maxTriageDefects) are the bit-plane layer's win over the peel.
 func TestLaneTriageResolvedAgreesWithScalarTriage(t *testing.T) {
 	g := lattice.New3D(7, 7)
 	lt := NewLaneTriage(g)
@@ -545,17 +499,9 @@ func TestLaneTriageResolvedAgreesWithScalarTriage(t *testing.T) {
 			default:
 				continue
 			}
-			if len(lanes[lane]) == 2 {
-				class, parity, ok := tri.Classify(lanes[lane])
-				if !ok || class != TriageW2 || parity != wantParity {
-					t.Fatalf("resolved weight-2 lane %v: scalar triage says class=%v parity=%v ok=%v, want W2 parity=%v",
-						lanes[lane], class, parity, ok, wantParity)
-				}
-				continue
-			}
 			parity, res, _ := tri.PeelResidual(lanes[lane])
 			if len(res) != 0 || parity != wantParity {
-				t.Fatalf("resolved heavy lane %v: peel leaves residual %v parity=%v, want none and parity=%v",
+				t.Fatalf("resolved lane %v: peel leaves residual %v parity=%v, want none and parity=%v",
 					lanes[lane], res, parity, wantParity)
 			}
 		}
@@ -566,31 +512,113 @@ func TestLaneTriageResolvedAgreesWithScalarTriage(t *testing.T) {
 	}
 }
 
+// checkSparseLanes runs ClassifySparse over one plane group and pins every
+// eligible lane (1 to MaxShortcutDefects defects, as the stream batcher
+// admits) to the scalar shortcut: the lane is fast iff decodeSparse with no
+// horizon leaves no slow group, and a fast lane emits decodeSparse's
+// correction edge for edge, in order. It returns the eligible and fast
+// lane counts.
+func checkSparseLanes(t *testing.T, g *lattice.Graph, lt *LaneTriage, dec *Decoder, lanes [][]int32, planes, touched []uint64) (eligible, fast int) {
+	t.Helper()
+	var elig uint64
+	for lane, defs := range lanes {
+		if k := len(defs); k >= 1 && k <= MaxShortcutDefects {
+			elig |= 1 << uint(lane)
+		}
+	}
+	var emits [64][]int32
+	mask := lt.ClassifySparse(planes, touched, elig, &emits)
+	if mask&^elig != 0 {
+		t.Fatalf("%v: fast mask %#x leaks outside eligible lanes %#x", g, mask, elig)
+	}
+	for lane, defs := range lanes {
+		if elig>>uint(lane)&1 == 0 {
+			continue
+		}
+		eligible++
+		corr, ok := dec.decodeSparse(defs, noHorizon)
+		want := ok && len(dec.sp.slow) == 0
+		got := mask>>uint(lane)&1 != 0
+		if got != want {
+			t.Fatalf("%v: lane %v: ClassifySparse fast=%v, decodeSparse all-fast=%v", g, defs, got, want)
+		}
+		if got {
+			fast++
+			if !slices.Equal(emits[lane], corr) {
+				t.Fatalf("%v: lane %v: emits %v, decodeSparse %v", g, defs, emits[lane], corr)
+			}
+		}
+	}
+	return eligible, fast
+}
+
+// TestClassifySparseMatchesDecodeSparse pins the stream's lane certificate
+// to the scalar shortcut on sampled windows (checkSparseLanes), across the
+// stream's window shapes and from the design point to past threshold.
+func TestClassifySparseMatchesDecodeSparse(t *testing.T) {
+	groups := 300
+	if testing.Short() {
+		groups = 40
+	}
+	lanes := make([][]int32, 64)
+	for _, sh := range []struct{ d, w int }{{3, 3}, {5, 5}, {7, 7}, {11, 11}, {4, 6}} {
+		var pg noise.PlaneGroup
+		g := lattice.Cached3DWindow(sh.d, sh.w)
+		lt := NewLaneTriage(g)
+		dec := NewDecoder(g, Options{SparseShortcut: true, LeanStats: true})
+		eligible, fast := 0, 0
+		for pi, p := range []float64{1e-3, 5e-3, 2e-2} {
+			s := noise.NewPlaneSampler(g, p, 41, uint64(pi), g.NorthCutQubits())
+			for n := 0; n < groups; n++ {
+				s.SampleGroup(&pg, 64)
+				for lane := range lanes {
+					lanes[lane] = pg.AppendLaneDefects(lane, lanes[lane][:0])
+				}
+				e, f := checkSparseLanes(t, g, lt, dec, lanes, pg.Defects, pg.Touched)
+				eligible += e
+				fast += f
+			}
+		}
+		if fast == 0 || fast == eligible {
+			t.Fatalf("%v: %d of %d eligible lanes fast: one side of the certificate never ran", g, fast, eligible)
+		}
+		t.Logf("%v: %d of %d eligible lanes fast on both sides", g, fast, eligible)
+	}
+}
+
 // FuzzLaneClassify feeds fuzzer-chosen defect scatters through Classify
-// and cross-checks every lane against the scalar reference.
+// and cross-checks every lane against the scalar reference, on a closed
+// graph and on a window graph (temporal-boundary ties); on the window
+// graph it also pins ClassifySparse to decodeSparse.
 func FuzzLaneClassify(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(64))
-	g := lattice.New3D(3, 3)
-	bd := lut.NewBoundary(g)
-	lt := NewLaneTriage(g)
+	graphs := []*lattice.Graph{lattice.New3D(3, 3), lattice.New3DWindow(4, 4)}
+	lts := []*LaneTriage{NewLaneTriage(graphs[0]), NewLaneTriage(graphs[1])}
+	dec := NewDecoder(graphs[1], Options{SparseShortcut: true, LeanStats: true})
 	f.Fuzz(func(t *testing.T, data []byte, kByte uint8) {
 		k := 1 + int(kByte)%64
 		mask := ^uint64(0) >> uint(64-k)
-		lanes := make([][]int32, 64)
-		seen := map[[2]int32]bool{}
-		for i := 0; i+1 < len(data); i += 2 {
-			lane := int(data[i]) % k
-			v := int32(data[i+1]) % int32(g.V)
-			key := [2]int32{int32(lane), v}
-			if seen[key] {
-				continue
+		for gi, g := range graphs {
+			lanes := make([][]int32, 64)
+			seen := map[[2]int32]bool{}
+			for i := 0; i+1 < len(data); i += 2 {
+				lane := int(data[i]) % k
+				v := int32(data[i+1]) % int32(g.V)
+				key := [2]int32{int32(lane), v}
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
+				lanes[lane] = append(lanes[lane], v)
 			}
-			seen[key] = true
-			lanes[lane] = append(lanes[lane], v)
+			for lane := range lanes {
+				sortInt32Test(lanes[lane])
+			}
+			checkClasses(t, g, lut.BoundaryFor(g), lts[gi], lanes, mask, nil)
+			if gi == 1 {
+				planes, touched := buildPlanes(g, lanes, nil)
+				checkSparseLanes(t, g, lts[gi], dec, lanes, planes, touched)
+			}
 		}
-		for lane := range lanes {
-			sortInt32Test(lanes[lane])
-		}
-		checkClasses(t, g, bd, lt, lanes, mask, nil)
 	})
 }

@@ -2,148 +2,33 @@ package core
 
 import "math/bits"
 
-// ClassifySparse is LaneTriage's streaming counterpart of Classify: it
-// classifies up to 64 same-shape stream windows (one per lane) against the
-// *sparse shortcut's* fast set rather than the Monte-Carlo kernel's
-// failure-equivalent classes. The distinction matters because a stream
-// window must reproduce decodeSparse's committed correction EDGES bit for
-// bit, not merely its failure parity — so the fast set here is exactly the
-// subset of syndromes decodeSparse resolves with every group fast:
+// ClassifySparse is the stream entry point: it classifies up to 64
+// same-shape stream windows (one per lane) with the shared scan and single
+// rule (see LaneTriage) and, for every lane that certifies, rebuilds the
+// correction edges decodeSparse would commit. A lane certifies iff it holds
+// no degree->=2 defect and every isolated defect passes the single rule —
+// exactly the windows decodeSparse partitions into adjacent pairs and B = 1
+// singles with no slow group (TestClassifySparseMatchesDecodeSparse).
 //
-//   - adjacent defect pairs (spPair), emitting the unique connecting edge;
-//   - isolated defects at boundary distance 1 with a boundary edge
-//     (spSingle), emitting lattice.FirstBoundaryEdge.
-//
-// A lane certifies fast iff (a) no defect has adjacency degree >= 2 — that
-// kills every component of size >= 3, since any such component has a
-// member of degree >= 2 — and (b) every isolated (degree-0) defect v has
-// fb[v] != -1, no defect of any kind at L1 distance exactly 2 (ring-2 scan
-// over the planes), and no isolated defect at L1 distance exactly 3
-// (ring-3 scan over the isolated-defect plane). Those ring conditions are
-// precisely decodeSparse's terminal isolation invariant for an all-fast
-// partition: a single (radius 1) conflicts with a pair member (radius 0)
-// within distance 1+0+1 = 2 and with another single within 1+1+1 = 3,
-// while pair members (radius 0) conflict only at distance <= 1, which
-// adjacency degree already rules out. Distances 0 and 1 to an isolated
-// defect are impossible by isolation, so the two ring scans are the whole
-// invariant.
-//
-// The certificate needs only soundness, never completeness: a gathered
-// lane runs the identical scalar decode, so conservatively routing any
-// ambiguous lane to the gather side can never change a correction.
-//
-// For each fast lane the emit list is rebuilt with decodeSparse's exact
-// emission order: one edge per group, ascending by the group's root defect
-// — the smallest vertex id among its members (sparseRegroup unions j into
-// i for i < j). The single pass over the compact defect list in ascending
-// vertex order reproduces that: a pair emits at its smaller member via the
-// id-increasing neighbor table (at most one hit per lane — degree <= 1),
-// and a certified single emits its boundary edge at its own position. All
-// fast edges are emitted regardless of the caller's commit horizon; the
+// Emission follows decodeSparse's order: one edge per group, ascending by
+// the group's smallest member vertex. The pass over the compact defect list
+// in ascending vertex order reproduces that: a pair emits at its smaller
+// member through the id-increasing neighbor table (at most one hit per lane
+// — degree <= 1), and a single emits its boundary edge at its own position.
+// All fast edges are emitted regardless of the caller's commit horizon; the
 // stream's commit loop filters Round >= commit, which keeps exactly the
 // edges decodeSparse's horizon skipping would keep (a pair's edge round
 // equals its reach; a single's edge round t is skipped by decodeSparse
 // only when t - 1 >= horizon, and the t == horizon edge it does emit is
 // dropped by the same round filter).
 //
-// planes/touched follow Classify's contract (sentinel slot at g.V, touched
-// bits only over possibly-nonzero words); laneMask confines the result and
-// the emit rebuild to the live lanes. Returns the fast lane mask; DefV and
-// DefW are left describing this call's defect list for GatherLanes.
+// planes/touched follow Classify's contract; laneMask confines the result
+// and the emit rebuild to the live lanes. Returns the fast lane mask; DefV
+// and DefW are left describing this call's defect list for GatherLanes.
 func (lt *LaneTriage) ClassifySparse(planes, touched []uint64, laneMask uint64, emits *[64][]int32) uint64 {
-	var conflict, isoAny uint64
-	lt.isoV = lt.isoV[:0]
-	lt.isoM = lt.isoM[:0]
-	lt.DefV = lt.DefV[:0]
-	lt.DefW = lt.DefW[:0]
-	nbr6 := lt.nbr6
-	sr, st := int(lt.sr), int(lt.st)
-	for wi, tw := range touched {
-		base := wi << 6
-		in := lt.interior[wi]
-		for tw != 0 {
-			b := bits.TrailingZeros64(tw)
-			tw &^= 1 << uint(b)
-			v := base + b
-			w := planes[v]
-			if w == 0 {
-				continue
-			}
-			lt.DefV = append(lt.DefV, int32(v))
-			lt.DefW = append(lt.DefW, w)
-			// Two-level saturating neighbor fold: n1 = "degree >= 2",
-			// n0^n1-free parity distinguishes degree 0 (isolated).
-			var n0, n1, p uint64
-			if in>>uint(b)&1 != 0 {
-				n0 = planes[v-st]
-				p = planes[v-sr]
-				n1 = n0 & p
-				n0 ^= p
-				p = planes[v-1]
-				n1 |= n0 & p
-				n0 ^= p
-				p = planes[v+1]
-				n1 |= n0 & p
-				n0 ^= p
-				p = planes[v+sr]
-				n1 |= n0 & p
-				n0 ^= p
-				p = planes[v+st]
-				n1 |= n0 & p
-				n0 ^= p
-			} else {
-				o := 6 * v
-				n0 = planes[nbr6[o]]
-				p = planes[nbr6[o+1]]
-				n1 = n0 & p
-				n0 ^= p
-				p = planes[nbr6[o+2]]
-				n1 |= n0 & p
-				n0 ^= p
-				p = planes[nbr6[o+3]]
-				n1 |= n0 & p
-				n0 ^= p
-				p = planes[nbr6[o+4]]
-				n1 |= n0 & p
-				n0 ^= p
-				p = planes[nbr6[o+5]]
-				n1 |= n0 & p
-				n0 ^= p
-			}
-			conflict |= w & n1
-			if is := w &^ (n0 | n1); is != 0 {
-				isoAny |= is
-				lt.isoV = append(lt.isoV, int32(v))
-				lt.isoM = append(lt.isoM, is)
-			}
-		}
-	}
-	bad := conflict
+	bad, isoAny := lt.scan(planes, touched, nil)
 	if isoAny&^bad != 0 {
-		iso := lt.isoV
-		for i, v := range iso {
-			lt.isoPlane[v] = lt.isoM[i]
-		}
-		for i, v := range iso {
-			m := lt.isoM[i]
-			if lt.fb[v] < 0 {
-				// Not a boundary-distance-1 vertex: no spSingle shape.
-				bad |= m
-				continue
-			}
-			var hit2 uint64
-			for _, u := range lt.ring2[lt.ring2Off[v]:lt.ring2Off[v+1]] {
-				hit2 |= planes[u]
-			}
-			var hit3 uint64
-			for _, u := range lt.ring3[lt.ring3Off[v]:lt.ring3Off[v+1]] {
-				hit3 |= lt.isoPlane[u]
-			}
-			bad |= m & (hit2 | hit3)
-		}
-		for _, v := range iso {
-			lt.isoPlane[v] = 0
-		}
+		bad |= lt.singles(planes)
 	}
 	fast := laneMask &^ bad
 	if fast == 0 {

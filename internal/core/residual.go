@@ -6,91 +6,32 @@ import (
 	"afs/internal/lut"
 )
 
-// Partial-residual decomposition: the triage layer's rule for syndromes of
-// weight >= 3, and its last line before the full decoder.
+// Partial-residual decomposition: the scalar certificate for every weight.
 //
-// Classify's closed forms stop at weight 2. PeelResidual takes a heavier
-// syndrome apart into adjacent pairs, interior duos and boundary singles,
-// certifies every component whose isolation it can prove, applies the
-// certified components' closed-form cut parities directly, and returns
-// only the ambiguous remainder for the decoder. Syndromes whose every
-// component certifies resolve here outright, and each surviving decode
-// gets smaller (the decoder sees the residual defect set, not the whole
-// syndrome).
+// PeelResidual enforces the isolation rule of DESIGN.md ("Isolation
+// certificate") on one sorted defect list. Weight <= 2 takes the closed
+// forms (closedForm) whole or not at all. Heavier syndromes are taken
+// apart into the rule's components — adjacent pairs and matchable quads
+// (R = 0), interior duos (R = ceil(D/2)), strict-side boundary singles
+// (R = B) — and everything else (oversize or unmatchable distance-1
+// components, K₁,₃ stars, side ties) starts in the residual at R = B. A
+// demotion pass then moves both groups of every cross pair with
+// L1 <= R(i)+R(j)+1 to the residual; the certified rest fold their
+// parities in directly, and a residual of weight <= 2 gets one more try at
+// the closed forms (their radii stay within the B bound the pass already
+// checked for residual members).
 //
-// # The certificate
+// # Demotion is a least fixpoint, so order is free
 //
-// Soundness rests on the same radius-bound argument as the sparse shortcut
-// (see sparse.go): under half-edge growth a cluster born at defect u absorbs
-// only vertices within L1 distance B(u) of u (B = fault distance to the
-// nearest boundary — once that ball is absorbed the cluster has touched the
-// boundary and gone inactive), and two groups of defects can interact only
-// if some cross pair (i, j) satisfies L1(i, j) <= R(i)+R(j)+1, where R is a
-// valid per-defect influence radius — otherwise no edge can ever complete
-// between their absorbed regions and each group evolves exactly as it would
-// alone. The certified component classes and their radii:
-//
-//   - adjacent pair / matchable quad (distance-1 component of size 2, or
-//     size 4 with a perfect matching): merges in growth round one having
-//     absorbed nothing beyond its defects, so R = 0, and every minimal
-//     correction pairs the defects through interior edges (any two such
-//     pairings differ by interior cycles): cut parity 0. The lattice is
-//     bipartite, so components are paths, stars or even cycles; a star
-//     K_{1,3} has no perfect matching and is demoted, which is necessary —
-//     its cheapest resolutions mix interior and boundary chains at equal
-//     cost. Odd or larger components are demoted too.
-//
-//   - interior duo (two leftover singles at distance D with
-//     2 <= D < 2*min(B(u), B(v)), each the other's unique such partner):
-//     the W2 interior-merge rule generalized into the decomposition. Both
-//     clusters stay active until they merge at round D — boundary contact
-//     would take round 2B > D — with each frontier having grown D/2 edges
-//     (for odd D one frontier completes the middle edge), so every absorbed
-//     vertex is within R = ceil(D/2) of its own defect, and D < 2*min(B)
-//     gives R <= min(B) <= B. The merged cluster is even and final: cut
-//     parity 0. Minimal-weight decoders concur: D < 2*min <= B(u)+B(v)
-//     makes the interior chain strictly cheaper than any boundary-touching
-//     resolution, so the u-v homology class is unique.
-//
-//   - boundary single (strict side): resolves to its nearest boundary.
-//     R = B, cut parity = the north-side bit (the W1 rule).
-//
-//   - residual (everything demoted: oversize or unmatchable distance-1
-//     components, side ties, singles with zero or multiple duo partners):
-//     decoded as one group by the full pipeline. R = B per member — the
-//     unconditional bound above, valid whatever the decoder does inside
-//     the group.
-//
-// The demotion fixpoint then enforces the isolation invariant: any
-// cross-group pair (i, j) with L1(i, j) <= R(i)+R(j)+1 demotes *both*
-// groups to the residual (their isolation certificates cannot be
-// established, so the decoder must see them together). Demotion only ever
-// moves components into the residual and never back, and demoted members
-// revert to the unconditional radius B, so the loop is monotone and
-// terminates; the terminal partition satisfies the invariant with radii
-// valid for the terminal classification. Certified components therefore
-// evolve exactly as they would alone under every decoder the triage layer
-// is sound for — regardless of what correction the decoder produces for
-// the residual — and the whole syndrome's cut parity is the XOR of the
-// certified closed forms with the residual decode's parity.
-//
-// # The fixpoint is a least fixpoint, so order is free
-//
-// Every certified radius is at most B (0 for pairs, ceil(D/2) <= min(B)
-// for duos, B for singles), so demoting a group never shrinks a radius, and
-// a pair that violates the invariant keeps violating it as more groups
-// join the residual. Each demotion the rule forces is therefore forced in
-// every closed superset of the residual it was derived from, and any
-// procedure that demotes only violating pairs' groups and stops only when
-// no violation is left ends on the same set: the least residual closed
-// under the rule. The result does not depend on the order pairs are
-// examined in, which lets the pass below visit them in whatever order is
-// cheapest and still return exactly what an all-pairs sweep to a clean
-// round returns (residual_ref_test.go keeps that sweep as the oracle).
+// Every certified radius is at most B, so demoting a group never shrinks
+// a radius, and a violating pair keeps violating as more groups join the
+// residual. Any procedure that demotes only violating pairs' groups and
+// stops only when none is left therefore ends on the same set — the least
+// residual closed under the rule — which lets the pass below visit pairs
+// in whatever order is cheapest. residual_ref_test.go keeps the all-pairs
+// sweep-until-clean as the oracle.
 //
 // # Cost: follow the interactions, not k^2
-//
-// The pass is organised so its work tracks the syndrome's structure:
 //
 //   - Adjacency comes from the sorted order. A lattice neighbour's vertex
 //     id differs by 1, d or d(d-1) = LayerVertices (ids are t·d(d-1) +
@@ -102,34 +43,20 @@ import (
 //     every defect in a distance-1 pair, nothing can be demoted (two pair
 //     members in different groups sit at distance >= 2 > 0+0+1), so the
 //     syndrome resolves with parity 0 and one peeled component per pair.
-//     At the design point (d=11, p=1e-3) that is 70% of the syndromes
-//     with 3 or more defects.
 //
 //   - Isolation is a worklist, not a sweep. Distances are computed on
 //     demand. Only rows that can violate are scanned — every single, duo and
 //     residual member once, and each member again when its group is
-//     demoted (a uint32 pending mask: k <= maxTriageDefects = 32, so no
-//     scratch can overflow). A row skips defects still pending (their own
-//     scan covers the pair), its own group, and, for a residual row, other
-//     residual members, so residual rows visit only live defects. Pairs of
+//     demoted (a uint32 pending mask: k <= maxTriageDefects = 32). A row
+//     skips defects still pending (their own scan covers the pair), its own
+//     group, and, for a residual row, other residual members. Pairs of
 //     certified pair/quad members are never checked: distance 1 would have
 //     put them in one component.
 //
 // Duo candidates are found among the leftover singles only, and quad
 // matchability reads the four members' coordinates, so the pass keeps no
-// distance matrix at all.
-//
-// Finally, a residual of weight <= 2 is retried through Classify: its
-// closed forms (W1 single at R = B, W2 interior merge at R < B,
-// W2 independent singles at R = B) all stay within the radius-B bound the
-// fixpoint already validated for the residual members, so folding their
-// parity in is sound and the trial resolves with no decoder work at all.
-//
-// The differential tests (residual_test.go) enforce the certificate the
-// same way as Classify's: exhaustive small-d placements,
-// randomized fault-shaped and adversarial syndromes, and fuzzing, with the
-// peeled-plus-residual parity compared against an undecomposed full decode
-// under every decoder in the repo including MWPM.
+// distance matrix at all. residual_test.go checks peeled parity XOR
+// residual decode against undecomposed decodes under every decoder.
 
 // Peel states (multiScratch.st): how each defect's component left the
 // decomposition. plSingle doubles as the initial state — a defect not yet
@@ -141,21 +68,29 @@ const (
 	plResid               // demoted to the residual decode set (R = B)
 )
 
-// PeelResidual decomposes a syndrome of weight >= 3 (see the doc above): it
-// certifies the components whose isolation holds regardless of the
-// ambiguous remainder, XORs their closed-form cut parities into parity, and
+// PeelResidual certifies a syndrome of any weight (see the doc above): it
+// XORs the certified components' closed-form cut parities into parity and
 // returns the residual defect set the caller must still decode (empty when
-// everything certified). peeled counts the certified components. The
-// residual slice aliases either kernel-owned scratch or defects itself and
-// is valid until the next PeelResidual call. defects must be sorted
-// ascending, as produced by the samplers (adjacency is found through the
-// sorted order); the residual preserves that order.
+// everything certified). peeled counts the components certified out of a
+// syndrome of weight >= 3; the weight <= 2 base case either resolves the
+// syndrome whole (peeled 0) or returns it unpeeled. The residual slice
+// aliases either Triage-owned scratch or defects itself and is valid until
+// the next PeelResidual call. defects must be sorted ascending, as produced
+// by the samplers (adjacency is found through the sorted order); the
+// residual preserves that order.
 //
-// Syndromes beyond maxTriageDefects (or trivially small ones) return
-// unpeeled: parity 0, the input as residual, peeled 0.
+// An unpeeled syndrome — one beyond maxTriageDefects, or a weight <= 2 one
+// no closed form covers — returns parity 0, the input as residual,
+// peeled 0.
 func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, peeled int) {
 	k := len(defects)
-	if k < 3 || k > maxTriageDefects {
+	if k <= 2 {
+		if p, ok := t.closedForm(defects); ok {
+			return p, t.res[:0], 0
+		}
+		return false, defects, 0
+	}
+	if k > maxTriageDefects {
 		return false, defects, 0
 	}
 	s := &t.ms
@@ -367,11 +302,9 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 			parity = !parity
 		}
 	}
-	// A weight <= 2 residual gets one more shot at a closed form: the W1/W2
-	// rules' radii never exceed the B-per-member bound the fixpoint already
-	// validated for the residual, so their parity folds in soundly.
+	// A weight <= 2 residual gets one more shot at the closed forms.
 	if n := len(t.res); n > 0 && n <= 2 {
-		if _, p2, ok := t.Classify(t.res); ok {
+		if p2, ok := t.closedForm(t.res); ok {
 			if p2 {
 				parity = !parity
 			}

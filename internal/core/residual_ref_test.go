@@ -12,20 +12,27 @@ import "afs/internal/lut"
 // PeelResidualRef exposes the oracle to the external test package.
 var PeelResidualRef = (*Triage).peelResidualRef
 
-// peelResidualRef decomposes a syndrome the closed-form triage punted: it
-// certifies the components whose isolation holds regardless of the
-// ambiguous remainder, XORs their closed-form cut parities into parity, and
+// peelResidualRef decomposes a syndrome: it certifies the components whose
+// isolation holds regardless of the ambiguous remainder, XORs their
+// closed-form cut parities into parity, and
 // returns the residual defect set the caller must still decode (empty when
 // everything certified). peeled counts the certified components. The
 // residual slice aliases either kernel-owned scratch or defects itself and
 // is valid until the next PeelResidual call. defects must be sorted as
 // produced by the samplers; the residual preserves that order.
 //
-// Syndromes beyond maxTriageDefects (or trivially small ones) return
-// unpeeled: parity 0, the input as residual, peeled 0.
+// Weight <= 2 takes the same closed-form base case as PeelResidual.
+// Syndromes beyond maxTriageDefects, or weight <= 2 ones no closed form
+// covers, return unpeeled: parity 0, the input as residual, peeled 0.
 func (t *Triage) peelResidualRef(defects []int32) (parity bool, residual []int32, peeled int) {
 	k := len(defects)
-	if k < 3 || k > maxTriageDefects {
+	if k <= 2 {
+		if p, ok := t.closedForm(defects); ok {
+			return p, t.res[:0], 0
+		}
+		return false, defects, 0
+	}
+	if k > maxTriageDefects {
 		return false, defects, 0
 	}
 	s := &t.ms
@@ -224,7 +231,7 @@ func (t *Triage) peelResidualRef(defects []int32) (parity bool, residual []int32
 	// rules' radii never exceed the B-per-member bound the fixpoint already
 	// validated for the residual, so their parity folds in soundly.
 	if n := len(t.res); n > 0 && n <= 2 {
-		if _, p2, ok := t.Classify(t.res); ok {
+		if p2, ok := t.closedForm(t.res); ok {
 			if p2 {
 				parity = !parity
 			}

@@ -6,74 +6,26 @@ import "math/bits"
 //
 // At the operating points a deployed decoder sees (p ~ 1e-3), almost every
 // decoding window holds zero, one, or two detection events, and almost every
-// non-empty syndrome is one of two trivial shapes:
+// non-empty syndrome is an isolated adjacent pair (one data error or one
+// measurement flip) or an isolated single one step from a boundary (a data
+// error on a boundary qubit, or an event awaiting its partner beyond a
+// window's temporal boundary). Running cluster growth, spanning-forest DFS
+// and peeling to rediscover those corrections dominates the streaming
+// decoder's run time.
 //
-//   - an isolated *pair* of defects at graph distance 1 (one data error or
-//     one measurement flip), whose correction is the connecting edge;
-//   - an isolated *single* defect one step from a boundary (a data error on
-//     a boundary qubit, or an event awaiting its partner beyond a window's
-//     temporal boundary), whose correction is one boundary edge.
-//
-// Running cluster growth, spanning-forest DFS, and peeling to rediscover
-// these answers dominates the streaming decoder's run time. The shortcut
-// classifies the syndrome into provably independent groups, emits fast
-// groups' corrections directly, and routes everything else through the full
-// pipeline — producing exactly the edge set the full algorithm would.
-//
-// Soundness. Under half-edge growth, a cluster born at defect u stops
-// growing at the latest when it touches a boundary, which takes at most
-// 2*B(u) growth rounds (B = L1 distance to the nearest boundary; the
-// cluster's frontier advances half an edge toward the boundary every round
-// it is active). Every vertex a cluster ever absorbs is therefore within
-// L1 distance B(u) of some defect u it contains, and every edge it ever
-// half-grows has an endpoint within that radius — L1 coordinate distance
-// *is* the growth metric on this lattice, because any two real vertices at
-// L1 distance 1 share an edge (lattice.EdgeBetween). A fast group's reach
-// is even smaller: a pair's clusters merge in round 1 and stop, absorbing
-// no vertex beyond the two defects themselves (an edge only completes when
-// both halves grow, and only vertices already in a cluster grow halves, so
-// a pair's outward half-edges never finish on their own); a single with
-// B(v) == 1 merges into the boundary in round 2 after absorbing only v's
-// direct neighbors. So with per-defect influence radii — the L1 reach of
-// the vertices a group's clusters can ever absorb —
-//
-//	R(i) = 0               if i's group is a pair,
-//	R(i) = 1               if i's group is a boundary single,
-//	R(i) = min(B(i), D)    if i's group is two defects at distance D,
-//	R(i) = B(i)            otherwise,
-//
-// where the two-defect case follows from watching the gap: while both
-// clusters are active their frontiers close it by a full edge per round and
-// they merge (going even, hence inactive) having each absorbed at most the
-// ball it grew crossing its side of the gap, within distance D; if one
-// freezes on a boundary first its radius is bounded by B, and the survivor
-// grows until it meets the frozen cluster, which lies within distance D of
-// it. Either way no absorbed vertex is farther than min(B(i), D) from its
-// group's nearest defect.
-//
-// two groups can interact only if an edge can fully grow between their
-// absorbed regions, i.e. only if some cross pair (i, j) satisfies
-// L1(i, j) <= R(i) + R(j) + 1 (two absorbed endpoints joined by one edge;
-// an edge with only one endpoint ever absorbed gains half-growth from one
-// side only and never completes). The classifier iterates grouping and classification
-// to a fixpoint whose terminal partition has no such cross pair; groups
-// that remain distinct evolve exactly as they would alone. (Any partition
-// satisfying the invariant yields the same edge set — the full decode's —
-// so the iteration order is a performance choice, not a correctness one.) Fast groups'
-// isolated evolutions are computed in closed form below; slow groups are
-// decoded together by the real pipeline, which reproduces their joint part
-// of a whole-syndrome decode verbatim. Boundary-vertex sharing between
-// groups is benign: clusters that touch the boundary are already inactive,
-// and peeling walks each boundary-rooted subtree independently.
-//
-// The closed forms match the full algorithm edge-for-edge, not just up to
-// equivalence. A pair's clusters merge through their unique connecting
-// edge, and peeling of a two-vertex tree emits exactly that edge. A
-// boundary single's round-2 merge sweep visits v's adjacency in ascending
-// edge order, so the first boundary edge becomes the spanning-tree edge to
-// the boundary and peeling emits it; lattice.FirstBoundaryEdge returns the
-// same edge. Only the *order* of edges within the returned correction may
-// differ from a full decode.
+// decodeSparse enforces the isolation rule of DESIGN.md ("Isolation
+// certificate") to split the syndrome into groups that evolve exactly as
+// they would alone, emits the fast groups' edges directly — a pair's
+// connecting edge, a B = 1 single's lattice.FirstBoundaryEdge — and decodes
+// the slow groups together through the full pipeline, producing exactly the
+// full algorithm's edge set (only the order of edges may differ). Its radii
+// are the rule's: 0 for a pair, 1 for a B = 1 single, min(B, D) for each
+// member of a slow group of two defects at distance D, and B for any other
+// slow member. The fixpoint below iterates grouping and classification
+// until no cross-group pair sits within R(i)+R(j)+1. Any partition that
+// satisfies the rule yields the same edges, but the partition itself is
+// part of the contract: the robust deadline model charges WindowCost on
+// the clusters the slow groups send to the pipeline.
 
 // maxShortcutDefects bounds the syndromes the shortcut classifies; the
 // pairwise isolation check is O(k^2) per fixpoint round, so large (rare)
@@ -138,8 +90,8 @@ func (s *sparseScratch) find(i int32) int32 {
 }
 
 func abs32(x int32) int32 {
-	// Branchless: the triage and sparse classifiers call this in O(k^2)
-	// loops over defect pairs where the sign is data-random.
+	// Branchless: the certificates call this in O(k^2) loops over defect
+	// pairs where the sign is data-random.
 	m := x >> 31
 	return (x ^ m) - m
 }
@@ -154,9 +106,9 @@ func abs32(x int32) int32 {
 //
 // Horizon skipping: a group whose every touched edge provably has
 // Round >= horizon contributes nothing the caller will use, so it is
-// dropped before any work happens. By the soundness argument above, a
-// group's edges all have Round >= min over members of (t - R), so the
-// group is skippable when that bound reaches the horizon.
+// dropped before any work happens. By the isolation rule, a group's edges
+// all have Round >= min over members of (t - R), so the group is skippable
+// when that bound reaches the horizon.
 func (d *Decoder) decodeSparse(defects []int32, horizon int32) ([]int32, bool) {
 	k := len(defects)
 	if k == 0 || k > maxShortcutDefects {
@@ -401,9 +353,9 @@ func (d *Decoder) classifySparseGroups(defects []int32, k int) bool {
 				}
 			} else {
 				// A separated two-defect group stays slow, but its growth
-				// stops within min(B, dist) of each defect (see the radius
-				// table above), which keeps its conflict range far below the
-				// raw B radii.
+				// stops within min(B, dist) of each defect (DESIGN.md's
+				// slow-group radius), which keeps its conflict range far
+				// below the raw B radii.
 				gcap = dist
 			}
 		}

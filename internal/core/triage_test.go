@@ -1,10 +1,11 @@
-// Exhaustive soundness tests for the weight-class triage layer: every
-// weight-1 and weight-2 defect placement on small graphs, checked against
-// every decoder in the repository. This is an external test package so it
+// Exhaustive soundness tests for the scalar certificate's closed forms:
+// every weight-1 and weight-2 defect placement on small graphs, checked
+// against every decoder in the repository. This is an external test package so it
 // can pull in the decoders that themselves import core.
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"afs/internal/core"
@@ -78,42 +79,34 @@ func triageGraphs() []*lattice.Graph {
 	}
 }
 
-// TestTriageExhaustiveWeightLE2 runs triage on every weight-1 and weight-2
-// placement and requires that (a) a materialized triage correction is valid
-// (right syndrome) with cut parity matching Classify, and (b) every decoder
-// in the repo produces a correction in the same homology class — the
-// failure statistic triage substitutes for.
+// TestTriageExhaustiveWeightLE2 runs the scalar certificate's weight <= 2
+// base case on every weight-1 and weight-2 placement and requires that
+// (a) it either resolves the syndrome whole (empty residual, nothing
+// peeled) or returns it unpeeled, and (b) every decoder in the repo
+// produces a valid correction in the resolved parity's homology class —
+// the failure statistic the certificate substitutes for.
 func TestTriageExhaustiveWeightLE2(t *testing.T) {
 	for _, g := range triageGraphs() {
 		tri := core.NewTriage(g)
 		decs := decodersFor(g)
-		classified, punted := 0, 0
+		classified := 0
 		check := func(defects []int32) {
-			corr, class, parity, ok := tri.Decode(defects)
-			cl2, par2, ok2 := tri.Classify(defects)
-			if cl2 != class || par2 != parity || ok2 != ok {
-				t.Fatalf("%v: Classify/Decode disagree on %v", g, defects)
+			parity, res, peeled := tri.PeelResidual(defects)
+			if peeled != 0 {
+				t.Fatalf("%v: weight-%d syndrome %v peeled %d components", g, len(defects), defects, peeled)
 			}
-			if !ok {
-				punted++
-				if class != core.TriageFull {
-					t.Fatalf("%v: punt with class %v on %v", g, class, defects)
+			if len(res) != 0 {
+				if parity || !slices.Equal(res, defects) {
+					t.Fatalf("%v: punt of %v returned parity=%v residual %v", g, defects, parity, res)
 				}
 				return
 			}
 			classified++
-			if want := core.TriageClass(len(defects)) + core.TriageW0; class != want {
-				t.Fatalf("%v: weight-%d syndrome %v classified %v", g, len(defects), defects, class)
-			}
-			checkSyndrome(t, g, corr, defects)
-			if cutParity(g, corr) != parity {
-				t.Fatalf("%v: triage corr parity != Classify parity on %v", g, defects)
-			}
 			for _, dec := range decs {
 				got := dec.decode(defects)
 				checkSyndrome(t, g, got, defects)
 				if cutParity(g, got) != parity {
-					t.Fatalf("%v: %s parity %v != triage parity %v on %v (corr %v)",
+					t.Fatalf("%v: %s parity %v != certified parity %v on %v (corr %v)",
 						g, dec.name, !parity, parity, defects, got)
 				}
 			}
@@ -128,22 +121,17 @@ func TestTriageExhaustiveWeightLE2(t *testing.T) {
 			}
 		}
 		if classified == 0 {
-			t.Fatalf("%v: triage classified nothing", g)
-		}
-		// Closed odd-d graphs must never punt a weight-1 syndrome.
-		if !g.TimeBoundary && punted == 0 && g.V > 6 {
-			// Weight-2 punts exist on any graph big enough to have the
-			// ambiguous band; d=3's 2D graph is too small to require any.
-			t.Logf("%v: no punts (all weight<=2 in closed form)", g)
+			t.Fatalf("%v: the base case resolved nothing", g)
 		}
 	}
 }
 
-// TestTriageW0 pins the trivial class.
+// TestTriageW0 pins the trivial class: the empty syndrome resolves with
+// parity 0.
 func TestTriageW0(t *testing.T) {
 	tri := core.NewTriage(lattice.New3D(3, 3))
-	corr, class, parity, ok := tri.Decode(nil)
-	if !ok || class != core.TriageW0 || parity || len(corr) != 0 {
-		t.Fatalf("weight-0 triage: corr=%v class=%v parity=%v ok=%v", corr, class, parity, ok)
+	parity, res, peeled := tri.PeelResidual(nil)
+	if parity || len(res) != 0 || peeled != 0 {
+		t.Fatalf("weight-0 syndrome: parity=%v residual=%v peeled=%d", parity, res, peeled)
 	}
 }

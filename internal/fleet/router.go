@@ -45,22 +45,15 @@ type Config struct {
 
 	// ReconnectAttempts bounds the dial retries to a crashed shard before
 	// the router fails its streams over to the survivors (0 selects 4;
-	// negative disables reconnection — immediate failover).
-	// ReconnectBackoff is the first retry's delay, doubling per attempt (0
-	// selects 25ms).
+	// negative disables reconnection — immediate failover). The first
+	// retry waits reconnectBackoff, doubling per attempt.
 	ReconnectAttempts int
-	ReconnectBackoff  time.Duration
 
 	// HeartbeatEvery is the ping cadence per shard session (0 selects
 	// 250ms; negative disables heartbeats). A session whose pong is older
-	// than HeartbeatMiss periods (0 selects 4) is declared dead even if the
-	// socket never errors — the stalled-shard case a kill -9 on a remote
-	// box produces.
+	// than heartbeatMiss periods is declared dead even if the socket never
+	// errors — the stalled-shard case a kill -9 on a remote box produces.
 	HeartbeatEvery time.Duration
-	HeartbeatMiss  int
-
-	// DialTimeout bounds each connection attempt (0 selects 2s).
-	DialTimeout time.Duration
 
 	// JournalMaxBytes caps each stream's replay journal (0 selects 4 MiB;
 	// negative disables the cap). The journal only trims on shard
@@ -78,6 +71,15 @@ type Config struct {
 	JournalMaxBytes int
 }
 
+// Fixed router timings: the first reconnect retry's delay (doubling per
+// attempt), the heartbeat periods a pong may lag before its session is
+// declared dead, and the bound on each connection attempt.
+const (
+	reconnectBackoff = 25 * time.Millisecond
+	heartbeatMiss    = 4
+	dialTimeout      = 2 * time.Second
+)
+
 func (c Config) reconnectAttempts() int {
 	if c.ReconnectAttempts < 0 {
 		return 0
@@ -88,32 +90,11 @@ func (c Config) reconnectAttempts() int {
 	return c.ReconnectAttempts
 }
 
-func (c Config) reconnectBackoff() time.Duration {
-	if c.ReconnectBackoff <= 0 {
-		return 25 * time.Millisecond
-	}
-	return c.ReconnectBackoff
-}
-
 func (c Config) heartbeatEvery() time.Duration {
 	if c.HeartbeatEvery == 0 {
 		return 250 * time.Millisecond
 	}
 	return c.HeartbeatEvery
-}
-
-func (c Config) heartbeatMiss() int {
-	if c.HeartbeatMiss <= 0 {
-		return 4
-	}
-	return c.HeartbeatMiss
-}
-
-func (c Config) dialTimeout() time.Duration {
-	if c.DialTimeout <= 0 {
-		return 2 * time.Second
-	}
-	return c.DialTimeout
 }
 
 func (c Config) journalMaxBytes() int {
@@ -334,7 +315,7 @@ func Dial(cfg Config) (*Router, error) {
 // connect establishes a fresh session on l and starts its reader and
 // heartbeat goroutines.
 func (r *Router) connect(l *link) error {
-	conn, err := net.DialTimeout(r.cfg.Network, l.addr, r.cfg.dialTimeout())
+	conn, err := net.DialTimeout(r.cfg.Network, l.addr, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -550,7 +531,7 @@ func (r *Router) handleFlushOK(l *link, env envelope) error {
 // affect only liveness detection — never decode results.
 func (r *Router) heartbeat(l *link, gen uint64) {
 	every := r.cfg.heartbeatEvery()
-	miss := time.Duration(r.cfg.heartbeatMiss()) * every
+	miss := heartbeatMiss * every
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for range t.C {
@@ -753,7 +734,7 @@ func (r *Router) recover(idx int) error {
 	l := r.links[idx]
 	reconnected := false
 	attempts := r.cfg.reconnectAttempts()
-	backoff := r.cfg.reconnectBackoff()
+	backoff := reconnectBackoff
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			time.Sleep(backoff)

@@ -1,4 +1,4 @@
-// Boundary-distance lookup tables for the weight-class triage fast paths.
+// Boundary-distance lookup tables for the closed-form certificates.
 //
 // The syndrome-space BFS above (New) proves min-weight corrections by
 // first-visit order; the same level-order argument applied to the decoding
@@ -10,8 +10,8 @@
 // graphs) — classify each vertex by which side its nearest boundary is on,
 // which is all a closed-form weight-1 decode needs to know: a lone defect
 // flips the logical observable iff its unique nearest boundary is north.
-// Vertices equidistant from both sides are marked SideTie and the triage
-// layer punts them to the full decoder.
+// Vertices equidistant from both sides are marked SideTie and the
+// certificates punt them to the full decoder.
 package lut
 
 import (
@@ -33,10 +33,10 @@ const (
 	SideTie
 )
 
-// Boundary holds per-vertex distance, side, and first-step tables toward
-// the nearest code boundary of a decoding graph. Build cost is two BFS
-// sweeps (O(V+E)); storage is three words per vertex — negligible next to
-// the graph itself, so instances are cached per graph (BoundaryFor).
+// Boundary holds per-vertex distance and side tables toward the nearest
+// code boundary of a decoding graph. Build cost is two BFS sweeps
+// (O(V+E)); storage is three int32s and a byte per vertex — negligible next
+// to the graph itself, so instances are cached per graph (BoundaryFor).
 type Boundary struct {
 	G *lattice.Graph
 
@@ -49,15 +49,6 @@ type Boundary struct {
 	Dist []int32
 	// Side[v] classifies the nearest boundary (SideNorth/SideOther/SideTie).
 	Side []uint8
-	// Step[v] is the edge of a min-weight chain leaving v toward the
-	// winning side's nearest boundary (the boundary edge itself when
-	// Dist[v] == 1). Along the walk v → Other(Step[v], v) → … the winning
-	// side's distance strictly decreases and — because the losing side's
-	// distance can drop by at most 1 per step — every interior vertex of
-	// the walk keeps the same winning side, so following Step greedily
-	// materializes a valid min-weight boundary correction. For SideTie
-	// vertices it stores the north chain's step; triage never walks it.
-	Step []int32
 }
 
 // BoundaryFor returns the cached Boundary tables for g, building them on
@@ -74,22 +65,18 @@ var boundaryCache sync.Map // *lattice.Graph → *Boundary
 
 // NewBoundary builds the distance tables for g.
 func NewBoundary(g *lattice.Graph) *Boundary {
-	b := &Boundary{G: g}
-	var stepNorth, stepOther []int32
-	b.DistNorth, stepNorth = boundaryBFS(g, true)
-	b.DistOther, stepOther = boundaryBFS(g, false)
+	b := &Boundary{G: g, DistNorth: boundaryBFS(g, true), DistOther: boundaryBFS(g, false)}
 	b.Dist = make([]int32, g.V)
 	b.Side = make([]uint8, g.V)
-	b.Step = make([]int32, g.V)
 	for v := 0; v < g.V; v++ {
 		dn, do := b.DistNorth[v], b.DistOther[v]
 		switch {
 		case dn < do:
-			b.Dist[v], b.Side[v], b.Step[v] = dn, SideNorth, stepNorth[v]
+			b.Dist[v], b.Side[v] = dn, SideNorth
 		case do < dn:
-			b.Dist[v], b.Side[v], b.Step[v] = do, SideOther, stepOther[v]
+			b.Dist[v], b.Side[v] = do, SideOther
 		default:
-			b.Dist[v], b.Side[v], b.Step[v] = dn, SideTie, stepNorth[v]
+			b.Dist[v], b.Side[v] = dn, SideTie
 		}
 	}
 	return b
@@ -104,20 +91,17 @@ func IsNorthEdge(g *lattice.Graph, ed *lattice.Edge) bool {
 
 // boundaryBFS runs a multi-source BFS from the boundary edges of one side
 // (north if wantNorth, everything else otherwise) and returns per-vertex
-// distances and parent edges. Level-order first visits make dist[v] the
-// min fault weight of a chain from v to that side, mirroring the
-// syndrome-space BFS min-weight argument in New.
-func boundaryBFS(g *lattice.Graph, wantNorth bool) (dist, step []int32) {
-	dist = make([]int32, g.V)
-	step = make([]int32, g.V)
+// distances. Level-order first visits make dist[v] the min fault weight of
+// a chain from v to that side, mirroring the syndrome-space BFS min-weight
+// argument in New.
+func boundaryBFS(g *lattice.Graph, wantNorth bool) []int32 {
+	dist := make([]int32, g.V)
 	for i := range dist {
 		dist[i] = -1
-		step[i] = -1
 	}
 	bv := g.Boundary()
 	queue := make([]int32, 0, g.V)
-	// Seed: boundary-incident edges of the requested side, in increasing
-	// edge-index order so Step deterministically records the lowest index.
+	// Seed: the boundary-incident edges of the requested side.
 	for _, e := range g.AdjacentEdges(bv) {
 		ed := &g.Edges[e]
 		if IsNorthEdge(g, ed) != wantNorth {
@@ -128,7 +112,7 @@ func boundaryBFS(g *lattice.Graph, wantNorth bool) (dist, step []int32) {
 			x = ed.V
 		}
 		if dist[x] == -1 {
-			dist[x], step[x] = 1, e
+			dist[x] = 1
 			queue = append(queue, x)
 		}
 	}
@@ -139,26 +123,9 @@ func boundaryBFS(g *lattice.Graph, wantNorth bool) (dist, step []int32) {
 			if g.IsBoundary(u) || dist[u] != -1 {
 				continue
 			}
-			dist[u], step[u] = dist[x]+1, e
+			dist[u] = dist[x] + 1
 			queue = append(queue, u)
 		}
 	}
-	return dist, step
-}
-
-// AppendChain appends the edges of the min-weight boundary chain from v
-// (following Step) to out and returns the extended slice. v must not be a
-// SideTie vertex; the chain has exactly Dist[v] edges and terminates in a
-// boundary edge of the winning side.
-func (b *Boundary) AppendChain(v int32, out []int32) []int32 {
-	g := b.G
-	for x := v; ; {
-		e := b.Step[x]
-		out = append(out, e)
-		u := g.Other(e, x)
-		if g.IsBoundary(u) {
-			return out
-		}
-		x = u
-	}
+	return dist
 }

@@ -64,56 +64,6 @@ func TestBoundarySides(t *testing.T) {
 	}
 }
 
-// AppendChain must produce a chain of exactly Dist[v] edges whose syndrome
-// is {v} and whose single boundary edge sits on the winning side.
-func TestBoundaryChains(t *testing.T) {
-	for _, g := range distGraphs() {
-		b := lut.NewBoundary(g)
-		par := make(map[int32]int)
-		for v := int32(0); v < int32(g.V); v++ {
-			if b.Side[v] == lut.SideTie {
-				continue
-			}
-			chain := b.AppendChain(v, nil)
-			if len(chain) != int(b.Dist[v]) {
-				t.Fatalf("%v: chain from %d has %d edges, want %d", g, v, len(chain), b.Dist[v])
-			}
-			clear(par)
-			boundaryEdges := 0
-			for _, e := range chain {
-				ed := &g.Edges[e]
-				for _, x := range []int32{ed.U, ed.V} {
-					if g.IsBoundary(x) {
-						boundaryEdges++
-					} else {
-						par[x] ^= 1
-					}
-				}
-				if north := lut.IsNorthEdge(g, ed); g.IsBoundary(ed.U) || g.IsBoundary(ed.V) {
-					if north != (b.Side[v] == lut.SideNorth) {
-						t.Fatalf("%v: chain from %d exits north=%v, side=%d", g, v, north, b.Side[v])
-					}
-				}
-			}
-			if boundaryEdges != 1 {
-				t.Fatalf("%v: chain from %d uses %d boundary edges", g, v, boundaryEdges)
-			}
-			odd := 0
-			for x, p := range par {
-				if p == 1 {
-					odd++
-					if x != v {
-						t.Fatalf("%v: chain from %d has stray defect at %d", g, v, x)
-					}
-				}
-			}
-			if odd != 1 {
-				t.Fatalf("%v: chain from %d produces syndrome of weight %d", g, v, odd)
-			}
-		}
-	}
-}
-
 func TestBoundaryForCached(t *testing.T) {
 	g := lattice.New2D(3)
 	if lut.BoundaryFor(g) != lut.BoundaryFor(g) {

@@ -27,8 +27,8 @@ type chunkTally struct {
 	full     uint64 // trials that fell through to the full decoder
 
 	// Lane tallies: lanes resolved straight from plane algebra vs lanes
-	// whose defect lists were gathered for the scalar triage and decoder
-	// path; bpFast+bpGathered == trials.
+	// whose defect lists were gathered for the scalar certificate and
+	// decoder path; bpFast+bpGathered == trials.
 	bpFast     uint64
 	bpGathered uint64
 
@@ -68,29 +68,30 @@ func resBucket(n int) int {
 //
 //   - fast-pathed, straight from plane algebra with no per-lane loop at
 //     all: W0 (fail = sampled cut parity bit), W1 off the north-parity
-//     plane, Matched lanes (perfect matching of adjacent pairs — parity
-//     0, covering both the adjacent W2 pair and the heavy all-pairs
-//     decomposition), Chain4 lanes (pairs plus exactly one 4-defect
-//     path — the dominant conflicted shape, also parity 0), and
-//     SinglesOK lanes (pairs plus independent boundary singles — parity
-//     from the single-parity plane). Their failure bits and tallies are
-//     popcounts over mask words.
-//   - gathered: the remainder (conflicted adjacency, deep or crowded
-//     singles, W2 punt band, W1 ties) has its per-lane defect lists
-//     extracted from the classifier's compact defect list — vertex order
-//     ascends, so lists arrive sorted — and runs the scalar core.Triage /
-//     full-decoder path, with core.Triage.PeelResidual stripping
-//     certified components off punted lanes before the decoder sees them.
-//     Corrections are never materialized: a full decode's cut-edge
-//     crossings fold into the lane's sampled cut parity.
+//     plane, Matched lanes (adjacent pairs only — parity 0, covering both
+//     the adjacent W2 pair and the heavy all-pairs decomposition), Chain4
+//     lanes (pairs plus exactly one 4-defect path — the dominant
+//     conflicted shape, also parity 0), and SinglesOK lanes (pairs plus
+//     strict-side B = 1 boundary singles — parity from the single-parity
+//     plane). Their failure bits and tallies are popcounts over mask
+//     words.
+//   - gathered: the remainder (conflicted adjacency, deeper or crowded
+//     singles, W1 ties) has its per-lane defect lists extracted from the
+//     classifier's compact defect list — vertex order ascends, so lists
+//     arrive sorted — and runs the scalar certificate,
+//     core.Triage.PeelResidual: the closed forms at weight <= 2, and at
+//     heavier weights certified components stripped off before the
+//     decoder sees the residual. Corrections are never materialized: a
+//     full decode's cut-edge crossings fold into the lane's sampled cut
+//     parity.
 //
 // The fast/gathered split is what the afs_mc_bitplane_* counters publish;
 // fast + gathered == trials by construction.
 //
-// Triage-class tallies: w0, w1 and w2 follow core.Triage's classes, and
-// multi counts the weight >= 3 trials resolved without a decoder walk —
-// Matched, Chain4 and SinglesOK heavy lanes, and gathered lanes the peel
-// certifies whole — so w0+w1+w2+multi+full == trials.
+// Triage-class tallies: w0, w1 and w2 count the resolved trials of weight
+// 0, 1 and 2, and multi the weight >= 3 trials resolved without a decoder
+// walk — Matched, Chain4 and SinglesOK heavy lanes, and gathered lanes the
+// peel certifies whole — so w0+w1+w2+multi+full == trials.
 //
 // A kernel is single-owner state; each engine worker builds its own per
 // point, exactly like the decoder it wraps. Its lane classifier shares the
@@ -103,7 +104,7 @@ type bpKernel struct {
 	lt      *core.LaneTriage
 	cutEdge []bool
 	triage  bool
-	peel    bool // run PeelResidual on gathered lanes the scalar triage punts
+	peel    bool // peel gathered lanes of weight >= 3 (else decode them whole)
 	pg      noise.PlaneGroup
 
 	// Per-lane gather scratch, reused across groups: defect lists for the
@@ -200,18 +201,26 @@ func (k *bpKernel) run(n uint64) chunkTally {
 					df := k.lists[lane]
 					var fail bool
 					t.bpGathered++
-					if k.peel && len(df) >= 3 {
-						// Multi-defect lanes go to the partial-residual
-						// decomposition, which peels certified components
-						// off and hands the decoder only the residual (see
+					if k.peel || len(df) <= 2 {
+						// The scalar certificate: weight <= 2 resolves
+						// whole by its closed forms or not at all; heavier
+						// lanes peel certified components off and hand the
+						// decoder only the residual (see
 						// core.Triage.PeelResidual).
 						pp, res, comps := k.tri.PeelResidual(df)
 						t.peeled += uint64(comps)
 						if len(res) == 0 {
-							// Everything certified: a pure pair/single/duo
-							// decomposition resolved without a decoder walk.
-							t.multi++
-							t.peelResolved++
+							// Gathered lanes are never empty, so a resolved
+							// one is W1, W2 or a whole-peeled heavy lane.
+							switch len(df) {
+							case 1:
+								t.w1++
+							case 2:
+								t.w2++
+							default:
+								t.multi++
+								t.peelResolved++
+							}
 							fail = par != pp
 						} else {
 							t.full++
@@ -221,15 +230,6 @@ func (k *bpKernel) run(n uint64) chunkTally {
 							}
 							fail = k.fullDecode(res, par != pp)
 						}
-					} else if class, p, ok := k.tri.Classify(df); ok {
-						// Gathered lanes are never empty, so a resolved
-						// one is W1 or W2.
-						if class == core.TriageW1 {
-							t.w1++
-						} else {
-							t.w2++
-						}
-						fail = par != p
 					} else {
 						t.full++
 						fail = k.fullDecode(df, par)

@@ -74,13 +74,13 @@ func TestBitPlaneTriagedBitIdenticalToFullPath(t *testing.T) {
 // The bit-plane kernel must reproduce, trial for trial, the straightforward
 // per-lane scalar resolution of the SAME plane-sampled trials: extract each
 // lane's sorted defect list, resolve it through the weight <= 2 closed
-// forms (core.Triage.Classify), and fully decode everything else. This pins
-// every piece of the lane machinery — weight masks, north parity, captured
-// W2 pairs, the Paired rule, and the gather scan — against the code path
-// the repo already trusts. The reference deliberately decodes heavier
-// lanes whole (no PeelResidual), so agreement here also differentially
-// validates the kernel's partial-residual peel against undecomposed
-// decodes on exactly the syndrome population the kernel sees.
+// forms (core.Triage.PeelResidual's base case), and fully decode everything
+// else. This pins every piece of the lane machinery — weight masks, north
+// parity, the Matched, Chain4 and SinglesOK rules, and the gather scan —
+// against the code path the repo already trusts. The reference
+// deliberately decodes heavier lanes whole (no peel), so agreement here
+// also differentially validates the kernel's partial-residual peel against
+// undecomposed decodes on exactly the syndrome population the kernel sees.
 func TestBitPlaneKernelMatchesPerLaneReference(t *testing.T) {
 	for _, tc := range []struct {
 		d int
@@ -112,7 +112,7 @@ func TestBitPlaneKernelMatchesPerLaneReference(t *testing.T) {
 				for lane := 0; lane < kk; lane++ {
 					buf = pg.AppendLaneDefects(lane, buf[:0])
 					par := pg.CutParity&(1<<uint(lane)) != 0
-					if _, p, ok := tri.Classify(buf); ok {
+					if p, res, _ := tri.PeelResidual(buf); len(buf) <= 2 && len(res) == 0 {
 						want = append(want, par != p)
 					} else {
 						for _, e := range dec.Decode(buf) {
@@ -223,12 +223,12 @@ func TestBitPlaneKernelZeroAllocSteadyState(t *testing.T) {
 // processing lives, so a regression that silently falls back to scalar
 // speed trips here. Three floors: raw throughput (set ~2x under dev-machine
 // numbers, so only real regressions — not CI jitter — fail), the
-// machine-independent fast-lane fraction (dev machines measure ~0.96; a
-// broken Matched/Chain4/SinglesOK/duo class drops it far below the 0.90
-// floor), and the machine-independent residual-peel fraction — the share
-// of full-decoder visits that peeling resolved or shrank (dev machines
-// measure ~0.94; a broken PeelResidual certificate or kernel wiring drops
-// it far below 0.60). Enabled by AFS_PERF_SMOKE=1.
+// machine-independent fast-lane fraction (0.953 at this seed; a broken
+// Matched/Chain4/SinglesOK class drops it far below the 0.90 floor), and
+// the machine-independent residual-peel fraction — the share of
+// full-decoder visits that peeling resolved or shrank (0.975 at this
+// seed; a broken PeelResidual certificate or kernel wiring drops it far
+// below 0.60). Enabled by AFS_PERF_SMOKE=1.
 func TestPerfSmokeBitPlaneKernel(t *testing.T) {
 	if os.Getenv("AFS_PERF_SMOKE") == "" {
 		t.Skip("set AFS_PERF_SMOKE=1 to run the pinned-floor perf smoke")

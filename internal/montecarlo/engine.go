@@ -9,7 +9,8 @@ import (
 	"afs/internal/stats"
 )
 
-// point is one (d, p) measurement point flowing through the worker pool.
+// point is one (d, p) measurement point: the chunk counter the worker pool
+// claims from and the tallies it folds chunk results into.
 type point struct {
 	cfg   AccuracyConfig
 	chunk uint64 // trials per chunk
@@ -167,50 +168,42 @@ func (pt *point) result() AccuracyResult {
 	return res
 }
 
-// runPoints drives a persistent worker pool over all points: every worker
-// scans the points in order and claims chunks off each point's shared
-// counter until the point is drained, then moves on. Nothing ever joins on
-// a single point, so a hard point in one worker never idles the rest —
-// this is chunked work stealing with points overlapping at their tails.
-func runPoints(points []*point, workers int) {
-	if len(points) == 0 {
-		return
-	}
+// run drives the worker pool over the point: every worker claims chunks
+// off the point's shared counter until it is drained, so a hard chunk in
+// one worker never idles the rest.
+func (pt *point) run(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	engineObs.points.Add(0, uint64(len(points)))
+	engineObs.points.Add(0, 1)
+	g := pt.cfg.graph()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			shard := nextMCShard()
-			for _, pt := range points {
-				g := pt.cfg.graph()
-				var k *bpKernel
-				for {
-					lo, hi, c, ok := pt.claim()
-					if !ok {
-						break
-					}
-					// Lazy per-point state: a worker that never claims a
-					// chunk of this point builds nothing for it. Each chunk
-					// owns the deterministic random stream
-					// PCG(Seed, chunkIndex), and the kernel's lane groups
-					// depend only on the chunk's length, so results do not
-					// depend on which worker runs it.
-					if k == nil {
-						k = newBPKernel(pt.cfg, g)
-					}
-					k.reseed(pt.cfg.Seed, c)
-					t := k.run(hi - lo)
-					pt.finish(hi-lo, t)
-					engineObs.flushChunk(shard, hi-lo, t)
+			var k *bpKernel
+			for {
+				lo, hi, c, ok := pt.claim()
+				if !ok {
+					return
 				}
+				// Lazy kernel: a worker that never claims a chunk builds
+				// nothing. Each chunk owns the deterministic random stream
+				// PCG(Seed, chunkIndex), and the kernel's lane groups depend
+				// only on the chunk's length, so results do not depend on
+				// which worker runs it.
+				if k == nil {
+					k = newBPKernel(pt.cfg, g)
+				}
+				k.reseed(pt.cfg.Seed, c)
+				t := k.run(hi - lo)
+				pt.finish(hi-lo, t)
+				engineObs.flushChunk(shard, hi-lo, t)
 			}
 		}()
 	}
@@ -229,36 +222,8 @@ func runPoints(points []*point, workers int) {
 func RunAccuracy(cfg AccuracyConfig) AccuracyResult {
 	start := time.Now()
 	pt := newPoint(cfg)
-	runPoints([]*point{pt}, cfg.Workers)
+	pt.run(cfg.Workers)
 	res := pt.result()
 	res.Elapsed = time.Since(start)
 	return res
-}
-
-// SweepAccuracy runs RunAccuracy over the cross product of distances and
-// error rates, returning results in row-major order (distance outer, p
-// inner) regardless of execution order. It is the engine behind the
-// paper's Figures 3 and 8.
-//
-// All points share one persistent worker pool and execute concurrently:
-// workers drain points front to back, overlapping at point boundaries, so
-// total wall time tracks total work instead of the sum of per-point
-// critical paths. Per-point results are identical to calling RunAccuracy
-// point by point with the same configuration.
-func SweepAccuracy(base AccuracyConfig, distances []int, ps []float64) []AccuracyResult {
-	points := make([]*point, 0, len(distances)*len(ps))
-	for _, d := range distances {
-		for _, p := range ps {
-			cfg := base
-			cfg.Distance = d
-			cfg.P = p
-			points = append(points, newPoint(cfg))
-		}
-	}
-	runPoints(points, base.Workers)
-	out := make([]AccuracyResult, len(points))
-	for i, pt := range points {
-		out[i] = pt.result()
-	}
-	return out
 }

@@ -60,54 +60,6 @@ func TestChunkingIsPartOfTheContract(t *testing.T) {
 	}
 }
 
-// TestSweepConcurrentPointsRowMajorOrder checks the documented ordering:
-// however execution interleaves across the pool, results come back
-// distance-outer, p-inner.
-func TestSweepConcurrentPointsRowMajorOrder(t *testing.T) {
-	ds := []int{3, 5, 7}
-	ps := []float64{0.03, 0.02, 0.01}
-	rs := SweepAccuracy(AccuracyConfig{Trials: 3000, Seed: 11, Workers: 4, New: ufFactory}, ds, ps)
-	if len(rs) != len(ds)*len(ps) {
-		t.Fatalf("sweep returned %d results, want %d", len(rs), len(ds)*len(ps))
-	}
-	i := 0
-	for _, d := range ds {
-		for _, p := range ps {
-			if rs[i].Distance != d || rs[i].P != p {
-				t.Fatalf("result %d is (d=%d, p=%g), want (d=%d, p=%g)",
-					i, rs[i].Distance, rs[i].P, d, p)
-			}
-			if rs[i].Trials != 3000 {
-				t.Fatalf("point %d ran %d trials", i, rs[i].Trials)
-			}
-			i++
-		}
-	}
-}
-
-// TestSweepMatchesPointwiseRuns: running points through the shared pool
-// must give bit-identical statistics to running each point alone.
-func TestSweepMatchesPointwiseRuns(t *testing.T) {
-	base := AccuracyConfig{Trials: 10000, Seed: 19, Workers: 4, New: ufFactory}
-	ds := []int{3, 5}
-	ps := []float64{0.02, 0.01}
-	swept := SweepAccuracy(base, ds, ps)
-	i := 0
-	for _, d := range ds {
-		for _, p := range ps {
-			cfg := base
-			cfg.Distance = d
-			cfg.P = p
-			solo := RunAccuracy(cfg)
-			if swept[i].Failures != solo.Failures || swept[i].MeanDefects != solo.MeanDefects {
-				t.Fatalf("point (d=%d, p=%g): sweep %d failures, solo %d",
-					d, p, swept[i].Failures, solo.Failures)
-			}
-			i++
-		}
-	}
-}
-
 func TestEarlyStoppingCutsEasyPoints(t *testing.T) {
 	// d=3 at p=0.05 fails every ~30 trials; ±20% relative CI needs only a
 	// few thousand trials, far below the 10^6 budget.

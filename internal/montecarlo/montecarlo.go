@@ -8,10 +8,8 @@
 // split into fixed-size chunks claimed off a shared atomic counter, each
 // chunk carrying its own deterministic seed, so measured numbers are exactly
 // reproducible and — unlike per-worker seeding — independent of the worker
-// count. Whole sweeps run through one persistent worker pool, so easy
-// (d, p) points never leave workers idle while a hard point finishes, and an
-// optional adaptive early-stopping rule terminates a point once its
-// confidence interval is tight enough.
+// count. An optional adaptive early-stopping rule terminates a point once
+// its confidence interval is tight enough.
 package montecarlo
 
 import (
@@ -30,7 +28,8 @@ type Decoder interface {
 }
 
 // Factory builds a fresh decoder bound to g. Each worker calls it once per
-// sweep point, so implementations need not be safe for concurrent use.
+// measurement point, so implementations need not be safe for concurrent
+// use.
 type Factory func(g *lattice.Graph) Decoder
 
 // DefaultChunkTrials is the work-stealing chunk size used when
@@ -64,10 +63,10 @@ type AccuracyConfig struct {
 	// chunk is its own random stream), not on how chunks land on workers.
 	ChunkTrials uint64
 
-	// DisableTriage turns off the weight-class triage fast paths
-	// (core.Triage) and routes every trial through New's full decoder.
-	// Triage is provably failure-equivalent for every decoder in the repo
-	// (punting whenever a closed form could be ambiguous), so this exists
+	// DisableTriage turns off the closed-form certificates (core.LaneTriage
+	// and core.Triage) and routes every trial through New's full decoder.
+	// They are failure-equivalent for every decoder in the repo (punting
+	// whenever a closed form could be ambiguous), so this exists
 	// for ablation benches and for custom Factory implementations whose
 	// decoders deliberately deviate from minimal-correction behavior.
 	DisableTriage bool
@@ -156,8 +155,8 @@ type AccuracyResult struct {
 	TriageMulti uint64
 	FullDecodes uint64
 	// Bit-plane lane tallies: lanes resolved straight from plane algebra
-	// vs lanes whose defect lists were gathered for the scalar triage and
-	// decoder path. BitPlaneFastLanes+BitPlaneGatheredLanes == Trials.
+	// vs lanes whose defect lists were gathered for the scalar certificate
+	// and decoder path. BitPlaneFastLanes+BitPlaneGatheredLanes == Trials.
 	BitPlaneFastLanes     uint64
 	BitPlaneGatheredLanes uint64
 	// Partial-residual peel tallies (core.Triage.PeelResidual): certified

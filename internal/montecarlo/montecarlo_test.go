@@ -127,17 +127,6 @@ func TestApplyCorrectionResidual(t *testing.T) {
 	}
 }
 
-func TestSweepAccuracyShape(t *testing.T) {
-	rs := SweepAccuracy(AccuracyConfig{Trials: 1000, Seed: 1, New: ufFactory},
-		[]int{3, 5}, []float64{0.01, 0.02})
-	if len(rs) != 4 {
-		t.Fatalf("sweep returned %d results", len(rs))
-	}
-	if rs[0].Distance != 3 || rs[0].P != 0.01 || rs[3].Distance != 5 || rs[3].P != 0.02 {
-		t.Fatalf("sweep order wrong: %+v", rs)
-	}
-}
-
 func TestWorkerSplitCoversAllTrials(t *testing.T) {
 	// 7 trials over 3 workers must still run exactly 7 trials.
 	r := RunAccuracy(AccuracyConfig{Distance: 3, P: 0.01, Trials: 7, Workers: 3, Seed: 1, New: ufFactory})
