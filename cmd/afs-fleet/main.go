@@ -234,9 +234,9 @@ func soak(cfg soakConfig) error {
 	if cfg.corpusDir != "" {
 		feed = captureFrames(feed, cfg.d*(cfg.d-1), cfg.corpusDir)
 	}
-	// Without -deadline/-queuecap the reference engine above lane-batches
-	// while the shards decode each window at fill, so the identity check
-	// below doubles as an end-to-end proof that the two paths agree.
+	// The reference engine above groups lanes by worker chunk and the
+	// shards by round envelope, so the identity check below doubles as an
+	// end-to-end proof that the two groupings agree.
 	r, err := fleet.Dial(fleet.Config{
 		Network: cfg.network, Shards: addrs,
 		Streams: cfg.streams, Distance: cfg.d,

@@ -29,7 +29,7 @@ import (
 //     single–single bound 1+1+1). Isolation already excludes distances 0
 //     and 1.
 //
-// A lane that certifies nothing is gathered (GatherLanes) for the scalar
+// A lane that certifies nothing is gathered (GatherLists) for the scalar
 // certificate or the decoder, so the plane certificate needs soundness,
 // never completeness.
 type LaneTriage struct {
@@ -50,7 +50,7 @@ type LaneTriage struct {
 	// DefV/DefW are the compact defect list of the most recent Classify or
 	// ClassifySparse call: the touched vertices with a nonzero plane word,
 	// in increasing vertex order, paired with those words. The kernel's
-	// heavy-tail gather (GatherLanes) iterates this instead of re-scanning
+	// heavy-tail gather (GatherLists) iterates this instead of re-scanning
 	// the touched bitmap. Valid until the next classification call.
 	DefV []int32
 	DefW []uint64

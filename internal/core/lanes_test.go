@@ -10,7 +10,6 @@ import (
 	"afs/internal/lattice"
 	"afs/internal/lut"
 	"afs/internal/noise"
-	"afs/internal/swar"
 )
 
 // laneRef is the per-lane scalar reference for LaneTriage.Classify: weight
@@ -109,8 +108,8 @@ func buildPlanes(g *lattice.Graph, lanes [][]int32, extraTouched []int32) (plane
 	planes = make([]uint64, g.V+1)
 	touched = make([]uint64, (g.V+63)/64)
 	for lane, defs := range lanes {
-		swar.ScatterLane(planes, lane, defs)
 		for _, v := range defs {
+			planes[v] |= 1 << uint(lane)
 			touched[v>>6] |= 1 << (uint(v) & 63)
 		}
 	}

@@ -24,7 +24,7 @@ import "math/bits"
 //
 // planes/touched follow Classify's contract; laneMask confines the result
 // and the emit rebuild to the live lanes. Returns the fast lane mask; DefV
-// and DefW are left describing this call's defect list for GatherLanes.
+// and DefW are left describing this call's defect list for GatherLists.
 func (lt *LaneTriage) ClassifySparse(planes, touched []uint64, laneMask uint64, emits *[64][]int32) uint64 {
 	bad, isoAny := lt.scan(planes, touched, nil)
 	if isoAny&^bad != 0 {
@@ -74,7 +74,7 @@ func (lt *LaneTriage) ClassifySparse(planes, touched []uint64, laneMask uint64, 
 	return fast
 }
 
-// GatherLanes extracts the per-lane defect index lists for the lanes in
+// GatherLists extracts the per-lane defect index lists for the lanes in
 // gather from the most recent classification's compact defect list. Vertex
 // order ascends, so every list arrives sorted — exactly the order the
 // scalar decode paths expect. Lists for lanes outside gather are left
@@ -82,7 +82,7 @@ func (lt *LaneTriage) ClassifySparse(planes, touched []uint64, laneMask uint64, 
 // steady-state callers allocate nothing once the lists reach their
 // high-water capacity. Shared by the Monte-Carlo bit-plane kernel and the
 // streaming lane batcher.
-func (lt *LaneTriage) GatherLanes(gather uint64, lists *[64][]int32) {
+func (lt *LaneTriage) GatherLists(gather uint64, lists *[64][]int32) {
 	for gw := gather; gw != 0; {
 		lane := bits.TrailingZeros64(gw)
 		gw &^= 1 << uint(lane)

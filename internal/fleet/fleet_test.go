@@ -109,9 +109,9 @@ func feedFrom(streams, distance int, p float64, seed uint64) func(int, int) []in
 
 // runEngine decodes the same fleet configuration in-process and returns the
 // per-stream corrections and merged reports — the ground truth a fleet run
-// must match bit for bit. For non-robust configurations the engine
-// lane-batches while shards decode each window at fill, so those checks
-// also compare the two decode paths end to end.
+// must match bit for bit. The engine groups lanes by worker chunk and the
+// shards by round envelope, so those checks also compare the two
+// groupings end to end.
 func runEngine(t *testing.T, cfg Config, rounds int, seed uint64, p float64, chunks []int) ([][]stream.Correction, []faults.Report) {
 	t.Helper()
 	eng, err := stream.NewEngine(stream.EngineConfig{
@@ -609,10 +609,10 @@ func TestFleetMidSheddingCrashLedger(t *testing.T) {
 }
 
 // TestFleetCrashFailoverNonRobustBitIdentical is the crash-failover check
-// on the lane-batched shard path: with no deadline or backpressure, shards
-// defer every window to their round envelope's lane resolve, and a shard
-// killed mid-stream must still leave the fleet's output bit-identical to
-// the in-process engine once the survivors have replayed its streams.
+// for plain streams: with no deadline or backpressure, shards defer every
+// window to their round envelope's lane resolve, and a shard killed
+// mid-stream must still leave the fleet's output bit-identical to the
+// in-process engine once the survivors have replayed its streams.
 func TestFleetCrashFailoverNonRobustBitIdentical(t *testing.T) {
 	const (
 		streams = 12

@@ -264,11 +264,7 @@ func Dial(cfg Config) (*Router, error) {
 	if cfg.Streams < 1 {
 		return nil, errors.New("fleet: need at least one stream")
 	}
-	dec, err := stream.New(cfg.Distance, cfg.Window, cfg.Commit)
-	if err != nil {
-		return nil, err
-	}
-	if err := dec.SetRobust(stream.Robust{DeadlineNS: cfg.DeadlineNS, QueueCap: cfg.QueueCap}); err != nil {
+	if _, err := stream.NewRobust(cfg.Distance, cfg.Window, cfg.Commit, stream.Robust{DeadlineNS: cfg.DeadlineNS, QueueCap: cfg.QueueCap}); err != nil {
 		return nil, err
 	}
 	r := &Router{
@@ -616,7 +612,7 @@ type replayPlan struct {
 
 // openOn sends one open for st on l and waits for the verdict, returning
 // the replay plan captured atomically with the open's checkpoint.
-func (r *Router) openOn(st *streamState, l *link) (ok bool, reason string, plan replayPlan, err error) {
+func (r *Router) openOn(st *streamState, l *link) (ok bool, reason string, plan replayPlan) {
 	op := openPayload{
 		Distance:   r.cfg.Distance,
 		Window:     r.cfg.Window,
@@ -651,10 +647,10 @@ func (r *Router) openOn(st *streamState, l *link) (ok bool, reason string, plan 
 		r.mu.Lock()
 		delete(r.pending, k)
 		r.mu.Unlock()
-		return false, errShardDown.Error(), plan, nil
+		return false, errShardDown.Error(), plan
 	}
 	res := <-ch
-	return res.ok, res.reason, plan, nil
+	return res.ok, res.reason, plan
 }
 
 // place finds a shard for a homeless stream: its home shard first, then the
@@ -669,10 +665,7 @@ func (r *Router) place(st *streamState) error {
 			lastReason = errShardDown.Error()
 			continue
 		}
-		ok, reason, plan, err := r.openOn(st, l)
-		if err != nil {
-			return err
-		}
+		ok, reason, plan := r.openOn(st, l)
 		if ok {
 			st.cur = l.idx
 			if err := r.replay(st, l, plan); err != nil {
@@ -755,16 +748,9 @@ func (r *Router) recover(idx int) error {
 	replayedBefore := fObs.replayed.Value()
 	for _, st := range affected {
 		st.cur = -1
-		var err error
-		if reconnected {
-			// Prefer the reborn shard; fall back to the survivors if it
-			// refuses or dies again.
-			err = r.place(st)
-		} else {
-			// Immediate failover: place skips the dead link.
-			err = r.place(st)
-		}
-		if err != nil {
+		// place prefers the home shard — reborn or not — and falls back to
+		// the survivors if it is dead, refuses or dies again.
+		if err := r.place(st); err != nil {
 			return err
 		}
 		if st.cur != idx {
@@ -1155,18 +1141,11 @@ func (r *Router) Rebalance() error {
 		// adopts it, so a later fleet-wide flush cannot double-count it.
 		// The close and any later flush ride the same connection, so
 		// ordering is guaranteed; if the interim shard is dead the drop is
-		// implicit.
-		if interim.up.Load() {
-			if r.write(interim, msgClose, uint32(st.id), nil) == nil {
-				if err := r.flushLink(interim); err == nil {
-					// dropped cleanly
-				}
-			}
+		// implicit, and a failed write or flush marks it dead.
+		if interim.up.Load() && r.write(interim, msgClose, uint32(st.id), nil) == nil {
+			_ = r.flushLink(interim)
 		}
-		ok, _, plan, err := r.openOn(st, home)
-		if err != nil {
-			return err
-		}
+		ok, _, plan := r.openOn(st, home)
 		if !ok {
 			// Home refused (capacity); reopen on the interim shard.
 			st.cur = -1

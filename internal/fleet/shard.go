@@ -180,11 +180,8 @@ func (s *shardSession) handleOpen(env envelope) error {
 		fObs.refusals.Inc(0)
 		return s.refuse(id, fmt.Sprintf("admission cap %d streams reached (%d CDA blocks)", s.cap, s.cfg.Blocks))
 	}
-	dec, err := stream.New(op.Distance, op.Window, op.Commit)
+	dec, err := stream.NewRobust(op.Distance, op.Window, op.Commit, stream.Robust{DeadlineNS: op.DeadlineNS, QueueCap: op.QueueCap})
 	if err != nil {
-		return s.refuse(id, err.Error())
-	}
-	if err := dec.SetRobust(stream.Robust{DeadlineNS: op.DeadlineNS, QueueCap: op.QueueCap}); err != nil {
 		return s.refuse(id, err.Error())
 	}
 	if len(op.Snapshot) > 0 {
@@ -204,9 +201,7 @@ func (s *shardSession) handleOpen(env envelope) error {
 		corrSeq: op.CorrSeq,
 		ckptAt:  op.Rounds,
 	}
-	// Defer refuses robust decoders, which keep decoding each window the
-	// round it fills (their deadline clocks assume it); Resolve skips them.
-	_ = s.lanes.Defer(dec)
+	s.lanes.Defer(dec)
 	// The sink regenerates deterministic per-stream sequence numbers: a
 	// replayed round re-emits its corrections with the original seq, which
 	// is exactly what lets the router dedup them.
@@ -237,11 +232,13 @@ func (s *shardSession) sendCorrs() {
 	s.corrs = s.corrs[:0]
 }
 
-// handleRounds ingests one msgRounds envelope. Non-robust streams defer
-// the windows their rounds fill; once every entry is in, the deferred
-// windows resolve together through the lane entry point stream.Engine
-// uses — a round envelope is the same round-major group the engine
-// batches. The envelope's corrections then go out as one msgCorrs, and
+// handleRounds ingests one msgRounds envelope. Every stream defers the
+// windows its rounds fill; once every entry is in, the deferred windows
+// resolve together through the lane entry point stream.Engine uses — a
+// round envelope is the same round-major group the engine batches. (A
+// replay envelope carries several rounds of one stream; each later round
+// resolves the stream's pending window before charging or ingesting
+// anything.) The envelope's corrections then go out as one msgCorrs, and
 // only after that any checkpoints the envelope made due: every correction
 // a checkpoint's snapshot assumes delivered precedes it on the wire, which
 // is what the router's replay dedup relies on.

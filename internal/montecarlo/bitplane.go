@@ -190,9 +190,9 @@ func (k *bpKernel) run(n uint64) chunkTally {
 				// Gather scan over the classifier's compact defect list
 				// (ascending vertex order → sorted lists), then the scalar
 				// triage / full-decode path per gathered lane. The scan is
-				// core.LaneTriage.GatherLanes, shared with the streaming
+				// core.LaneTriage.GatherLists, shared with the streaming
 				// lane batcher.
-				k.lt.GatherLanes(gather, &k.lists)
+				k.lt.GatherLists(gather, &k.lists)
 				for gw := gather; gw != 0; {
 					lane := bits.TrailingZeros64(gw)
 					gw &^= 1 << uint(lane)

@@ -32,14 +32,6 @@ type point struct {
 	// Partial-residual peel tallies (see chunkTally).
 	peeled, peelResolved, residual atomic.Uint64
 	resHist                        [5]atomic.Uint64
-
-	// Wall-clock bookkeeping: a CAS-latched start and a plain store per
-	// chunk end. The mutex-and-time.Time pair this replaces put two lock
-	// round-trips and a time.Now on every claim; now a claim after the
-	// first costs one atomic load.
-	started atomic.Bool
-	startNS atomic.Int64
-	endNS   atomic.Int64
 }
 
 func newPoint(cfg AccuracyConfig) *point {
@@ -57,9 +49,6 @@ func (pt *point) claim() (lo, hi uint64, c uint64, ok bool) {
 	c = pt.next.Add(1) - 1
 	if c >= pt.nChunks {
 		return 0, 0, 0, false
-	}
-	if !pt.started.Load() && pt.started.CompareAndSwap(false, true) {
-		pt.startNS.Store(time.Now().UnixNano())
 	}
 	lo = c * pt.chunk
 	hi = lo + pt.chunk
@@ -110,7 +99,6 @@ func (pt *point) finish(trials uint64, t chunkTally) {
 		}
 	}
 	done := pt.trials.Add(trials)
-	pt.endNS.Store(time.Now().UnixNano())
 	if pt.cfg.StopRelCI <= 0 || pt.stopped.Load() {
 		return
 	}
@@ -162,9 +150,6 @@ func (pt *point) result() AccuracyResult {
 		res.ResidualDefects[i] = pt.resHist[i].Load()
 	}
 	res.CI = rateInterval(failures, executed, pt.cfg.Seed)
-	if pt.started.Load() {
-		res.Elapsed = time.Duration(pt.endNS.Load() - pt.startNS.Load())
-	}
 	return res
 }
 

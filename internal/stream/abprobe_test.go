@@ -40,14 +40,13 @@ func TestABProbe(t *testing.T) {
 	const segRounds = 2000
 	const segments = 10000 // 10M rounds per side
 	newDecoder := func(robust bool) *Decoder {
-		dec, err := New(d, d, 0)
+		var cfg Robust
+		if robust {
+			cfg = Robust{DeadlineNS: 350, QueueCap: 16}
+		}
+		dec, err := NewRobust(d, d, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if robust {
-			if err := dec.SetRobust(Robust{DeadlineNS: 350, QueueCap: 16}); err != nil {
-				t.Fatal(err)
-			}
 		}
 		dec.SetSink(func(Correction) {})
 		return dec

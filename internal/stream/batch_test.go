@@ -93,24 +93,19 @@ func TestStreamPushLayersMatchesSequential(t *testing.T) {
 func TestStreamW0SkipBitIdentical(t *testing.T) {
 	const d, rounds = 4, 600
 	for _, robust := range []bool{false, true} {
-		a, err := New(d, d, 0) // skip enabled (default)
+		var cfg Robust
+		if robust {
+			cfg = Robust{DeadlineNS: 300, QueueCap: 3 * d}
+		}
+		a, err := NewRobust(d, d, 0, cfg) // skip enabled (default)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := New(d, d, 0)
+		b, err := NewRobust(d, d, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b.disableW0Skip = true
-		if robust {
-			cfg := Robust{DeadlineNS: 300, QueueCap: 3 * d}
-			if err := a.SetRobust(cfg); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.SetRobust(cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
 		// p low enough that most windows are empty, high enough that some
 		// are not — both sides of the branch run in one stream.
 		sa := noise.NewRoundSampler(d, 0.002, 11, 2)
@@ -157,16 +152,15 @@ func TestStreamW0SkipBitIdentical(t *testing.T) {
 func TestStreamSlotOccupancyInvariant(t *testing.T) {
 	const d, rounds = 5, 500
 	for _, robust := range []bool{false, true} {
-		dec, err := New(d, d, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var cfg Robust
 		if robust {
 			// A tight deadline plus periodic penalties forces timeouts,
 			// degraded commits, and queue shedding into the mix.
-			if err := dec.SetRobust(Robust{DeadlineNS: 250, QueueCap: 2 * d}); err != nil {
-				t.Fatal(err)
-			}
+			cfg = Robust{DeadlineNS: 250, QueueCap: 2 * d}
+		}
+		dec, err := NewRobust(d, d, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
 		// p high enough that temporal corrections regularly cross the
 		// commit seam and exercise the carry-toggle occupancy updates.
@@ -216,77 +210,5 @@ func TestStreamW0SkipCounted(t *testing.T) {
 	}
 	if w := registeredObs.windows.Value(); skipped > w {
 		t.Fatalf("w0 windows %d exceed total windows %d", skipped, w)
-	}
-}
-
-// TestEnginePushRoundsMatchesPushRound: the fleet batch entry must commit
-// exactly what per-round ingestion commits, for both its serial fast path
-// (batches that trigger no decode) and its single-dispatch pool path, at
-// one worker and several.
-func TestEnginePushRoundsMatchesPushRound(t *testing.T) {
-	const streams, d, rounds = 5, 4, 240
-	for _, workers := range []int{1, 3} {
-		want := runEngine(t, streams, workers, d, d, 0, rounds)
-
-		out := make([][]Correction, streams)
-		eng, err := NewEngine(EngineConfig{
-			Streams: streams, Distance: d, Workers: workers,
-			Sink: func(stream int, c Correction) { out[stream] = append(out[stream], c) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		samplers := make([]*noise.RoundSampler, streams)
-		for i := range samplers {
-			samplers[i] = noise.NewRoundSampler(d, 0.01, 42, uint64(i)*0x9e37+1)
-		}
-		sizes := []int{1, 2, 5, 3, 11} // mix below and above the window
-		fed := 0
-		for si := 0; fed < rounds; si++ {
-			k := sizes[si%len(sizes)]
-			if fed+k > rounds {
-				k = rounds - fed
-			}
-			batch := make([][][]int32, k)
-			for r := 0; r < k; r++ {
-				batch[r] = make([][]int32, streams)
-				for i := 0; i < streams; i++ {
-					batch[r][i] = slices.Clone(samplers[i].SampleRound())
-				}
-			}
-			if err := eng.PushRounds(batch); err != nil {
-				t.Fatal(err)
-			}
-			fed += k
-		}
-		if err := eng.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		eng.Close()
-		for i := range want {
-			if !slices.Equal(out[i], want[i]) {
-				t.Fatalf("workers=%d stream %d: PushRounds diverged from per-round ingestion (%d vs %d corrections)",
-					workers, i, len(out[i]), len(want[i]))
-			}
-		}
-	}
-}
-
-// TestEnginePushRoundsValidation: shape errors reject the batch before any
-// ingestion; the zero-length batch is a no-op.
-func TestEnginePushRoundsValidation(t *testing.T) {
-	eng, err := NewEngine(EngineConfig{Streams: 2, Distance: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if err := eng.PushRounds(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-	if err := eng.PushRounds([][][]int32{{nil, nil}, {nil}}); err == nil {
-		t.Fatal("mis-shaped batch accepted")
-	}
-	if got := eng.Decoder(0).Buffered(); got != 0 {
-		t.Fatalf("rejected batch ingested %d layers", got)
 	}
 }

@@ -15,9 +15,10 @@ import (
 // worker pool — the workload shape of the paper's Conjoined Decoder
 // Architecture, where one decoding subsystem serves many logical qubits
 // continuously. Ingestion is round-batched: each batch feeds the same
-// number of rounds to every stream, and workers claim whole streams off a
-// shared counter (work stealing, as in the Monte-Carlo engine), so a
-// stream whose window decodes slowly never stalls the others.
+// number of rounds to every stream, and workers claim chunks of up to 64
+// consecutive streams off a shared counter (work stealing, as in the
+// Monte-Carlo engine), so a chunk whose windows decode slowly never stalls
+// the others.
 //
 // Determinism: a stream's decoder, its fault channel, and its per-stream
 // state advance only under the worker that claimed it for the batch, and
@@ -41,16 +42,13 @@ type Engine struct {
 	next    atomic.Int64
 	closed  bool
 
-	// Lane batching (every non-robust engine): workers claim fixed chunks
-	// of up to 64 consecutive streams instead of single streams, deliver
-	// each round chunk-wide, and resolve the deferred windows through their
-	// per-worker Lanes — up to 64 streams' ready windows transposed
-	// into bit-plane lanes and certified word-parallel. Corrections stay
-	// bit-identical to per-stream decoding — chunk boundaries and worker
-	// count affect grouping, never results. Robust engines decode each
-	// window as it fills: their deadline clocks assume decode-at-fill, and
-	// degraded windows must never enter a lane group.
-	lane  bool
+	// Lane batching: round jobs claim fixed chunks of up to 64 consecutive
+	// streams instead of single streams, deliver each round chunk-wide, and
+	// resolve the deferred windows through the worker's Lanes — up to 64
+	// streams' ready windows transposed into bit-plane lanes and certified
+	// word-parallel. Corrections, ledgers and traces stay bit-identical to
+	// per-stream decoding at fill, robust streams included — chunk
+	// boundaries and worker count affect grouping, never results.
 	chunk int
 	lanes []*Lanes
 }
@@ -110,20 +108,23 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		errs:    make([]error, cfg.Streams),
 		totals:  make([]uint64, cfg.Streams),
 		robust:  cfg.Robust.enabled(),
-		lane:    !cfg.Robust.enabled(),
 		workers: workers,
+		lanes:   make([]*Lanes, workers),
 	}
 	if cfg.Sink == nil {
 		e.retain = make([][]Correction, cfg.Streams)
 	}
+	for w := range e.lanes {
+		e.lanes[w] = NewLanes()
+	}
 	for i := 0; i < cfg.Streams; i++ {
-		dec, err := New(cfg.Distance, cfg.Window, cfg.Commit)
+		dec, err := NewRobust(cfg.Distance, cfg.Window, cfg.Commit, cfg.Robust)
 		if err != nil {
 			return nil, err
 		}
-		if err := dec.SetRobust(cfg.Robust); err != nil {
-			return nil, err
-		}
+		// Defer only marks the decoder; whichever worker claims its chunk
+		// resolves the window.
+		e.lanes[0].Defer(dec)
 		if cfg.Trace != nil {
 			dec.SetTrace(cfg.Trace, int32(i))
 		}
@@ -150,24 +151,12 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			e.chans[i] = faults.NewChannel(per, c)
 		}
 	}
-	if e.lane {
-		e.lanes = make([]*Lanes, workers)
-		for w := range e.lanes {
-			e.lanes[w] = NewLanes()
-		}
-		for _, dec := range e.decs {
-			// Cannot fail: lane engines are non-robust.
-			if err := dec.setDeferDecode(true); err != nil {
-				return nil, err
-			}
-		}
-		// Chunks of up to 64 streams: one lane group per chunk per decode
-		// round. ceil(S/workers) keeps every worker busy on small fleets;
-		// the 64-lane cap bounds a group to one plane word.
-		e.chunk = (cfg.Streams + workers - 1) / workers
-		if e.chunk > 64 {
-			e.chunk = 64
-		}
+	// Chunks of up to 64 streams: one lane group per chunk per decode
+	// round. ceil(S/workers) keeps every worker busy on small fleets; the
+	// 64-lane cap bounds a group to one plane word.
+	e.chunk = (cfg.Streams + workers - 1) / workers
+	if e.chunk > 64 {
+		e.chunk = 64
 	}
 	e.jobs = make([]chan engineJob, workers)
 	e.done.Add(workers)
@@ -200,38 +189,24 @@ func (e *Engine) deliverRound(i int, events []int32) error {
 func (e *Engine) worker(w int, ch chan engineJob) {
 	defer e.done.Done()
 	for job := range ch {
-		if e.lane && !job.flush {
-			e.laneRounds(e.lanes[w], job)
-			e.wg.Done()
-			continue
-		}
-		for {
-			i := int(e.next.Add(1) - 1)
-			if i >= len(e.decs) {
-				break
-			}
-			if job.flush {
-				// Flush resolves any deferred window through the scalar
-				// path before closing the stream, so the per-stream claim
-				// loop serves lane engines too.
-				e.decs[i].Flush()
-				continue
-			}
-			if e.errs[i] != nil {
-				continue
-			}
-			for r := 0; r < job.rounds; r++ {
-				if err := e.deliverRound(i, job.feed(i, r)); err != nil {
-					e.errs[i] = fmt.Errorf("stream %d: %w", i, err)
+		if job.flush {
+			// Flush resolves any deferred window through the scalar path
+			// before closing the stream, so flushes claim single streams.
+			for {
+				i := int(e.next.Add(1) - 1)
+				if i >= len(e.decs) {
 					break
 				}
+				e.decs[i].Flush()
 			}
+		} else {
+			e.laneRounds(e.lanes[w], job)
 		}
 		e.wg.Done()
 	}
 }
 
-// laneRounds is the lane-batched round job: workers claim whole chunks of
+// laneRounds is the round job: workers claim whole chunks of
 // consecutive streams, deliver each round to the chunk, and resolve the
 // windows that filled as one lane group per chunk. Round-major order keeps
 // the feed contract (per-stream round order, one owner per stream per
@@ -347,9 +322,9 @@ func (e *Engine) PushRound(events [][]int32) error {
 	// 0's fill level is the fleet's: decide once whether this round
 	// completes a window. A degraded (deadline-overrun) commit finalizes
 	// fewer layers and desyncs fill levels, and a poisoned stream 0 stops
-	// ingesting, so those engines scan. A lane engine must not take the
-	// serial path on a round that fills a window: nothing there resolves
-	// the deferred decode until that stream's next round.
+	// ingesting, so those engines scan. A round that fills a window must
+	// not take the serial path: nothing there resolves the deferred decode
+	// until that stream's next round.
 	willDecode := false
 	if e.robust || e.errs[0] != nil {
 		for _, dec := range e.decs {
@@ -361,7 +336,7 @@ func (e *Engine) PushRound(events [][]int32) error {
 	} else {
 		willDecode = e.decs[0].Buffered()+1 >= e.decs[0].Window
 	}
-	if !willDecode || (e.workers == 1 && !e.lane) {
+	if !willDecode {
 		for i := range e.decs {
 			if e.errs[i] != nil {
 				continue
@@ -374,61 +349,6 @@ func (e *Engine) PushRound(events [][]int32) error {
 	}
 	return e.dispatch(engineJob{rounds: 1, feed: func(stream, _ int) []int32 {
 		return events[stream]
-	}})
-}
-
-// PushRounds feeds a batch of rounds to the whole fleet in one call:
-// rounds[r][i] holds stream i's detection events for the r-th round of
-// the batch. It is equivalent to calling PushRound once per round, but a
-// batch that cannot trigger a window decode on any stream is ingested
-// serially (bit-sets into the rings), and a batch that can costs one
-// worker-pool barrier instead of one per decode round — the dispatch
-// shape the Conjoined Decoder's round-synchronous ingest hardware
-// implies. Shape errors reject the batch before any state changes;
-// per-stream ingestion errors poison only their stream, like PushRound.
-func (e *Engine) PushRounds(rounds [][][]int32) error {
-	if e.closed {
-		return errors.New("stream: engine used after Close")
-	}
-	for r := range rounds {
-		if len(rounds[r]) != len(e.decs) {
-			return fmt.Errorf("stream: PushRounds round %d has %d event lists for %d streams", r, len(rounds[r]), len(e.decs))
-		}
-	}
-	k := len(rounds)
-	if k == 0 {
-		return nil
-	}
-	// Same fill-level reasoning as PushRound, over the whole batch: in
-	// lockstep mode stream 0's level is the fleet's; robust (degradable)
-	// engines and a poisoned stream 0 desync fill levels, so those scan.
-	willDecode := false
-	if e.robust || e.errs[0] != nil {
-		for _, dec := range e.decs {
-			if dec.Buffered()+k >= dec.Window {
-				willDecode = true
-				break
-			}
-		}
-	} else {
-		willDecode = e.decs[0].Buffered()+k >= e.decs[0].Window
-	}
-	if !willDecode || (e.workers == 1 && !e.lane) {
-		for i := range e.decs {
-			if e.errs[i] != nil {
-				continue
-			}
-			for r := 0; r < k; r++ {
-				if err := e.deliverRound(i, rounds[r][i]); err != nil {
-					e.errs[i] = fmt.Errorf("stream %d: %w", i, err)
-					break
-				}
-			}
-		}
-		return errors.Join(e.errs...)
-	}
-	return e.dispatch(engineJob{rounds: k, feed: func(stream, round int) []int32 {
-		return rounds[round][stream]
 	}})
 }
 

@@ -7,34 +7,42 @@ import (
 	"afs/internal/lattice"
 )
 
-// laneBatcher resolves deferred (setDeferDecode) stream windows in
-// cross-stream lane groups: up to 64 pending windows sharing a
-// (distance, window) shape are transposed into bit-plane defect planes —
-// one uint64 per window-graph vertex, bit t = lane t's window has a defect
-// there — and classified word-parallel by core.LaneTriage.ClassifySparse.
-// Lanes whose window certifies against the sparse shortcut's fast set
-// commit their closed-form correction with no per-stream decode at all;
-// the rest run the unchanged scalar path on the defect list the scatter
-// pass already extracted (so the heavy tail re-reads nothing). Either route finishes through the same commit/slide code a
-// scalar decodeWindow uses, so corrections are bit-identical to per-stream
-// decoding for every group size and fill.
+// Lanes resolves deferred stream windows in cross-stream lane groups, for
+// code that drives many decoders from one goroutine: an Engine worker's
+// chunk of streams, or a fleet shard's streams within one round envelope.
+// Defer each decoder once, right after construction; from then on a window
+// that fills on ingest stays pending until Resolve decodes it in a lane
+// group (or until any call that reads or charges the decoder's state — the
+// next ingest, AddPenaltyNS, Report, Flush, Snapshot — resolves it alone).
+//
+// A lane group is up to 64 pending windows sharing a (distance, window)
+// shape, transposed into bit-plane defect planes — one uint64 per
+// window-graph vertex, bit t = lane t's window has a defect there — and
+// classified word-parallel by core.LaneTriage.ClassifySparse. Lanes whose
+// window certifies against the sparse shortcut's fast set commit their
+// closed-form correction with no per-stream decode at all; the rest run
+// the unchanged scalar path on the defect list the scatter pass already
+// extracted (so the heavy tail re-reads nothing). Either route finishes
+// through the same deadline charge and commit/slide code a scalar
+// decodeWindow uses, so corrections, fault ledgers and traces are
+// bit-identical to decoding each window the round it fills, for every
+// group size and fill, robust streams included.
 //
 // Group-formation rules (deterministic — a pure function of the decs slice
 // order and the decoders' pending flags, never of worker timing):
 //
-//   - only pending decoders join a group; the commit depth is NOT part of
-//     the shape key, because classification is horizon-independent and
-//     each lane commits against its own decoder's Commit;
-//   - windows containing an erased round, decoders with the weight-0 skip
-//     disabled, and windows past core.MaxShortcutDefects route straight to
-//     the scalar path without touching the planes (counted laneIneligible)
-//     — erasure flags are per-stream state the planes cannot carry;
-//   - robust (deadline/backpressure) decoders never defer in the first
-//     place (setDeferDecode rejects them), so degraded windows cannot
-//     reach a lane group.
+//   - only pending decoders join a group; neither the commit depth nor the
+//     robust settings are part of the shape key, because classification is
+//     horizon-independent and each lane commits against, and charges the
+//     deadline model of, its own decoder;
+//   - windows containing an erased round (link erasure or backpressure
+//     shedding), decoders with the weight-0 skip disabled, and windows
+//     past core.MaxShortcutDefects route straight to the scalar path
+//     without touching the planes (counted laneIneligible) — erasure flags
+//     are per-stream state the planes cannot carry.
 //
-// Not safe for concurrent use; engines hold one batcher per worker.
-type laneBatcher struct {
+// Not safe for concurrent use; engines hold one Lanes per worker.
+type Lanes struct {
 	shapes map[laneKey]*laneShape
 	om     *streamObs
 	omSh   int
@@ -59,43 +67,22 @@ type laneShape struct {
 	lanes   [64]*Decoder
 }
 
-// Lanes is the lane-resolution entry point for code that drives many
-// decoders from one goroutine: an Engine worker's chunk of streams, or a
-// fleet shard's streams within one round envelope. Defer each decoder once,
-// right after construction; from then on a window that fills on ingest
-// stays pending until Resolve decodes it in a lane group (or until any call
-// that reads the decoder's state — the next ingest, Flush, Snapshot —
-// resolves it alone). Either way corrections are bit-identical to decoding
-// each window the round it fills. Not safe for concurrent use.
-type Lanes struct{ b *laneBatcher }
-
-// NewLanes returns an empty resolver; its working sets build lazily per
-// (distance, window) shape.
-func NewLanes() *Lanes { return &Lanes{b: newLaneBatcher()} }
-
-// Defer switches d to deferred window decoding. Robust decoders are
-// refused: their deadline clocks assume a window is served the round it
-// completes, so they keep decoding at fill.
-func (l *Lanes) Defer(d *Decoder) error { return d.setDeferDecode(true) }
-
-// Resolve decodes every pending window among decs as lane groups of up to
-// 64 same-shape windows, in slice order. Each decoder may appear at most
-// once; nil entries and decoders with nothing pending are skipped.
-func (l *Lanes) Resolve(decs []*Decoder) { l.b.Decode(decs) }
-
-// newLaneBatcher returns an empty batcher; per-shape working sets build
-// lazily on the first pending window of each shape.
-func newLaneBatcher() *laneBatcher {
-	return &laneBatcher{
+// NewLanes returns an empty resolver; per-shape working sets build lazily
+// on the first pending window of each shape.
+func NewLanes() *Lanes {
+	return &Lanes{
 		shapes: map[laneKey]*laneShape{},
 		om:     obsSink.Load(),
 		omSh:   nextObsShard(),
 	}
 }
 
-func (b *laneBatcher) shapeFor(d *Decoder) *laneShape {
+// Defer switches d to deferred window decoding.
+func (l *Lanes) Defer(d *Decoder) { d.deferDecode = true }
+
+func (l *Lanes) shapeFor(d *Decoder) *laneShape {
 	k := laneKey{distance: d.Distance, window: d.Window}
-	if sh, ok := b.shapes[k]; ok {
+	if sh, ok := l.shapes[k]; ok {
 		return sh
 	}
 	sh := &laneShape{
@@ -104,21 +91,22 @@ func (b *laneBatcher) shapeFor(d *Decoder) *laneShape {
 		planes:  make([]uint64, d.g.V+1),
 		touched: make([]uint64, (d.g.V+63)/64),
 	}
-	b.shapes[k] = sh
+	l.shapes[k] = sh
 	return sh
 }
 
-// Decode resolves every pending decoder in decs, grouping same-shape
+// Resolve decodes every pending window among decs, grouping same-shape
 // pending windows into lane groups of up to 64 in slice order (skipping
 // over non-pending and different-shape entries; those shapes form their
-// own groups on later sweeps of the same pass). nil entries are ignored.
-func (b *laneBatcher) Decode(decs []*Decoder) {
+// own groups on later sweeps of the same pass). Each decoder may appear at
+// most once; nil entries and decoders with nothing pending are skipped.
+func (l *Lanes) Resolve(decs []*Decoder) {
 	for i := 0; i < len(decs); i++ {
 		d := decs[i]
 		if d == nil || !d.pending {
 			continue
 		}
-		sh := b.shapeFor(d)
+		sh := l.shapeFor(d)
 		n := 0
 		sh.lanes[n] = d
 		n++
@@ -130,14 +118,14 @@ func (b *laneBatcher) Decode(decs []*Decoder) {
 			sh.lanes[n] = dj
 			n++
 		}
-		b.decodeGroup(sh, n)
+		l.decodeGroup(sh, n)
 	}
 }
 
 // decodeGroup resolves one formed group: scatter the eligible windows into
 // the planes, classify, fast-commit the certified lanes, gather and
 // scalar-decode the rest.
-func (b *laneBatcher) decodeGroup(sh *laneShape, n int) {
+func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 	var elig uint64
 	scalar := 0
 	for lane := 0; lane < n; lane++ {
@@ -179,17 +167,17 @@ func (b *laneBatcher) decodeGroup(sh *laneShape, n int) {
 		}
 		sh.lt.ClearPlanes(sh.planes, sh.touched)
 	}
-	if b.om != nil {
-		b.om.laneGroups.Inc(b.omSh)
-		b.om.laneWindows.Add(b.omSh, uint64(n))
+	if l.om != nil {
+		l.om.laneGroups.Inc(l.omSh)
+		l.om.laneWindows.Add(l.omSh, uint64(n))
 		if scalar != 0 {
-			b.om.laneIneligible.Add(b.omSh, uint64(scalar))
+			l.om.laneIneligible.Add(l.omSh, uint64(scalar))
 		}
 		if fast != 0 {
-			b.om.laneFast.Add(b.omSh, uint64(bits.OnesCount64(fast)))
+			l.om.laneFast.Add(l.omSh, uint64(bits.OnesCount64(fast)))
 		}
 		if g := elig &^ fast; g != 0 {
-			b.om.laneGathered.Add(b.omSh, uint64(bits.OnesCount64(g)))
+			l.om.laneGathered.Add(l.omSh, uint64(bits.OnesCount64(g)))
 		}
 	}
 }

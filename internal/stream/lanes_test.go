@@ -1,17 +1,19 @@
 package stream
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"afs/internal/faults"
 	"afs/internal/noise"
+	"afs/internal/obs"
 )
 
-// runLaneEngine drives a non-robust (hence lane-batched) engine over seeded
-// per-stream samplers, with an optional chaos config, and returns each
-// stream's flushed corrections.
+// runLaneEngine drives a lane-batched engine over seeded per-stream
+// samplers, with an optional chaos config, and returns each stream's
+// flushed corrections.
 func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, chaos *faults.Config) [][]Correction {
 	t.Helper()
 	out := make([][]Correction, streams)
@@ -26,9 +28,6 @@ func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, chaos *f
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if !eng.lane {
-		t.Fatal("non-robust engine does not lane-batch")
-	}
 	samplers := seededSamplers(streams, d)
 	if err := eng.RunRounds(rounds, func(stream, _ int) []int32 {
 		return samplers[stream].SampleRound()
@@ -129,6 +128,221 @@ func TestLaneEngineIdentityUnderChaos(t *testing.T) {
 	}
 }
 
+// robustRun is what a robust identity check compares: per-stream
+// corrections and merged ledgers, and the exported Chrome trace.
+type robustRun struct {
+	corrs [][]Correction
+	reps  []faults.Report
+	trace []byte
+}
+
+// chromeTrace exports tr, failing if it dropped events.
+func chromeTrace(t *testing.T, tr *obs.Trace) []byte {
+	t.Helper()
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace dropped %d events; grow the buffer", tr.Dropped())
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// runRobustLaneEngine drives a robust engine, traced, over the seeded
+// per-stream samplers with an optional chaos config.
+func runRobustLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, robust Robust, chaos *faults.Config) robustRun {
+	t.Helper()
+	run := robustRun{corrs: make([][]Correction, streams), reps: make([]faults.Report, streams)}
+	tr := obs.NewTrace(1 << 17)
+	eng, err := NewEngine(EngineConfig{
+		Streams: streams, Distance: d, Window: w, Commit: c, Workers: workers,
+		Robust: robust, Chaos: chaos, Trace: tr,
+		Sink: func(stream int, corr Correction) {
+			run.corrs[stream] = append(run.corrs[stream], corr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	samplers := seededSamplers(streams, d)
+	if err := eng.RunRounds(rounds, func(stream, _ int) []int32 {
+		return samplers[stream].SampleRound()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range run.reps {
+		run.reps[i] = eng.StreamReport(i)
+	}
+	run.trace = chromeTrace(t, tr)
+	return run
+}
+
+// runRobustSoloDecoders is runRobustLaneEngine's oracle: each stream
+// decoded at fill by its own NewRobust decoder, fed by feedRounds through
+// its own faults.StreamSeed channel, tracing into one shared trace under
+// its stream index.
+func runRobustSoloDecoders(t *testing.T, streams, d, w, c, rounds int, robust Robust, chaos *faults.Config) robustRun {
+	t.Helper()
+	run := robustRun{corrs: make([][]Correction, streams), reps: make([]faults.Report, streams)}
+	tr := obs.NewTrace(1 << 17)
+	samplers := seededSamplers(streams, d)
+	for i := 0; i < streams; i++ {
+		dec, err := NewRobust(d, w, c, robust)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.SetTrace(tr, int32(i))
+		var ch *faults.Channel
+		if chaos != nil {
+			cc := *chaos
+			cc.Seed = faults.StreamSeed(chaos.Seed, i)
+			ch = faults.NewChannel(d*(d-1), cc)
+		}
+		feedRounds(t, dec, samplers[i], ch, rounds)
+		run.corrs[i] = dec.Flush()
+		run.reps[i] = dec.Report()
+		if ch != nil {
+			run.reps[i].Merge(ch.Report())
+		}
+	}
+	run.trace = chromeTrace(t, tr)
+	return run
+}
+
+// TestLaneEngineIdentityRobust: robust streams join lane groups like any
+// other, and a robust engine must commit the same corrections, report the
+// same per-stream ledgers and export the same trace as solo robust
+// decoders that decode each window at fill — under deadlines tight enough
+// to time out and degrade, queue caps small enough to shed, and link chaos
+// with stalls and service-time inflation, for every fleet size and worker
+// count. The run must exercise the lane fast path and every robust event,
+// or the identity would hold vacuously.
+func TestLaneEngineIdentityRobust(t *testing.T) {
+	const rounds = 200
+	configs := []struct {
+		d, w, c int
+		robust  Robust
+		chaos   *faults.Config
+	}{
+		{d: 3, robust: Robust{DeadlineNS: 15, QueueCap: 2},
+			chaos: &faults.Config{Seed: 3, DropRate: 0.03, DuplicateRate: 0.02, ReorderRate: 0.02,
+				CorruptRate: 0.03, StallRate: 0.05, StallNS: 600}},
+		{d: 5, robust: Robust{DeadlineNS: 40, QueueCap: 4}},
+		{d: 4, w: 6, c: 3, robust: Robust{DeadlineNS: 60, QueueCap: 3},
+			chaos: &faults.Config{Seed: 5, DropRate: 0.02, CorruptRate: 0.02, InflateNS: 380}},
+		{d: 7, robust: Robust{DeadlineNS: 350, QueueCap: 16},
+			chaos: &faults.Config{Seed: 9, StallRate: 0.02, StallNS: 2000, InflateNS: 50}},
+		{d: 5, robust: Robust{DeadlineNS: 600}},
+	}
+	var timeouts, degraded, shed uint64
+	fastBefore := registeredObs.laneFast.Value()
+	for _, cfg := range configs {
+		for _, streams := range []int{1, 5, 64, 70} {
+			want := runRobustSoloDecoders(t, streams, cfg.d, cfg.w, cfg.c, rounds, cfg.robust, cfg.chaos)
+			for _, rep := range want.reps {
+				timeouts += rep.Timeouts
+				degraded += rep.DegradedCommits
+				shed += rep.ShedRounds
+			}
+			for _, workers := range []int{1, 2, 3} {
+				got := runRobustLaneEngine(t, streams, workers, cfg.d, cfg.w, cfg.c, rounds, cfg.robust, cfg.chaos)
+				for i := range want.corrs {
+					if !slices.Equal(got.corrs[i], want.corrs[i]) {
+						t.Fatalf("d=%d %+v L=%d workers=%d stream %d: corrections diverge from a solo robust decoder (%d vs %d)",
+							cfg.d, cfg.robust, streams, workers, i, len(got.corrs[i]), len(want.corrs[i]))
+					}
+					if got.reps[i] != want.reps[i] {
+						t.Fatalf("d=%d %+v L=%d workers=%d stream %d: ledger diverges:\n got  %+v\n want %+v",
+							cfg.d, cfg.robust, streams, workers, i, got.reps[i], want.reps[i])
+					}
+				}
+				if !bytes.Equal(got.trace, want.trace) {
+					t.Fatalf("d=%d %+v L=%d workers=%d: trace differs from the solo decoders' (%d vs %d bytes)",
+						cfg.d, cfg.robust, streams, workers, len(got.trace), len(want.trace))
+				}
+			}
+		}
+	}
+	fast := registeredObs.laneFast.Value() - fastBefore
+	t.Logf("lane-fast windows %d, timeouts %d, degraded commits %d, shed rounds %d", fast, timeouts, degraded, shed)
+	if fast == 0 || timeouts == 0 || degraded == 0 || shed == 0 {
+		t.Fatalf("vacuous run: lane-fast windows %d, timeouts %d, degraded commits %d, shed rounds %d",
+			fast, timeouts, degraded, shed)
+	}
+}
+
+// TestLaneDeferredRobustLedger: AddPenaltyNS and Report resolve a deferred
+// robust decoder's pending window before they charge or read the ledger,
+// so a stream fed several rounds between Resolve calls (a fleet replay
+// envelope) matches a twin that decodes at fill — penalty for penalty,
+// ledger for ledger.
+func TestLaneDeferredRobustLedger(t *testing.T) {
+	const d, w = 3, 3
+	per := d * (d - 1)
+	rng := rand.New(rand.NewSource(13))
+	robust := Robust{DeadlineNS: 40, QueueCap: 2}
+	var lane, scalar *Decoder
+	var err error
+	if lane, err = NewRobust(d, w, 0, robust); err != nil {
+		t.Fatal(err)
+	}
+	if scalar, err = NewRobust(d, w, 0, robust); err != nil {
+		t.Fatal(err)
+	}
+	var laneOut, scalarOut []Correction
+	lane.SetSink(func(c Correction) { laneOut = append(laneOut, c) })
+	scalar.SetSink(func(c Correction) { scalarOut = append(scalarOut, c) })
+	l := NewLanes()
+	l.Defer(lane)
+	for r := 0; r < 400; r++ {
+		// Three rounds in four charge a penalty past the deadline, enough
+		// on average to outrun the round period and shed.
+		pen := float64(rng.Intn(4)) * 300
+		lane.AddPenaltyNS(pen)
+		scalar.AddPenaltyNS(pen)
+		if lane.pending {
+			t.Fatalf("round %d: AddPenaltyNS left the window pending", r)
+		}
+		events := randLayer(rng, per, 0.1)
+		if err := lane.PushLayer(events); err != nil {
+			t.Fatal(err)
+		}
+		if err := scalar.PushLayer(events); err != nil {
+			t.Fatal(err)
+		}
+		switch r % 3 {
+		case 0:
+			l.Resolve([]*Decoder{lane})
+		case 1:
+			// The next round's AddPenaltyNS resolves the pending window.
+		case 2:
+			if got, want := lane.Report(), scalar.Report(); got != want {
+				t.Fatalf("round %d: ledger of a pending window diverges:\n got  %+v\n want %+v", r, got, want)
+			}
+			if lane.pending {
+				t.Fatalf("round %d: Report left the window pending", r)
+			}
+		}
+	}
+	lane.Flush()
+	scalar.Flush()
+	if !slices.Equal(laneOut, scalarOut) {
+		t.Fatalf("deferred robust stream diverges from its twin (%d vs %d corrections)", len(laneOut), len(scalarOut))
+	}
+	got, want := lane.Report(), scalar.Report()
+	if got != want {
+		t.Fatalf("deferred robust ledger diverges:\n got  %+v\n want %+v", got, want)
+	}
+	if want.Timeouts == 0 || want.DegradedCommits == 0 || want.ShedRounds == 0 {
+		t.Fatalf("vacuous run: %+v", want)
+	}
+}
+
 // laneTwinPair is one lane-batched decoder plus its scalar twin, fed
 // identical rounds.
 type laneTwinPair struct {
@@ -146,9 +360,7 @@ func newLaneTwinPair(t *testing.T, d, w, c int) *laneTwinPair {
 	if p.scalar, err = New(d, w, c); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.lane.setDeferDecode(true); err != nil {
-		t.Fatal(err)
-	}
+	p.lane.deferDecode = true
 	p.lane.SetSink(func(c Correction) { p.laneOut = append(p.laneOut, c) })
 	p.scalar.SetSink(func(c Correction) { p.scalarOut = append(p.scalarOut, c) })
 	return p
@@ -203,7 +415,7 @@ func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 			}
 			decs[i] = pairs[i].lane
 		}
-		b := newLaneBatcher()
+		b := NewLanes()
 		const rounds = 160
 		for r := 0; r < rounds; r++ {
 			for i, p := range pairs {
@@ -214,7 +426,7 @@ func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 				erased := rng.Float64() < 0.03
 				p.push(t, randLayer(rng, per, rate), erased)
 			}
-			b.Decode(decs)
+			b.Resolve(decs)
 		}
 		for _, p := range pairs {
 			p.lane.Flush()
@@ -245,13 +457,13 @@ func TestLaneBatcherMixedShapes(t *testing.T) {
 			decs = append(decs, p.lane)
 		}
 	}
-	b := newLaneBatcher()
+	b := NewLanes()
 	for r := 0; r < 200; r++ {
 		for _, p := range pairs {
 			per := p.lane.Distance * (p.lane.Distance - 1)
 			p.push(t, randLayer(rng, per, 0.05), false)
 		}
-		b.Decode(decs)
+		b.Resolve(decs)
 	}
 	for _, p := range pairs {
 		p.lane.Flush()
@@ -274,7 +486,7 @@ func TestLaneDeferredResolution(t *testing.T) {
 	per := d * (d - 1)
 	rng := rand.New(rand.NewSource(5))
 	p := newLaneTwinPair(t, d, w, 0)
-	b := newLaneBatcher()
+	b := NewLanes()
 	for r := 0; r < 90; r++ {
 		p.push(t, randLayer(rng, per, 0.1), false)
 		if r >= w-1 && !p.lane.pending {
@@ -282,7 +494,7 @@ func TestLaneDeferredResolution(t *testing.T) {
 		}
 		switch r % 3 {
 		case 0:
-			b.Decode([]*Decoder{p.lane})
+			b.Resolve([]*Decoder{p.lane})
 			if p.lane.pending {
 				t.Fatal("pending after a batched decode")
 			}
@@ -310,51 +522,6 @@ func TestLaneDeferredResolution(t *testing.T) {
 	}
 }
 
-// TestDeferDecodeRobustMutualExclusion: robust decoders must never defer
-// (degraded/deadline windows cannot enter a lane group), in both orders.
-func TestDeferDecodeRobustMutualExclusion(t *testing.T) {
-	dec, err := New(4, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.SetRobust(Robust{DeadlineNS: 350, QueueCap: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.setDeferDecode(true); err == nil {
-		t.Fatal("setDeferDecode accepted on a robust decoder")
-	}
-	dec2, err := New(4, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec2.setDeferDecode(true); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec2.SetRobust(Robust{DeadlineNS: 350, QueueCap: 8}); err == nil {
-		t.Fatal("SetRobust accepted on a deferred decoder")
-	}
-	// Robust on a decoder that turned deferral back off is fine.
-	if err := dec2.setDeferDecode(false); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec2.SetRobust(Robust{DeadlineNS: 350, QueueCap: 8}); err != nil {
-		t.Fatal(err)
-	}
-	// A robust engine decodes each window at fill: it never lane-batches.
-	eng, err := NewEngine(EngineConfig{
-		Streams: 2, Distance: 4,
-		Robust: Robust{DeadlineNS: 350, QueueCap: 8},
-		Sink:   func(int, Correction) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if eng.lane {
-		t.Fatal("robust engine enabled lane batching")
-	}
-}
-
 // FuzzLaneIdentity feeds fuzzer-shaped rounds to a small lane group and its
 // scalar twins; any divergence in committed corrections is a bug in the
 // word-parallel classification or the fast-path emission order.
@@ -372,7 +539,7 @@ func FuzzLaneIdentity(f *testing.F) {
 			pairs[i] = newLaneTwinPair(t, d, w, 0)
 			decs[i] = pairs[i].lane
 		}
-		b := newLaneBatcher()
+		b := NewLanes()
 		// Each byte drives one lane-round: bit per ancilla (per=6 fits), with
 		// 0xff meaning an erased round.
 		for off := 0; off+n <= len(data); off += n {
@@ -390,7 +557,7 @@ func FuzzLaneIdentity(f *testing.F) {
 				}
 				pairs[i].push(t, ev, false)
 			}
-			b.Decode(decs)
+			b.Resolve(decs)
 		}
 		for _, p := range pairs {
 			p.lane.Flush()

@@ -29,7 +29,7 @@ type streamObs struct {
 	windowCostNS  *obs.Histogram // model decode cost per window (robust mode)
 	queueLag      *obs.Histogram // backlog in arrival periods after each window (robust mode)
 
-	// Lane-batching signals (laneBatcher): group formation and the
+	// Lane-batching signals (Lanes): group formation and the
 	// fast/gathered/ineligible split. laneWindows / (64 * laneGroups) is
 	// the mean group fill fraction; laneFast / laneWindows the fraction of
 	// batched windows resolved closed-form without a scalar decode.

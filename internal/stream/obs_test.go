@@ -123,11 +123,8 @@ func TestObsCountersMatchLedger(t *testing.T) {
 	const d, T = 4, 40
 	g := lattice.New3D(d, T)
 	s := noise.NewSampler(g, 0.02, 83, 17)
-	dec, err := New(d, d, 0)
+	dec, err := NewRobust(d, d, 0, Robust{DeadlineNS: 350, QueueCap: 2})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.SetRobust(Robust{DeadlineNS: 350, QueueCap: 2}); err != nil {
 		t.Fatal(err)
 	}
 	before := take()

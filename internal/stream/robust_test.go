@@ -199,11 +199,8 @@ func TestStreamReuseAfterDegradedCommit(t *testing.T) {
 	const d, T = 4, 12
 	g := lattice.New3D(d, T)
 	s := noise.NewSampler(g, 0.03, 37, 9)
-	dec, err := New(d, d, 0)
+	dec, err := NewRobust(d, d, 0, Robust{DeadlineNS: 1e-9})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.SetRobust(Robust{DeadlineNS: 1e-9}); err != nil {
 		t.Fatal(err)
 	}
 	var trial noise.Trial
@@ -222,16 +219,10 @@ func TestStreamReuseAfterDegradedCommit(t *testing.T) {
 	if err := rep.Check(); err != nil {
 		t.Fatalf("ledger inconsistent after degraded commits: %v", err)
 	}
-	// Disabling robustness must restore the plain path on the same decoder.
-	if err := dec.SetRobust(Robust{}); err != nil {
-		t.Fatal(err)
-	}
+	// The flushed decoder decodes the next stream correctly.
 	s.Sample(&trial)
 	feed(dec, g, trial.Defects)
 	verify(t, g, &trial, dec.Flush())
-	if after := dec.Report(); after.Timeouts != rep.Timeouts {
-		t.Fatalf("plain decoding grew the timeout count: %d -> %d", rep.Timeouts, after.Timeouts)
-	}
 }
 
 // TestStreamBackpressureSheds: enormous injected service time with a small
@@ -241,11 +232,8 @@ func TestStreamBackpressureSheds(t *testing.T) {
 	const d, T = 4, 40
 	g := lattice.New3D(d, T)
 	s := noise.NewSampler(g, 0.02, 41, 10)
-	dec, err := New(d, d, 0)
+	dec, err := NewRobust(d, d, 0, Robust{QueueCap: 2})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.SetRobust(Robust{QueueCap: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var trial noise.Trial
@@ -273,34 +261,20 @@ func TestStreamBackpressureSheds(t *testing.T) {
 		t.Fatalf("ledger inconsistent after shedding: %v", err)
 	}
 	// The decoder survives the overload and decodes a calm stream correctly.
-	if err := dec.SetRobust(Robust{}); err != nil {
-		t.Fatal(err)
-	}
 	s.Sample(&trial)
 	feed(dec, g, trial.Defects)
 	verify(t, g, &trial, dec.Flush())
 }
 
-func TestSetRobustValidation(t *testing.T) {
-	dec, err := New(4, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.SetRobust(Robust{DeadlineNS: -1}); err == nil {
+func TestNewRobustValidation(t *testing.T) {
+	if _, err := NewRobust(4, 0, 0, Robust{DeadlineNS: -1}); err == nil {
 		t.Error("negative deadline accepted")
 	}
-	if err := dec.SetRobust(Robust{QueueCap: -1}); err == nil {
+	if _, err := NewRobust(4, 0, 0, Robust{QueueCap: -1}); err == nil {
 		t.Error("negative queue cap accepted")
 	}
-	if err := dec.PushLayer(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.SetRobust(Robust{DeadlineNS: 350}); err == nil {
-		t.Error("SetRobust accepted on a decoder with buffered layers")
-	}
-	dec.Flush()
-	if err := dec.SetRobust(Robust{DeadlineNS: 350}); err != nil {
-		t.Errorf("SetRobust rejected on a flushed decoder: %v", err)
+	if _, err := NewRobust(4, 0, 0, Robust{DeadlineNS: 350}); err != nil {
+		t.Errorf("NewRobust rejected a valid configuration: %v", err)
 	}
 }
 
@@ -573,11 +547,8 @@ func TestStreamRobustZeroAlloc(t *testing.T) {
 		{"forced-framing", faults.Config{Seed: 7, ForceFraming: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dec, err := New(d, d, 0)
+			dec, err := NewRobust(d, d, 0, Robust{DeadlineNS: 350, QueueCap: 16})
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dec.SetRobust(Robust{DeadlineNS: 350, QueueCap: 16}); err != nil {
 				t.Fatal(err)
 			}
 			dec.SetSink(func(Correction) {})

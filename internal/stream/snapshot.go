@@ -16,7 +16,7 @@ import (
 // round base, the pending deadline penalty, the backlog queue's clocks and
 // episode counters, and the runtime fault ledger. Together with the static
 // configuration (Distance/Window/Commit and the Robust settings, which the
-// caller re-applies before Restore) it is everything a *different* decoder
+// restoring decoder is built with) it is everything a *different* decoder
 // instance — on another shard, after a crash — needs to continue the stream
 // byte-identically: the sliding-window decode is a pure function of this
 // state and the rounds that follow.
@@ -94,9 +94,10 @@ func (d *Decoder) Snapshot() Snapshot {
 }
 
 // Restore overwrites the decoder's dynamic state with a snapshot taken from
-// a decoder of the same shape (Distance/Window/Commit must match; apply the
-// same SetRobust configuration first — Restore rewinds the queue clocks that
-// SetRobust resets). Feeding the restored decoder the same rounds the
+// a decoder of the same shape (Distance/Window/Commit must match) and the
+// same Robust settings (build it with the same NewRobust arguments — the
+// snapshot carries the queue clocks, not the configuration they run
+// under). Feeding the restored decoder the same rounds the
 // snapshotted one went on to receive reproduces its corrections and its
 // fault ledger bit for bit. Any malformed snapshot — shape mismatch, too
 // many layers, an out-of-range ancilla index, a non-finite or negative

@@ -60,11 +60,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 				per := d * (d - 1)
 
 				// Reference run: one decoder sees the whole stream.
-				ref, err := New(d, 0, 0)
+				ref, err := NewRobust(d, 0, 0, tc.robust)
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.SetRobust(tc.robust); err != nil {
 					t.Fatal(err)
 				}
 				var refCorr []Correction
@@ -106,11 +103,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 				// Restored run: a different decoder instance continues from
 				// the snapshot over the identical remaining rounds (replayed
 				// post-chaos, as a fleet journal stores them).
-				re, err := New(d, 0, 0)
+				re, err := NewRobust(d, 0, 0, tc.robust)
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := re.SetRobust(tc.robust); err != nil {
 					t.Fatal(err)
 				}
 				var reCorr []Correction
@@ -178,12 +172,9 @@ func sameCorrections(a, b []Correction) bool {
 // no phantom recovery from the restore itself.
 func TestSnapshotRestoreMidEpisode(t *testing.T) {
 	const d = 5
-	dec, err := New(d, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	robust := Robust{DeadlineNS: 50, QueueCap: 1}
-	if err := dec.SetRobust(robust); err != nil {
+	dec, err := NewRobust(d, 0, 0, robust)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Saturate the queue with injected stall penalties until it sheds.
@@ -208,11 +199,8 @@ func TestSnapshotRestoreMidEpisode(t *testing.T) {
 			snap.Queue.Sheds, snap.Queue.Recoveries)
 	}
 
-	re, err := New(d, 0, 0)
+	re, err := NewRobust(d, 0, 0, robust)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.SetRobust(robust); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Restore(snap); err != nil {
@@ -341,11 +329,8 @@ func TestSnapshotBinaryRejectsCorruption(t *testing.T) {
 func FuzzSnapshotBinary(f *testing.F) {
 	const d = 3
 	seed := func(robust Robust, rounds int) []byte {
-		dec, err := New(d, 0, 0)
+		dec, err := NewRobust(d, 0, 0, robust)
 		if err != nil {
-			f.Fatal(err)
-		}
-		if err := dec.SetRobust(robust); err != nil {
 			f.Fatal(err)
 		}
 		sampler := noise.NewRoundSampler(d, 0.08, 5, 1)

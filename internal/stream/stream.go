@@ -107,29 +107,29 @@ type Decoder struct {
 	sink      func(Correction)
 	defects   []int32 // scratch, in window-local vertex ids
 
-	// Deadline-aware degradation (SetRobust). All accounting runs in model
-	// nanoseconds — never wall clock — so fixed-seed runs stay bit-identical
-	// across worker counts.
-	robust       Robust
-	robustOn     bool
-	queue        backlog.BoundedQueue
-	penaltyNS    float64 // injected service time charged to the next window
-	invArrivalNS float64 // 1/arrival period — queue-lag metric without a division
-	w0CostNS     float64 // Model.WindowCost of an empty decode, precomputed by SetRobust
-	rep          faults.Report
+	// Deadline-aware degradation (NewRobust), fixed at construction. All
+	// accounting runs in model nanoseconds — never wall clock — so
+	// fixed-seed runs stay bit-identical across worker counts.
+	robust    Robust
+	robustOn  bool
+	queue     backlog.BoundedQueue
+	penaltyNS float64 // injected service time charged to the next window
+	rep       faults.Report
 
 	// disableW0Skip forces weight-0 windows down the full DecodeHorizon
 	// path; it exists only so tests can prove the skip is bit-identical.
 	disableW0Skip bool
 
-	// Deferred decoding (setDeferDecode, on in every non-robust Engine):
-	// a window that fills on ingest is not decoded immediately — the
-	// decoder marks itself pending and waits for the engine's laneBatcher
-	// (or any state-reading entry point: Flush, Snapshot, the next ingest)
-	// to resolve it. This is what lets the cross-stream lane scheduler see
-	// many ready windows at once instead of each decoder consuming its own
-	// the moment it fills. Mutually exclusive with robust mode, whose
-	// deadline clocks assume decode-at-fill.
+	// Deferred decoding (Lanes.Defer, on for every Engine and fleet shard
+	// stream): a window that fills on ingest is not decoded immediately —
+	// the decoder marks itself pending and waits for a Lanes resolver (or
+	// any entry point that reads or charges its state: the next ingest,
+	// AddPenaltyNS, Report, Flush, Snapshot) to resolve it. This is what
+	// lets the cross-stream lane scheduler see many ready windows at once
+	// instead of each decoder consuming its own the moment it fills.
+	// Either way a window is served before the stream's next round
+	// arrives, so the deadline model's queue clocks see the same
+	// Arrive/Serve sequence as decoding at fill.
 	deferDecode bool
 	pending     bool
 
@@ -203,24 +203,21 @@ func (d *Decoder) flushObs() {
 }
 
 // Robust configures deadline enforcement and bounded-queue backpressure for
-// a streaming decoder. The zero value disables both.
+// a streaming decoder (NewRobust). The zero value disables both. Rounds
+// arrive one syndrome period apart (microarch.SyndromeRoundNS), and each
+// window decode is charged under the paper's pipelined memory-access model
+// (microarch.Model's zero value).
 type Robust struct {
 	// DeadlineNS is the per-window decode deadline in model nanoseconds
 	// (the paper's CDA timeout is 350 ns inside the 400 ns round): a window
 	// whose model response time — queueing behind earlier windows plus its
-	// own decode cost from Model — exceeds it is recorded as a timeout
-	// failure (Eq. 4's p_tof). A window whose own decode cost exceeds it is
-	// additionally committed degraded (one layer instead of Window/2);
-	// overruns inherited purely from backlog are left to the queue's
-	// shedding, since shrinking the commit would only raise the window
-	// arrival rate. 0 disables deadline enforcement.
+	// own decode cost — exceeds it is recorded as a timeout failure (Eq. 4's
+	// p_tof). A window whose own decode cost exceeds it is additionally
+	// committed degraded (one layer instead of Window/2); overruns inherited
+	// purely from backlog are left to the queue's shedding, since shrinking
+	// the commit would only raise the window arrival rate. 0 disables
+	// deadline enforcement.
 	DeadlineNS float64
-	// Model is the memory-access latency model charged per window decode;
-	// the zero value is the paper's pipelined design point.
-	Model microarch.Model
-	// ArrivalNS is the syndrome-round period; 0 selects
-	// microarch.SyndromeRoundNS (400 ns).
-	ArrivalNS float64
 	// QueueCap bounds the decode backlog in rounds: past it, the oldest
 	// undecoded round is shed (erased) rather than letting the backlog —
 	// and with it every subsequent decode's response time — diverge. 0
@@ -230,18 +227,26 @@ type Robust struct {
 
 func (r Robust) enabled() bool { return r.DeadlineNS > 0 || r.QueueCap > 0 }
 
-func (r Robust) arrivalNS() float64 {
-	if r.ArrivalNS <= 0 {
-		return microarch.SyndromeRoundNS
-	}
-	return r.ArrivalNS
+// w0CostNS is the deadline charge of a weight-0 window. The skipped
+// DecodeHorizon would have left DecodeStats at the zero value (no clusters,
+// no defects), and WindowCost is a pure function of that value.
+var w0CostNS = microarch.Model{}.WindowCost(&core.DecodeStats{})
+
+// New creates a streaming decoder without deadline enforcement or
+// backpressure: NewRobust with the zero Robust.
+func New(distance, window, commit int) (*Decoder, error) {
+	return NewRobust(distance, window, commit, Robust{})
 }
 
-// New creates a streaming decoder. window == 0 selects d; commit == 0
+// NewRobust creates a streaming decoder whose deadline and backpressure
+// settings are r for its whole life. window == 0 selects d; commit == 0
 // selects window/2 (minimum 1). commit must stay below window so that a
 // window's temporal-boundary matches remain revisable; a window larger
 // than the whole stream yields monolithic decoding at Flush.
-func New(distance, window, commit int) (*Decoder, error) {
+func NewRobust(distance, window, commit int, r Robust) (*Decoder, error) {
+	if r.DeadlineNS < 0 || r.QueueCap < 0 {
+		return nil, fmt.Errorf("stream: negative deadline or queue cap")
+	}
 	if distance < 2 {
 		return nil, fmt.Errorf("stream: distance %d < 2", distance)
 	}
@@ -263,12 +268,17 @@ func New(distance, window, commit int) (*Decoder, error) {
 	g := lattice.Cached3DWindow(distance, window)
 	per := distance * (distance - 1)
 	perWords := (per + 63) / 64
+	robustOn := r.enabled()
 	d := &Decoder{
 		Distance: distance,
 		Window:   window,
 		Commit:   commit,
 		g:        g,
-		dec:      core.NewDecoder(g, core.Options{LeanStats: true, SparseShortcut: true}),
+		// The deadline model needs per-cluster profiles but none of the
+		// per-access counters, so a robust decoder stays lean and adds only
+		// ClusterStats (one append per full-pipeline cluster) — the full
+		// profile would sit on the growth hot path and cost ~25% throughput.
+		dec:      core.NewDecoder(g, core.Options{LeanStats: true, ClusterStats: robustOn, SparseShortcut: true}),
 		finals:   map[int]*core.Decoder{},
 		closed:   map[int]*lattice.Graph{},
 		per:      per,
@@ -276,6 +286,9 @@ func New(distance, window, commit int) (*Decoder, error) {
 		ring:     make([]uint64, window*perWords),
 		erased:   make([]bool, window),
 		occ:      make([]int32, window),
+		robust:   r,
+		robustOn: robustOn,
+		queue:    backlog.BoundedQueue{ArrivalNS: microarch.SyndromeRoundNS, Cap: r.QueueCap},
 		om:       obsSink.Load(),
 		omShard:  nextObsShard(),
 	}
@@ -297,48 +310,12 @@ func (d *Decoder) SetTrace(t *obs.Trace, tid int32) {
 	d.tid = tid
 }
 
-// SetRobust enables (or, with a zero config, disables) deadline enforcement
-// and backpressure. It must be called on an empty decoder — at creation or
-// after Flush — because it swaps the core decoder for one that records the
-// per-cluster execution profile the latency model charges
-// (Options.ClusterStats; one append per full-pipeline cluster, so the
-// hardened fast path stays within a few percent of the lean one).
-func (d *Decoder) SetRobust(cfg Robust) error {
-	if d.ringLen != 0 {
-		return fmt.Errorf("stream: SetRobust on a decoder with %d buffered layers", d.ringLen)
-	}
-	if cfg.DeadlineNS < 0 || cfg.QueueCap < 0 {
-		return fmt.Errorf("stream: negative deadline or queue cap")
-	}
-	if d.deferDecode && cfg.enabled() {
-		return fmt.Errorf("stream: robust mode and deferred decoding are mutually exclusive")
-	}
-	wasOn := d.robustOn
-	d.robust = cfg
-	d.robustOn = cfg.enabled()
-	d.queue = backlog.BoundedQueue{ArrivalNS: cfg.arrivalNS(), Cap: cfg.QueueCap}
-	d.invArrivalNS = 1 / cfg.arrivalNS()
-	d.penaltyNS = 0
-	// A weight-0 window skips DecodeHorizon entirely, so its deadline
-	// charge is precomputed here: an empty decode leaves DecodeStats at
-	// the zero value (no clusters, no defects, counters reset), and
-	// WindowCost is a pure function of that value.
-	var empty core.DecodeStats
-	d.w0CostNS = cfg.Model.WindowCost(&empty)
-	if d.robustOn != wasOn {
-		// The deadline model needs per-cluster profiles but none of the
-		// per-access counters, so the robust decoder stays lean and adds
-		// only ClusterStats — the full profile would sit on the growth hot
-		// path and cost ~25% throughput.
-		d.dec = core.NewDecoder(d.g, core.Options{LeanStats: true, ClusterStats: d.robustOn, SparseShortcut: true})
-	}
-	return nil
-}
-
 // AddPenaltyNS charges injected service time (link retries, stalls,
 // reorder buffering — the chaos layer's penalties) to the next window
-// decode's deadline budget.
+// decode's deadline budget. A pending window resolves first: it is already
+// full, so the charge belongs to the window after it.
 func (d *Decoder) AddPenaltyNS(ns float64) {
+	d.resolvePending()
 	if ns <= 0 {
 		return
 	}
@@ -351,8 +328,11 @@ func (d *Decoder) AddPenaltyNS(ns float64) {
 // counters live in the faults.Channel that feeds the decoder; merge the two
 // for the full picture.
 func (d *Decoder) Report() faults.Report {
-	// Publish any batched tallies first, so a metrics snapshot taken next
-	// to the returned ledger covers the same events.
+	// A pending window is a decode the stream already owes, so it is
+	// charged before the ledger is read. Then any batched tallies publish,
+	// so a metrics snapshot taken next to the returned ledger covers the
+	// same events.
+	d.resolvePending()
 	d.flushObs()
 	rep := d.rep
 	rep.BacklogSheds = d.queue.Sheds
@@ -367,8 +347,9 @@ func (d *Decoder) Report() faults.Report {
 // no allocation. Passing nil restores the retaining behavior.
 func (d *Decoder) SetSink(fn func(Correction)) { d.sink = fn }
 
-// Buffered returns the number of layers currently buffered (always below
-// Window between calls, since a full window is decoded immediately).
+// Buffered returns the number of layers currently buffered (below Window
+// between calls, except while a deferred window waits for its Lanes to
+// resolve it).
 func (d *Decoder) Buffered() int { return d.ringLen }
 
 // PushLayer feeds one round's detection events (per-layer ancilla indices,
@@ -419,25 +400,6 @@ func (d *Decoder) PushErased() {
 	d.ingest(nil, true)
 }
 
-// setDeferDecode enables (or disables) deferred window decoding: a window
-// that fills on ingest is left buffered and marked pending instead of
-// decoding immediately, so a laneBatcher can resolve many streams' windows
-// as one lane group. Pending windows resolve transparently — through the
-// scalar path, bit-identically — whenever the decoder's state is needed
-// before a batcher gets to it (the next ingest, Flush, Snapshot).
-// Incompatible with robust mode: the deadline model's queue clocks assume
-// a window is served the round it completes.
-func (d *Decoder) setDeferDecode(on bool) error {
-	if on && d.robustOn {
-		return fmt.Errorf("stream: robust mode and deferred decoding are mutually exclusive")
-	}
-	if !on {
-		d.resolvePending()
-	}
-	d.deferDecode = on
-	return nil
-}
-
 // resolvePending decodes a deferred window through the ordinary scalar
 // path. Safe to call any time; a no-op unless a window is pending.
 func (d *Decoder) resolvePending() {
@@ -486,7 +448,7 @@ func (d *Decoder) ingest(events []int32, erased bool) {
 			d.om.erasedRounds.Inc(d.omShard)
 		}
 		if d.trace != nil {
-			ts := float64(d.base+d.ringLen) * d.robust.arrivalNS()
+			ts := float64(d.base+d.ringLen) * microarch.SyndromeRoundNS
 			d.trace.Emit(obs.Event{TS: ts, TID: d.tid, Kind: obs.EvErasedRound})
 		}
 	}
@@ -643,116 +605,132 @@ func (d *Decoder) collectDefects(layers int) {
 }
 
 // decodeCollected decodes d.defects (already collected) and finishes the
-// window: the decode dispatch and the robust deadline accounting live
-// here; commit/slide/observability live in finishWindow.
+// window: the decode dispatch lives here, the deadline accounting in
+// chargeWindow, and commit/slide/observability in finishWindow.
 func (d *Decoder) decodeCollected(final bool, layers, commit int) {
 	// Weight-0 fast path: a window with no detection events has the empty
 	// correction, and skipping DecodeHorizon outright is safe because the
 	// decoder's reset is deferred, not lost — an empty decode would only
 	// restore the previous window's touched state and zero DecodeStats,
 	// and the next non-empty decode's reset restores exactly the same
-	// state from the same undo logs. The deadline charge uses the
-	// precomputed cost of that empty decode (w0CostNS), so robust-mode
-	// accounting stays bit-identical too. At deployed error rates most
-	// windows of a quiet logical qubit take this path.
+	// state from the same undo logs. The deadline charge uses the cost of
+	// that empty decode (w0CostNS), so robust-mode accounting stays
+	// bit-identical too. At deployed error rates most windows of a quiet
+	// logical qubit take this path.
 	w0 := len(d.defects) == 0 && !d.disableW0Skip
 	var g *lattice.Graph
-	var dec *core.Decoder
 	var corr []int32
 	var stats *core.DecodeStats
 	if !w0 {
-		switch {
-		case final:
+		var dec *core.Decoder
+		if final {
 			// A single remaining layer has no temporal structure and is
 			// decoded as a 2-D problem; finalDecoder handles both cases.
 			g, dec = d.finalDecoder(layers)
-			corr = dec.DecodeHorizon(d.defects, int32(commit))
-			stats = &dec.Stats
-		default:
-			g, dec = d.g, d.dec
+		} else {
 			// Only edges with Round < commit are kept, so the decoder may
 			// skip defect groups that provably cannot reach the commit
 			// region — the horizon is where a sliding window saves most of
 			// its decode work.
-			corr = dec.DecodeHorizon(d.defects, int32(commit))
-			stats = &dec.Stats
+			g, dec = d.g, d.dec
 		}
+		corr = dec.DecodeHorizon(d.defects, int32(commit))
+		stats = &dec.Stats
 	}
-
-	// winTS is the window's model-time anchor (its first buffered layer's
-	// arrival slot) for the trace; cost stays 0 outside deadline mode.
-	winTS := float64(d.base) * d.robust.arrivalNS()
 	var cost float64
-	if !final && d.robustOn {
-		// Charge the window against the deadline budget in model time: its
-		// decode cost under the memory-access model, plus any injected link
-		// penalties (retries, stalls), plus queueing behind earlier windows.
-		if w0 {
-			cost = d.w0CostNS + d.penaltyNS
-		} else {
-			cost = d.robust.Model.WindowCost(stats) + d.penaltyNS
-		}
-		d.penaltyNS = 0
-		d.rep.Windows++
-		if d.om != nil {
-			d.lhCost.Observe(cost)
-		}
-		response := d.queue.Serve(cost)
-		if d.om != nil {
-			// response is exactly the post-serve backlog in ns (queueing
-			// plus own service), so the lag in arrival periods is one
-			// multiply — no second queue call, no division.
-			d.lhLag.Observe(response * d.invArrivalNS)
-		}
-		if d.robust.DeadlineNS > 0 && response > d.robust.DeadlineNS {
-			// Deadline overrun: a timeout failure under Eq. 4 (p_tof).
-			d.rep.Timeouts++
-			if d.om != nil {
-				d.om.timeouts.Inc(d.omShard)
-			}
-			if d.trace != nil {
-				d.trace.Emit(obs.Event{TS: winTS, Arg: response, TID: d.tid, Kind: obs.EvTimeout})
-			}
-			if cost > d.robust.DeadlineNS {
-				// Degrade only when this window's own decode is over budget:
-				// finalize the oldest layer and defer the rest to the next
-				// window, which re-decodes them with more context. The
-				// horizon-filtered correction is decision-identical to a
-				// full decode's edges below the horizon, so its Round < 1
-				// subset IS the one-layer commit — the commit loop's round
-				// filter extracts it with no second decode. When only
-				// inherited backlog pushed the response over, shrinking the
-				// commit would raise the window arrival rate and deepen the
-				// very backlog it inherited (a metastable cascade); the
-				// bounded queue's shedding is the pressure valve there.
-				d.rep.DegradedCommits++
-				commit = 1
-				if d.om != nil {
-					d.om.degraded.Inc(d.omShard)
-				}
-				if d.trace != nil {
-					d.trace.Emit(obs.Event{TS: winTS, Arg: cost, TID: d.tid, Kind: obs.EvDegraded})
-				}
-			}
-		}
+	if !final {
+		commit, cost = d.chargeWindow(stats)
 	}
 	d.finishWindow(g, corr, commit, final, w0, len(d.defects), cost)
 }
 
+// chargeWindow runs a sliding window through the deadline model and
+// returns the commit depth it finalizes and its model cost (Commit and 0
+// outside robust mode). stats is the window's decode profile, nil for a
+// weight-0 window. The scalar path and the lane fast path both charge
+// here, so a window's accounting does not depend on which one decoded it.
+func (d *Decoder) chargeWindow(stats *core.DecodeStats) (commit int, cost float64) {
+	if !d.robustOn {
+		return d.Commit, 0
+	}
+	// Charge the window against the deadline budget in model time: its
+	// decode cost under the memory-access model, plus any injected link
+	// penalties (retries, stalls), plus queueing behind earlier windows.
+	cost = w0CostNS
+	if stats != nil {
+		cost = microarch.Model{}.WindowCost(stats)
+	}
+	cost += d.penaltyNS
+	d.penaltyNS = 0
+	d.rep.Windows++
+	if d.om != nil {
+		d.lhCost.Observe(cost)
+	}
+	response := d.queue.Serve(cost)
+	if d.om != nil {
+		// response is exactly the post-serve backlog in ns (queueing plus
+		// own service), so the lag in arrival periods is one multiply — no
+		// second queue call, no division.
+		d.lhLag.Observe(response * (1 / microarch.SyndromeRoundNS))
+	}
+	commit = d.Commit
+	if d.robust.DeadlineNS > 0 && response > d.robust.DeadlineNS {
+		// Deadline overrun: a timeout failure under Eq. 4 (p_tof). winTS
+		// is the window's model-time anchor (its first buffered layer's
+		// arrival slot).
+		winTS := float64(d.base) * microarch.SyndromeRoundNS
+		d.rep.Timeouts++
+		if d.om != nil {
+			d.om.timeouts.Inc(d.omShard)
+		}
+		if d.trace != nil {
+			d.trace.Emit(obs.Event{TS: winTS, Arg: response, TID: d.tid, Kind: obs.EvTimeout})
+		}
+		if cost > d.robust.DeadlineNS {
+			// Degrade only when this window's own decode is over budget:
+			// finalize the oldest layer and defer the rest to the next
+			// window, which re-decodes them with more context. The
+			// horizon-filtered correction is decision-identical to a full
+			// decode's edges below the horizon, so its Round < 1 subset IS
+			// the one-layer commit — the commit loop's round filter
+			// extracts it with no second decode. When only inherited
+			// backlog pushed the response over, shrinking the commit would
+			// raise the window arrival rate and deepen the very backlog it
+			// inherited (a metastable cascade); the bounded queue's
+			// shedding is the pressure valve there.
+			d.rep.DegradedCommits++
+			commit = 1
+			if d.om != nil {
+				d.om.degraded.Inc(d.omShard)
+			}
+			if d.trace != nil {
+				d.trace.Emit(obs.Event{TS: winTS, Arg: cost, TID: d.tid, Kind: obs.EvDegraded})
+			}
+		}
+	}
+	return commit, cost
+}
+
 // commitFast finishes a deferred sliding window whose correction was
-// computed by the lane batcher's closed-form fast path: corr holds the
-// fast groups' emit edges (window-graph edge ids) and ndefects the
-// window's defect count. Only valid on a non-robust decoder — exactly what
-// setDeferDecode guarantees — so the deadline block decodeCollected would
-// run is vacuous and the window finishes with zero model cost, identical
-// to the scalar path's non-robust decode.
+// computed by the lane fast path: corr holds the fast groups' emit edges
+// (window-graph edge ids) and ndefects the window's defect count. A fast
+// lane is a window decodeSparse resolves with no slow group, so its decode
+// profile is DecodeStats{NumDefects: ndefects} with no clusters — exactly
+// what the scalar path hands the deadline model — and an empty lane is the
+// weight-0 skip. corr lists every fast edge regardless of the horizon; the
+// commit loop's round filter keeps what a scalar decode would commit, at
+// the normal depth and at a degraded one alike.
 func (d *Decoder) commitFast(corr []int32, ndefects int) {
-	w0 := ndefects == 0 && !d.disableW0Skip
-	d.finishWindow(d.g, corr, d.Commit, false, w0, ndefects, 0)
+	var stats *core.DecodeStats
+	if ndefects != 0 {
+		stats = &core.DecodeStats{NumDefects: ndefects}
+	}
+	commit, cost := d.chargeWindow(stats)
+	d.finishWindow(d.g, corr, commit, false, ndefects == 0, ndefects, cost)
 }
 
 // decodeGathered finishes a deferred sliding window through the ordinary
-// scalar decode, taking the defect list from the lane batcher's gather
+// scalar decode, taking the defect list from the Lanes scatter pass
 // (ascending vertex order — the same list collectDefects would build).
 func (d *Decoder) decodeGathered(defects []int32) {
 	d.defects = append(d.defects[:0], defects...)
@@ -768,7 +746,7 @@ func (d *Decoder) decodeGathered(defects []int32) {
 func (d *Decoder) finishWindow(g *lattice.Graph, corr []int32, commit int, final, w0 bool, ndefects int, cost float64) {
 	// winTS is the window's model-time anchor (its first buffered layer's
 	// arrival slot) for the trace; cost stays 0 outside deadline mode.
-	winTS := float64(d.base) * d.robust.arrivalNS()
+	winTS := float64(d.base) * microarch.SyndromeRoundNS
 
 	// Commit region: record final corrections; a temporal edge crossing the
 	// seam toggles the layer that becomes the next window's first layer —

@@ -1,36 +1,15 @@
-// Package swar provides the SIMD-within-a-register primitives behind the
-// bit-plane Monte-Carlo kernel: 64 trials travel together, one bit per
-// lane, through uint64 "plane" words. A plane array indexed by vertex (or
-// edge) holds, in word i, bit t = "trial t has the property at index i" —
+// Package swar provides the SIMD-within-a-register primitive behind the
+// bit-plane lane classifiers: 64 trials or stream windows travel together,
+// one bit per lane, through uint64 "plane" words. A plane array indexed by
+// vertex holds, in word i, bit t = "lane t has the property at index i" —
 // the transpose of the structure-of-arrays batch layout, and the software
 // analogue of the bit-exact parallel datapaths FPGA Union-Find decoders
 // use in hardware.
 //
-// The package is deliberately tiny and decoder-agnostic: a 64x64 bit
-// transpose, a bit-sliced saturating counter for per-lane popcount
-// classification, and the lane gather/scatter pair that moves single
-// trials between plane form and index-list form. Everything is pure
+// The package is deliberately tiny and decoder-agnostic: a bit-sliced
+// saturating counter for per-lane weight classification, pure
 // word-parallel integer arithmetic with zero allocation.
 package swar
-
-import "math/bits"
-
-// Transpose64 transposes the 64x64 bit matrix held in a, in place: after
-// the call, bit j of a[i] is the former bit i of a[j]. Transposing twice
-// restores the input (test-enforced). The implementation is the classic
-// recursive block swap (Hacker's Delight §7-3) — six passes of masked
-// XOR swaps, no branches on data.
-func Transpose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for j := 32; j != 0; j >>= 1 {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := (a[k]>>uint(j) ^ a[k+j]) & m
-			a[k] ^= t << uint(j)
-			a[k+j] ^= t
-		}
-		m ^= m << uint(j>>1)
-	}
-}
 
 // LaneCounts is a per-lane saturating counter, bit-sliced across 64 lanes:
 // lane t's count is the two-bit value C1[t]C0[t], with Sat[t] latching once
@@ -53,9 +32,6 @@ func (c *LaneCounts) Add(w uint64) {
 	c.C1 ^= carry
 }
 
-// Reset zeroes every lane's count.
-func (c *LaneCounts) Reset() { c.C0, c.C1, c.Sat = 0, 0, 0 }
-
 // Exactly0 returns the mask of lanes whose count is exactly 0.
 func (c *LaneCounts) Exactly0() uint64 { return ^(c.C0 | c.C1 | c.Sat) }
 
@@ -67,52 +43,3 @@ func (c *LaneCounts) Exactly2() uint64 { return c.C1 &^ c.C0 &^ c.Sat }
 
 // AtLeast3 returns the mask of lanes whose count is 3 or more.
 func (c *LaneCounts) AtLeast3() uint64 { return c.Sat | (c.C0 & c.C1) }
-
-// LanePopcounts adds, into counts[t], the number of words in planes whose
-// bit t is set — the exact per-lane popcount reduction (LaneCounts is its
-// saturating sibling). It works by transposing 64-word blocks so each
-// lane's bits land contiguous in one word, then popcounting that word; the
-// tail block is zero-padded.
-func LanePopcounts(planes []uint64, counts *[64]int32) {
-	var chunk [64]uint64
-	for off := 0; off < len(planes); off += 64 {
-		n := copy(chunk[:], planes[off:])
-		for i := n; i < 64; i++ {
-			chunk[i] = 0
-		}
-		Transpose64(&chunk)
-		for t := 0; t < 64; t++ {
-			counts[t] += int32(bits.OnesCount64(chunk[t]))
-		}
-	}
-}
-
-// GatherLane appends to out the indices i, in increasing order, for which
-// planes[i] has bit lane set — extracting one trial's sparse index list
-// from plane form.
-func GatherLane(planes []uint64, lane int, out []int32) []int32 {
-	bit := uint64(1) << uint(lane)
-	for i, w := range planes {
-		if w&bit != 0 {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-// ScatterLane sets bit lane of planes[i] for every i in idx — the inverse
-// of GatherLane for a lane that started empty.
-func ScatterLane(planes []uint64, lane int, idx []int32) {
-	bit := uint64(1) << uint(lane)
-	for _, i := range idx {
-		planes[i] |= bit
-	}
-}
-
-// ClearLane clears bit lane in every word of planes.
-func ClearLane(planes []uint64, lane int) {
-	mask := ^(uint64(1) << uint(lane))
-	for i := range planes {
-		planes[i] &= mask
-	}
-}

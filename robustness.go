@@ -98,9 +98,10 @@ func MeasureStreamRobustness(cfg StreamRobustnessConfig) (StreamRobustnessResult
 	if rounds < 2 {
 		return StreamRobustnessResult{}, fmt.Errorf("afs: stream length %d < 2 rounds", rounds)
 	}
-	// Probe the window configuration once so bad parameters fail fast
+	// Probe the decoder configuration once so bad parameters fail fast
 	// instead of inside the worker pool.
-	if _, err := stream.New(cfg.Distance, cfg.Window, cfg.Commit); err != nil {
+	robust := stream.Robust{DeadlineNS: cfg.DeadlineNS, QueueCap: cfg.QueueCap}
+	if _, err := stream.NewRobust(cfg.Distance, cfg.Window, cfg.Commit, robust); err != nil {
 		return StreamRobustnessResult{}, err
 	}
 
@@ -129,15 +130,8 @@ func MeasureStreamRobustness(cfg StreamRobustnessConfig) (StreamRobustnessResult
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			dec, err := stream.New(cfg.Distance, cfg.Window, cfg.Commit)
+			dec, err := stream.NewRobust(cfg.Distance, cfg.Window, cfg.Commit, robust)
 			if err != nil {
-				fail(err)
-				return
-			}
-			if err := dec.SetRobust(stream.Robust{
-				DeadlineNS: cfg.DeadlineNS,
-				QueueCap:   cfg.QueueCap,
-			}); err != nil {
 				fail(err)
 				return
 			}
