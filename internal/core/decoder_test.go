@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -219,26 +220,69 @@ func TestDecoderAblationVariantsAgreeOnSyndrome(t *testing.T) {
 	}
 }
 
+// TestDecoderReuseIsDeterministic pins DecodeHorizon's history
+// independence, which lets one core decoder serve every stream a goroutine
+// decodes: a decoder reused over sampled syndromes from p = 1e-3 (sparse
+// rewinds and shortcut decodes) to 8e-2 (bulk rewinds), each with a random
+// horizon, returns what a fresh decoder returns — the correction edge for
+// edge and in order, and the whole DecodeStats, Clusters included — on
+// window, closed 3-D and 2-D graphs, under the streaming option set and the
+// default one.
 func TestDecoderReuseIsDeterministic(t *testing.T) {
-	g := lattice.New3D(5, 5)
-	defects := SyndromeOf(g, []int32{
-		g.SpatialEdge(g.HorizontalQubit(0, 0), 1),
-		g.TemporalEdge(2, 3, 2),
-		g.SpatialEdge(g.VerticalQubit(2, 2), 3),
-	})
-	dec := NewDecoder(g, Options{})
-	first := append([]int32(nil), dec.Decode(defects)...)
-	for i := 0; i < 10; i++ {
-		got := dec.Decode(defects)
-		if !reflect.DeepEqual(first, got) {
-			t.Fatalf("decode %d differs: %v vs %v", i, got, first)
+	graphs := []*lattice.Graph{lattice.New3DWindow(5, 5), lattice.New3D(5, 4), lattice.New2D(7)}
+	optSets := []Options{{LeanStats: true, ClusterStats: true, SparseShortcut: true}, {}}
+	rng := rand.New(rand.NewPCG(3, 4))
+	var trial noise.Trial
+	for gi, g := range graphs {
+		for oi, opts := range optSets {
+			reused := NewDecoder(g, opts)
+			bulk, sparse := 0, 0
+			for pi, p := range []float64{1e-3, 1e-2, 3e-2, 8e-2} {
+				s := noise.NewSampler(g, p, uint64(gi+1), uint64(10*oi+pi))
+				for i := 0; i < 1200; i++ {
+					s.Sample(&trial)
+					horizon := noHorizon
+					if h := rng.IntN(g.Rounds + 2); h <= g.Rounds {
+						horizon = int32(h)
+					}
+					dense := len(reused.touchedEdges)+len(reused.touchedVerts) >= reused.bulkThreshold
+					epoch := reused.resetEpoch
+					got := reused.DecodeHorizon(trial.Defects, horizon)
+					if reused.resetEpoch != epoch {
+						if dense {
+							bulk++
+						} else {
+							sparse++
+						}
+					}
+					fresh := NewDecoder(g, opts)
+					want := fresh.DecodeHorizon(trial.Defects, horizon)
+					if !slices.Equal(got, want) {
+						t.Fatalf("graph %d opts %+v p=%g decode %d horizon %d: reused decoder returned %v, fresh %v",
+							gi, opts, p, i, horizon, got, want)
+					}
+					if !sameStats(reused.Stats, fresh.Stats) {
+						t.Fatalf("graph %d opts %+v p=%g decode %d horizon %d: stats differ:\n reused %+v\n fresh  %+v",
+							gi, opts, p, i, horizon, reused.Stats, fresh.Stats)
+					}
+				}
+			}
+			t.Logf("graph %d opts %+v: %d bulk and %d sparse rewinds", gi, opts, bulk, sparse)
+			if bulk == 0 || sparse == 0 {
+				t.Fatalf("graph %d opts %+v: vacuous run, %d bulk and %d sparse rewinds", gi, opts, bulk, sparse)
+			}
 		}
 	}
-	// A fresh decoder must agree with a reused one.
-	fresh := NewDecoder(g, Options{}).Decode(defects)
-	if !reflect.DeepEqual(first, fresh) {
-		t.Fatalf("fresh decoder disagrees: %v vs %v", fresh, first)
+}
+
+// sameStats compares two decode profiles; an empty Clusters slice equals a
+// nil one.
+func sameStats(a, b DecodeStats) bool {
+	if !slices.Equal(a.Clusters, b.Clusters) {
+		return false
 	}
+	a.Clusters, b.Clusters = nil, nil
+	return reflect.DeepEqual(a, b)
 }
 
 func BenchmarkDecode3D(b *testing.B) {

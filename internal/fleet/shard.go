@@ -100,11 +100,13 @@ type shardSession struct {
 	streams map[uint32]*shardStream
 	werr    error // sticky write error, surfaced at the next message boundary
 
-	// Per-envelope state: the streams an envelope listed (touched, each
-	// once) and their decoders, whose deferred windows lanes resolves.
+	// lanes builds, resolves and flushes the session's decoders on its
+	// working set. Per-envelope state: the streams an envelope listed
+	// (touched, each once), their decoders, and a replayed round's group.
 	lanes   *stream.Lanes
 	touched []*shardStream
 	decs    []*stream.Decoder
+	one     [1]*stream.Decoder
 	env     uint64
 }
 
@@ -180,7 +182,7 @@ func (s *shardSession) handleOpen(env envelope) error {
 		fObs.refusals.Inc(0)
 		return s.refuse(id, fmt.Sprintf("admission cap %d streams reached (%d CDA blocks)", s.cap, s.cfg.Blocks))
 	}
-	dec, err := stream.NewRobust(op.Distance, op.Window, op.Commit, stream.Robust{DeadlineNS: op.DeadlineNS, QueueCap: op.QueueCap})
+	dec, err := s.lanes.NewRobust(op.Distance, op.Window, op.Commit, stream.Robust{DeadlineNS: op.DeadlineNS, QueueCap: op.QueueCap})
 	if err != nil {
 		return s.refuse(id, err.Error())
 	}
@@ -201,7 +203,6 @@ func (s *shardSession) handleOpen(env envelope) error {
 		corrSeq: op.CorrSeq,
 		ckptAt:  op.Rounds,
 	}
-	s.lanes.Defer(dec)
 	// The sink regenerates deterministic per-stream sequence numbers: a
 	// replayed round re-emits its corrections with the original seq, which
 	// is exactly what lets the router dedup them.
@@ -237,8 +238,9 @@ func (s *shardSession) sendCorrs() {
 // resolve together through the lane entry point stream.Engine uses — a
 // round envelope is the same round-major group the engine batches. (A
 // replay envelope carries several rounds of one stream; each later round
-// resolves the stream's pending window before charging or ingesting
-// anything.) The envelope's corrections then go out as one msgCorrs, and
+// resolves the stream's pending window as a one-lane group, bit-identical
+// to a scalar decode, before charging or ingesting anything.) The
+// envelope's corrections then go out as one msgCorrs, and
 // only after that any checkpoints the envelope made due: every correction
 // a checkpoint's snapshot assumes delivered precedes it on the wire, which
 // is what the router's replay dedup relies on.
@@ -267,6 +269,10 @@ func (s *shardSession) handleRounds(p []byte) error {
 		// recovery replays.
 		if seq != uint32(st.rounds) {
 			return fmt.Errorf("fleet: stream %d got round seq %d, want %d", id, seq, uint32(st.rounds))
+		}
+		if st.seen == s.env {
+			s.one[0] = st.dec
+			s.lanes.Resolve(s.one[:])
 		}
 		st.dec.AddPenaltyNS(pen)
 		if erased {
@@ -319,7 +325,7 @@ func (s *shardSession) handleFlush() error {
 	ledgers := make(map[uint32]faults.Report, len(ids))
 	for _, id := range ids {
 		st := s.streams[id]
-		st.dec.Flush()
+		s.lanes.Flush(st.dec)
 		ledgers[id] = st.dec.Report()
 		delete(s.streams, id)
 	}

@@ -118,13 +118,12 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		e.lanes[w] = NewLanes()
 	}
 	for i := 0; i < cfg.Streams; i++ {
-		dec, err := NewRobust(cfg.Distance, cfg.Window, cfg.Commit, cfg.Robust)
+		// Deferred, with no working set: whichever worker claims a stream
+		// resolves and flushes it on that worker's Lanes.
+		dec, err := e.lanes[0].NewRobust(cfg.Distance, cfg.Window, cfg.Commit, cfg.Robust)
 		if err != nil {
 			return nil, err
 		}
-		// Defer only marks the decoder; whichever worker claims its chunk
-		// resolves the window.
-		e.lanes[0].Defer(dec)
 		if cfg.Trace != nil {
 			dec.SetTrace(cfg.Trace, int32(i))
 		}
@@ -188,6 +187,7 @@ func (e *Engine) deliverRound(i int, events []int32) error {
 
 func (e *Engine) worker(w int, ch chan engineJob) {
 	defer e.done.Done()
+	l := e.lanes[w]
 	for job := range ch {
 		if job.flush {
 			// Flush resolves any deferred window through the scalar path
@@ -197,10 +197,10 @@ func (e *Engine) worker(w int, ch chan engineJob) {
 				if i >= len(e.decs) {
 					break
 				}
-				e.decs[i].Flush()
+				l.Flush(e.decs[i])
 			}
 		} else {
-			e.laneRounds(e.lanes[w], job)
+			e.laneRounds(l, job)
 		}
 		e.wg.Done()
 	}

@@ -10,10 +10,15 @@ import (
 // Lanes resolves deferred stream windows in cross-stream lane groups, for
 // code that drives many decoders from one goroutine: an Engine worker's
 // chunk of streams, or a fleet shard's streams within one round envelope.
-// Defer each decoder once, right after construction; from then on a window
-// that fills on ingest stays pending until Resolve decodes it in a lane
-// group (or until any call that reads or charges the decoder's state — the
-// next ingest, AddPenaltyNS, Report, Flush, Snapshot — resolves it alone).
+// Build the decoders with Lanes.NewRobust; a window that fills on ingest
+// then stays pending until Resolve decodes it in a lane group (or until any
+// call that reads or charges the decoder's state — the next ingest,
+// AddPenaltyNS, Report, Flush, Snapshot — resolves it alone).
+//
+// A Lanes owns the Union-Find working set (one core decoder per graph) and
+// lends it to every gathered lane, ineligible window and flush it drives,
+// so decoding memory follows the resolvers, not the streams — the paper's
+// CDA (§V) sharing a few Gr-Gen/DFS/CORR units among many logical qubits.
 //
 // A lane group is up to 64 pending windows sharing a (distance, window)
 // shape, transposed into bit-plane defect planes — one uint64 per
@@ -44,6 +49,7 @@ import (
 // Not safe for concurrent use; engines hold one Lanes per worker.
 type Lanes struct {
 	shapes map[laneKey]*laneShape
+	units  units
 	om     *streamObs
 	omSh   int
 }
@@ -77,8 +83,16 @@ func NewLanes() *Lanes {
 	}
 }
 
-// Defer switches d to deferred window decoding.
-func (l *Lanes) Defer(d *Decoder) { d.deferDecode = true }
+// NewRobust builds a deferred decoder with NewRobust's arguments and
+// checks. It owns no core decoder: Resolve and Flush on any Lanes lend
+// theirs.
+func (l *Lanes) NewRobust(distance, window, commit int, r Robust) (*Decoder, error) {
+	return newDecoder(distance, window, commit, r, true)
+}
+
+// Flush is d.Flush with every decode — a pending window, then the closed
+// remainder — on the resolver's working set.
+func (l *Lanes) Flush(d *Decoder) []Correction { return d.flush(&l.units) }
 
 func (l *Lanes) shapeFor(d *Decoder) *laneShape {
 	k := laneKey{distance: d.Distance, window: d.Window}
@@ -138,7 +152,7 @@ func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 			// Per-stream state the planes cannot carry (erasure flags, the
 			// W0-skip test hook) or a window past the certifier's defect
 			// cap: the unchanged scalar window decode, outside the group.
-			d.decodeWindow(false)
+			d.decodeWindow(&l.units, false)
 			sh.lanes[lane] = nil
 			scalar++
 		case nd == 0:
@@ -161,7 +175,7 @@ func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 			if fast>>uint(lane)&1 != 0 {
 				d.commitFast(sh.emits[lane], sh.counts[lane])
 			} else {
-				d.decodeGathered(sh.lists[lane])
+				d.decodeGathered(&l.units, sh.lists[lane])
 			}
 			sh.lanes[lane] = nil
 		}

@@ -3,10 +3,12 @@ package stream
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
 	"afs/internal/faults"
+	"afs/internal/lattice"
 	"afs/internal/noise"
 	"afs/internal/obs"
 )
@@ -94,6 +96,95 @@ func TestLaneEngineIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLaneEngineSharesDecoders pins where an engine's Union-Find working
+// sets live: on the workers' Lanes, one core decoder per graph, lent to
+// every stream a worker resolves and flushes. At the paper's design point
+// (d = W = 11, C = 5, p = 1e-3; 256 streams on 2 workers), across
+// construction, 600 rounds and Flush, no stream decoder builds a core
+// decoder of its own, and the live heap grows by less than 16 KB per
+// stream — a window decoder alone is ~200 KB at d = 11.
+func TestLaneEngineSharesDecoders(t *testing.T) {
+	const streams, d, w, c, workers, rounds = 256, 11, 11, 5, 2, 600
+	cfg := EngineConfig{Distance: d, Window: w, Commit: c, Workers: workers}
+	run := func(eng *Engine, samplers []*noise.RoundSampler) {
+		if err := eng.RunRounds(rounds, func(stream, _ int) []int32 {
+			return samplers[stream].SampleRound()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newSamplers := func(n int) []*noise.RoundSampler {
+		samplers := make([]*noise.RoundSampler, n)
+		for i := range samplers {
+			samplers[i] = noise.NewRoundSampler(d, 1e-3, 77, uint64(i)+1)
+		}
+		return samplers
+	}
+
+	// A two-stream engine of the same shape first fills the process-wide
+	// graph and classifier caches, which every engine shares and none frees.
+	cfg.Streams, cfg.Sink = 2, func(int, Correction) {}
+	warm, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(warm, newSamplers(2))
+	warm.Close()
+
+	samplers := newSamplers(streams)
+	counts := make([]int, streams)
+	cfg.Streams, cfg.Sink = streams, func(stream int, _ Correction) { counts[stream]++ }
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	run(eng, samplers)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(samplers)
+
+	for i, dec := range eng.decs {
+		if len(dec.own) != 0 {
+			t.Fatalf("stream %d built %d core decoders of its own", i, len(dec.own))
+		}
+	}
+	held := map[*lattice.Graph]bool{}
+	for wi, l := range eng.lanes {
+		seen := map[*lattice.Graph]bool{}
+		for _, dec := range l.units {
+			if seen[dec.G] {
+				t.Fatalf("worker %d holds two core decoders for one graph", wi)
+			}
+			seen[dec.G] = true
+			held[dec.G] = true
+		}
+	}
+	// 600 rounds leave 10 layers buffered, so Flush decodes on the closed
+	// 10-layer graph; at p = 1e-3 some windows reach the window decoder.
+	if !held[lattice.Cached3DWindow(d, w)] || !held[lattice.Cached3D(d, 10)] {
+		t.Fatalf("workers hold %d graphs, missing the window or the 10-layer flush graph", len(held))
+	}
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("vacuous run: no corrections committed")
+	}
+	growth := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / streams
+	t.Logf("live heap growth %.1f KB per stream, %d corrections", float64(growth)/1024, total)
+	if growth >= 16<<10 {
+		t.Fatalf("live heap grew %.1f KB per stream across construction, run and Flush, want < 16 KB", float64(growth)/1024)
 	}
 }
 
@@ -288,7 +379,8 @@ func TestLaneDeferredRobustLedger(t *testing.T) {
 	robust := Robust{DeadlineNS: 40, QueueCap: 2}
 	var lane, scalar *Decoder
 	var err error
-	if lane, err = NewRobust(d, w, 0, robust); err != nil {
+	l := NewLanes()
+	if lane, err = l.NewRobust(d, w, 0, robust); err != nil {
 		t.Fatal(err)
 	}
 	if scalar, err = NewRobust(d, w, 0, robust); err != nil {
@@ -297,8 +389,6 @@ func TestLaneDeferredRobustLedger(t *testing.T) {
 	var laneOut, scalarOut []Correction
 	lane.SetSink(func(c Correction) { laneOut = append(laneOut, c) })
 	scalar.SetSink(func(c Correction) { scalarOut = append(scalarOut, c) })
-	l := NewLanes()
-	l.Defer(lane)
 	for r := 0; r < 400; r++ {
 		// Three rounds in four charge a penalty past the deadline, enough
 		// on average to outrun the round period and shed.
@@ -354,13 +444,12 @@ func newLaneTwinPair(t *testing.T, d, w, c int) *laneTwinPair {
 	t.Helper()
 	p := &laneTwinPair{}
 	var err error
-	if p.lane, err = New(d, w, c); err != nil {
+	if p.lane, err = NewLanes().NewRobust(d, w, c, Robust{}); err != nil {
 		t.Fatal(err)
 	}
 	if p.scalar, err = New(d, w, c); err != nil {
 		t.Fatal(err)
 	}
-	p.lane.deferDecode = true
 	p.lane.SetSink(func(c Correction) { p.laneOut = append(p.laneOut, c) })
 	p.scalar.SetSink(func(c Correction) { p.scalarOut = append(p.scalarOut, c) })
 	return p

@@ -57,7 +57,7 @@ type Snapshot struct {
 // path, bit-identically — so the snapshot always holds fewer than Window
 // layers, the invariant Restore enforces.
 func (d *Decoder) Snapshot() Snapshot {
-	d.resolvePending()
+	d.resolvePending(&d.own)
 	s := Snapshot{
 		Distance:  d.Distance,
 		Window:    d.Window,
@@ -165,6 +165,10 @@ func (d *Decoder) Restore(s Snapshot) error {
 	}
 	d.ringStart = 0
 	d.ringLen = len(s.Layers)
+	// A window still pending on a deferred decoder belongs to the state
+	// being overwritten: a snapshot holds fewer than Window layers, so
+	// nothing is left to resolve.
+	d.pending = false
 	d.base = s.Base
 	d.committed = nil
 	for t, layer := range s.Layers {

@@ -219,6 +219,75 @@ func TestSnapshotRestoreMidEpisode(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreOntoPendingDecoder: Restore overwrites all dynamic
+// state, a deferred decoder's pending window included. A two-layer
+// snapshot restored onto a lane-built decoder that holds a full, pending
+// window must read back unchanged and emit nothing, and the rounds after it
+// must match a freshly restored solo twin, correction for correction and
+// ledger for ledger.
+func TestSnapshotRestoreOntoPendingDecoder(t *testing.T) {
+	const d, w, c = 5, 5, 2
+	sampler := noise.NewRoundSampler(d, 0.05, 21, 1)
+	src, err := New(d, w, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedRounds(t, src, sampler, nil, 2)
+	snap := src.Snapshot()
+	if snap.Base != 0 || len(snap.Layers) != 2 {
+		t.Fatalf("source snapshot holds base %d and %d layers, want 0 and 2", snap.Base, len(snap.Layers))
+	}
+
+	l := NewLanes()
+	dec, err := l.NewRobust(d, w, c, Robust{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Correction
+	dec.SetSink(func(c Correction) { out = append(out, c) })
+	feedRounds(t, dec, sampler, nil, w)
+	if !dec.pending {
+		t.Fatal("a full deferred window is not pending")
+	}
+	if err := dec.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := dec.Snapshot(); !reflect.DeepEqual(got, snap) {
+		t.Fatalf("snapshot after restoring onto a pending decoder:\n got  %+v\n want %+v", got, snap)
+	}
+	if len(out) != 0 {
+		t.Fatalf("restore and snapshot emitted %d corrections", len(out))
+	}
+
+	twin, err := New(d, w, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var twinOut []Correction
+	twin.SetSink(func(c Correction) { twinOut = append(twinOut, c) })
+	if err := twin.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 60; r++ {
+		ev := sampler.SampleRound()
+		if err := dec.PushLayer(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.PushLayer(ev); err != nil {
+			t.Fatal(err)
+		}
+		l.Resolve([]*Decoder{dec})
+	}
+	l.Flush(dec)
+	twin.Flush()
+	if !sameCorrections(out, twinOut) {
+		t.Fatalf("restored lane-built decoder diverges from its restored twin (%d vs %d corrections)", len(out), len(twinOut))
+	}
+	if got, want := dec.Report(), twin.Report(); got != want {
+		t.Fatalf("ledger diverges:\n got  %+v\n want %+v", got, want)
+	}
+}
+
 // TestRestoreRejectsMalformed exercises the validation guards: restoring
 // never partially applies a bad snapshot.
 func TestRestoreRejectsMalformed(t *testing.T) {

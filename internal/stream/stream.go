@@ -26,10 +26,11 @@
 //     final round is measured perfectly, as in the accuracy simulations).
 //
 // The steady-state path allocates nothing: the ring is sized once at W
-// layers, the defect scratch and the core decoder's working set reach fixed
+// layers, the defect scratch and the Union-Find working sets reach fixed
 // capacities, and committed corrections can be delivered through a sink
 // (SetSink) instead of an ever-growing slice. Engine runs many Decoders —
-// one per logical qubit — over a shared worker pool.
+// one per logical qubit — over a shared worker pool whose Lanes lend their
+// working sets to the streams, so decoding memory does not grow with them.
 package stream
 
 import (
@@ -70,11 +71,13 @@ type Decoder struct {
 
 	// In sliding mode commit < window always holds, so the window's
 	// temporal boundary edges — deferred decisions — are never committed.
-	g   *lattice.Graph // shared window graph with temporal boundary
-	dec *core.Decoder
+	g *lattice.Graph // shared window graph with temporal boundary
 
-	finals map[int]*core.Decoder // closed-graph decoders for Flush, by layer count
-	closed map[int]*lattice.Graph
+	// own is the working set of the decodes the decoder runs itself: all of
+	// a solo decoder's (its window decoder is built at construction), but on
+	// a Lanes-built decoder only a window resolved or flushed outside any
+	// Lanes, so there it usually stays empty.
+	own units
 
 	// The layer ring: Window slots of perWords words each, slot
 	// (ringStart+t) % Window holding buffered layer t's detection events as
@@ -120,7 +123,7 @@ type Decoder struct {
 	// path; it exists only so tests can prove the skip is bit-identical.
 	disableW0Skip bool
 
-	// Deferred decoding (Lanes.Defer, on for every Engine and fleet shard
+	// Deferred decoding (Lanes.NewRobust, for every Engine and fleet shard
 	// stream): a window that fills on ingest is not decoded immediately —
 	// the decoder marks itself pending and waits for a Lanes resolver (or
 	// any entry point that reads or charges its state: the next ingest,
@@ -244,6 +247,11 @@ func New(distance, window, commit int) (*Decoder, error) {
 // window's temporal-boundary matches remain revisable; a window larger
 // than the whole stream yields monolithic decoding at Flush.
 func NewRobust(distance, window, commit int, r Robust) (*Decoder, error) {
+	return newDecoder(distance, window, commit, r, false)
+}
+
+// newDecoder builds NewRobust's decoder, or Lanes.NewRobust's if deferred.
+func newDecoder(distance, window, commit int, r Robust, deferred bool) (*Decoder, error) {
 	if r.DeadlineNS < 0 || r.QueueCap < 0 {
 		return nil, fmt.Errorf("stream: negative deadline or queue cap")
 	}
@@ -268,34 +276,30 @@ func NewRobust(distance, window, commit int, r Robust) (*Decoder, error) {
 	g := lattice.Cached3DWindow(distance, window)
 	per := distance * (distance - 1)
 	perWords := (per + 63) / 64
-	robustOn := r.enabled()
 	d := &Decoder{
-		Distance: distance,
-		Window:   window,
-		Commit:   commit,
-		g:        g,
-		// The deadline model needs per-cluster profiles but none of the
-		// per-access counters, so a robust decoder stays lean and adds only
-		// ClusterStats (one append per full-pipeline cluster) — the full
-		// profile would sit on the growth hot path and cost ~25% throughput.
-		dec:      core.NewDecoder(g, core.Options{LeanStats: true, ClusterStats: robustOn, SparseShortcut: true}),
-		finals:   map[int]*core.Decoder{},
-		closed:   map[int]*lattice.Graph{},
-		per:      per,
-		perWords: perWords,
-		ring:     make([]uint64, window*perWords),
-		erased:   make([]bool, window),
-		occ:      make([]int32, window),
-		robust:   r,
-		robustOn: robustOn,
-		queue:    backlog.BoundedQueue{ArrivalNS: microarch.SyndromeRoundNS, Cap: r.QueueCap},
-		om:       obsSink.Load(),
-		omShard:  nextObsShard(),
+		Distance:    distance,
+		Window:      window,
+		Commit:      commit,
+		g:           g,
+		per:         per,
+		perWords:    perWords,
+		ring:        make([]uint64, window*perWords),
+		erased:      make([]bool, window),
+		occ:         make([]int32, window),
+		robust:      r,
+		robustOn:    r.enabled(),
+		queue:       backlog.BoundedQueue{ArrivalNS: microarch.SyndromeRoundNS, Cap: r.QueueCap},
+		deferDecode: deferred,
+		om:          obsSink.Load(),
+		omShard:     nextObsShard(),
 	}
 	if d.om != nil {
 		d.lhDefects = d.om.windowDefects.NewLocal()
 		d.lhCost = d.om.windowCostNS.NewLocal()
 		d.lhLag = d.om.queueLag.NewLocal()
+	}
+	if !deferred {
+		d.own.decoder(g) // a solo decoder decodes every window itself
 	}
 	return d, nil
 }
@@ -315,7 +319,7 @@ func (d *Decoder) SetTrace(t *obs.Trace, tid int32) {
 // decode's deadline budget. A pending window resolves first: it is already
 // full, so the charge belongs to the window after it.
 func (d *Decoder) AddPenaltyNS(ns float64) {
-	d.resolvePending()
+	d.resolvePending(&d.own)
 	if ns <= 0 {
 		return
 	}
@@ -332,7 +336,7 @@ func (d *Decoder) Report() faults.Report {
 	// charged before the ledger is read. Then any batched tallies publish,
 	// so a metrics snapshot taken next to the returned ledger covers the
 	// same events.
-	d.resolvePending()
+	d.resolvePending(&d.own)
 	d.flushObs()
 	rep := d.rep
 	rep.BacklogSheds = d.queue.Sheds
@@ -401,11 +405,11 @@ func (d *Decoder) PushErased() {
 }
 
 // resolvePending decodes a deferred window through the ordinary scalar
-// path. Safe to call any time; a no-op unless a window is pending.
-func (d *Decoder) resolvePending() {
+// path on working set u; a no-op unless a window is pending.
+func (d *Decoder) resolvePending(u *units) {
 	if d.pending {
 		d.pending = false
-		d.decodeWindow(false)
+		d.decodeWindow(u, false)
 	}
 }
 
@@ -414,9 +418,7 @@ func (d *Decoder) resolvePending() {
 func (d *Decoder) ingest(events []int32, erased bool) {
 	// A deferred window must resolve before the next layer lands — the ring
 	// holds exactly Window slots, all of them occupied while pending.
-	if d.pending {
-		d.resolvePending()
-	}
+	d.resolvePending(&d.own)
 	if d.robustOn {
 		sheds, recovers := d.queue.Sheds, d.queue.Recoveries
 		if d.queue.Arrive() {
@@ -469,7 +471,7 @@ func (d *Decoder) ingest(events []int32, erased bool) {
 		if d.deferDecode {
 			d.pending = true
 		} else {
-			d.decodeWindow(false)
+			d.decodeWindow(&d.own, false)
 		}
 	}
 }
@@ -510,13 +512,16 @@ func (d *Decoder) shedOldest() {
 // round of the stream is assumed measured perfectly) and returns the
 // retained committed corrections (nil when a sink is installed — the sink
 // already received them). The decoder is left ready for a new stream.
-func (d *Decoder) Flush() []Correction {
+func (d *Decoder) Flush() []Correction { return d.flush(&d.own) }
+
+// flush is Flush with every decode on working set u.
+func (d *Decoder) flush(u *units) []Correction {
 	// A pending window is a *sliding* decode the stream still owes; resolve
 	// it before the final closed-window loop, which would otherwise decode
 	// it with final semantics.
-	d.resolvePending()
+	d.resolvePending(u)
 	for d.ringLen > 0 {
-		d.decodeWindow(true)
+		d.decodeWindow(u, true)
 	}
 	out := d.committed
 	d.committed = nil
@@ -553,11 +558,11 @@ func (d *Decoder) emit(c Correction) {
 	d.committed = append(d.committed, c)
 }
 
-// decodeWindow decodes the current buffer prefix. In sliding mode the
-// prefix is exactly Window layers on the boundary window graph and only
-// the commit region is finalized; in final mode the whole buffer is
-// decoded on a closed graph and fully committed.
-func (d *Decoder) decodeWindow(final bool) {
+// decodeWindow decodes the current buffer prefix on working set u. In
+// sliding mode the prefix is exactly Window layers on the boundary window
+// graph and only the commit region is finalized; in final mode the whole
+// buffer is decoded on a closed graph and fully committed.
+func (d *Decoder) decodeWindow(u *units, final bool) {
 	var layers, commit int
 	if final {
 		layers = d.ringLen
@@ -567,7 +572,7 @@ func (d *Decoder) decodeWindow(final bool) {
 		commit = d.Commit
 	}
 	d.collectDefects(layers)
-	d.decodeCollected(final, layers, commit)
+	d.decodeCollected(u, final, layers, commit)
 }
 
 // collectDefects rebuilds d.defects from the first `layers` buffered
@@ -604,10 +609,10 @@ func (d *Decoder) collectDefects(layers int) {
 	}
 }
 
-// decodeCollected decodes d.defects (already collected) and finishes the
-// window: the decode dispatch lives here, the deadline accounting in
-// chargeWindow, and commit/slide/observability in finishWindow.
-func (d *Decoder) decodeCollected(final bool, layers, commit int) {
+// decodeCollected decodes d.defects (already collected) on working set u
+// and finishes the window: the decode dispatch lives here, the deadline
+// accounting in chargeWindow, commit/slide/observability in finishWindow.
+func (d *Decoder) decodeCollected(u *units, final bool, layers, commit int) {
 	// Weight-0 fast path: a window with no detection events has the empty
 	// correction, and skipping DecodeHorizon outright is safe because the
 	// decoder's reset is deferred, not lost — an empty decode would only
@@ -622,18 +627,19 @@ func (d *Decoder) decodeCollected(final bool, layers, commit int) {
 	var corr []int32
 	var stats *core.DecodeStats
 	if !w0 {
-		var dec *core.Decoder
-		if final {
-			// A single remaining layer has no temporal structure and is
-			// decoded as a 2-D problem; finalDecoder handles both cases.
-			g, dec = d.finalDecoder(layers)
-		} else {
-			// Only edges with Round < commit are kept, so the decoder may
-			// skip defect groups that provably cannot reach the commit
-			// region — the horizon is where a sliding window saves most of
-			// its decode work.
-			g, dec = d.g, d.dec
+		// Only edges with Round < commit are kept, so a sliding decode may
+		// skip defect groups that provably cannot reach the commit region —
+		// the horizon is where a sliding window saves most of its decode
+		// work. A final window decodes on a closed graph from the
+		// process-wide lattice cache; a single remaining layer has no
+		// temporal structure and is decoded as a 2-D problem.
+		g = d.g
+		if final && layers == 1 {
+			g = lattice.Cached2D(d.Distance)
+		} else if final {
+			g = lattice.Cached3D(d.Distance, layers)
 		}
+		dec := u.decoder(g)
 		corr = dec.DecodeHorizon(d.defects, int32(commit))
 		stats = &dec.Stats
 	}
@@ -730,11 +736,11 @@ func (d *Decoder) commitFast(corr []int32, ndefects int) {
 }
 
 // decodeGathered finishes a deferred sliding window through the ordinary
-// scalar decode, taking the defect list from the Lanes scatter pass
-// (ascending vertex order — the same list collectDefects would build).
-func (d *Decoder) decodeGathered(defects []int32) {
+// scalar decode on working set u, taking the defect list from the Lanes
+// scatter pass (ascending vertex order, as collectDefects builds it).
+func (d *Decoder) decodeGathered(u *units, defects []int32) {
 	d.defects = append(d.defects[:0], defects...)
-	d.decodeCollected(false, d.Window, d.Commit)
+	d.decodeCollected(u, false, d.Window, d.Commit)
 }
 
 // finishWindow commits a decoded window and slides the ring: the commit
@@ -841,21 +847,25 @@ func (d *Decoder) finishWindow(g *lattice.Graph, corr []int32, commit int, final
 	d.base += commit
 }
 
-// finalDecoder returns (building lazily) a closed-graph decoder for the
-// given layer count. Graphs come from the process-wide lattice cache, so a
-// thousand-stream fleet shares one copy per shape.
-func (d *Decoder) finalDecoder(layers int) (*lattice.Graph, *core.Decoder) {
-	if dec, ok := d.finals[layers]; ok {
-		return d.closed[layers], dec
+// coreOpts is every core decoder's option set. The deadline model needs
+// per-cluster profiles (ClusterStats: one append per full-pipeline cluster)
+// but none of the per-access counters, whose full profile would cost ~25%
+// throughput; other streams and final windows never read Stats.
+var coreOpts = core.Options{LeanStats: true, ClusterStats: true, SparseShortcut: true}
+
+// units is a Union-Find working set: one core decoder per graph (cached, so
+// the pointer is the key; a handful per set), built on first use. Sharing
+// one among streams never shows in a result, since DecodeHorizon is a pure
+// function of (defects, horizon) (core's TestDecoderReuseIsDeterministic).
+type units []*core.Decoder
+
+func (u *units) decoder(g *lattice.Graph) *core.Decoder {
+	for _, dec := range *u {
+		if dec.G == g {
+			return dec
+		}
 	}
-	var g *lattice.Graph
-	if layers == 1 {
-		g = lattice.Cached2D(d.Distance)
-	} else {
-		g = lattice.Cached3D(d.Distance, layers)
-	}
-	dec := core.NewDecoder(g, core.Options{LeanStats: true, SparseShortcut: true})
-	d.finals[layers] = dec
-	d.closed[layers] = g
-	return g, dec
+	dec := core.NewDecoder(g, coreOpts)
+	*u = append(*u, dec)
+	return dec
 }
