@@ -55,17 +55,6 @@ type Options struct {
 	// (microarch.Model.WindowCost) and nothing else. Ignored when
 	// LeanStats is off (the full profile subsumes it).
 	ClusterStats bool
-	// SparseShortcut enables a decision-identical fast path for sparse
-	// syndromes (see sparse.go): isolated adjacent defect pairs and isolated
-	// boundary-adjacent singles are resolved in O(1) each, and only the
-	// remaining defects run the full grow/peel pipeline. The returned
-	// correction is always the same edge set as the full algorithm's, though
-	// possibly in a different order. Streaming decoders enable it — their
-	// windows hold O(1) defects almost always. Intended for LeanStats
-	// pipelines: with it on, the execution profile (GrowthRounds, Clusters,
-	// table-access counters) covers only the defects that took the full
-	// pipeline.
-	SparseShortcut bool
 }
 
 // ClusterStat describes one peeled cluster; the micro-architecture latency
@@ -111,11 +100,11 @@ type DecodeStats struct {
 	TouchedRows int
 }
 
-// PipelineDefects returns the number of defects that ran the full
-// grow/DFS/peel pipeline this decode — the ones the per-cluster stats
-// cover. The remainder (NumDefects minus this) were resolved in closed form
-// by the sparse shortcut or skipped past a decode horizon; streaming cost
-// models charge them separately (microarch.Model.WindowCost).
+// PipelineDefects returns the number of defects the per-cluster stats
+// cover. After a Decode that is every defect; a profile a caller builds for
+// a window it resolved in closed form (a stream's fast lane,
+// DecodeStats{NumDefects: n}) has no clusters, and streaming cost models
+// charge the remainder separately (microarch.Model.WindowCost).
 func (st *DecodeStats) PipelineDefects() int {
 	n := 0
 	for _, c := range st.Clusters {
@@ -209,8 +198,6 @@ type Decoder struct {
 
 	correction []int32 // edge indices, reused across decodes
 	Stats      DecodeStats
-
-	sp sparseScratch // Options.SparseShortcut working set (sparse.go)
 }
 
 // treeRec is one oriented spanning-forest edge: child joined the tree from
@@ -295,9 +282,6 @@ func NewDecoder(g *lattice.Graph, opts Options) *Decoder {
 	copy(d.adjMask, d.fullMask)
 	d.bulkThreshold = n
 	d.hasB[g.Boundary()] = true
-	if opts.SparseShortcut {
-		d.sp = newSparseScratch()
-	}
 	return d
 }
 
@@ -316,28 +300,6 @@ func slotBit(adj []int32, e int32) uint16 {
 // non-trivial detection events) and returns the correction as a list of
 // edge indices into G.Edges. The returned slice is reused by the next call.
 func (d *Decoder) Decode(defects []int32) []int32 {
-	return d.DecodeHorizon(defects, noHorizon)
-}
-
-// noHorizon disables horizon filtering: every correction edge is produced.
-const noHorizon = int32(1) << 30
-
-// DecodeHorizon decodes like Decode, but the caller promises to use only
-// correction edges with Round < horizon (a streaming decoder's commit
-// region; tentative rounds are re-decoded later with more context). Edges
-// at Round >= horizon may be present, absent, or differ from a full
-// decode. With the sparse shortcut enabled, defect groups that provably
-// cannot produce an edge below the horizon — every member's layer minus
-// its influence radius is at or past it — are skipped outright, which is
-// where a sliding window saves most of its work. Without the shortcut (or
-// when it declines) the full pipeline runs and the result is simply the
-// complete correction.
-func (d *Decoder) DecodeHorizon(defects []int32, horizon int32) []int32 {
-	if d.Opts.SparseShortcut {
-		if corr, ok := d.decodeSparse(defects, horizon); ok {
-			return corr
-		}
-	}
 	d.reset(defects)
 	if len(defects) > 0 {
 		d.growClusters()

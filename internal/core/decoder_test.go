@@ -220,18 +220,16 @@ func TestDecoderAblationVariantsAgreeOnSyndrome(t *testing.T) {
 	}
 }
 
-// TestDecoderReuseIsDeterministic pins DecodeHorizon's history
-// independence, which lets one core decoder serve every stream a goroutine
-// decodes: a decoder reused over sampled syndromes from p = 1e-3 (sparse
-// rewinds and shortcut decodes) to 8e-2 (bulk rewinds), each with a random
-// horizon, returns what a fresh decoder returns — the correction edge for
-// edge and in order, and the whole DecodeStats, Clusters included — on
-// window, closed 3-D and 2-D graphs, under the streaming option set and the
-// default one.
+// TestDecoderReuseIsDeterministic pins Decode's history independence,
+// which lets one core decoder serve every stream a goroutine decodes: a
+// decoder reused over sampled syndromes from p = 1e-3 (sparse rewinds) to
+// 8e-2 (bulk rewinds) returns what a fresh decoder returns — the
+// correction edge for edge and in order, and the whole DecodeStats,
+// Clusters included — on window, closed 3-D and 2-D graphs, under the
+// streaming option set and the default one.
 func TestDecoderReuseIsDeterministic(t *testing.T) {
 	graphs := []*lattice.Graph{lattice.New3DWindow(5, 5), lattice.New3D(5, 4), lattice.New2D(7)}
-	optSets := []Options{{LeanStats: true, ClusterStats: true, SparseShortcut: true}, {}}
-	rng := rand.New(rand.NewPCG(3, 4))
+	optSets := []Options{{LeanStats: true, ClusterStats: true}, {}}
 	var trial noise.Trial
 	for gi, g := range graphs {
 		for oi, opts := range optSets {
@@ -241,13 +239,9 @@ func TestDecoderReuseIsDeterministic(t *testing.T) {
 				s := noise.NewSampler(g, p, uint64(gi+1), uint64(10*oi+pi))
 				for i := 0; i < 1200; i++ {
 					s.Sample(&trial)
-					horizon := noHorizon
-					if h := rng.IntN(g.Rounds + 2); h <= g.Rounds {
-						horizon = int32(h)
-					}
 					dense := len(reused.touchedEdges)+len(reused.touchedVerts) >= reused.bulkThreshold
 					epoch := reused.resetEpoch
-					got := reused.DecodeHorizon(trial.Defects, horizon)
+					got := reused.Decode(trial.Defects)
 					if reused.resetEpoch != epoch {
 						if dense {
 							bulk++
@@ -256,14 +250,14 @@ func TestDecoderReuseIsDeterministic(t *testing.T) {
 						}
 					}
 					fresh := NewDecoder(g, opts)
-					want := fresh.DecodeHorizon(trial.Defects, horizon)
+					want := fresh.Decode(trial.Defects)
 					if !slices.Equal(got, want) {
-						t.Fatalf("graph %d opts %+v p=%g decode %d horizon %d: reused decoder returned %v, fresh %v",
-							gi, opts, p, i, horizon, got, want)
+						t.Fatalf("graph %d opts %+v p=%g decode %d: reused decoder returned %v, fresh %v",
+							gi, opts, p, i, got, want)
 					}
 					if !sameStats(reused.Stats, fresh.Stats) {
-						t.Fatalf("graph %d opts %+v p=%g decode %d horizon %d: stats differ:\n reused %+v\n fresh  %+v",
-							gi, opts, p, i, horizon, reused.Stats, fresh.Stats)
+						t.Fatalf("graph %d opts %+v p=%g decode %d: stats differ:\n reused %+v\n fresh  %+v",
+							gi, opts, p, i, reused.Stats, fresh.Stats)
 					}
 				}
 			}
@@ -359,7 +353,7 @@ func BenchmarkNewDecoder(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		newDecoderSink = NewDecoder(g, Options{LeanStats: true, SparseShortcut: true})
+		newDecoderSink = NewDecoder(g, Options{LeanStats: true, ClusterStats: true})
 	}
 }
 

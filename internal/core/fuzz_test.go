@@ -41,36 +41,3 @@ func FuzzDecodeArbitraryDefects(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSparseShortcutEquivalence feeds arbitrary defect selections to a
-// shortcut-enabled decoder and a full decoder on the same window graph and
-// requires identical correction edge sets — the shortcut's core claim.
-func FuzzSparseShortcutEquivalence(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0})
-	f.Add([]byte{9, 10})
-	f.Add([]byte{3, 60, 61, 200})
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
-	g := lattice.New3DWindow(4, 4)
-	full := NewDecoder(g, Options{})
-	fast := NewDecoder(g, Options{SparseShortcut: true, LeanStats: true})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		seen := make(map[int32]bool)
-		var defects []int32
-		for _, b := range raw {
-			v := int32(int(b) % g.V)
-			if !seen[v] {
-				seen[v] = true
-				defects = append(defects, v)
-			}
-		}
-		sortInt32(defects)
-		want := append([]int32(nil), full.Decode(defects)...)
-		got := append([]int32(nil), fast.Decode(defects)...)
-		sortInt32(want)
-		sortInt32(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("defects %v: shortcut corrections %v != full %v", defects, got, want)
-		}
-	})
-}

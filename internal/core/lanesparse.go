@@ -5,22 +5,17 @@ import "math/bits"
 // ClassifySparse is the stream entry point: it classifies up to 64
 // same-shape stream windows (one per lane) with the shared scan and single
 // rule (see LaneTriage) and, for every lane that certifies, rebuilds the
-// correction edges decodeSparse would commit. A lane certifies iff it holds
-// no degree->=2 defect and every isolated defect passes the single rule —
-// exactly the windows decodeSparse partitions into adjacent pairs and B = 1
-// singles with no slow group (TestClassifySparseMatchesDecodeSparse).
+// window's correction: exactly the edge set a full Decode of the window
+// returns (TestClassifySparseMatchesFullDecode). A lane certifies iff it
+// holds no degree->=2 defect and every isolated defect passes the single
+// rule, so it is adjacent pairs, each emitting its connecting edge, and
+// B = 1 singles, each emitting lattice.FirstBoundaryEdge.
 //
-// Emission follows decodeSparse's order: one edge per group, ascending by
-// the group's smallest member vertex. The pass over the compact defect list
-// in ascending vertex order reproduces that: a pair emits at its smaller
-// member through the id-increasing neighbor table (at most one hit per lane
-// — degree <= 1), and a single emits its boundary edge at its own position.
-// All fast edges are emitted regardless of the caller's commit horizon; the
-// stream's commit loop filters Round >= commit, which keeps exactly the
-// edges decodeSparse's horizon skipping would keep (a pair's edge round
-// equals its reach; a single's edge round t is skipped by decodeSparse
-// only when t - 1 >= horizon, and the t == horizon edge it does emit is
-// dropped by the same round filter).
+// One pass over the compact defect list in ascending vertex order emits
+// them: a pair at its smaller member through the id-increasing neighbor
+// table (at most one hit per lane — degree <= 1), a single at its own
+// position. Every edge is emitted regardless of the caller's commit
+// depth; the stream's commit loop keeps the ones below it.
 //
 // planes/touched follow Classify's contract; laneMask confines the result
 // and the emit rebuild to the live lanes. Returns the fast lane mask; DefV

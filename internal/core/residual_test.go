@@ -88,21 +88,20 @@ func isSubsequence(sub, full []int32) bool {
 	return j == len(sub)
 }
 
-// peelDecoders is decodersFor minus the hierarchical router. The strict
-// XOR identity (peel ^ decode(residual) == decode(whole)) holds for any
-// decoder that resolves an isolated defect group the same way standalone
-// as inside the full syndrome — true for the Union-Find family (per-group
-// evolution is context-free under the isolation invariant; decodeSparse is
-// built on exactly that) and for deterministic min-weight matchers. The
-// hierarchical router is context-sensitive by design: whether its local
-// first stage or its fallback fires depends on the whole syndrome, so on a
-// residual with a weight tie between homology classes (e.g. a B=1 pair at
-// distance 2: boundary pair vs interior chain, both weight 2) the two
-// routes can pick different — equally valid, equally minimal — classes,
-// and the identity legitimately fails. The decomposition only claims
-// outcome equivalence for the decoder that actually decodes the residual
-// (the kernels use Union-Find), so hierarchical is checked everywhere else
-// but not here.
+// peelDecoders is decodersFor minus the hierarchical router. The strict XOR
+// identity (peel ^ decode(residual) == decode(whole)) holds for any decoder
+// that resolves an isolated defect group the same way standalone as inside
+// the full syndrome — true for the Union-Find family (per-group evolution is
+// context-free under the isolation invariant; every certificate is built on
+// exactly that) and for deterministic min-weight matchers. The hierarchical
+// router is context-sensitive by design: whether its local first stage or
+// its fallback fires depends on the whole syndrome, so on a residual with a
+// weight tie between homology classes (e.g. a B=1 pair at distance 2:
+// boundary pair vs interior chain, both weight 2) the two routes can pick
+// different — equally valid, equally minimal — classes, and the identity
+// legitimately fails. The decomposition only claims outcome equivalence for
+// the decoder that actually decodes the residual (the kernels use
+// Union-Find), so hierarchical is checked everywhere else but not here.
 func peelDecoders(g *lattice.Graph) []namedDecoder {
 	all := decodersFor(g)
 	out := all[:0]

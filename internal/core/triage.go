@@ -43,6 +43,13 @@ func (s *multiScratch) l1(i, j int) int32 {
 	return abs32(s.r[i]-s.r[j]) + abs32(s.c[i]-s.c[j]) + abs32(s.t[i]-s.t[j])
 }
 
+func abs32(x int32) int32 {
+	// Branchless: the certificates call this in O(k^2) loops over defect
+	// pairs where the sign is data-random.
+	m := x >> 31
+	return (x ^ m) - m
+}
+
 // NewTriage builds a scalar certificate for g, sharing the process-wide
 // cached boundary tables.
 func NewTriage(g *lattice.Graph) *Triage {

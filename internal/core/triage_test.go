@@ -61,7 +61,6 @@ func decodersFor(g *lattice.Graph) []namedDecoder {
 	out := []namedDecoder{
 		{"uf", core.NewDecoder(g, core.Options{}).Decode},
 		{"uf-lean", core.NewDecoder(g, core.Options{LeanStats: true}).Decode},
-		{"uf-sparse", core.NewDecoder(g, core.Options{LeanStats: true, SparseShortcut: true}).Decode},
 		{"mwpm", mwpm.NewDecoder(g).Decode},
 		{"hierarchical", hierarchical.New(g, core.NewDecoder(g, core.Options{})).Decode},
 	}

@@ -238,8 +238,8 @@ func (s *shardSession) sendCorrs() {
 // resolve together through the lane entry point stream.Engine uses — a
 // round envelope is the same round-major group the engine batches. (A
 // replay envelope carries several rounds of one stream; each later round
-// resolves the stream's pending window as a one-lane group, bit-identical
-// to a scalar decode, before charging or ingesting anything.) The
+// resolves the stream's pending window as a one-lane group, the route a
+// solo decoder takes, before charging or ingesting anything.) The
 // envelope's corrections then go out as one msgCorrs, and
 // only after that any checkpoints the envelope made due: every correction
 // a checkpoint's snapshot assumes delivered precedes it on the wire, which

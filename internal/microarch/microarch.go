@@ -136,15 +136,17 @@ func (m Model) Latency(st *core.DecodeStats) Breakdown {
 // WindowCost estimates the exposed latency of one *streaming-window*
 // decode in model nanoseconds, so the stream runtime can charge each window
 // against a deadline budget deterministically (wall-clock time would break
-// bit-identical replay across worker counts). Defect groups that ran the
-// full grow/DFS/peel pipeline carry per-cluster stats and are charged
-// exactly like Latency; defects the sparse shortcut resolved in closed form
-// carry none, so they are charged the fast path's worst closed-form
-// profile — a pair merging in one growth iteration (Eq. 2 with j=1) and
-// DFS+CORR over its two vertices, i.e. 5 charged operations per pair,
-// 2.5 per defect. Boundary singles cost slightly more per defect (2 growth
-// iterations over ~5 vertices) but are rarer than pairs at deployed error
-// rates; the pair profile is the deliberate middle estimate.
+// bit-identical replay across worker counts). A window decoded in full
+// carries per-cluster stats for every defect and is charged exactly like
+// Latency: Eqs. 2–3 over every cluster, as the paper's pipeline runs
+// Gr-Gen, DFS and CORR on each. A window the lane certificate resolves
+// whole (a stream's fast lane) is profiled as DecodeStats{NumDefects: n}
+// with no clusters, so its defects are charged the certificate's worst
+// closed-form profile — a pair merging in one growth iteration (Eq. 2 with
+// j=1) and DFS+CORR over its two vertices, i.e. 5 charged operations per
+// pair, 2.5 per defect. Boundary singles cost slightly more per defect (2
+// growth iterations over ~5 vertices) but are rarer than pairs at deployed
+// error rates; the pair profile is the deliberate middle estimate.
 func (m Model) WindowCost(st *core.DecodeStats) float64 {
 	b := m.Latency(st)
 	if fast := st.NumDefects - st.PipelineDefects(); fast > 0 {

@@ -10,8 +10,8 @@ import (
 	"afs/internal/noise"
 )
 
-func sparseUFFactory(g *lattice.Graph) Decoder {
-	return core.NewDecoder(g, core.Options{LeanStats: true, SparseShortcut: true})
+func leanUFFactory(g *lattice.Graph) Decoder {
+	return core.NewDecoder(g, core.Options{LeanStats: true})
 }
 
 // The kernel never materializes a residual data error: it folds a full
@@ -76,7 +76,7 @@ func TestBatchKernelMatchesScalarPath(t *testing.T) {
 // report them through AccuracyResult.
 func TestTriageTalliesPartitionTrials(t *testing.T) {
 	res := RunAccuracy(AccuracyConfig{
-		Distance: 5, P: 0.003, Trials: 20000, Seed: 5, Workers: 2, New: sparseUFFactory,
+		Distance: 5, P: 0.003, Trials: 20000, Seed: 5, Workers: 2, New: leanUFFactory,
 	})
 	sum := res.TriageW0 + res.TriageW1 + res.TriageW2 + res.TriageMulti + res.FullDecodes
 	if sum != res.Trials {
@@ -86,7 +86,7 @@ func TestTriageTalliesPartitionTrials(t *testing.T) {
 		t.Fatalf("expected every fast class to fire at d=5 p=0.003: %+v", res)
 	}
 	res = RunAccuracy(AccuracyConfig{
-		Distance: 5, P: 0.003, Trials: 20000, Seed: 5, Workers: 2, New: sparseUFFactory,
+		Distance: 5, P: 0.003, Trials: 20000, Seed: 5, Workers: 2, New: leanUFFactory,
 		DisableTriage: true,
 	})
 	if res.FullDecodes != res.Trials || res.TriageW0+res.TriageW1+res.TriageW2+res.TriageMulti != 0 {
@@ -96,7 +96,7 @@ func TestTriageTalliesPartitionTrials(t *testing.T) {
 	// Under early stopping Trials < TrialsRequested; the classes must
 	// partition the executed trials, not the requested ones.
 	res = RunAccuracy(AccuracyConfig{
-		Distance: 3, P: 0.01, Trials: 1 << 22, Seed: 5, Workers: 2, New: sparseUFFactory,
+		Distance: 3, P: 0.01, Trials: 1 << 22, Seed: 5, Workers: 2, New: leanUFFactory,
 		StopRelCI: 0.2,
 	})
 	if !res.EarlyStopped || res.Trials >= res.TrialsRequested {
@@ -115,7 +115,7 @@ func TestTriageTalliesPartitionTrials(t *testing.T) {
 // ResidualDecodes of FullDecodes).
 func TestFractionsPartitionWithFusedPeel(t *testing.T) {
 	res := RunAccuracy(AccuracyConfig{
-		Distance: 7, P: 0.02, Trials: 20000, Seed: 12, Workers: 2, New: sparseUFFactory,
+		Distance: 7, P: 0.02, Trials: 20000, Seed: 12, Workers: 2, New: leanUFFactory,
 	})
 	if sum := res.TriageW0 + res.TriageW1 + res.TriageW2 + res.TriageMulti + res.FullDecodes; sum != res.Trials {
 		t.Fatalf("triage classes sum to %d, trials %d", sum, res.Trials)
@@ -143,7 +143,7 @@ func TestPerfSmokeWeight0FastPath(t *testing.T) {
 		t.Skip("set AFS_PERF_SMOKE=1 to run the pinned-floor perf smoke")
 	}
 	const floorTPS = 2_000_000.0
-	cfg := AccuracyConfig{Distance: 3, P: 1e-4, Seed: 1, New: sparseUFFactory}
+	cfg := AccuracyConfig{Distance: 3, P: 1e-4, Seed: 1, New: leanUFFactory}
 	k := newBPKernel(cfg, cfg.graph())
 	k.reseed(cfg.Seed, 0)
 	k.run(1 << 16) // warm

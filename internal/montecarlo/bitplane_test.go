@@ -37,7 +37,7 @@ func TestBitPlaneTriagedBitIdenticalToFullPath(t *testing.T) {
 		for _, p := range []float64{0.001, 0.003, 0.01} {
 			for name, factory := range map[string]Factory{
 				"uf":           ufFactory,
-				"uf-sparse":    sparseUFFactory,
+				"uf-lean":      leanUFFactory,
 				"hierarchical": hierFactory,
 			} {
 				cfg := AccuracyConfig{Distance: d, P: p, Seed: 42, New: factory}
@@ -141,7 +141,7 @@ func TestBitPlaneKernelMatchesPerLaneReference(t *testing.T) {
 // counts.
 func TestBitPlaneEngineWorkerInvariance(t *testing.T) {
 	base := AccuracyConfig{
-		Distance: 5, P: 0.005, Trials: 30000, Seed: 77, New: sparseUFFactory,
+		Distance: 5, P: 0.005, Trials: 30000, Seed: 77, New: leanUFFactory,
 	}
 	base.Workers = 1
 	one := RunAccuracy(base)
@@ -157,7 +157,7 @@ func TestBitPlaneEngineWorkerInvariance(t *testing.T) {
 // bit-plane fast/gathered lane split must partition them too.
 func TestBitPlaneTalliesPartitionTrials(t *testing.T) {
 	res := RunAccuracy(AccuracyConfig{
-		Distance: 5, P: 0.003, Trials: 20000, Seed: 5, Workers: 2, New: sparseUFFactory,
+		Distance: 5, P: 0.003, Trials: 20000, Seed: 5, Workers: 2, New: leanUFFactory,
 	})
 	if sum := res.TriageW0 + res.TriageW1 + res.TriageW2 + res.TriageMulti + res.FullDecodes; sum != res.Trials {
 		t.Fatalf("triage classes sum to %d, trials %d", sum, res.Trials)
@@ -178,7 +178,7 @@ func TestBitPlaneTalliesPartitionTrials(t *testing.T) {
 // (~6 sigma; both runs are deterministic, so this never flakes).
 func TestBitPlaneLogicalRateMatchesScalarKernel(t *testing.T) {
 	base := AccuracyConfig{
-		Distance: 3, P: 0.01, Trials: 300000, Seed: 31, Workers: 4, New: sparseUFFactory,
+		Distance: 3, P: 0.01, Trials: 300000, Seed: 31, Workers: 4, New: leanUFFactory,
 	}
 	scalar := RunAccuracyStatic(base)
 	base.Seed = 77 // independent stream on purpose: this is a distribution check
@@ -204,7 +204,7 @@ func TestBitPlaneLogicalRateMatchesScalarKernel(t *testing.T) {
 // deterministic rather than hostage to extreme-value record growth).
 func TestBitPlaneKernelZeroAllocSteadyState(t *testing.T) {
 	for _, p := range []float64{0.001, 0.02} {
-		cfg := AccuracyConfig{Distance: 11, P: p, Seed: 9, New: sparseUFFactory}
+		cfg := AccuracyConfig{Distance: 11, P: p, Seed: 9, New: leanUFFactory}
 		k := newBPKernel(cfg, cfg.graph())
 		k.reseed(cfg.Seed, 0)
 		k.run(4 * BatchTrials) // reach the high-water mark
@@ -236,7 +236,7 @@ func TestPerfSmokeBitPlaneKernel(t *testing.T) {
 	const floorTPS = 1_500_000.0
 	const floorFastFrac = 0.90
 	const floorPeelFrac = 0.60
-	cfg := AccuracyConfig{Distance: 11, P: 1e-3, Seed: 1, New: sparseUFFactory}
+	cfg := AccuracyConfig{Distance: 11, P: 1e-3, Seed: 1, New: leanUFFactory}
 	k := newBPKernel(cfg, cfg.graph())
 	k.reseed(cfg.Seed, 0)
 	k.run(1 << 16) // warm
@@ -284,7 +284,7 @@ func BenchmarkBitPlaneKernelNoPeel(b *testing.B) {
 
 func benchBPKernel(b *testing.B, disableTriage, disablePeel bool) {
 	cfg := AccuracyConfig{
-		Distance: 11, P: 0.001, Seed: 2, New: sparseUFFactory,
+		Distance: 11, P: 0.001, Seed: 2, New: leanUFFactory,
 		DisableTriage: disableTriage, DisablePeel: disablePeel,
 	}
 	k := newBPKernel(cfg, cfg.graph())

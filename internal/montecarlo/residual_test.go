@@ -21,7 +21,7 @@ func TestPeelBitIdenticalToUnpeeled(t *testing.T) {
 		p float64
 	}{{5, 0.01}, {7, 0.005}, {9, 0.003}} {
 		for name, factory := range map[string]Factory{
-			"uf-sparse":    sparseUFFactory,
+			"uf-lean":      leanUFFactory,
 			"hierarchical": hierFactory,
 		} {
 			cfg := AccuracyConfig{Distance: tc.d, P: tc.p, Seed: 42, New: factory}
@@ -49,7 +49,7 @@ func TestPeelBitIdenticalToUnpeeled(t *testing.T) {
 // operating point with a real heavy tail so the tallies are exercised.
 func TestPeelTalliesCoherent(t *testing.T) {
 	res := RunAccuracy(AccuracyConfig{
-		Distance: 7, P: 0.01, Trials: 40000, Seed: 5, Workers: 2, New: sparseUFFactory,
+		Distance: 7, P: 0.01, Trials: 40000, Seed: 5, Workers: 2, New: leanUFFactory,
 	})
 	if sum := res.TriageW0 + res.TriageW1 + res.TriageW2 + res.TriageMulti + res.FullDecodes; sum != res.Trials {
 		t.Fatalf("triage classes sum to %d, trials %d", sum, res.Trials)
@@ -86,7 +86,7 @@ func TestPeelTalliesCoherent(t *testing.T) {
 // tally.
 func TestDisablePeelZeroesTallies(t *testing.T) {
 	base := AccuracyConfig{
-		Distance: 7, P: 0.01, Trials: 20000, Seed: 5, Workers: 2, New: sparseUFFactory,
+		Distance: 7, P: 0.01, Trials: 20000, Seed: 5, Workers: 2, New: leanUFFactory,
 	}
 	for _, cfg := range []AccuracyConfig{
 		func() AccuracyConfig { c := base; c.DisablePeel = true; return c }(),

@@ -190,8 +190,8 @@ func (e *Engine) worker(w int, ch chan engineJob) {
 	l := e.lanes[w]
 	for job := range ch {
 		if job.flush {
-			// Flush resolves any deferred window through the scalar path
-			// before closing the stream, so flushes claim single streams.
+			// Flush resolves any pending window as a one-lane group before
+			// closing the stream, so flushes claim single streams.
 			for {
 				i := int(e.next.Add(1) - 1)
 				if i >= len(e.decs) {
@@ -366,8 +366,7 @@ func (e *Engine) Flush() error {
 }
 
 // Committed returns the corrections retained for stream i (engine built
-// without a sink). The slice is owned by the engine; it grows until
-// ResetCommitted.
+// without a sink). The slice is owned by the engine.
 func (e *Engine) Committed(i int) []Correction {
 	if e.retain == nil {
 		return nil
@@ -375,19 +374,8 @@ func (e *Engine) Committed(i int) []Correction {
 	return e.retain[i]
 }
 
-// ResetCommitted drops all retained corrections (and the totals), keeping
-// the streams' decoding state untouched.
-func (e *Engine) ResetCommitted() {
-	for i := range e.totals {
-		e.totals[i] = 0
-	}
-	for i := range e.retain {
-		e.retain[i] = e.retain[i][:0]
-	}
-}
-
 // TotalCorrections returns the number of corrections committed across the
-// fleet since construction (or the last ResetCommitted).
+// fleet since construction.
 func (e *Engine) TotalCorrections() uint64 {
 	var sum uint64
 	for _, n := range e.totals {

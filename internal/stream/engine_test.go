@@ -108,7 +108,7 @@ func TestEnginePushRoundMatchesRunRounds(t *testing.T) {
 }
 
 // TestEngineRetainedMode: without a sink the engine retains per-stream
-// corrections, counts them, and ResetCommitted drops them.
+// corrections and counts them.
 func TestEngineRetainedMode(t *testing.T) {
 	const streams, d, rounds = 3, 4, 200
 	eng, err := NewEngine(EngineConfig{Streams: streams, Distance: d, Workers: 2})
@@ -133,15 +133,6 @@ func TestEngineRetainedMode(t *testing.T) {
 	}
 	if eng.TotalCorrections() != sum {
 		t.Fatalf("TotalCorrections %d != retained %d", eng.TotalCorrections(), sum)
-	}
-	eng.ResetCommitted()
-	if eng.TotalCorrections() != 0 {
-		t.Fatal("ResetCommitted left a nonzero total")
-	}
-	for i := 0; i < streams; i++ {
-		if len(eng.Committed(i)) != 0 {
-			t.Fatalf("stream %d retained corrections after ResetCommitted", i)
-		}
 	}
 }
 

@@ -7,13 +7,15 @@ import (
 	"afs/internal/lattice"
 )
 
-// Lanes resolves deferred stream windows in cross-stream lane groups, for
-// code that drives many decoders from one goroutine: an Engine worker's
-// chunk of streams, or a fleet shard's streams within one round envelope.
-// Build the decoders with Lanes.NewRobust; a window that fills on ingest
-// then stays pending until Resolve decodes it in a lane group (or until any
-// call that reads or charges the decoder's state — the next ingest,
-// AddPenaltyNS, Report, Flush, Snapshot — resolves it alone).
+// Lanes resolves pending stream windows in cross-stream lane groups, the
+// one route every sliding window takes. Code that drives many decoders
+// from one goroutine (an Engine worker's chunk of streams, or a fleet
+// shard's streams within one round envelope) builds them with
+// Lanes.NewRobust: a window that fills on ingest then stays pending until
+// Resolve decodes it in a lane group. A solo decoder (New, NewRobust), and
+// a Lanes-built one whose pending window something else reads or charges
+// first (the next ingest, AddPenaltyNS, Report, Flush, Snapshot), resolves
+// the window alone as a one-lane group on a Lanes of its own.
 //
 // A Lanes owns the Union-Find working set (one core decoder per graph) and
 // lends it to every gathered lane, ineligible window and flush it drives,
@@ -23,28 +25,27 @@ import (
 // A lane group is up to 64 pending windows sharing a (distance, window)
 // shape, transposed into bit-plane defect planes — one uint64 per
 // window-graph vertex, bit t = lane t's window has a defect there — and
-// classified word-parallel by core.LaneTriage.ClassifySparse. Lanes whose
-// window certifies against the sparse shortcut's fast set commit their
-// closed-form correction with no per-stream decode at all; the rest run
-// the unchanged scalar path on the defect list the scatter pass already
-// extracted (so the heavy tail re-reads nothing). Either route finishes
-// through the same deadline charge and commit/slide code a scalar
-// decodeWindow uses, so corrections, fault ledgers and traces are
-// bit-identical to decoding each window the round it fills, for every
-// group size and fill, robust streams included.
+// classified word-parallel by core.LaneTriage.ClassifySparse. A lane the
+// certificate resolves whole (fast) commits its closed-form correction,
+// the edges a full decode returns, with no per-stream decode at all; the
+// rest (gathered) run a full core decode on the defect list the scatter
+// pass already extracted (so the heavy tail re-reads nothing). Both finish
+// through the same deadline charge and commit/slide code, so a window's
+// corrections, fault ledger and trace do not depend on the group it lands
+// in, or on the group's size and fill, robust streams included.
 //
 // Group-formation rules (deterministic — a pure function of the decs slice
 // order and the decoders' pending flags, never of worker timing):
 //
 //   - only pending decoders join a group; neither the commit depth nor the
 //     robust settings are part of the shape key, because classification is
-//     horizon-independent and each lane commits against, and charges the
-//     deadline model of, its own decoder;
+//     independent of the commit depth and each lane commits against, and
+//     charges the deadline model of, its own decoder;
 //   - windows containing an erased round (link erasure or backpressure
-//     shedding), decoders with the weight-0 skip disabled, and windows
-//     past core.MaxShortcutDefects route straight to the scalar path
-//     without touching the planes (counted laneIneligible) — erasure flags
-//     are per-stream state the planes cannot carry.
+//     shedding) and decoders with the weight-0 skip disabled route
+//     straight to a full decode without touching the planes (counted
+//     laneIneligible) — erasure flags are per-stream state the planes
+//     cannot carry.
 //
 // Not safe for concurrent use; engines hold one Lanes per worker.
 type Lanes struct {
@@ -75,24 +76,24 @@ type laneShape struct {
 
 // NewLanes returns an empty resolver; per-shape working sets build lazily
 // on the first pending window of each shape.
-func NewLanes() *Lanes {
-	return &Lanes{
-		shapes: map[laneKey]*laneShape{},
-		om:     obsSink.Load(),
-		omSh:   nextObsShard(),
-	}
+func NewLanes() *Lanes { return newLanes(obsSink.Load(), nextObsShard()) }
+
+// newLanes is NewLanes publishing into metrics sink om (nil: none) at
+// shard hint sh.
+func newLanes(om *streamObs, sh int) *Lanes {
+	return &Lanes{shapes: map[laneKey]*laneShape{}, om: om, omSh: sh}
 }
 
 // NewRobust builds a deferred decoder with NewRobust's arguments and
-// checks. It owns no core decoder: Resolve and Flush on any Lanes lend
+// checks. It owns no working set: Resolve and Flush on any Lanes lend
 // theirs.
 func (l *Lanes) NewRobust(distance, window, commit int, r Robust) (*Decoder, error) {
 	return newDecoder(distance, window, commit, r, true)
 }
 
 // Flush is d.Flush with every decode — a pending window, then the closed
-// remainder — on the resolver's working set.
-func (l *Lanes) Flush(d *Decoder) []Correction { return d.flush(&l.units) }
+// remainder — on this resolver.
+func (l *Lanes) Flush(d *Decoder) []Correction { return d.flush(l) }
 
 func (l *Lanes) shapeFor(d *Decoder) *laneShape {
 	k := laneKey{distance: d.Distance, window: d.Window}
@@ -136,9 +137,16 @@ func (l *Lanes) Resolve(decs []*Decoder) {
 	}
 }
 
+// resolveOne decodes d's pending window as a one-lane group.
+func (l *Lanes) resolveOne(d *Decoder) {
+	sh := l.shapeFor(d)
+	sh.lanes[0] = d
+	l.decodeGroup(sh, 1)
+}
+
 // decodeGroup resolves one formed group: scatter the eligible windows into
 // the planes, classify, fast-commit the certified lanes, gather and
-// scalar-decode the rest.
+// fully decode the rest.
 func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 	var elig uint64
 	scalar := 0
@@ -148,10 +156,9 @@ func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 		nd, anyErased := d.windowSummary()
 		sh.counts[lane] = nd
 		switch {
-		case anyErased || d.disableW0Skip, nd > core.MaxShortcutDefects:
+		case anyErased || d.disableW0Skip:
 			// Per-stream state the planes cannot carry (erasure flags, the
-			// W0-skip test hook) or a window past the certifier's defect
-			// cap: the unchanged scalar window decode, outside the group.
+			// W0-skip test hook): a full window decode, outside the planes.
 			d.decodeWindow(&l.units, false)
 			sh.lanes[lane] = nil
 			scalar++
@@ -212,8 +219,8 @@ func (d *Decoder) windowSummary() (ndefects int, anyErased bool) {
 // vertex order (layer t's ancilla x at vertex t*per + x), OR-ing each into
 // a lane group's planes at bit `lane` and appending it to *list. One
 // rotated pass serves both routes out of classification: the planes feed
-// the word-parallel certifier, and if the lane is gathered the scalar
-// fallback decodes the list without re-reading the ring. The scatter is
+// the word-parallel certifier, and if the lane is gathered the full decode
+// takes the list without re-reading the ring. The scatter is
 // OR-only, which is what licenses core.LaneTriage.ClearPlanes's
 // O(defects) cleanup.
 func (d *Decoder) collectScatter(planes, touched []uint64, lane uint, list *[]int32) {

@@ -103,8 +103,8 @@ func TestLaneEngineIdentity(t *testing.T) {
 // sets live: on the workers' Lanes, one core decoder per graph, lent to
 // every stream a worker resolves and flushes. At the paper's design point
 // (d = W = 11, C = 5, p = 1e-3; 256 streams on 2 workers), across
-// construction, 600 rounds and Flush, no stream decoder builds a core
-// decoder of its own, and the live heap grows by less than 16 KB per
+// construction, 600 rounds and Flush, no stream decoder builds a working
+// set of its own, and the live heap grows by less than 16 KB per
 // stream — a window decoder alone is ~200 KB at d = 11.
 func TestLaneEngineSharesDecoders(t *testing.T) {
 	const streams, d, w, c, workers, rounds = 256, 11, 11, 5, 2, 600
@@ -154,8 +154,8 @@ func TestLaneEngineSharesDecoders(t *testing.T) {
 	runtime.KeepAlive(samplers)
 
 	for i, dec := range eng.decs {
-		if len(dec.own) != 0 {
-			t.Fatalf("stream %d built %d core decoders of its own", i, len(dec.own))
+		if dec.own != nil {
+			t.Fatalf("stream %d built a working set of its own", i)
 		}
 	}
 	held := map[*lattice.Graph]bool{}
@@ -190,7 +190,7 @@ func TestLaneEngineSharesDecoders(t *testing.T) {
 
 // TestLaneEngineIdentityNonDefaultCommit: the commit depth is not part of
 // the lane-shape key, so streams with a deeper commit must still match
-// solo decoding exactly (the horizon filter runs per lane).
+// solo decoding exactly (the commit filter runs per lane).
 func TestLaneEngineIdentityNonDefaultCommit(t *testing.T) {
 	const streams, d, w, c, rounds = 33, 4, 6, 3, 150
 	want := runSoloDecoders(t, streams, d, w, c, rounds, nil)
@@ -484,9 +484,9 @@ func randLayer(rng *rand.Rand, per int, p float64) []int32 {
 
 // TestLaneBatcherMatchesScalarTwins is the decoder-level property test: for
 // every group size 1..64, a set of lane-batched decoders fed random rounds
-// must commit exactly what scalar twins commit on the identical rounds —
-// including erased rounds, a W0-skip-disabled lane, and dense rounds past
-// the sparse-shortcut defect cap.
+// must commit exactly what solo twins (each window a one-lane group)
+// commit on the identical rounds — including erased rounds, a
+// W0-skip-disabled lane, and dense rounds with dozens of defects a window.
 func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 	const d, w = 4, 4
 	per := d * (d - 1)
@@ -509,8 +509,8 @@ func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			for i, p := range pairs {
 				// Per-lane noise levels: quiet lanes (w0 and fast-path
-				// traffic), busy lanes (gathered), and one dense lane that
-				// overflows core.MaxShortcutDefects some windows.
+				// traffic), busy lanes (gathered), and one dense lane with
+				// dozens of defects a window.
 				rate := []float64{0.0, 0.02, 0.08, 0.5}[i%4]
 				erased := rng.Float64() < 0.03
 				p.push(t, randLayer(rng, per, rate), erased)

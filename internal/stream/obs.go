@@ -32,12 +32,12 @@ type streamObs struct {
 	// Lane-batching signals (Lanes): group formation and the
 	// fast/gathered/ineligible split. laneWindows / (64 * laneGroups) is
 	// the mean group fill fraction; laneFast / laneWindows the fraction of
-	// batched windows resolved closed-form without a scalar decode.
+	// batched windows resolved closed-form without a core decode.
 	laneGroups     *obs.Counter // lane groups formed
 	laneWindows    *obs.Counter // windows entering a lane group (any route)
 	laneFast       *obs.Counter // lanes resolved by the closed-form fast path
-	laneGathered   *obs.Counter // lanes scattered then routed to the scalar decode
-	laneIneligible *obs.Counter // windows routed scalar without scattering (erased/heavy/W0-off)
+	laneGathered   *obs.Counter // lanes scattered then routed to a full decode
+	laneIneligible *obs.Counter // windows decoded in full without scattering (erased/W0-off)
 }
 
 func newStreamObs(reg *obs.Registry) *streamObs {
@@ -57,8 +57,8 @@ func newStreamObs(reg *obs.Registry) *streamObs {
 		laneGroups:      reg.NewCounter("afs_stream_lane_groups_total", "cross-stream lane groups formed by the lane batcher", s),
 		laneWindows:     reg.NewCounter("afs_stream_lane_windows_total", "stream windows entering a lane group (fill = windows / (64*groups))", s),
 		laneFast:        reg.NewCounter("afs_stream_lane_fast_total", "lane-batched windows resolved by the closed-form fast path", s),
-		laneGathered:    reg.NewCounter("afs_stream_lane_gathered_total", "lane-batched windows gathered back to the scalar decode", s),
-		laneIneligible:  reg.NewCounter("afs_stream_lane_ineligible_total", "lane-group windows routed scalar without scattering (erased, heavy, W0 skip off)", s),
+		laneGathered:    reg.NewCounter("afs_stream_lane_gathered_total", "lane-batched windows gathered back to a full decode", s),
+		laneIneligible:  reg.NewCounter("afs_stream_lane_ineligible_total", "lane-group windows decoded in full without scattering (erased, W0 skip off)", s),
 		windowDefects:   reg.NewHistogram("afs_stream_window_defects", "detection events per decoded window", 0, 64, 32, s),
 		windowCostNS:    reg.NewHistogram("afs_stream_window_cost_ns", "model decode cost per window in ns (deadline mode)", 0, 800, 40, s),
 		queueLag:        reg.NewHistogram("afs_stream_queue_lag_rounds", "decode backlog in arrival periods after each window (deadline mode)", 0, 32, 32, s),

@@ -12,8 +12,8 @@ import (
 
 // sortCorrections orders a committed-correction list canonically so edge
 // sets can be compared regardless of emission order (the rebuilt decoder's
-// sparse shortcut may emit a window's corrections in a different order than
-// the pre-engine pipeline).
+// fast lanes emit a window's corrections in a different order than the
+// pre-engine pipeline's full decode).
 func sortCorrections(cs []Correction) {
 	slices.SortFunc(cs, func(a, b Correction) int {
 		if a.Round != b.Round {
@@ -33,8 +33,8 @@ func sortCorrections(cs []Correction) {
 // identical event streams through the pre-engine Baseline and the ring-
 // buffer Decoder must commit identical correction multisets, window
 // geometry by window geometry. This transitively pins the bitset
-// ingestion, the seam carry-as-XOR, and the core sparse shortcut to the
-// seed implementation's decisions.
+// ingestion, the seam carry-as-XOR, and the lane route to the seed
+// implementation's decisions.
 func TestStreamMatchesBaselineExactly(t *testing.T) {
 	for _, cfg := range []struct{ d, T, w, c int }{
 		{3, 17, 3, 1}, {4, 13, 4, 2}, {4, 13, 4, 1}, {4, 13, 4, 3},

@@ -53,11 +53,11 @@ type Snapshot struct {
 // Snapshot captures the decoder's dynamic state. The returned value shares
 // nothing with the decoder and may be serialized or held across further
 // pushes. Cost is O(buffered defects), so checkpointing a quiet stream is
-// cheap. A deferred (pending) window is resolved first — through the scalar
-// path, bit-identically — so the snapshot always holds fewer than Window
-// layers, the invariant Restore enforces.
+// cheap. A deferred (pending) window is resolved first — alone, as a
+// one-lane group, bit-identically — so the snapshot always holds fewer
+// than Window layers, the invariant Restore enforces.
 func (d *Decoder) Snapshot() Snapshot {
-	d.resolvePending(&d.own)
+	d.resolvePending()
 	s := Snapshot{
 		Distance:  d.Distance,
 		Window:    d.Window,

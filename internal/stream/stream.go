@@ -73,11 +73,11 @@ type Decoder struct {
 	// temporal boundary edges — deferred decisions — are never committed.
 	g *lattice.Graph // shared window graph with temporal boundary
 
-	// own is the working set of the decodes the decoder runs itself: all of
-	// a solo decoder's (its window decoder is built at construction), but on
-	// a Lanes-built decoder only a window resolved or flushed outside any
-	// Lanes, so there it usually stays empty.
-	own units
+	// own is the resolver of the decodes the decoder runs alone: every
+	// window of a solo decoder, each a one-lane group, but on a Lanes-built
+	// decoder only a window resolved or flushed outside any Lanes, so there
+	// it usually stays nil. Built on first use, like every working set.
+	own *Lanes
 
 	// The layer ring: Window slots of perWords words each, slot
 	// (ringStart+t) % Window holding buffered layer t's detection events as
@@ -119,8 +119,8 @@ type Decoder struct {
 	penaltyNS float64 // injected service time charged to the next window
 	rep       faults.Report
 
-	// disableW0Skip forces weight-0 windows down the full DecodeHorizon
-	// path; it exists only so tests can prove the skip is bit-identical.
+	// disableW0Skip forces weight-0 windows down the full Decode path; it
+	// exists only so tests can prove the skip is bit-identical.
 	disableW0Skip bool
 
 	// Deferred decoding (Lanes.NewRobust, for every Engine and fleet shard
@@ -129,10 +129,11 @@ type Decoder struct {
 	// any entry point that reads or charges its state: the next ingest,
 	// AddPenaltyNS, Report, Flush, Snapshot) to resolve it. This is what
 	// lets the cross-stream lane scheduler see many ready windows at once
-	// instead of each decoder consuming its own the moment it fills.
-	// Either way a window is served before the stream's next round
-	// arrives, so the deadline model's queue clocks see the same
-	// Arrive/Serve sequence as decoding at fill.
+	// instead of each decoder consuming its own the moment it fills. A
+	// solo decoder marks the window pending and resolves it at once, so
+	// every window takes the same lane route. Either way a window is served
+	// before the stream's next round arrives, so the deadline model's queue
+	// clocks see the same Arrive/Serve sequence as decoding at fill.
 	deferDecode bool
 	pending     bool
 
@@ -230,9 +231,9 @@ type Robust struct {
 
 func (r Robust) enabled() bool { return r.DeadlineNS > 0 || r.QueueCap > 0 }
 
-// w0CostNS is the deadline charge of a weight-0 window. The skipped
-// DecodeHorizon would have left DecodeStats at the zero value (no clusters,
-// no defects), and WindowCost is a pure function of that value.
+// w0CostNS is the deadline charge of a weight-0 window. The skipped Decode
+// would have left DecodeStats at the zero value (no clusters, no defects),
+// and WindowCost is a pure function of that value.
 var w0CostNS = microarch.Model{}.WindowCost(&core.DecodeStats{})
 
 // New creates a streaming decoder without deadline enforcement or
@@ -251,6 +252,7 @@ func NewRobust(distance, window, commit int, r Robust) (*Decoder, error) {
 }
 
 // newDecoder builds NewRobust's decoder, or Lanes.NewRobust's if deferred.
+// Neither owns a working set yet: the first decode builds it.
 func newDecoder(distance, window, commit int, r Robust, deferred bool) (*Decoder, error) {
 	if r.DeadlineNS < 0 || r.QueueCap < 0 {
 		return nil, fmt.Errorf("stream: negative deadline or queue cap")
@@ -298,9 +300,6 @@ func newDecoder(distance, window, commit int, r Robust, deferred bool) (*Decoder
 		d.lhCost = d.om.windowCostNS.NewLocal()
 		d.lhLag = d.om.queueLag.NewLocal()
 	}
-	if !deferred {
-		d.own.decoder(g) // a solo decoder decodes every window itself
-	}
 	return d, nil
 }
 
@@ -319,7 +318,7 @@ func (d *Decoder) SetTrace(t *obs.Trace, tid int32) {
 // decode's deadline budget. A pending window resolves first: it is already
 // full, so the charge belongs to the window after it.
 func (d *Decoder) AddPenaltyNS(ns float64) {
-	d.resolvePending(&d.own)
+	d.resolvePending()
 	if ns <= 0 {
 		return
 	}
@@ -336,7 +335,7 @@ func (d *Decoder) Report() faults.Report {
 	// charged before the ledger is read. Then any batched tallies publish,
 	// so a metrics snapshot taken next to the returned ledger covers the
 	// same events.
-	d.resolvePending(&d.own)
+	d.resolvePending()
 	d.flushObs()
 	rep := d.rep
 	rep.BacklogSheds = d.queue.Sheds
@@ -404,13 +403,21 @@ func (d *Decoder) PushErased() {
 	d.ingest(nil, true)
 }
 
-// resolvePending decodes a deferred window through the ordinary scalar
-// path on working set u; a no-op unless a window is pending.
-func (d *Decoder) resolvePending(u *units) {
+// resolvePending resolves a pending window alone, as a one-lane group on
+// the decoder's own Lanes; a no-op unless a window is pending.
+func (d *Decoder) resolvePending() {
 	if d.pending {
-		d.pending = false
-		d.decodeWindow(u, false)
+		d.ownLanes().resolveOne(d)
 	}
+}
+
+// ownLanes returns the decoder's own resolver, building it on first use.
+// It publishes into the decoder's metrics sink and shard.
+func (d *Decoder) ownLanes() *Lanes {
+	if d.own == nil {
+		d.own = newLanes(d.om, d.omShard)
+	}
+	return d.own
 }
 
 // ingest buffers one layer (validated events, or an erased blank) and
@@ -418,7 +425,7 @@ func (d *Decoder) resolvePending(u *units) {
 func (d *Decoder) ingest(events []int32, erased bool) {
 	// A deferred window must resolve before the next layer lands — the ring
 	// holds exactly Window slots, all of them occupied while pending.
-	d.resolvePending(&d.own)
+	d.resolvePending()
 	if d.robustOn {
 		sheds, recovers := d.queue.Sheds, d.queue.Recoveries
 		if d.queue.Arrive() {
@@ -468,10 +475,9 @@ func (d *Decoder) ingest(events []int32, erased bool) {
 	d.erased[si] = erased
 	d.ringLen++
 	if d.ringLen >= d.Window {
-		if d.deferDecode {
-			d.pending = true
-		} else {
-			d.decodeWindow(&d.own, false)
+		d.pending = true
+		if !d.deferDecode {
+			d.resolvePending()
 		}
 	}
 }
@@ -512,16 +518,18 @@ func (d *Decoder) shedOldest() {
 // round of the stream is assumed measured perfectly) and returns the
 // retained committed corrections (nil when a sink is installed — the sink
 // already received them). The decoder is left ready for a new stream.
-func (d *Decoder) Flush() []Correction { return d.flush(&d.own) }
+func (d *Decoder) Flush() []Correction { return d.flush(d.ownLanes()) }
 
-// flush is Flush with every decode on working set u.
-func (d *Decoder) flush(u *units) []Correction {
+// flush is Flush with every decode on resolver l.
+func (d *Decoder) flush(l *Lanes) []Correction {
 	// A pending window is a *sliding* decode the stream still owes; resolve
 	// it before the final closed-window loop, which would otherwise decode
 	// it with final semantics.
-	d.resolvePending(u)
+	if d.pending {
+		l.resolveOne(d)
+	}
 	for d.ringLen > 0 {
-		d.decodeWindow(u, true)
+		d.decodeWindow(&l.units, true)
 	}
 	out := d.committed
 	d.committed = nil
@@ -558,21 +566,18 @@ func (d *Decoder) emit(c Correction) {
 	d.committed = append(d.committed, c)
 }
 
-// decodeWindow decodes the current buffer prefix on working set u. In
-// sliding mode the prefix is exactly Window layers on the boundary window
-// graph and only the commit region is finalized; in final mode the whole
-// buffer is decoded on a closed graph and fully committed.
+// decodeWindow decodes the current buffer prefix in full on working set u.
+// In sliding mode (a window a lane group cannot scatter) the prefix is
+// exactly Window layers on the boundary window graph and only the commit
+// region is finalized; in final mode the whole buffer is decoded on a
+// closed graph and fully committed.
 func (d *Decoder) decodeWindow(u *units, final bool) {
-	var layers, commit int
+	layers := d.Window
 	if final {
 		layers = d.ringLen
-		commit = layers
-	} else {
-		layers = d.Window
-		commit = d.Commit
 	}
 	d.collectDefects(layers)
-	d.decodeCollected(u, final, layers, commit)
+	d.decodeCollected(u, final, layers)
 }
 
 // collectDefects rebuilds d.defects from the first `layers` buffered
@@ -609,12 +614,14 @@ func (d *Decoder) collectDefects(layers int) {
 	}
 }
 
-// decodeCollected decodes d.defects (already collected) on working set u
-// and finishes the window: the decode dispatch lives here, the deadline
-// accounting in chargeWindow, commit/slide/observability in finishWindow.
-func (d *Decoder) decodeCollected(u *units, final bool, layers, commit int) {
+// decodeCollected decodes d.defects (already collected from the first
+// `layers` buffered layers) on working set u and finishes the window: the
+// decode dispatch lives here, the deadline accounting and the sliding
+// commit depth in chargeWindow (a final window commits every layer),
+// commit/slide/observability in finishWindow.
+func (d *Decoder) decodeCollected(u *units, final bool, layers int) {
 	// Weight-0 fast path: a window with no detection events has the empty
-	// correction, and skipping DecodeHorizon outright is safe because the
+	// correction, and skipping Decode outright is safe because the
 	// decoder's reset is deferred, not lost — an empty decode would only
 	// restore the previous window's touched state and zero DecodeStats,
 	// and the next non-empty decode's reset restores exactly the same
@@ -627,12 +634,9 @@ func (d *Decoder) decodeCollected(u *units, final bool, layers, commit int) {
 	var corr []int32
 	var stats *core.DecodeStats
 	if !w0 {
-		// Only edges with Round < commit are kept, so a sliding decode may
-		// skip defect groups that provably cannot reach the commit region —
-		// the horizon is where a sliding window saves most of its decode
-		// work. A final window decodes on a closed graph from the
-		// process-wide lattice cache; a single remaining layer has no
-		// temporal structure and is decoded as a 2-D problem.
+		// A final window decodes on a closed graph from the process-wide
+		// lattice cache; a single remaining layer has no temporal structure
+		// and is decoded as a 2-D problem.
 		g = d.g
 		if final && layers == 1 {
 			g = lattice.Cached2D(d.Distance)
@@ -640,10 +644,10 @@ func (d *Decoder) decodeCollected(u *units, final bool, layers, commit int) {
 			g = lattice.Cached3D(d.Distance, layers)
 		}
 		dec := u.decoder(g)
-		corr = dec.DecodeHorizon(d.defects, int32(commit))
+		corr = dec.Decode(d.defects)
 		stats = &dec.Stats
 	}
-	var cost float64
+	commit, cost := layers, 0.0
 	if !final {
 		commit, cost = d.chargeWindow(stats)
 	}
@@ -653,8 +657,9 @@ func (d *Decoder) decodeCollected(u *units, final bool, layers, commit int) {
 // chargeWindow runs a sliding window through the deadline model and
 // returns the commit depth it finalizes and its model cost (Commit and 0
 // outside robust mode). stats is the window's decode profile, nil for a
-// weight-0 window. The scalar path and the lane fast path both charge
-// here, so a window's accounting does not depend on which one decoded it.
+// weight-0 window: a full decode's clusters, or a fast lane's
+// closed-form profile (commitFast). Every sliding window reaches here
+// through a lane group, so a solo decoder and a lane batch charge the same.
 func (d *Decoder) chargeWindow(stats *core.DecodeStats) (commit int, cost float64) {
 	if !d.robustOn {
 		return d.Commit, 0
@@ -696,10 +701,10 @@ func (d *Decoder) chargeWindow(stats *core.DecodeStats) (commit int, cost float6
 			// Degrade only when this window's own decode is over budget:
 			// finalize the oldest layer and defer the rest to the next
 			// window, which re-decodes them with more context. The
-			// horizon-filtered correction is decision-identical to a full
-			// decode's edges below the horizon, so its Round < 1 subset IS
-			// the one-layer commit — the commit loop's round filter
-			// extracts it with no second decode. When only inherited
+			// window's correction holds every edge of a full decode (a
+			// fast lane's emits are the same edges), so its Round < 1
+			// subset IS the one-layer commit — the commit loop's round
+			// filter extracts it with no second decode. When only inherited
 			// backlog pushed the response over, shrinking the commit would
 			// raise the window arrival rate and deepen the very backlog it
 			// inherited (a metastable cascade); the bounded queue's
@@ -717,15 +722,15 @@ func (d *Decoder) chargeWindow(stats *core.DecodeStats) (commit int, cost float6
 	return commit, cost
 }
 
-// commitFast finishes a deferred sliding window whose correction was
-// computed by the lane fast path: corr holds the fast groups' emit edges
-// (window-graph edge ids) and ndefects the window's defect count. A fast
-// lane is a window decodeSparse resolves with no slow group, so its decode
-// profile is DecodeStats{NumDefects: ndefects} with no clusters — exactly
-// what the scalar path hands the deadline model — and an empty lane is the
-// weight-0 skip. corr lists every fast edge regardless of the horizon; the
-// commit loop's round filter keeps what a scalar decode would commit, at
-// the normal depth and at a degraded one alike.
+// commitFast finishes a pending sliding window the lane certificate
+// resolved whole: corr holds its emit edges (window-graph edge ids), the
+// edges a full decode of the window returns (core's
+// TestClassifySparseMatchesFullDecode), and ndefects the window's defect
+// count. The deadline model charges it DecodeStats{NumDefects: ndefects}
+// with no clusters (microarch.Model.WindowCost); an empty lane is the
+// weight-0 skip. corr lists every edge regardless of the commit depth; the
+// commit loop's round filter keeps the commit region, at the normal depth
+// and at a degraded one alike.
 func (d *Decoder) commitFast(corr []int32, ndefects int) {
 	var stats *core.DecodeStats
 	if ndefects != 0 {
@@ -735,12 +740,13 @@ func (d *Decoder) commitFast(corr []int32, ndefects int) {
 	d.finishWindow(d.g, corr, commit, false, ndefects == 0, ndefects, cost)
 }
 
-// decodeGathered finishes a deferred sliding window through the ordinary
-// scalar decode on working set u, taking the defect list from the Lanes
-// scatter pass (ascending vertex order, as collectDefects builds it).
+// decodeGathered finishes a pending sliding window the lane certificate
+// could not resolve whole through a full decode on working set u, taking
+// the defect list from the Lanes scatter pass (ascending vertex order, as
+// collectDefects builds it).
 func (d *Decoder) decodeGathered(u *units, defects []int32) {
 	d.defects = append(d.defects[:0], defects...)
-	d.decodeCollected(u, false, d.Window, d.Commit)
+	d.decodeCollected(u, false, d.Window)
 }
 
 // finishWindow commits a decoded window and slides the ring: the commit
@@ -803,9 +809,9 @@ func (d *Decoder) finishWindow(g *lattice.Graph, corr []int32, commit int, final
 	}
 
 	// Tally the window locally: the decode itself and its commit outcome
-	// (a window with defects but nothing committable below the horizon is
-	// the horizon shortcut's win), publishing to the shared sink every
-	// obsFlushWindows decodes and on final windows.
+	// (a window with defects but no correction below the commit depth
+	// defers every decision to the next window), publishing to the shared
+	// sink every obsFlushWindows decodes and on final windows.
 	if d.om != nil {
 		d.omWindows++
 		if w0 {
@@ -848,15 +854,15 @@ func (d *Decoder) finishWindow(g *lattice.Graph, corr []int32, commit int, final
 }
 
 // coreOpts is every core decoder's option set. The deadline model needs
-// per-cluster profiles (ClusterStats: one append per full-pipeline cluster)
-// but none of the per-access counters, whose full profile would cost ~25%
-// throughput; other streams and final windows never read Stats.
-var coreOpts = core.Options{LeanStats: true, ClusterStats: true, SparseShortcut: true}
+// per-cluster profiles (ClusterStats: one append per cluster) but none of
+// the per-access counters, whose full profile would cost ~25% throughput;
+// other streams and final windows never read Stats.
+var coreOpts = core.Options{LeanStats: true, ClusterStats: true}
 
 // units is a Union-Find working set: one core decoder per graph (cached, so
 // the pointer is the key; a handful per set), built on first use. Sharing
-// one among streams never shows in a result, since DecodeHorizon is a pure
-// function of (defects, horizon) (core's TestDecoderReuseIsDeterministic).
+// one among streams never shows in a result, since Decode is a pure
+// function of the defects (core's TestDecoderReuseIsDeterministic).
 type units []*core.Decoder
 
 func (u *units) decoder(g *lattice.Graph) *core.Decoder {
