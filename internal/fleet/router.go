@@ -56,18 +56,26 @@ type Config struct {
 	HeartbeatEvery time.Duration
 
 	// JournalMaxBytes caps each stream's replay journal (0 selects 4 MiB;
-	// negative disables the cap). The journal only trims on shard
-	// checkpoints, so a shard that keeps accepting rounds without ever
-	// checkpointing — stalled decode loop, wedged disk, a kill -STOP —
-	// would otherwise grow the router's memory without bound while the
-	// socket and heartbeats stay healthy. Crossing the cap first gives the
-	// shard a bounded wait to deliver a trimming checkpoint (it may simply
-	// be catching up on a replayed journal); if the journal stays over
-	// budget the laggard is shed: the session is declared dead exactly like a crash, and the
-	// usual recovery (reconnect or failover, checkpoint restore, journal
-	// replay) moves its streams to a shard that makes progress. No rounds
-	// are dropped — the journal survives intact through the failover and
-	// trims as soon as the adopting shard checkpoints.
+	// negative disables the cap), counted in journalEntryCost units. The
+	// journal only trims on shard checkpoints, so a shard that keeps
+	// accepting rounds without ever checkpointing — stalled decode loop,
+	// wedged disk, a kill -STOP — would otherwise grow the router's memory
+	// without bound while the socket and heartbeats stay healthy. Crossing
+	// the cap first gives the shard a bounded wait to deliver a trimming
+	// checkpoint (it may simply be catching up on a replayed journal); if
+	// the journal stays over budget the laggard is shed: the session is
+	// declared dead exactly like a crash, and the usual recovery (reconnect
+	// or failover, checkpoint restore, journal replay) moves its streams to
+	// a shard that makes progress. No rounds are dropped — the journal
+	// survives intact through the failover and trims as soon as the
+	// adopting shard checkpoints.
+	//
+	// The journal is round-major: it keeps a round for every stream until
+	// every stream's checkpoint has passed it. So a laggard keeps every
+	// stream's rounds alive, not just its own, until its cap sheds it —
+	// within about JournalMaxBytes/48 rounds, since each round costs at
+	// least 48 units. Retained memory is bounded by that many rounds of the
+	// whole fleet.
 	JournalMaxBytes int
 }
 
@@ -107,26 +115,43 @@ func (c Config) journalMaxBytes() int {
 	return c.JournalMaxBytes
 }
 
-// journalEntryCost is the router's accounting charge for one replay-journal
-// entry: the entry struct and slice header overhead plus four bytes per
-// retained event. Charged on append, refunded on checkpoint trim.
+// journalEntryCost is the unit Config.JournalMaxBytes caps a stream's
+// journal in: 48 per round plus four per retained event. It is an
+// accounting charge, not the entry's real size (a block entry takes 32
+// bytes plus four per event). Charged when a round is journaled, refunded
+// when a checkpoint trims it.
 func journalEntryCost(events []int32) int { return 48 + 4*len(events) }
 
-// maxFreeSlices bounds each stream's recycled-slice pool. Checkpoints can
-// trim hundreds of entries at once; keeping them all would just move the
-// unbounded-memory problem from the journal to the free list.
-const maxFreeSlices = 64
+// maxSpareBlocks bounds the recycled-block pool. Steady-state checkpoints
+// recycle about one cadence of blocks at a time; a shed laggard can free
+// JournalMaxBytes/48 rounds at once, and keeping them all would pin the
+// laggard's peak memory for the router's lifetime.
+const maxSpareBlocks = 4 * DefaultCheckpointEvery
 
-// journalEntry is one post-chaos round retained for replay: exactly what
-// went (or would have gone) on the wire — the delivered events, the erasure
-// flag, and the injected service-time penalty. Replaying journal entries
-// re-uses the original fault outcomes instead of rolling new ones, which is
-// what keeps recovery byte-identical.
+// journalEntry is one stream's post-chaos round in a journal block:
+// exactly what went (or would have gone) on the wire — the delivered
+// events (events[off:off+n] of the block's arena), the erasure flag and
+// the injected service-time penalty — plus the stream's running total of
+// accounted journal bytes through this round. Replaying entries re-uses
+// the original fault outcomes instead of rolling new ones, which is what
+// keeps recovery byte-identical.
 type journalEntry struct {
-	events  []int32
+	off, n  uint32
 	erased  bool
 	penalty float64
+	total   uint64
 }
+
+// journalBlock is one journaled round: every stream's entry, in stream
+// order, over one shared event arena.
+type journalBlock struct {
+	round   uint64
+	entries []journalEntry
+	arena   []int32
+}
+
+// events returns e's delivered events.
+func (b *journalBlock) events(e *journalEntry) []int32 { return b.arena[e.off : e.off+e.n] }
 
 // streamState is the router's view of one logical-qubit stream.
 type streamState struct {
@@ -136,24 +161,24 @@ type streamState struct {
 
 	ch *faults.Channel // router-side chaos link, nil without Chaos
 
-	sent      uint64 // rounds journaled (and sent, modulo an in-flight crash)
 	delivered uint64 // last correction seq delivered to the sink
 
 	// handed is the stream's watermark on its current session: rounds
 	// [0, handed) are on their way to the shard, from live sends or from
 	// the replay that opened the session. A recovery triggered mid-round
 	// replays that round for every stream it moves, so those streams are
-	// already at sent and must not be handed the round again.
+	// already at the router's sent count and must not be handed the round
+	// again.
 	handed uint64
 
-	// The bounded replay journal: entries for rounds [jbase, sent), where
-	// jbase equals the last received checkpoint's round count. ckptSnap is
-	// that checkpoint's binary snapshot (nil before the first checkpoint —
+	// The stream's share of the replay journal: its entries in rounds
+	// [jbase, sent), where jbase equals the last received checkpoint's
+	// round count and jtrim is the running total of round jbase-1 (the
+	// accounted bytes checkpoints have trimmed). ckptSnap is that
+	// checkpoint's binary snapshot (nil before the first checkpoint —
 	// recovery then re-opens fresh and replays from round 0).
 	jbase       uint64
-	journal     []journalEntry
-	jbytes      int       // accounted journal size (journalEntryCost per entry)
-	free        [][]int32 // recycled event slices from trimmed entries
+	jtrim       uint64
 	ckptCorrSeq uint64
 	ckptSnap    []byte
 
@@ -203,7 +228,7 @@ type RecoveryStats struct {
 }
 
 // Router is the fleet front end: it owns stream placement, the per-stream
-// chaos channels, the bounded replay journals, and crash recovery. Router
+// chaos channels, the bounded replay journal, and crash recovery. Router
 // methods must not be called concurrently with each other; the concurrency
 // inside (per-shard reader and heartbeat goroutines) is invisible to the
 // caller beyond sink invocations.
@@ -215,14 +240,19 @@ type Router struct {
 	streams []*streamState
 	retain  [][]stream.Correction // when cfg.Sink == nil
 
-	// Per-round scratch of RunRounds (caller thread only): each stream's
-	// post-chaos round, and the streams whose journal went over budget.
-	in   []roundIn
-	over []*streamState
+	// The round-major replay journal: blocks holds rounds
+	// [blocks[0].round, sent), one block per round, and spare the recycled
+	// blocks. Only the caller thread writes them (blocks and sent under
+	// mu); the reader goroutine reads one entry per checkpoint under mu.
+	// over is RunRounds' per-round list of streams over the journal budget.
+	sent   uint64
+	blocks []*journalBlock
+	spare  []*journalBlock
+	over   []*streamState
 
-	// mu guards stream state (journals, checkpoints, delivery counters),
-	// the pending-open table, and flush signaling. Never held across a
-	// socket write.
+	// mu guards stream state (journal marks, checkpoints, delivery
+	// counters), the journal's block list, the pending-open table, and
+	// flush signaling. Never held across a socket write.
 	mu      sync.Mutex
 	pending map[pendingKey]chan pendingResult
 	flushCh chan int // receives link indices whose flushOK arrived
@@ -267,10 +297,30 @@ func Dial(cfg Config) (*Router, error) {
 	if _, err := stream.NewRobust(cfg.Distance, cfg.Window, cfg.Commit, stream.Robust{DeadlineNS: cfg.DeadlineNS, QueueCap: cfg.QueueCap}); err != nil {
 		return nil, err
 	}
+	r := newRouter(cfg)
+	for _, l := range r.links {
+		if err := r.connect(l); err != nil {
+			r.Close()
+			return nil, fmt.Errorf("fleet: shard %d (%s): %w", l.idx, l.addr, err)
+		}
+	}
+	// Place every stream: batches of opens per shard, pipelined, spilling
+	// on refusal.
+	for _, st := range r.streams {
+		if err := r.place(st); err != nil {
+			r.Close()
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// newRouter builds a router's unconnected state: links, streams and their
+// chaos channels.
+func newRouter(cfg Config) *Router {
 	r := &Router{
 		cfg:     cfg,
 		per:     cfg.Distance * (cfg.Distance - 1),
-		in:      make([]roundIn, cfg.Streams),
 		pending: map[pendingKey]chan pendingResult{},
 		flushCh: make(chan int, len(cfg.Shards)*4),
 	}
@@ -291,21 +341,7 @@ func Dial(cfg Config) (*Router, error) {
 		}
 		r.streams[i] = st
 	}
-	for _, l := range r.links {
-		if err := r.connect(l); err != nil {
-			r.Close()
-			return nil, fmt.Errorf("fleet: shard %d (%s): %w", l.idx, l.addr, err)
-		}
-	}
-	// Place every stream: batches of opens per shard, pipelined, spilling
-	// on refusal.
-	for _, st := range r.streams {
-		if err := r.place(st); err != nil {
-			r.Close()
-			return nil, err
-		}
-	}
-	return r, nil
+	return r
 }
 
 // connect establishes a fresh session on l and starts its reader and
@@ -478,22 +514,15 @@ func (r *Router) handleCheckpoint(l *link, env envelope) error {
 		// round an earlier checkpoint already covered. Nothing to trim.
 		return nil
 	}
-	if rounds > st.sent {
-		return fmt.Errorf("fleet: stream %d checkpoint at round %d past %d sent", i, rounds, st.sent)
+	if rounds > r.sent {
+		return fmt.Errorf("fleet: stream %d checkpoint at round %d past %d sent", i, rounds, r.sent)
 	}
 	st.ckptCorrSeq = corrSeq
 	st.ckptSnap = append(st.ckptSnap[:0], snap...)
-	// Trim the journal up to the snapshot: those rounds are now durable in
-	// the checkpoint and will never need replay. Their event slices go to
-	// the free list so the steady state stops allocating.
-	drop := int(rounds - st.jbase)
-	for k := 0; k < drop; k++ {
-		st.jbytes -= journalEntryCost(st.journal[k].events)
-		if ev := st.journal[k].events; ev != nil && len(st.free) < maxFreeSlices {
-			st.free = append(st.free, ev[:0])
-		}
-	}
-	st.journal = append(st.journal[:0], st.journal[drop:]...)
+	// Trim the stream's journal up to the snapshot: those rounds are now
+	// durable in the checkpoint and will never need replay. The blocks
+	// stay until every stream has passed them; only the marks move.
+	st.jtrim = r.block(rounds - 1).entries[i].total
 	st.jbase = rounds
 	r.trimCond.Broadcast()
 	fObs.checkpoints.Inc(l.idx)
@@ -601,13 +630,12 @@ func (r *Router) flushLink(l *link) error {
 }
 
 // replayPlan is an atomic capture of a stream's recovery state: the round
-// the open's checkpoint resumes from and a private copy of the journal
-// entries to replay after it. The copy makes the replay immune to the
-// journal being trimmed (shifted in place) by checkpoints that land while
-// the replay is still on the wire.
+// the open's checkpoint resumes from, and the end of the journal. A
+// checkpoint that lands while the replay is on the wire only moves the
+// stream's marks; blocks are recycled when the caller thread journals its
+// next round, which no replay overlaps.
 type replayPlan struct {
-	base    uint64
-	entries []journalEntry
+	base, end uint64
 }
 
 // openOn sends one open for st on l and waits for the verdict, returning
@@ -621,16 +649,15 @@ func (r *Router) openOn(st *streamState, l *link) (ok bool, reason string, plan 
 		QueueCap:   r.cfg.QueueCap,
 	}
 	// The open and the replay plan must be one atomic read of the stream's
-	// recovery state: a checkpoint arriving between them would trim the
-	// journal in place under the replay's feet (and advance jbase past the
-	// base the open just promised). Encode inside the lock too — ckptSnap
-	// is rewritten in place when the next checkpoint lands.
+	// recovery state: a checkpoint arriving between them would advance
+	// jbase past the base the open just promised. Encode inside the lock
+	// too — ckptSnap is rewritten in place when the next checkpoint lands.
 	r.mu.Lock()
 	op.Rounds = st.jbase
 	op.CorrSeq = st.ckptCorrSeq
 	op.Snapshot = st.ckptSnap
 	blob := appendOpenPayload(nil, op)
-	plan = replayPlan{base: st.jbase, entries: append([]journalEntry(nil), st.journal...)}
+	plan = replayPlan{base: st.jbase, end: r.sent}
 	r.mu.Unlock()
 	ch := make(chan pendingResult, 1)
 	l.wmu.Lock()
@@ -680,14 +707,13 @@ func (r *Router) place(st *streamState) error {
 	return fmt.Errorf("fleet: no shard admits stream %d: %s", st.id, lastReason)
 }
 
-// replay re-sends st's captured journal to l: rounds [plan.base, sent at
-// capture) with their original sequence numbers, fault outcomes and
-// penalties, packed as consecutive entries of msgRounds envelopes. The
+// replay re-sends st's journal to l: rounds [plan.base, plan.end) with
+// their original sequence numbers, fault outcomes and penalties, read from
+// the blocks and packed as consecutive entries of msgRounds envelopes. The
 // shard regenerates any corrections the fleet already delivered; seq dedup
 // drops them. On success the session has been handed every round.
 func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
-	entries := plan.entries
-	for k := 0; k < len(entries); {
+	for k := plan.base; k < plan.end; {
 		l.wmu.Lock()
 		if !l.up.Load() {
 			l.wmu.Unlock()
@@ -695,9 +721,10 @@ func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 		}
 		gen := l.gen
 		l.pbuf = l.pbuf[:0]
-		for ; k < len(entries) && len(l.pbuf) < maxBatch; k++ {
-			e := &entries[k]
-			l.pbuf = appendRoundsEntry(l.pbuf, uint32(st.id), uint32(plan.base+uint64(k)), e.events, e.erased, e.penalty, r.per)
+		for ; k < plan.end && len(l.pbuf) < maxBatch; k++ {
+			b := r.block(k)
+			e := &b.entries[st.id]
+			l.pbuf = appendRoundsEntry(l.pbuf, uint32(st.id), uint32(k), b.events(e), e.erased, e.penalty, r.per)
 		}
 		err := r.sendLocked(l, msgRounds, 0, l.pbuf)
 		l.wmu.Unlock()
@@ -706,14 +733,14 @@ func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 			return errShardDown
 		}
 	}
-	if len(entries) > 0 {
-		fObs.replayed.Add(l.idx, uint64(len(entries)))
-		fObs.roundsRouted.Add(l.idx, uint64(len(entries)))
+	if n := plan.end - plan.base; n > 0 {
+		fObs.replayed.Add(l.idx, n)
+		fObs.roundsRouted.Add(l.idx, n)
 	}
 	if err := r.flushLink(l); err != nil {
 		return err
 	}
-	st.handed = plan.base + uint64(len(entries))
+	st.handed = plan.end
 	return nil
 }
 
@@ -768,39 +795,74 @@ func (r *Router) recover(idx int) error {
 	return nil
 }
 
-// roundIn is one stream's post-chaos round on its way to the journal and
-// the wire: exactly what the shard will ingest.
-type roundIn struct {
-	events  []int32
-	erased  bool
-	penalty float64
+// block returns the journal block of round k, which must be retained.
+func (r *Router) block(k uint64) *journalBlock { return r.blocks[k-r.blocks[0].round] }
+
+// journalBytes is st's accounted journal size: the running total of its
+// newest round less that of the last round its checkpoint covers. Callers
+// hold r.mu.
+func (r *Router) journalBytes(st *streamState) uint64 {
+	if r.sent == 0 {
+		return 0
+	}
+	return r.block(r.sent - 1).entries[st.id].total - st.jtrim
 }
 
-// journalRound appends the round in r.in to every stream's replay journal
-// under one r.mu acquisition, collecting the streams it puts over the
-// journal budget in r.over. Journaling before sending means a send that
-// dies mid-flight is replayed by the recovery the failure triggers.
-func (r *Router) journalRound() {
-	budget := r.cfg.journalMaxBytes()
+// journalRound journals round for every stream as one block, in one
+// sequential pass: each stream's events from feed, through its chaos
+// channel, become a fixed-size entry over the block's event arena.
+// Publishing the block under one r.mu acquisition collects the streams it
+// puts over the journal budget in r.over and recycles the blocks every
+// stream's checkpoint has passed. Journaling before sending means a send
+// that dies mid-flight is replayed by the recovery the failure triggers.
+func (r *Router) journalRound(round int, feed func(stream, round int) []int32) {
+	var b *journalBlock
+	if n := len(r.spare); n > 0 {
+		b, r.spare = r.spare[n-1], r.spare[:n-1]
+		b.arena = b.arena[:0]
+	} else {
+		b = &journalBlock{entries: make([]journalEntry, len(r.streams))}
+	}
+	b.round = r.sent
+	var prev []journalEntry
+	if r.sent > 0 {
+		prev = r.block(r.sent - 1).entries
+	}
+	for i, st := range r.streams {
+		events, erased, penalty := feed(st.id, round), false, 0.0
+		if st.ch != nil {
+			events, erased, penalty = st.ch.Transfer(events)
+		}
+		if erased {
+			events = nil
+		}
+		e := &b.entries[i]
+		*e = journalEntry{off: uint32(len(b.arena)), n: uint32(len(events)), erased: erased, penalty: penalty, total: uint64(journalEntryCost(events))}
+		if prev != nil {
+			e.total += prev[i].total
+		}
+		b.arena = append(b.arena, events...)
+	}
+	budget := uint64(r.cfg.journalMaxBytes())
 	r.over = r.over[:0]
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.blocks = append(r.blocks, b)
+	r.sent++
+	low := r.sent
 	for i, st := range r.streams {
-		in := &r.in[i]
-		var ev []int32
-		if n := len(st.free); n > 0 && !in.erased {
-			ev = append(st.free[n-1], in.events...)
-			st.free = st.free[:n-1]
-		} else if !in.erased {
-			ev = append([]int32(nil), in.events...)
-		}
-		st.journal = append(st.journal, journalEntry{events: ev, erased: in.erased, penalty: in.penalty})
-		st.jbytes += journalEntryCost(ev)
-		st.sent++
-		if budget > 0 && st.jbytes > budget {
+		if budget > 0 && b.entries[i].total-st.jtrim > budget {
 			r.over = append(r.over, st)
 		}
+		low = min(low, st.jbase)
 	}
+	// Recycle the blocks below every stream's checkpoint. A checkpoint
+	// never passes the round being published, so this block stays.
+	k := int(low - r.blocks[0].round)
+	r.spare = append(r.spare, r.blocks[:min(k, maxSpareBlocks-len(r.spare))]...)
+	n := copy(r.blocks, r.blocks[k:])
+	clear(r.blocks[n:])
+	r.blocks = r.blocks[:n]
 }
 
 // enforceBudget handles a stream whose journal is over budget: its shard
@@ -828,18 +890,19 @@ func (r *Router) enforceBudget(st *streamState) error {
 	return nil
 }
 
-// sendRound hands the journaled round in r.in to the shards: one msgRounds
+// sendRound hands the newest journal block to the shards: one msgRounds
 // envelope per shard (split at maxBatch), with one entry per stream that
 // has not had the round yet. A dead shard triggers recovery, which replays
 // the round to every stream it moves.
 func (r *Router) sendRound() error {
+	b := r.blocks[len(r.blocks)-1]
 	for i, st := range r.streams {
-		if st.handed == st.sent {
+		if st.handed == r.sent {
 			continue // a recovery this round already replayed it
 		}
-		in := &r.in[i]
+		e := &b.entries[i]
 		l := r.links[st.cur]
-		l.batch = appendRoundsEntry(l.batch, uint32(st.id), uint32(st.handed), in.events, in.erased, in.penalty, r.per)
+		l.batch = appendRoundsEntry(l.batch, uint32(st.id), uint32(st.handed), b.events(e), e.erased, e.penalty, r.per)
 		l.batched++
 		st.handed++
 		if len(l.batch) >= maxBatch {
@@ -897,39 +960,32 @@ func (r *Router) awaitJournalTrim(st *streamState, budget int) bool {
 	defer timer.Stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for st.jbytes > budget && !expired {
+	for r.journalBytes(st) > uint64(budget) && !expired {
 		r.trimCond.Wait()
 	}
-	return st.jbytes <= budget
+	return r.journalBytes(st) <= uint64(budget)
 }
 
 // flushEveryRounds bounds how long routed rounds may sit in the write
 // buffers: the shard cannot decode (or checkpoint) what it has not
-// received, and the journals only trim on checkpoints.
+// received, and the journal only trims on checkpoints.
 const flushEveryRounds = 16
 
 // RunRounds feeds n rounds to every stream, pulling each round's detection
 // events from feed(stream, round) — invoked exactly once per (stream,
 // round), in round order per stream, exactly like stream.Engine.RunRounds.
 // Each round passes through every stream's chaos channel (when
-// configured), is journaled for all streams under one lock acquisition,
-// and goes to each shard as one msgRounds envelope holding its streams'
-// rounds; a shard crash anywhere in the batch triggers recovery (reconnect
-// or failover plus replay) and the batch continues. Corrections arrive
+// configured), is journaled for all streams as one block, and goes to
+// each shard as one msgRounds envelope holding its streams' rounds; a
+// shard crash anywhere in the batch triggers recovery (reconnect or
+// failover plus replay) and the batch continues. Corrections arrive
 // asynchronously; Flush is the barrier that makes them all visible.
 func (r *Router) RunRounds(n int, feed func(stream, round int) []int32) error {
 	if r.closed || r.ended {
 		return errors.New("fleet: router used after Flush or Close")
 	}
 	for round := 0; round < n; round++ {
-		for i, st := range r.streams {
-			in := &r.in[i]
-			in.events, in.erased, in.penalty = feed(st.id, round), false, 0
-			if st.ch != nil {
-				in.events, in.erased, in.penalty = st.ch.Transfer(in.events)
-			}
-		}
-		r.journalRound()
+		r.journalRound(round, feed)
 		for _, st := range r.over {
 			if err := r.enforceBudget(st); err != nil {
 				if err := r.recover(st.cur); err != nil {
@@ -1066,7 +1122,7 @@ func (r *Router) JournalStats(i int) (entries, bytes int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.streams[i]
-	return len(st.journal), st.jbytes
+	return int(r.sent - st.jbase), int(r.journalBytes(st))
 }
 
 // Committed returns the corrections retained for stream i (router built

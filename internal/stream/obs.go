@@ -18,7 +18,7 @@ type streamObs struct {
 	shedRounds      *obs.Counter // rounds erased by backpressure
 	windows         *obs.Counter // window decodes (sliding + final)
 	w0Windows       *obs.Counter // zero-defect windows resolved by the weight-0 skip
-	horizonSkips    *obs.Counter // windows whose decode committed nothing despite defects
+	deferred        *obs.Counter // windows with defects whose decode committed nothing
 	timeouts        *obs.Counter // deadline overruns (Eq. 4 p_tof numerator)
 	degraded        *obs.Counter // one-layer degraded commits
 	corrections     *obs.Counter // corrections committed
@@ -48,7 +48,7 @@ func newStreamObs(reg *obs.Registry) *streamObs {
 		shedRounds:      reg.NewCounter("afs_stream_shed_rounds_total", "rounds erased by backpressure shedding", s),
 		windows:         reg.NewCounter("afs_stream_windows_total", "sliding-window decodes executed", s),
 		w0Windows:       reg.NewCounter("afs_stream_w0_windows_total", "zero-defect windows resolved by the weight-0 skip (no decode)", s),
-		horizonSkips:    reg.NewCounter("afs_stream_window_horizon_skips_total", "windows with defects but no committable correction below the horizon", s),
+		deferred:        reg.NewCounter("afs_stream_window_deferred_total", "windows with defects whose decode committed nothing below the commit depth", s),
 		timeouts:        reg.NewCounter("afs_stream_timeouts_total", "window decodes past the model deadline (p_tof numerator)", s),
 		degraded:        reg.NewCounter("afs_stream_degraded_commits_total", "deadline overruns committed degraded (one layer)", s),
 		corrections:     reg.NewCounter("afs_stream_corrections_total", "corrections committed across all streams", s),
@@ -66,7 +66,8 @@ func newStreamObs(reg *obs.Registry) *streamObs {
 }
 
 // registeredObs is the sink registered on the default registry; obsSink is
-// what new decoders capture (nil when disabled via SetObsEnabled).
+// what new decoders capture. Only tests swap it (to nil, for decoders
+// built without metrics).
 var (
 	registeredObs = newStreamObs(obs.Default())
 	obsSink       atomic.Pointer[streamObs]
@@ -86,18 +87,6 @@ func init() {
 	reg.RegisterGauge("afs_stream_backlog_open_episodes", "shedding episodes currently open across the fleet", func() float64 {
 		return float64(registeredObs.backlogSheds.Value() - registeredObs.backlogRecovers.Value())
 	})
-}
-
-// SetObsEnabled installs (true, the default) or removes (false) the metrics
-// sink captured by decoders created afterwards. It exists so the perf
-// harness can A/B the instrumentation cost on otherwise identical decoders;
-// production callers never need it.
-func SetObsEnabled(on bool) {
-	if on {
-		obsSink.Store(registeredObs)
-	} else {
-		obsSink.Store(nil)
-	}
 }
 
 // nextObsShard spreads decoders over the metric shards.

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"afs/internal/faults"
@@ -10,6 +11,35 @@ import (
 	"afs/internal/noise"
 	"afs/internal/obs"
 )
+
+// SetObsEnabled installs (true, the default) or removes (false) the metrics
+// sink captured by decoders created afterwards, so a test can build
+// otherwise identical decoders with and without instrumentation. It is
+// process-wide: a caller restores it to true before returning.
+func SetObsEnabled(on bool) {
+	if on {
+		obsSink.Store(registeredObs)
+	} else {
+		obsSink.Store(nil)
+	}
+}
+
+// TestDeferredWindowCounterName checks that a scrape of the default
+// registry exports the deferred-window counter under its current name and
+// not under the name of the deleted horizon shortcut.
+func TestDeferredWindowCounterName(t *testing.T) {
+	var buf bytes.Buffer
+	if err := obs.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	scrape := buf.String()
+	if !strings.Contains(scrape, "afs_stream_window_deferred_total") {
+		t.Fatal("scrape lacks afs_stream_window_deferred_total")
+	}
+	if strings.Contains(scrape, "horizon_skips") {
+		t.Fatal("scrape still exports the horizon-skip counter name")
+	}
+}
 
 // runObsEngine drives the same fixed-seed chaos fleet as the determinism
 // tests, optionally with a trace installed, and returns the committed

@@ -140,7 +140,7 @@ type Decoder struct {
 	// Observability (internal/obs). om is the fleet-wide metrics sink
 	// captured at construction (nil when disabled), omShard the padded-slot
 	// hint. The steady-state signals — rounds, windows, corrections,
-	// horizon skips, and the three histograms — accumulate in plain local
+	// deferred windows, and the three histograms — accumulate in plain local
 	// tallies (omRounds..lhLag) and publish into the shared sink every
 	// obsFlushWindows window decodes (flushObs), so the per-round and
 	// per-window paths carry a couple of plain adds instead of atomics;
@@ -148,19 +148,19 @@ type Decoder struct {
 	// when installed, receives model-time events labeled tid. All of it is
 	// write-only from the decode path: results are bit-identical with
 	// observability on or off.
-	om             *streamObs
-	omShard        int
-	omRounds       uint64
-	omWindows      uint64
-	omCorrections  uint64
-	omHorizonSkips uint64
-	omW0Windows    uint64
-	omPending      int
-	lhDefects      *obs.LocalHist
-	lhCost         *obs.LocalHist
-	lhLag          *obs.LocalHist
-	trace          *obs.Trace
-	tid            int32
+	om            *streamObs
+	omShard       int
+	omRounds      uint64
+	omWindows     uint64
+	omCorrections uint64
+	omDeferred    uint64
+	omW0Windows   uint64
+	omPending     int
+	lhDefects     *obs.LocalHist
+	lhCost        *obs.LocalHist
+	lhLag         *obs.LocalHist
+	trace         *obs.Trace
+	tid           int32
 }
 
 // obsFlushWindows is how many window decodes the steady-state metric
@@ -192,9 +192,9 @@ func (d *Decoder) flushObs() {
 		o.corrections.Add(d.omShard, d.omCorrections)
 		d.omCorrections = 0
 	}
-	if d.omHorizonSkips != 0 {
-		o.horizonSkips.Add(d.omShard, d.omHorizonSkips)
-		d.omHorizonSkips = 0
+	if d.omDeferred != 0 {
+		o.deferred.Add(d.omShard, d.omDeferred)
+		d.omDeferred = 0
 	}
 	if d.omW0Windows != 0 {
 		o.w0Windows.Add(d.omShard, d.omW0Windows)
@@ -820,7 +820,7 @@ func (d *Decoder) finishWindow(g *lattice.Graph, corr []int32, commit int, final
 		d.lhDefects.Observe(float64(ndefects))
 		d.omCorrections += uint64(committed)
 		if committed == 0 && ndefects > 0 {
-			d.omHorizonSkips++
+			d.omDeferred++
 		}
 		d.omPending++
 		if d.omPending >= obsFlushWindows || final {
