@@ -67,26 +67,9 @@ func RoundFrameBytes(n, per int) int {
 // nothing once dst has reached frame capacity.
 func AppendRoundFrame(dst []byte, seq uint32, events []int32, per int) []byte {
 	start := len(dst)
-	sparseBytes := 2 + 2*len(events)
-	bitmapBytes := (per + 7) / 8
 	dst = append(dst, frameMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, seq)
-	if bitmapBytes < sparseBytes {
-		dst = append(dst, payloadBitmap)
-		plo := len(dst)
-		for i := 0; i < bitmapBytes; i++ {
-			dst = append(dst, 0)
-		}
-		for _, x := range events {
-			dst[plo+int(x>>3)] |= 1 << (uint(x) & 7)
-		}
-	} else {
-		dst = append(dst, payloadSparse)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(events)))
-		for _, x := range events {
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(x))
-		}
-	}
+	dst = AppendRoundPayload(dst, events, per)
 	crc := crc32.Checksum(dst[start:], crcTable)
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
@@ -110,29 +93,74 @@ func DecodeRoundFrame(frame []byte, per int, out []int32) (seq uint32, events []
 		return 0, out, ErrFrameMalformed
 	}
 	seq = binary.LittleEndian.Uint32(body[1:5])
-	payload := body[frameHeaderBytes:]
-	switch body[5] {
+	events, err = DecodeRoundPayload(body[5:], per, out)
+	return seq, events, err
+}
+
+// AppendRoundPayload appends the §VII best-of encoding of one round's
+// events — a mode byte, then either a u16 count and one u16 index per
+// event (payloadSparse) or a ceil(per/8)-byte bitmap (payloadBitmap),
+// whichever is smaller, sparse on a tie — and returns the extended slice.
+// It is the payload of a round frame and, unsealed, of a fleet round
+// entry, whose envelope CRC covers it. events must be ascending ancilla
+// indices in [0, per).
+func AppendRoundPayload(dst []byte, events []int32, per int) []byte {
+	bitmapBytes := (per + 7) / 8
+	if bitmapBytes < 2+2*len(events) {
+		dst = append(dst, payloadBitmap)
+		plo := len(dst)
+		for i := 0; i < bitmapBytes; i++ {
+			dst = append(dst, 0)
+		}
+		for _, x := range events {
+			dst[plo+int(x>>3)] |= 1 << (uint(x) & 7)
+		}
+		return dst
+	}
+	dst = append(dst, payloadSparse)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(events)))
+	for _, x := range events {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(x))
+	}
+	return dst
+}
+
+// DecodeRoundPayload parses a whole payload produced by AppendRoundPayload,
+// appending the events to out[:0] in ascending order. Only the encoder's
+// own choice decodes: an out-of-range or non-ascending index, a length
+// that does not match the mode, trailing bytes, or the mode
+// AppendRoundPayload would not have picked for that many events is
+// ErrFrameMalformed. So a payload that decodes re-encodes to the same
+// bytes.
+func DecodeRoundPayload(p []byte, per int, out []int32) ([]int32, error) {
+	out = out[:0]
+	if len(p) < 1 {
+		return out, ErrFrameMalformed
+	}
+	mode, payload := p[0], p[1:]
+	bitmapBytes := (per + 7) / 8
+	switch mode {
 	case payloadSparse:
 		if len(payload) < 2 {
-			return seq, out, ErrFrameMalformed
+			return out, ErrFrameMalformed
 		}
 		n := int(binary.LittleEndian.Uint16(payload))
 		payload = payload[2:]
-		if len(payload) != 2*n {
-			return seq, out, ErrFrameMalformed
+		if len(payload) != 2*n || bitmapBytes < 2+2*n {
+			return out, ErrFrameMalformed
 		}
 		prev := int32(-1)
 		for i := 0; i < n; i++ {
 			x := int32(binary.LittleEndian.Uint16(payload[2*i:]))
 			if x <= prev || int(x) >= per {
-				return seq, out, ErrFrameMalformed
+				return out, ErrFrameMalformed
 			}
 			out = append(out, x)
 			prev = x
 		}
 	case payloadBitmap:
-		if len(payload) != (per+7)/8 {
-			return seq, out, ErrFrameMalformed
+		if len(payload) != bitmapBytes {
+			return out, ErrFrameMalformed
 		}
 		for i, b := range payload {
 			base := int32(i << 3)
@@ -140,14 +168,17 @@ func DecodeRoundFrame(frame []byte, per int, out []int32) (seq uint32, events []
 				bit := int32(bits.TrailingZeros8(b))
 				x := base + bit
 				if int(x) >= per {
-					return seq, out, ErrFrameMalformed
+					return out, ErrFrameMalformed
 				}
 				out = append(out, x)
 				b &= b - 1
 			}
 		}
+		if bitmapBytes >= 2+2*len(out) {
+			return out, ErrFrameMalformed
+		}
 	default:
-		return seq, out, ErrFrameMalformed
+		return out, ErrFrameMalformed
 	}
-	return seq, out, nil
+	return out, nil
 }

@@ -28,6 +28,8 @@ type fleetObs struct {
 	refusals     *obs.Counter // admission refusals (CDA block capacity)
 	shedWindows  *obs.Counter // rounds shed by shard-side backpressure (from flush ledgers)
 	journalSheds *obs.Counter // sessions shed for exceeding the replay-journal byte cap
+	stallSheds   *obs.Counter // sessions shed for acknowledging no round envelope
+	windowWaits  *obs.Counter // times RunRounds waited on a full round window
 	wireTx       *obs.Counter // bytes written to shard sockets
 	wireRx       *obs.Counter // bytes read from shard sockets
 }
@@ -49,6 +51,8 @@ var (
 			refusals:     reg.NewCounter("afs_fleet_admission_refusals_total", "stream opens refused by CDA block admission", s),
 			shedWindows:  reg.NewCounter("afs_fleet_shed_rounds_total", "rounds shed by shard-side backpressure (folded in at flush)", s),
 			journalSheds: reg.NewCounter("afs_fleet_journal_shed_sessions_total", "shard sessions shed for exceeding the replay-journal byte cap", s),
+			stallSheds:   reg.NewCounter("afs_fleet_stall_shed_sessions_total", "shard sessions shed for acknowledging no round envelope within the wait", s),
+			windowWaits:  reg.NewCounter("afs_fleet_window_waits_total", "times the router waited on a full round window", s),
 			wireTx:       reg.NewCounter("afs_fleet_wire_tx_bytes_total", "bytes written to shard sockets", s),
 			wireRx:       reg.NewCounter("afs_fleet_wire_rx_bytes_total", "bytes read from shard sockets", s),
 		}

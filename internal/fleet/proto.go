@@ -1,8 +1,13 @@
 // Package fleet turns the in-process stream engine into a horizontally
 // sharded decode service: a front-end router assigns logical-qubit streams
 // to N decode-shard processes over TCP or Unix sockets, speaking a
-// versioned wire protocol that reuses the CRC-32C round framing and §VII
-// syndrome compression of internal/compress for the per-round payload.
+// versioned wire protocol of CRC-32C-sealed envelopes. A round travels as
+// the §VII best-of payload of internal/compress (sparse indices or a
+// bitmap), sealed once by its envelope: the per-round frame the chaos link
+// (internal/faults) models around that payload is not on the fleet's wire.
+// The router keeps at most roundWindow round envelopes unacknowledged per
+// shard, so a round waits behind at most a few others on the way to its
+// decoder.
 //
 // The robustness core is crash recovery with byte-identical decoding:
 // shards checkpoint each stream's decoder (stream.Snapshot) every
@@ -40,14 +45,16 @@ import (
 
 // ProtoVersion is the fleet wire-protocol version. A peer speaking a
 // different version is rejected at decode time — version skew must fail
-// loudly, never mis-decode. Version 2 batches the data path by shard-round:
+// loudly, never mis-decode. Version 2 batched the data path by shard-round:
 // one msgRounds envelope carries a round of every stream a shard owns, one
 // msgCorrs envelope returns the corrections it produced, and opens and
-// checkpoints carry binary stream snapshots.
-const ProtoVersion = 2
+// checkpoints carry binary stream snapshots. Version 3 acknowledges every
+// msgRounds envelope with a msgRoundsOK, which bounds the rounds in flight,
+// and carries each round unframed inside its entry.
+const ProtoVersion = 3
 
 // Message types. Router→shard: open, rounds, flush, ping, close.
-// Shard→router: openOK/refuse, corrs, checkpoint, flushOK, pong.
+// Shard→router: openOK/refuse, corrs, checkpoint, flushOK, pong, roundsOK.
 const (
 	msgOpen       = 1  // open or adopt a stream (openPayload)
 	msgOpenOK     = 2  // stream admitted
@@ -60,6 +67,7 @@ const (
 	msgPing       = 9  // heartbeat probe
 	msgPong       = 10 // heartbeat reply
 	msgClose      = 11 // drop a stream without flushing (it moved elsewhere)
+	msgRoundsOK   = 12 // one msgRounds envelope fully handled (no payload)
 )
 
 // Envelope layout (little-endian):
@@ -71,9 +79,9 @@ const (
 //	payload      type-specific
 //	crc     u32  CRC-32C of version..payload
 //
-// The envelope CRC covers the header the round-frame CRC cannot see, so a
-// bit flip in the type or stream field is detected instead of routing a
-// round to the wrong decoder.
+// The envelope CRC is the only seal on the fleet's wire: it covers the
+// header, so a bit flip in the type or stream field is detected instead of
+// routing a round to the wrong decoder, and every round entry inside.
 const (
 	envHeadBytes = 1 + 1 + 4 // version + type + stream
 	envTailBytes = 4         // crc
@@ -184,7 +192,8 @@ func readEnvelope(r io.Reader, buf *[]byte) (envelope, error) {
 // one stream's journal into consecutive entries. A stream's entries are
 // in round order; the shard processes entries in order and answers the
 // envelope with the corrections they produced as one msgCorrs (none if
-// there were none, more than one past maxBatch).
+// there were none, more than one past maxBatch), then the checkpoints the
+// envelope made due, then one msgRoundsOK.
 const roundsEntryHead = 4 + 4
 
 // appendRoundsEntry appends one entry to a roundsPayload.
@@ -213,51 +222,72 @@ func nextRoundsEntry(p []byte) (id uint32, round, rest []byte, err error) {
 
 // roundPayload carries one syndrome round:
 //
-//	penalty u64  IEEE-754 bits of the injected service-time penalty (ns)
-//	flags   u8   bit 0: round erased (an explicit seq follows, no frame)
-//	seq     u32  round sequence number (erased rounds only)
-//	frame        compress round frame (non-erased rounds; carries its own seq)
+//	seq     u32  round sequence number
+//	flags   u8   bit 0: round erased (no events follow);
+//	             bit 1: a penalty follows
+//	penalty u64  IEEE-754 bits of the injected service-time penalty (ns),
+//	             present only when it is nonzero
+//	events       compress.AppendRoundPayload encoding (non-erased rounds)
 //
-// The frame reuses the §VII hybrid encoding (sparse indices or bitmap,
-// whichever is smaller) plus its own CRC-32C — the same bytes the
-// qubit→decoder link of the paper would carry, now inside a routed
-// envelope. Erased rounds have no frame to carry the sequence number, so
-// they carry it explicitly: the shard's end-to-end ordering check must
-// cover every round, or a replayed erased round would desynchronize a
-// recovered stream undetected.
-const roundFlagErased = 1
+// The events are the §VII best-of encoding — sparse indices or a bitmap,
+// whichever is smaller — without the round frame's magic byte, frame seq
+// and CRC-32C: the envelope CRC already seals these bytes, so a round is
+// sealed once. Every round, erased or not, carries its seq: the shard's
+// end-to-end ordering check must cover every round, or a replayed erased
+// round would desynchronize a recovered stream undetected. Most rounds
+// carry no penalty, so it costs eight bytes only where chaos injected one.
+const (
+	roundFlagErased  = 1
+	roundFlagPenalty = 2
+)
 
 func appendRoundPayload(dst []byte, seq uint32, events []int32, erased bool, penaltyNS float64, per int) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(penaltyNS))
+	dst = binary.LittleEndian.AppendUint32(dst, seq)
+	var flags uint8
 	if erased {
-		dst = append(dst, roundFlagErased)
-		return binary.LittleEndian.AppendUint32(dst, seq)
+		flags |= roundFlagErased
 	}
-	dst = append(dst, 0)
-	return compress.AppendRoundFrame(dst, seq, events, per)
+	if penaltyNS != 0 {
+		flags |= roundFlagPenalty
+	}
+	dst = append(dst, flags)
+	if penaltyNS != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(penaltyNS))
+	}
+	if erased {
+		return dst
+	}
+	return compress.AppendRoundPayload(dst, events, per)
 }
 
 // decodeRoundPayload parses a roundPayload. events aliases out's backing
-// array, like compress.DecodeRoundFrame.
+// array, like compress.DecodeRoundPayload. A penalty that is present but
+// zero, negative, NaN or infinite is corruption, not data, and so is an
+// erased round with events.
 func decodeRoundPayload(p []byte, per int, out []int32) (seq uint32, events []int32, erased bool, penaltyNS float64, err error) {
-	if len(p) < 9 {
+	if len(p) < 5 {
 		return 0, out[:0], false, 0, ErrEnvelope
 	}
-	penaltyNS = math.Float64frombits(binary.LittleEndian.Uint64(p))
-	if math.IsNaN(penaltyNS) || math.IsInf(penaltyNS, 0) || penaltyNS < 0 {
+	seq, flags, p := binary.LittleEndian.Uint32(p), p[4], p[5:]
+	if flags&^(roundFlagErased|roundFlagPenalty) != 0 {
 		return 0, out[:0], false, 0, ErrEnvelope
 	}
-	flags := p[8]
-	if flags&^roundFlagErased != 0 {
-		return 0, out[:0], false, 0, ErrEnvelope
-	}
-	if flags&roundFlagErased != 0 {
-		if len(p) != 13 {
+	if flags&roundFlagPenalty != 0 {
+		if len(p) < 8 {
 			return 0, out[:0], false, 0, ErrEnvelope
 		}
-		return binary.LittleEndian.Uint32(p[9:]), out[:0], true, penaltyNS, nil
+		penaltyNS, p = math.Float64frombits(binary.LittleEndian.Uint64(p)), p[8:]
+		if !(penaltyNS > 0) || math.IsInf(penaltyNS, 0) {
+			return 0, out[:0], false, 0, ErrEnvelope
+		}
 	}
-	seq, events, err = compress.DecodeRoundFrame(p[9:], per, out)
+	if flags&roundFlagErased != 0 {
+		if len(p) != 0 {
+			return 0, out[:0], false, 0, ErrEnvelope
+		}
+		return seq, out[:0], true, penaltyNS, nil
+	}
+	events, err = compress.DecodeRoundPayload(p, per, out)
 	return seq, events, false, penaltyNS, err
 }
 

@@ -56,6 +56,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{msgPing, 0, nil},
 		{msgPong, 0, nil},
 		{msgClose, 3, nil},
+		{msgRoundsOK, 0, nil},
 	}
 	var wire []byte
 	for _, c := range cases {
@@ -130,20 +131,33 @@ func TestEnvelopeRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestRoundPayloadRoundTrip covers the version-3 round entry: seq, flags,
+// a penalty present if and only if it is nonzero, and the §VII payload in
+// whichever mode is smaller — and nothing else: no frame magic, frame seq
+// or CRC.
 func TestRoundPayloadRoundTrip(t *testing.T) {
-	const per = 30
+	const per = 30 // d = 6: a 4-byte bitmap
 	for _, tc := range []struct {
 		seq     uint32
 		events  []int32
 		erased  bool
 		penalty float64
+		size    int // seq + flags + penalty + mode + sparse count and indices or bitmap
 	}{
-		{0, nil, false, 0},
-		{7, []int32{0, 1, 29}, false, 123.5},
-		{1 << 30, []int32{14}, false, 0},
-		{3, nil, true, 800},
+		{0, nil, false, 0, 4 + 1 + 1 + 2},
+		{7, []int32{0, 1, 29}, false, 123.5, 4 + 1 + 8 + 1 + 4},
+		{1 << 30, []int32{14}, false, 0, 4 + 1 + 1 + 2 + 2},
+		{3, nil, true, 800, 4 + 1 + 8},
+		{9, nil, true, 0, 4 + 1},
+		{11, []int32{2, 3, 5, 7, 11, 13, 17}, false, math.SmallestNonzeroFloat64, 4 + 1 + 8 + 1 + 4},
 	} {
 		p := appendRoundPayload(nil, tc.seq, tc.events, tc.erased, tc.penalty, per)
+		if len(p) != tc.size {
+			t.Fatalf("%+v: entry is %d bytes, want %d", tc, len(p), tc.size)
+		}
+		if hasPenalty := p[4]&roundFlagPenalty != 0; hasPenalty != (tc.penalty != 0) {
+			t.Fatalf("%+v: penalty flag %v", tc, hasPenalty)
+		}
 		seq, ev, erased, pen, err := decodeRoundPayload(p, per, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
@@ -151,28 +165,50 @@ func TestRoundPayloadRoundTrip(t *testing.T) {
 		if erased != tc.erased || pen != tc.penalty {
 			t.Fatalf("%+v: got erased=%v pen=%v", tc, erased, pen)
 		}
-		// Erased rounds carry the seq explicitly — every round participates
-		// in the shard's ordering check, erased or not.
+		// Erased rounds carry the seq too — every round participates in
+		// the shard's ordering check, erased or not.
 		if seq != tc.seq {
 			t.Fatalf("%+v: got seq %d", tc, seq)
 		}
-		if !tc.erased {
-			if len(ev) != len(tc.events) {
-				t.Fatalf("%+v: got events %v", tc, ev)
-			}
-			for i := range ev {
-				if ev[i] != tc.events[i] {
-					t.Fatalf("%+v: got events %v", tc, ev)
-				}
-			}
+		if !tc.erased && !reflect.DeepEqual(append([]int32{}, ev...), append([]int32{}, tc.events...)) {
+			t.Fatalf("%+v: got events %v", tc, ev)
+		}
+		if q := appendRoundPayload(nil, seq, ev, erased, pen, per); !bytes.Equal(q, p) {
+			t.Fatalf("%+v: re-encodes to %x, want %x", tc, q, p)
 		}
 	}
 
-	// Negative, NaN and Inf penalties are wire corruption, not data.
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		p := appendRoundPayload(nil, 0, nil, true, bad, per)
+	// Negative, NaN and Inf penalties are wire corruption, not data, and
+	// so is a present penalty of zero (either sign): a zero penalty is
+	// encoded by leaving it out.
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)} {
+		p := binary.LittleEndian.AppendUint32(nil, 5)
+		p = append(p, roundFlagErased|roundFlagPenalty)
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(bad))
 		if _, _, _, _, err := decodeRoundPayload(p, per, nil); err == nil {
 			t.Fatalf("penalty %v decoded", bad)
+		}
+	}
+	// A sign-flipped zero is still no penalty.
+	if p := appendRoundPayload(nil, 1, nil, true, math.Copysign(0, -1), per); len(p) != 5 {
+		t.Fatalf("-0 penalty encoded as %x", p)
+	}
+	// Unknown flags, events after an erased round, a truncated penalty,
+	// and a payload mode the encoder would not pick are corruption.
+	erased := appendRoundPayload(nil, 1, nil, true, 0, per)
+	bitmap := appendRoundPayload(nil, 1, []int32{2, 3, 5, 7, 11, 13, 17}, false, 0, per)
+	oneAsBitmap := append(binary.LittleEndian.AppendUint32(nil, 1), 0, 1, 0b00000100, 0, 0, 0) // sparse is as small
+	twoAsSparse := append(binary.LittleEndian.AppendUint32(nil, 1), 0, 0, 2, 0, 2, 0, 3, 0)    // the bitmap is smaller
+	for i, bad := range [][]byte{
+		{1, 0, 0, 0, 4},
+		append(append([]byte{}, erased...), 0),
+		append(binary.LittleEndian.AppendUint32(nil, 1), roundFlagPenalty, 0, 0, 0, 0, 0, 0, 0xf0),
+		bitmap[:len(bitmap)-1],
+		oneAsBitmap,
+		twoAsSparse,
+	} {
+		if _, _, _, _, err := decodeRoundPayload(bad, per, nil); err == nil {
+			t.Fatalf("malformed entry %d (%x) decoded", i, bad)
 		}
 	}
 }
@@ -283,6 +319,12 @@ func FuzzWireProtocol(f *testing.F) {
 	f.Add(appendEnvelope(nil, msgRounds, 0, testRounds()))
 	f.Add(appendEnvelope(nil, msgCorrs, 0, testCorrs()))
 	f.Add(appendEnvelope(nil, msgOpen, 4, appendOpenPayload(nil, openPayload{Distance: 5, Window: 5, Commit: 2, QueueCap: 8, DeadlineNS: 600, Rounds: 64, CorrSeq: 3, Snapshot: testSnapshot()})))
+	// Version-3 entries: no penalty, a bitmap payload, an erased round
+	// without a penalty; and the ack closing an envelope.
+	f.Add(appendEnvelope(nil, msgRounds, 0, appendRoundsEntry(nil, 2, 5, []int32{4}, false, 0, 20)))
+	f.Add(appendEnvelope(nil, msgRounds, 0, appendRoundsEntry(nil, 2, 6, []int32{0, 2, 4, 6, 8, 10, 12, 14}, false, 0, 20)))
+	f.Add(appendEnvelope(nil, msgRounds, 0, appendRoundsEntry(nil, 2, 7, nil, true, 0, 20)))
+	f.Add(append(appendEnvelope(nil, msgCorrs, 0, testCorrs()), appendEnvelope(nil, msgRoundsOK, 0, nil)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bytes.NewReader(data)
@@ -379,9 +421,10 @@ func TestWireSteadyStateZeroAllocs(t *testing.T) {
 		msgPing:       nil,
 		msgPong:       nil,
 		msgClose:      nil,
+		msgRoundsOK:   nil,
 	}
 	var wire []byte
-	for typ := uint8(msgOpen); typ <= msgClose; typ++ {
+	for typ := uint8(msgOpen); typ <= msgRoundsOK; typ++ {
 		p, ok := payloads[typ]
 		if !ok {
 			t.Fatalf("no payload for message type %d", typ)

@@ -57,10 +57,14 @@ type Config struct {
 
 	// JournalMaxBytes caps each stream's replay journal (0 selects 4 MiB;
 	// negative disables the cap), counted in journalEntryCost units. The
-	// journal only trims on shard checkpoints, so a shard that keeps
-	// accepting rounds without ever checkpointing — stalled decode loop,
-	// wedged disk, a kill -STOP — would otherwise grow the router's memory
-	// without bound while the socket and heartbeats stay healthy. Crossing
+	// journal only trims on shard checkpoints. A shard that stops decoding
+	// altogether — stalled decode loop, a kill -STOP — stops acknowledging
+	// round envelopes, and the round window sheds it after roundWindow
+	// unacknowledged envelopes and journalTrimWait without an ack, long
+	// before any cap. What the cap still bounds is a shard that keeps
+	// decoding and acknowledging rounds but never checkpoints (a wedged
+	// snapshot path): its streams' journals would otherwise grow without
+	// bound while the socket, heartbeats and acks stay healthy. Crossing
 	// the cap first gives the shard a bounded wait to deliver a trimming
 	// checkpoint (it may simply be catching up on a replayed journal); if
 	// the journal stays over budget the laggard is shed: the session is
@@ -71,11 +75,11 @@ type Config struct {
 	// adopting shard checkpoints.
 	//
 	// The journal is round-major: it keeps a round for every stream until
-	// every stream's checkpoint has passed it. So a laggard keeps every
-	// stream's rounds alive, not just its own, until its cap sheds it —
-	// within about JournalMaxBytes/48 rounds, since each round costs at
-	// least 48 units. Retained memory is bounded by that many rounds of the
-	// whole fleet.
+	// every stream's checkpoint has passed it. So a laggard of that kind
+	// keeps every stream's rounds alive, not just its own, until its cap
+	// sheds it — within about JournalMaxBytes/48 rounds, since each round
+	// costs at least 48 units. Retained memory is bounded by that many
+	// rounds of the whole fleet.
 	JournalMaxBytes int
 }
 
@@ -189,7 +193,8 @@ type streamState struct {
 // link is one shard connection. Writes (rounds, opens, pings) serialize
 // under wmu; reads run on a dedicated goroutine per session. gen increments
 // per session so messages and deaths of a stale session cannot affect its
-// successor.
+// successor, and so does win: each session counts its round envelopes in
+// a window of its own.
 type link struct {
 	idx  int
 	addr string
@@ -203,12 +208,37 @@ type link struct {
 	conn net.Conn
 	bw   *bufio.Writer
 	gen  uint64
+	win  *window // the current session's; replaced only on the caller thread
 	wbuf []byte
 	pbuf []byte
 
 	up       atomic.Bool
 	lastPong atomic.Int64 // unix nanos
 }
+
+// window counts one session's msgRounds envelopes: sent, by the caller
+// thread under the link's wmu as each is handed to the writer, and
+// acknowledged, by the session's reader goroutine as each msgRoundsOK
+// arrives. A session's reader holds its own window, so a late ack from a
+// dead session lands there and never opens its successor's.
+type window struct {
+	sent, acked atomic.Uint64
+}
+
+// unacked is the number of the session's envelopes the shard has not
+// acknowledged yet.
+func (w *window) unacked() uint64 { return w.sent.Load() - w.acked.Load() }
+
+// roundWindow is how many msgRounds envelopes RunRounds lets a shard
+// session leave unacknowledged before it waits. Rounds queued in socket
+// buffers are latency every later correction waits behind (the backlog of
+// §II-C), so the window bounds the queue to a few rounds per shard; a
+// wider window trades latency for fewer wake-ups. On perfbench's fleet
+// workload a window of 2 read 0.8× the p90 of a window of 4 at the same
+// throughput, and 8 bought a few percent of throughput for twice the
+// latency (EXPERIMENTS.md, "Bounded round window"). Replay envelopes
+// count too, but only RunRounds waits.
+const roundWindow = 2
 
 // RecoveryStats describes the router's last completed crash recovery.
 type RecoveryStats struct {
@@ -256,9 +286,12 @@ type Router struct {
 	mu      sync.Mutex
 	pending map[pendingKey]chan pendingResult
 	flushCh chan int // receives link indices whose flushOK arrived
-	// trimCond (on mu) is broadcast whenever a checkpoint trims a journal;
-	// awaitJournalTrim waits on it instead of sleep-polling mu.
+	// trimCond (on mu) is broadcast whenever a checkpoint trims a journal,
+	// an ack arrives or a session dies; awaitShard waits on it instead of
+	// sleep-polling mu, and wake broadcasts it once a wait's deadline
+	// passes.
 	trimCond *sync.Cond
+	wake     *time.Timer
 
 	recoveries   int
 	lastRecovery RecoveryStats
@@ -282,6 +315,7 @@ type pendingResult struct {
 var (
 	errShardDown       = errors.New("fleet: shard down")
 	errJournalOverflow = errors.New("fleet: replay journal over budget, shedding shard")
+	errStalled         = errors.New("fleet: no round envelope acknowledged, shedding shard")
 )
 
 // Dial connects to every shard, opens the fleet's streams across them
@@ -325,6 +359,12 @@ func newRouter(cfg Config) *Router {
 		flushCh: make(chan int, len(cfg.Shards)*4),
 	}
 	r.trimCond = sync.NewCond(&r.mu)
+	r.wake = time.AfterFunc(journalTrimWait, func() {
+		r.mu.Lock()
+		r.trimCond.Broadcast()
+		r.mu.Unlock()
+	})
+	r.wake.Stop()
 	if cfg.Sink == nil {
 		r.retain = make([][]stream.Correction, cfg.Streams)
 	}
@@ -344,27 +384,34 @@ func newRouter(cfg Config) *Router {
 	return r
 }
 
-// connect establishes a fresh session on l and starts its reader and
-// heartbeat goroutines.
+// connect establishes a fresh session on l.
 func (r *Router) connect(l *link) error {
 	conn, err := net.DialTimeout(r.cfg.Network, l.addr, dialTimeout)
 	if err != nil {
 		return err
 	}
+	r.attach(l, conn)
+	return nil
+}
+
+// attach makes conn l's new session, with a window of its own, and starts
+// its reader and heartbeat goroutines.
+func (r *Router) attach(l *link, conn net.Conn) {
+	win := &window{}
 	l.wmu.Lock()
 	l.conn = conn
 	l.bw = bufio.NewWriterSize(conn, 1<<16)
 	l.gen++
 	gen := l.gen
+	l.win = win
 	l.lastPong.Store(time.Now().UnixNano())
 	l.up.Store(true)
 	l.wmu.Unlock()
 	shardsUp.Add(1)
-	go r.reader(l, conn, gen)
+	go r.reader(l, conn, gen, win)
 	if r.cfg.HeartbeatEvery >= 0 {
 		go r.heartbeat(l, gen)
 	}
-	return nil
 }
 
 // markDead tears the session down once: later calls for the same
@@ -386,8 +433,8 @@ func (r *Router) markDead(l *link, gen uint64, cause error, heartbeat bool) {
 	if heartbeat {
 		fObs.hbTimeouts.Inc(l.idx)
 	}
-	// Fail pending opens and wake a flush waiter so the caller thread can
-	// run recovery instead of blocking forever.
+	// Fail pending opens and wake a flush, window or journal waiter so the
+	// caller thread can run recovery instead of blocking.
 	r.mu.Lock()
 	for k, ch := range r.pending {
 		if k.gen>>32 == uint64(l.idx) { // see pendKey
@@ -395,6 +442,7 @@ func (r *Router) markDead(l *link, gen uint64, cause error, heartbeat bool) {
 			ch <- pendingResult{ok: false, reason: errShardDown.Error()}
 		}
 	}
+	r.trimCond.Broadcast()
 	r.mu.Unlock()
 	select {
 	case r.flushCh <- -1 - l.idx: // negative: death notice, not a flushOK
@@ -411,8 +459,9 @@ func pendKey(l *link, gen uint64, id uint32) pendingKey {
 // reader drains one session's messages. Corrections and checkpoints from a
 // session that died microseconds ago are still valid — the shard really did
 // decode them, and replay dedup makes re-delivery harmless — so only the
-// pending-open table is generation-checked.
-func (r *Router) reader(l *link, conn net.Conn, gen uint64) {
+// pending-open table is generation-checked, and acks count in the
+// session's own window.
+func (r *Router) reader(l *link, conn net.Conn, gen uint64, win *window) {
 	br := bufio.NewReaderSize(&countingReader{r: conn, shard: l.idx, total: &r.wireRx}, 1<<16)
 	var buf []byte
 	for {
@@ -447,11 +496,29 @@ func (r *Router) reader(l *link, conn net.Conn, gen uint64) {
 			}
 		case msgPong:
 			l.lastPong.Store(time.Now().UnixNano())
+		case msgRoundsOK:
+			if err := r.ack(win); err != nil {
+				r.markDead(l, gen, err, false)
+				return
+			}
 		default:
 			r.markDead(l, gen, fmt.Errorf("fleet: router got unexpected message type %d", env.typ), false)
 			return
 		}
 	}
+}
+
+// ack counts one msgRoundsOK in its session's window and wakes a waiter.
+// An ack for an envelope never sent is a protocol error.
+func (r *Router) ack(win *window) error {
+	if win.acked.Load() >= win.sent.Load() {
+		return errors.New("fleet: shard acknowledged a round envelope it was never sent")
+	}
+	r.mu.Lock()
+	win.acked.Add(1)
+	r.trimCond.Broadcast()
+	r.mu.Unlock()
+	return nil
 }
 
 // handleCorrs delivers one msgCorrs batch under a single lock acquisition.
@@ -584,9 +651,12 @@ func (r *Router) heartbeat(l *link, gen uint64) {
 
 // sendLocked frames one message into l's write buffer and hands it to the
 // buffered writer, counting the wire bytes against the router and per-shard
-// totals. It is the single emit point for every outbound message; callers
-// hold l.wmu.
+// totals, and a round envelope in the session's window. It is the single
+// emit point for every outbound message; callers hold l.wmu.
 func (r *Router) sendLocked(l *link, typ uint8, id uint32, payload []byte) error {
+	if typ == msgRounds {
+		l.win.sent.Add(1)
+	}
 	l.wbuf = appendEnvelope(l.wbuf[:0], typ, id, payload)
 	n, err := l.bw.Write(l.wbuf)
 	r.wireTx.Add(uint64(n))
@@ -879,15 +949,24 @@ func (r *Router) enforceBudget(st *streamState) error {
 	if r.flushLink(l) != nil {
 		return errShardDown
 	}
-	if !r.awaitJournalTrim(st, r.cfg.journalMaxBytes()) {
-		fObs.journalSheds.Inc(l.idx)
-		l.wmu.Lock()
-		gen := l.gen
-		l.wmu.Unlock()
-		r.markDead(l, gen, errJournalOverflow, false)
+	budget := uint64(r.cfg.journalMaxBytes())
+	if !r.awaitShard(l, func() bool { return r.journalBytes(st) <= budget }) {
+		if l.up.Load() {
+			fObs.journalSheds.Inc(l.idx)
+			r.shed(l, errJournalOverflow)
+		}
 		return errShardDown
 	}
 	return nil
+}
+
+// shed declares l's live session dead for making no progress, so that
+// recovery moves its streams exactly as after a crash.
+func (r *Router) shed(l *link, cause error) {
+	l.wmu.Lock()
+	gen := l.gen
+	l.wmu.Unlock()
+	r.markDead(l, gen, cause, false)
 }
 
 // sendRound hands the newest journal block to the shards: one msgRounds
@@ -935,41 +1014,70 @@ func (r *Router) sendBatch(l *link) error {
 	return nil
 }
 
-// journalTrimWait bounds how long an over-budget journal waits for the
-// shard's trimming checkpoint before the session is shed. A shard making
-// any progress at all checkpoints within microseconds of draining its
-// socket; a quarter second of silence past a full cap of rounds means it
+// journalTrimWait bounds how long a waiting router gives a shard to show
+// progress — an acknowledged round envelope — before it sheds the session:
+// a full round window that sees no ack, or an over-budget journal that is
+// not trimmed. A shard that is decoding at all acknowledges an envelope
+// within microseconds of reading it; a quarter second of silence means it
 // is not decoding.
 const journalTrimWait = 250 * time.Millisecond
 
-// awaitJournalTrim waits for st's journal accounting (trimmed by the
-// reader goroutine as checkpoints land) to fall back under budget, or for
-// the wait to expire. Trims signal trimCond, so the waiter wakes the
-// moment the shard catches up instead of on a poll tick; the deadline
-// arrives as one extra broadcast from a timer. Wall-clock only affects
-// *when* a laggard is shed, never decode results — the journal replays
-// identically either way.
-func (r *Router) awaitJournalTrim(st *streamState, budget int) bool {
-	expired := false
-	timer := time.AfterFunc(journalTrimWait, func() {
-		r.mu.Lock()
-		expired = true
-		r.mu.Unlock()
-		r.trimCond.Broadcast()
-	})
-	defer timer.Stop()
+// awaitShard blocks the caller thread until done holds (it is evaluated
+// under r.mu), l's session dies, or journalTrimWait passes without an ack
+// on the session; every ack restarts the deadline. Acks, checkpoints and
+// markDead broadcast trimCond, so the waiter wakes the moment any of them
+// lands instead of on a poll tick; the deadline arrives as one broadcast
+// from r.wake. It reports whether done holds. Wall-clock only affects
+// *when* a stalled shard is shed, never decode results — the journal
+// replays identically either way.
+func (r *Router) awaitShard(l *link, done func() bool) bool {
+	win := l.win
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.journalBytes(st) > uint64(budget) && !expired {
+	acked, deadline := win.acked.Load(), time.Now().Add(journalTrimWait)
+	r.wake.Reset(journalTrimWait)
+	defer r.wake.Stop()
+	for !done() && l.up.Load() {
+		if a := win.acked.Load(); a != acked {
+			acked, deadline = a, time.Now().Add(journalTrimWait)
+			r.wake.Reset(journalTrimWait)
+		} else if !time.Now().Before(deadline) {
+			break
+		}
 		r.trimCond.Wait()
 	}
-	return r.journalBytes(st) <= uint64(budget)
+	return done()
 }
 
-// flushEveryRounds bounds how long routed rounds may sit in the write
-// buffers: the shard cannot decode (or checkpoint) what it has not
-// received, and the journal only trims on checkpoints.
-const flushEveryRounds = 16
+// awaitWindows runs after every round of RunRounds. A live session with
+// roundWindow envelopes unacknowledged makes the router flush every link —
+// the shards cannot acknowledge rounds still in its write buffers — and
+// wait for an ack. A session that dies while it waits, or acknowledges
+// nothing for journalTrimWait (which sheds it), is recovered like any
+// crash. Flushing only here means a round goes out with the others of its
+// window, in one write per shard.
+func (r *Router) awaitWindows() error {
+	for _, l := range r.links {
+		if !l.up.Load() || l.win.unacked() < roundWindow {
+			continue
+		}
+		fObs.windowWaits.Inc(l.idx)
+		if err := r.flushAll(); err != nil {
+			return err
+		}
+		if r.awaitShard(l, func() bool { return l.win.unacked() < roundWindow }) {
+			continue
+		}
+		if l.up.Load() {
+			fObs.stallSheds.Inc(l.idx)
+			r.shed(l, errStalled)
+		}
+		if err := r.recover(l.idx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // RunRounds feeds n rounds to every stream, pulling each round's detection
 // events from feed(stream, round) — invoked exactly once per (stream,
@@ -978,8 +1086,10 @@ const flushEveryRounds = 16
 // configured), is journaled for all streams as one block, and goes to
 // each shard as one msgRounds envelope holding its streams' rounds; a
 // shard crash anywhere in the batch triggers recovery (reconnect or
-// failover plus replay) and the batch continues. Corrections arrive
-// asynchronously; Flush is the barrier that makes them all visible.
+// failover plus replay) and the batch continues. After each round the
+// router waits while any shard has roundWindow envelopes unacknowledged.
+// Corrections arrive asynchronously; Flush is the barrier that makes them
+// all visible.
 func (r *Router) RunRounds(n int, feed func(stream, round int) []int32) error {
 	if r.closed || r.ended {
 		return errors.New("fleet: router used after Flush or Close")
@@ -996,10 +1106,8 @@ func (r *Router) RunRounds(n int, feed func(stream, round int) []int32) error {
 		if err := r.sendRound(); err != nil {
 			return err
 		}
-		if (round+1)%flushEveryRounds == 0 {
-			if err := r.flushAll(); err != nil {
-				return err
-			}
+		if err := r.awaitWindows(); err != nil {
+			return err
 		}
 	}
 	return r.flushAll()
@@ -1228,6 +1336,7 @@ func (r *Router) Close() {
 		return
 	}
 	r.closed = true
+	r.wake.Stop()
 	for _, l := range r.links {
 		l.wmu.Lock()
 		gen := l.gen

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 
 	"afs/internal/cda"
 	"afs/internal/faults"
@@ -17,6 +16,10 @@ import (
 // bounds the router's replay journal (and so the worst-case recovery work
 // per stream) without putting a snapshot on every round's wire.
 const DefaultCheckpointEvery = 64
+
+// maxStreamID bounds the stream ids a shard admits. The session indexes its
+// streams by id, so the bound caps what one open can make it allocate.
+const maxStreamID = 1 << 20
 
 // ShardConfig configures one decode shard.
 type ShardConfig struct {
@@ -89,16 +92,20 @@ type shardStream struct {
 // single-goroutine, so per-stream decoding is trivially deterministic: the
 // shard's outputs are a pure function of the message sequence it reads.
 type shardSession struct {
-	cfg     ShardConfig
-	cap     int
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	rbuf    []byte // envelope read buffer
-	wbuf    []byte // envelope write scratch
-	pbuf    []byte // payload write scratch
-	corrs   []byte // pending msgCorrs payload
-	streams map[uint32]*shardStream
-	werr    error // sticky write error, surfaced at the next message boundary
+	cfg   ShardConfig
+	cap   int
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	rbuf  []byte // envelope read buffer
+	wbuf  []byte // envelope write scratch
+	pbuf  []byte // payload write scratch
+	corrs []byte // pending msgCorrs payload
+	werr  error  // sticky write error, surfaced at the next message boundary
+
+	// streams is indexed by stream id (nil where none is open); open counts
+	// the non-nil entries against the admission cap.
+	streams []*shardStream
+	open    int
 
 	// lanes builds, resolves and flushes the session's decoders on its
 	// working set. Per-envelope state: the streams an envelope listed
@@ -118,12 +125,11 @@ func (s *shardSession) send(typ uint8, id uint32, payload []byte) error {
 
 func session(conn net.Conn, cfg ShardConfig) error {
 	s := &shardSession{
-		cfg:     cfg,
-		cap:     cda.AdmissionCap(cfg.Blocks, cfg.CDA),
-		br:      bufio.NewReaderSize(conn, 1<<16),
-		bw:      bufio.NewWriterSize(conn, 1<<16),
-		streams: map[uint32]*shardStream{},
-		lanes:   stream.NewLanes(),
+		cfg:   cfg,
+		cap:   cda.AdmissionCap(cfg.Blocks, cfg.CDA),
+		br:    bufio.NewReaderSize(conn, 1<<16),
+		bw:    bufio.NewWriterSize(conn, 1<<16),
+		lanes: stream.NewLanes(),
 	}
 	for {
 		// Everything queued for the router goes out before the session
@@ -158,7 +164,10 @@ func (s *shardSession) handle(env envelope) error {
 		// The stream moved to another shard (rebalance): drop it without a
 		// flush — its state travels in the router's checkpoint + journal,
 		// and flushing here would double-count its ledger.
-		delete(s.streams, env.stream)
+		if s.lookup(env.stream) != nil {
+			s.streams[env.stream] = nil
+			s.open--
+		}
 		return nil
 	case msgFlush:
 		return s.handleFlush()
@@ -175,10 +184,13 @@ func (s *shardSession) handleOpen(env envelope) error {
 		return fmt.Errorf("fleet: malformed open payload: %w", err)
 	}
 	id := env.stream
-	if _, dup := s.streams[id]; dup {
+	if id >= maxStreamID {
+		return s.refuse(id, fmt.Sprintf("stream id %d past the shard's limit %d", id, maxStreamID))
+	}
+	if s.lookup(id) != nil {
 		return s.refuse(id, "stream already open on this shard")
 	}
-	if s.cap > 0 && len(s.streams) >= s.cap {
+	if s.cap > 0 && s.open >= s.cap {
 		fObs.refusals.Inc(0)
 		return s.refuse(id, fmt.Sprintf("admission cap %d streams reached (%d CDA blocks)", s.cap, s.cfg.Blocks))
 	}
@@ -213,8 +225,20 @@ func (s *shardSession) handleOpen(env envelope) error {
 			s.sendCorrs()
 		}
 	})
+	for int(id) >= len(s.streams) {
+		s.streams = append(s.streams, nil)
+	}
 	s.streams[id] = st
+	s.open++
 	return s.send(msgOpenOK, id, nil)
+}
+
+// lookup returns the open stream id, or nil.
+func (s *shardSession) lookup(id uint32) *shardStream {
+	if int(id) >= len(s.streams) {
+		return nil
+	}
+	return s.streams[id]
 }
 
 func (s *shardSession) refuse(id uint32, reason string) error {
@@ -243,7 +267,9 @@ func (s *shardSession) sendCorrs() {
 // envelope's corrections then go out as one msgCorrs, and
 // only after that any checkpoints the envelope made due: every correction
 // a checkpoint's snapshot assumes delivered precedes it on the wire, which
-// is what the router's replay dedup relies on.
+// is what the router's replay dedup relies on. The msgRoundsOK that closes
+// the envelope goes last, so when the router counts it everything the
+// envelope produced is already ahead of it on the wire.
 func (s *shardSession) handleRounds(p []byte) error {
 	s.env++
 	s.touched, s.decs = s.touched[:0], s.decs[:0]
@@ -253,8 +279,8 @@ func (s *shardSession) handleRounds(p []byte) error {
 			return err
 		}
 		p = rest
-		st, ok := s.streams[id]
-		if !ok {
+		st := s.lookup(id)
+		if st == nil {
 			return fmt.Errorf("fleet: round for unknown stream %d", id)
 		}
 		seq, events, erased, pen, err := decodeRoundPayload(round, st.per, st.out[:0])
@@ -262,7 +288,7 @@ func (s *shardSession) handleRounds(p []byte) error {
 			return fmt.Errorf("fleet: stream %d round: %w", id, err)
 		}
 		st.out = events[:0]
-		// End-to-end ordering check: the round-frame sequence number must
+		// End-to-end ordering check: the round's sequence number must
 		// match the stream's ingest count. A gap here means the transport
 		// delivered out of order or the router's journal drifted — either
 		// way decoding on would silently corrupt, so the session dies and
@@ -297,7 +323,10 @@ func (s *shardSession) handleRounds(p []byte) error {
 			}
 		}
 	}
-	return s.werr
+	if s.werr != nil {
+		return s.werr
+	}
+	return s.send(msgRoundsOK, 0, nil)
 }
 
 // checkpoint snapshots the stream and ships it to the router, which trims
@@ -317,18 +346,16 @@ func (s *shardSession) checkpoint(st *shardStream) error {
 // that flushed a stream is done with it, and the router re-opens if it
 // wants more.
 func (s *shardSession) handleFlush() error {
-	ids := make([]uint32, 0, len(s.streams))
-	for id := range s.streams {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ledgers := make(map[uint32]faults.Report, len(ids))
-	for _, id := range ids {
-		st := s.streams[id]
+	ledgers := make(map[uint32]faults.Report, s.open)
+	for id, st := range s.streams {
+		if st == nil {
+			continue
+		}
 		s.lanes.Flush(st.dec)
-		ledgers[id] = st.dec.Report()
-		delete(s.streams, id)
+		ledgers[uint32(id)] = st.dec.Report()
+		s.streams[id] = nil
 	}
+	s.open = 0
 	s.sendCorrs()
 	if s.werr != nil {
 		return s.werr
