@@ -237,7 +237,12 @@ func TestJournalRetentionWithLaggard(t *testing.T) {
 // holds more than roundWindow rounds plus one RunRounds batch, and once
 // the silent shard's streams have failed over, no more than the
 // checkpoint cadence plus one batch. The shed is a stall shed, not a
-// journal one, and every stream's corrections match the engine's.
+// journal one, and every stream's corrections match the engine's. It runs
+// with reconnection off and at the default: a shed session is not
+// reconnected while a survivor admits its streams, so either way there is
+// one shed, one recovery, and a failover off the silent shard — at the
+// default, a reconnect-first recovery would hand the streams back to the
+// silent shard, which still answers opens, and shed it every round.
 func TestJournalDefaultCapShedsSilentShard(t *testing.T) {
 	const (
 		d      = 5
@@ -247,69 +252,82 @@ func TestJournalDefaultCapShedsSilentShard(t *testing.T) {
 		p      = 0.05
 		seed   = uint64(17)
 	)
-	silent := newSilentShard(t)
-	healthy := newTestShard(t, ShardConfig{CheckpointEvery: every})
-	cfg := Config{
-		Network: "tcp", Shards: []string{silent.addr, healthy.addr},
-		Streams: 8, Distance: d,
-		ReconnectAttempts: -1, // shed straight to the survivor
-		HeartbeatEvery:    -1, // liveness is not what catches this shard
-	}
-	wantCorrs, _ := runEngine(t, cfg, rounds, seed, p, []int{rounds})
-	stalls, journals := fObs.stallSheds.Value(), fObs.journalSheds.Value()
-
-	r, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	retained := func() uint64 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.sent - r.blocks[0].round
-	}
-	feed := feedFrom(cfg.Streams, d, p, seed)
-	failedOver := false
-	for done := 0; done < rounds; done += batch {
-		if err := r.RunRounds(batch, feed); err != nil {
-			t.Fatal(err)
-		}
-		n := retained()
-		if limit := uint64(roundWindow + batch); n > limit {
-			t.Fatalf("after %d rounds the journal retains %d rounds, want <= %d", done+batch, n, limit)
-		}
-		if limit := uint64(every + batch); failedOver && n > limit {
-			t.Fatalf("after %d rounds, past the failover, the journal retains %d rounds, want <= %d", done+batch, n, limit)
-		}
-		if !failedOver {
-			failedOver = true
-			for _, st := range r.streams {
-				failedOver = failedOver && st.cur == 1
+	for _, tc := range []struct {
+		name      string
+		reconnect int
+	}{
+		{"no-reconnect", -1},
+		{"default-reconnect", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			silent := newSilentShard(t)
+			healthy := newTestShard(t, ShardConfig{CheckpointEvery: every})
+			cfg := Config{
+				Network: "tcp", Shards: []string{silent.addr, healthy.addr},
+				Streams: 8, Distance: d,
+				ReconnectAttempts: tc.reconnect,
+				HeartbeatEvery:    -1, // liveness is not what catches this shard
 			}
-		}
-		if failedOver {
-			awaitCheckpoints(t, r, every)
-		}
-	}
-	if !failedOver {
-		t.Fatal("the silent shard was never shed")
-	}
-	if n := silent.rounds.Load(); n > roundWindow+1 {
-		t.Fatalf("the silent shard was sent %d round envelopes before the shed, want <= %d", n, roundWindow+1)
-	}
-	if got := fObs.stallSheds.Value() - stalls; got != 1 {
-		t.Fatalf("%d stall sheds, want 1", got)
-	}
-	if got := fObs.journalSheds.Value() - journals; got != 0 {
-		t.Fatalf("%d journal sheds at the default cap, want 0", got)
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantCorrs {
-		if got := r.Committed(i); !reflect.DeepEqual(got, wantCorrs[i]) {
-			t.Fatalf("stream %d: corrections diverge from the engine: got %d, want %d", i, len(got), len(wantCorrs[i]))
-		}
+			wantCorrs, _ := runEngine(t, cfg, rounds, seed, p, []int{rounds})
+			stalls, journals := fObs.stallSheds.Value(), fObs.journalSheds.Value()
+
+			r, err := Dial(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			retained := func() uint64 {
+				r.mu.Lock()
+				defer r.mu.Unlock()
+				return r.sent - r.blocks[0].round
+			}
+			feed := feedFrom(cfg.Streams, d, p, seed)
+			failedOver := false
+			for done := 0; done < rounds; done += batch {
+				if err := r.RunRounds(batch, feed); err != nil {
+					t.Fatal(err)
+				}
+				n := retained()
+				if limit := uint64(roundWindow + batch); n > limit {
+					t.Fatalf("after %d rounds the journal retains %d rounds, want <= %d", done+batch, n, limit)
+				}
+				if limit := uint64(every + batch); failedOver && n > limit {
+					t.Fatalf("after %d rounds, past the failover, the journal retains %d rounds, want <= %d", done+batch, n, limit)
+				}
+				if !failedOver {
+					failedOver = true
+					for _, st := range r.streams {
+						failedOver = failedOver && st.cur == 1
+					}
+				}
+				if failedOver {
+					awaitCheckpoints(t, r, every)
+				}
+			}
+			if !failedOver {
+				t.Fatal("the silent shard was never shed")
+			}
+			if n := silent.rounds.Load(); n > roundWindow+1 {
+				t.Fatalf("the silent shard was sent %d round envelopes before the shed, want <= %d", n, roundWindow+1)
+			}
+			if got := fObs.stallSheds.Value() - stalls; got != 1 {
+				t.Fatalf("%d stall sheds, want 1", got)
+			}
+			if got := fObs.journalSheds.Value() - journals; got != 0 {
+				t.Fatalf("%d journal sheds at the default cap, want 0", got)
+			}
+			if rec := r.LastRecovery(); r.Recoveries() != 1 || rec.Reconnected || rec.Shard != 0 {
+				t.Fatalf("want one failover off shard 0, got %d recoveries, last %+v", r.Recoveries(), rec)
+			}
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range wantCorrs {
+				if got := r.Committed(i); !reflect.DeepEqual(got, wantCorrs[i]) {
+					t.Fatalf("stream %d: corrections diverge from the engine: got %d, want %d", i, len(got), len(wantCorrs[i]))
+				}
+			}
+		})
 	}
 }
 

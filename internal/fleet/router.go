@@ -200,9 +200,11 @@ type link struct {
 	addr string
 
 	// batch is the msgRounds payload RunRounds is filling for this shard,
-	// batched its entry count (caller thread only).
+	// batched its entry count, and shed whether the router shed the
+	// session for making no progress (all caller thread only).
 	batch   []byte
 	batched int
+	shed    bool
 
 	wmu  sync.Mutex
 	conn net.Conn
@@ -819,23 +821,18 @@ func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 // stream it was decoding, restoring each from its last checkpoint and
 // replaying its journal. On return every affected stream is live again (or
 // an error says the fleet is out of capacity).
+//
+// A session the router shed made no progress, and a shard that still
+// answers opens would take its streams back and be shed again every round.
+// So the recovery a shed triggers does not reconnect first: the streams
+// fail over to the survivors, and the shed shard is reconnected only for
+// streams no survivor admits.
 func (r *Router) recover(idx int) error {
 	start := time.Now()
 	l := r.links[idx]
-	reconnected := false
-	attempts := r.cfg.reconnectAttempts()
-	backoff := reconnectBackoff
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		if err := r.connect(l); err == nil {
-			reconnected = true
-			fObs.reconnects.Inc(idx)
-			break
-		}
-	}
+	late := l.shed // reconnect only for a stream no survivor admits
+	l.shed = false
+	reconnected := !late && r.reconnect(l)
 	var affected []*streamState
 	for _, st := range r.streams {
 		if st.cur == idx {
@@ -847,7 +844,14 @@ func (r *Router) recover(idx int) error {
 		st.cur = -1
 		// place prefers the home shard — reborn or not — and falls back to
 		// the survivors if it is dead, refuses or dies again.
-		if err := r.place(st); err != nil {
+		err := r.place(st)
+		if err != nil && late {
+			late = false
+			if reconnected = r.reconnect(l); reconnected {
+				err = r.place(st)
+			}
+		}
+		if err != nil {
 			return err
 		}
 		if st.cur != idx {
@@ -863,6 +867,23 @@ func (r *Router) recover(idx int) error {
 		Duration:       time.Since(start),
 	}
 	return nil
+}
+
+// reconnect redials l's shard with bounded, doubling backoff and reports
+// whether it came back.
+func (r *Router) reconnect(l *link) bool {
+	backoff := reconnectBackoff
+	for a := 0; a < r.cfg.reconnectAttempts(); a++ {
+		if a > 0 {
+			time.Sleep(backoff)
+			backoff *= 2
+		}
+		if err := r.connect(l); err == nil {
+			fObs.reconnects.Inc(l.idx)
+			return true
+		}
+	}
+	return false
 }
 
 // block returns the journal block of round k, which must be retained.
@@ -961,8 +982,10 @@ func (r *Router) enforceBudget(st *streamState) error {
 }
 
 // shed declares l's live session dead for making no progress, so that
-// recovery moves its streams exactly as after a crash.
+// recovery moves its streams exactly as after a crash, except that it
+// fails them over before it tries to reconnect.
 func (r *Router) shed(l *link, cause error) {
+	l.shed = true
 	l.wmu.Lock()
 	gen := l.gen
 	l.wmu.Unlock()

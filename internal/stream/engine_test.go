@@ -2,7 +2,9 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"afs/internal/noise"
@@ -158,6 +160,108 @@ func TestEngineValidation(t *testing.T) {
 	}
 	eng.Close()
 	eng.Close() // idempotent
+}
+
+// TestEnginePushRoundZeroAllocs audits the round path perfbench's
+// stream-engine workload drives: PushRound on a 2-partition engine at the
+// design point (128 streams, d=11, p=1e-3), once warm, allocates nothing
+// across window and non-window rounds — no per-call closure, no per-round
+// handoff state.
+func TestEnginePushRoundZeroAllocs(t *testing.T) {
+	const streams, d, pregen = 128, 11, 256
+	var count uint64
+	eng, err := NewEngine(EngineConfig{
+		Streams: streams, Distance: d, Workers: 2,
+		Sink: func(int, Correction) { atomic.AddUint64(&count, 1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	rounds := make([][][]int32, pregen)
+	for r := range rounds {
+		rounds[r] = make([][]int32, streams)
+	}
+	for i := 0; i < streams; i++ {
+		s := noise.NewRoundSampler(d, 1e-3, 61, uint64(i)+1)
+		for r := range rounds {
+			rounds[r][i] = append([]int32(nil), s.SampleRound()...)
+		}
+	}
+	n := 0
+	push := func() {
+		if err := eng.PushRound(rounds[n%pregen]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for n < 2*pregen { // warm to steady state
+		push()
+	}
+	// One run is a commit stride, C = 5 rounds, of which one closes a
+	// window: AllocsPerRun truncates its average, so a run must hold the
+	// window round for one allocation per window to show.
+	stride := func() {
+		for k := 0; k < 5; k++ {
+			push()
+		}
+	}
+	if avg := testing.AllocsPerRun(100, stride); avg != 0 {
+		t.Fatalf("steady-state PushRound allocates %.2f objects per 5 rounds at 2 workers, want 0", avg)
+	}
+	if atomic.LoadUint64(&count) == 0 {
+		t.Fatal("vacuous run: no corrections committed")
+	}
+}
+
+// TestEngineProgressOnOneProcessor: with more partitions than processors,
+// the spinning handoffs must yield, so PushRound, RunRounds and Flush all
+// complete under GOMAXPROCS(1) with three partitions, and the corrections
+// equal a one-partition engine's.
+func TestEngineProgressOnOneProcessor(t *testing.T) {
+	const streams, d, rounds = 9, 5, 120
+	run := func(workers int) [][]Correction {
+		out := make([][]Correction, streams)
+		eng, err := NewEngine(EngineConfig{
+			Streams: streams, Distance: d, Workers: workers,
+			Sink: func(stream int, c Correction) { out[stream] = append(out[stream], c) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if eng.Workers() != workers {
+			t.Fatalf("engine runs %d partitions, want %d", eng.Workers(), workers)
+		}
+		samplers := seededSamplers(streams, d)
+		if err := eng.RunRounds(rounds, func(stream, _ int) []int32 {
+			return samplers[stream].SampleRound()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		events := make([][]int32, streams)
+		for r := 0; r < rounds; r++ {
+			for i := range events {
+				events[i] = samplers[i].SampleRound()
+			}
+			if err := eng.PushRound(events); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got := run(3)
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("stream %d: %d corrections under GOMAXPROCS(1) at 3 partitions, %d at 1 (or contents differ)",
+				i, len(got[i]), len(want[i]))
+		}
+	}
 }
 
 // BenchmarkStreamDecoder measures single-stream steady-state throughput of

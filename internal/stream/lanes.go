@@ -9,7 +9,7 @@ import (
 
 // Lanes resolves pending stream windows in cross-stream lane groups, the
 // one route every sliding window takes. Code that drives many decoders
-// from one goroutine (an Engine worker's chunk of streams, or a fleet
+// from one goroutine (an Engine partition's lane group, or a fleet
 // shard's streams within one round envelope) builds them with
 // Lanes.NewRobust: a window that fills on ingest then stays pending until
 // Resolve decodes it in a lane group. A solo decoder (New, NewRobust), and
@@ -47,7 +47,7 @@ import (
 //     laneIneligible) — erasure flags are per-stream state the planes
 //     cannot carry.
 //
-// Not safe for concurrent use; engines hold one Lanes per worker.
+// Not safe for concurrent use; engines hold one Lanes per partition.
 type Lanes struct {
 	shapes map[laneKey]*laneShape
 	units  units

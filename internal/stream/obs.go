@@ -38,6 +38,11 @@ type streamObs struct {
 	laneFast       *obs.Counter // lanes resolved by the closed-form fast path
 	laneGathered   *obs.Counter // lanes scattered then routed to a full decode
 	laneIneligible *obs.Counter // windows decoded in full without scattering (erased/W0-off)
+
+	// engineParks counts Engine round handoffs that outlasted their spin
+	// and parked: near 0 on dedicated cores in steady state, climbing when
+	// a co-runner takes the cores the partitions spin on.
+	engineParks *obs.Counter
 }
 
 func newStreamObs(reg *obs.Registry) *streamObs {
@@ -59,6 +64,7 @@ func newStreamObs(reg *obs.Registry) *streamObs {
 		laneFast:        reg.NewCounter("afs_stream_lane_fast_total", "lane-batched windows resolved by the closed-form fast path", s),
 		laneGathered:    reg.NewCounter("afs_stream_lane_gathered_total", "lane-batched windows gathered back to a full decode", s),
 		laneIneligible:  reg.NewCounter("afs_stream_lane_ineligible_total", "lane-group windows decoded in full without scattering (erased, W0 skip off)", s),
+		engineParks:     reg.NewCounter("afs_stream_engine_parks_total", "stream engine round handoffs that outlasted their spin and parked", s),
 		windowDefects:   reg.NewHistogram("afs_stream_window_defects", "detection events per decoded window", 0, 64, 32, s),
 		windowCostNS:    reg.NewHistogram("afs_stream_window_cost_ns", "model decode cost per window in ns (deadline mode)", 0, 800, 40, s),
 		queueLag:        reg.NewHistogram("afs_stream_queue_lag_rounds", "decode backlog in arrival periods after each window (deadline mode)", 0, 32, 32, s),

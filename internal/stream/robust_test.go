@@ -408,10 +408,10 @@ func TestEngineStickyStreamError(t *testing.T) {
 	}
 }
 
-// TestEnginePushRoundPoisonedFirstStream: PushRound reads the fleet's fill
-// level off stream 0, which stops ingesting once poisoned. The healthy
-// streams must still decode every window in the round that fills it — a
-// lane engine's deferred window must not wait for the stream's next round.
+// TestEnginePushRoundPoisonedFirstStream: a poisoned stream 0 stops
+// ingesting, and the healthy streams must still decode every window in the
+// round that fills it — a lane engine's deferred window must not wait for
+// the stream's next round.
 func TestEnginePushRoundPoisonedFirstStream(t *testing.T) {
 	const streams, d, rounds = 3, 4, 40
 	eng, err := NewEngine(EngineConfig{Streams: streams, Distance: d, Workers: 2,
@@ -443,17 +443,22 @@ func TestEnginePushRoundPoisonedFirstStream(t *testing.T) {
 	}
 }
 
-// TestEngineCloseWaitsForWorkers: Close must join the worker goroutines —
-// repeated create/run/close cycles leave the goroutine count where it
-// started.
+// TestEngineCloseWaitsForWorkers: Close must join the helper goroutines,
+// spinning or parked — repeated create/run/close cycles, through RunRounds
+// or PushRound, and a Close after the engine has sat idle long enough for
+// every helper to park, leave the goroutine count where it started.
 func TestEngineCloseWaitsForWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
+	newEngine := func() *Engine {
 		eng, err := NewEngine(EngineConfig{Streams: 8, Distance: 4, Workers: 8,
 			Sink: func(int, Correction) {}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return eng
+	}
+	for i := 0; i < 10; i++ {
+		eng := newEngine()
 		if err := eng.RunRounds(12, func(int, int) []int32 { return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -462,10 +467,49 @@ func TestEngineCloseWaitsForWorkers(t *testing.T) {
 		}
 		eng.Close()
 	}
+	events := make([][]int32, 8)
+	for i := 0; i < 10; i++ {
+		eng := newEngine()
+		for r := 0; r < 12; r++ {
+			if err := eng.PushRound(events); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		eng.Close()
+	}
+	eng := newEngine()
+	var parks uint64
+	if eng.parks != nil {
+		parks = eng.parks.Value()
+	}
+	if err := eng.PushRound(events); err != nil {
+		t.Fatal(err)
+	}
+	parked := func() bool {
+		for w := 1; w < eng.Workers(); w++ {
+			if !eng.waits[w].parked.Load() {
+				return false
+			}
+		}
+		return true
+	}
 	deadline := time.Now().Add(5 * time.Second)
+	for !parked() {
+		if time.Now().After(deadline) {
+			t.Fatal("idle helpers never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if eng.parks != nil && eng.parks.Value()-parks < uint64(eng.Workers()-1) {
+		t.Fatalf("%d parks counted, want at least one per idle helper (%d)", eng.parks.Value()-parks, eng.Workers()-1)
+	}
+	eng.Close()
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after 10 engine lifecycles",
+			t.Fatalf("goroutines leaked: %d before, %d after 21 engine lifecycles",
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(time.Millisecond)

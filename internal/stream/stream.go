@@ -29,7 +29,7 @@
 // layers, the defect scratch and the Union-Find working sets reach fixed
 // capacities, and committed corrections can be delivered through a sink
 // (SetSink) instead of an ever-growing slice. Engine runs many Decoders —
-// one per logical qubit — over a shared worker pool whose Lanes lend their
+// one per logical qubit — in fixed partitions whose Lanes lend their
 // working sets to the streams, so decoding memory does not grow with them.
 package stream
 

@@ -193,8 +193,8 @@ func clampWorkers(requested, units int) int {
 // deployed shape of the paper's decoding subsystem, where System runs
 // isolated logical cycles. Each stream is a sliding-window StreamDecoder
 // fed round by round from its own seeded noise source, and the fleet
-// decodes over a persistent worker pool. For a fixed Seed the committed
-// corrections are bit-identical regardless of Workers.
+// decodes in fixed stream partitions, one per worker. For a fixed Seed the
+// committed corrections are bit-identical regardless of Workers.
 type StreamEngine struct {
 	eng      *stream.Engine
 	samplers []*noise.RoundSampler
@@ -242,8 +242,9 @@ type StreamEngineConfig struct {
 	Trace *Trace
 }
 
-// NewStreamEngine builds the fleet and starts its worker pool. Callers
-// should Close the engine when done.
+// NewStreamEngine builds the fleet and starts a helper goroutine for each
+// stream partition but the caller's. Callers should Close the engine when
+// done.
 func NewStreamEngine(cfg StreamEngineConfig) (*StreamEngine, error) {
 	if err := checkRate(cfg.P); err != nil {
 		return nil, err
@@ -280,8 +281,8 @@ func NewStreamEngine(cfg StreamEngineConfig) (*StreamEngine, error) {
 
 // RunRounds advances every stream by n rounds: each stream samples its own
 // noise and decodes whenever a window fills. Each stream's sampler advances
-// only under the worker that claimed it, so the run is deterministic for
-// any worker count.
+// only in the stream's own partition, so the run is deterministic for any
+// worker count.
 func (e *StreamEngine) RunRounds(n int) error {
 	if n <= 0 {
 		return nil
@@ -310,7 +311,7 @@ func (e *StreamEngine) Rounds() uint64 { return e.rounds }
 // Streams returns the fleet size L.
 func (e *StreamEngine) Streams() int { return e.eng.Streams() }
 
-// Workers returns the worker-pool size in use.
+// Workers returns the number of stream partitions in use.
 func (e *StreamEngine) Workers() int { return e.eng.Workers() }
 
 // Committed returns the corrections retained for stream i (engine built
@@ -320,5 +321,6 @@ func (e *StreamEngine) Committed(i int) []StreamCorrection { return e.eng.Commit
 // TotalCorrections returns the corrections committed across the fleet.
 func (e *StreamEngine) TotalCorrections() uint64 { return e.eng.TotalCorrections() }
 
-// Close shuts the worker pool down; the engine must not be used afterwards.
+// Close stops the engine's helper goroutines; the engine must not be used
+// afterwards.
 func (e *StreamEngine) Close() { e.eng.Close() }
