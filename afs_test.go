@@ -3,8 +3,6 @@ package afs
 import (
 	"math"
 	"testing"
-
-	"afs/internal/core"
 )
 
 func TestEngineBasics(t *testing.T) {
@@ -226,16 +224,6 @@ func TestMeasureCompressionSmoke(t *testing.T) {
 	}
 	if _, err := MeasureCompression(CompressionConfig{Distance: 3, P: 0.01}); err == nil {
 		t.Fatal("zero trials accepted")
-	}
-}
-
-func TestAblationOptionsPropagate(t *testing.T) {
-	e := New(5, WithDecoderOptions(core.Options{DisableWeightedUnion: true}))
-	sp := e.NewSampler(0.01, 9)
-	var sy Syndrome
-	for i := 0; i < 100; i++ {
-		sp.Sample(&sy)
-		e.Decode(&sy) // must not panic or corrupt state
 	}
 }
 

@@ -9,13 +9,12 @@ import (
 	"time"
 )
 
-// silentShard speaks just enough of the wire protocol to look perfectly
-// healthy — it admits every open and answers every ping — but swallows
-// rounds without decoding, so it never acknowledges a round envelope,
-// never checkpoints and never delivers a correction. This is the
-// stalled-but-alive failure mode (wedged decode loop, kill -STOP) that
-// neither socket errors nor heartbeats detect: the router's round window
-// notices the missing acks and sheds it. rounds counts the msgRounds
+// silentShard speaks just enough of the wire protocol to look healthy — it
+// admits every open — but swallows rounds without decoding, so it never
+// acknowledges a round envelope, never checkpoints and never delivers a
+// correction. This is the stalled-but-alive failure mode (wedged decode
+// loop, kill -STOP) that no socket error reveals: the router's round
+// window notices the missing acks and sheds it. rounds counts the msgRounds
 // envelopes it has swallowed across sessions.
 type silentShard struct {
 	t      *testing.T
@@ -53,7 +52,7 @@ func (s *silentShard) serve() {
 }
 
 // session drains the router's messages (so TCP backpressure never blocks
-// the router's writes) and replies only to opens and pings.
+// the router's writes) and replies only to opens.
 func (s *silentShard) session(conn net.Conn) {
 	var rbuf, wbuf []byte
 	for {
@@ -64,8 +63,6 @@ func (s *silentShard) session(conn net.Conn) {
 		switch env.typ {
 		case msgOpen:
 			wbuf = appendEnvelope(wbuf[:0], msgOpenOK, env.stream, nil)
-		case msgPing:
-			wbuf = appendEnvelope(wbuf[:0], msgPong, 0, nil)
 		case msgRounds:
 			s.rounds.Add(1)
 			continue // into the void, unacknowledged
@@ -110,7 +107,6 @@ func TestJournalBoundedWithSilentShard(t *testing.T) {
 		Streams: 1, Distance: d,
 		JournalMaxBytes:   budget,
 		ReconnectAttempts: -1, // shed straight to the survivor
-		HeartbeatEvery:    -1, // liveness is not what catches this shard
 	}
 	wantCorrs, _ := runEngine(t, cfg, rounds, seed, p, []int{rounds})
 
@@ -175,7 +171,6 @@ func TestJournalRetentionWithLaggard(t *testing.T) {
 		Streams: 8, Distance: d,
 		JournalMaxBytes:   budget,
 		ReconnectAttempts: -1, // shed straight to the survivor
-		HeartbeatEvery:    -1, // liveness is not what catches this shard
 	}
 	wantCorrs, _ := runEngine(t, cfg, rounds, seed, p, []int{rounds})
 
@@ -266,7 +261,6 @@ func TestJournalDefaultCapShedsSilentShard(t *testing.T) {
 				Network: "tcp", Shards: []string{silent.addr, healthy.addr},
 				Streams: 8, Distance: d,
 				ReconnectAttempts: tc.reconnect,
-				HeartbeatEvery:    -1, // liveness is not what catches this shard
 			}
 			wantCorrs, _ := runEngine(t, cfg, rounds, seed, p, []int{rounds})
 			stalls, journals := fObs.stallSheds.Value(), fObs.journalSheds.Value()
@@ -353,7 +347,6 @@ func TestJournalByteCapShedsNonCheckpointingShard(t *testing.T) {
 		Streams: 1, Distance: d,
 		JournalMaxBytes:   budget,
 		ReconnectAttempts: -1, // shed straight to the survivor
-		HeartbeatEvery:    -1,
 	}
 	wantCorrs, _ := runEngine(t, cfg, rounds, seed, p, []int{rounds})
 	stalls, journals := fObs.stallSheds.Value(), fObs.journalSheds.Value()
@@ -403,7 +396,7 @@ func awaitCheckpoints(t *testing.T, r *Router, every uint64) {
 		r.mu.Lock()
 		expired = true
 		r.mu.Unlock()
-		r.trimCond.Broadcast()
+		r.changed.Broadcast()
 	})
 	defer timer.Stop()
 	r.mu.Lock()
@@ -416,7 +409,7 @@ func awaitCheckpoints(t *testing.T, r *Router, every uint64) {
 		if caught {
 			return
 		}
-		r.trimCond.Wait()
+		r.changed.Wait()
 	}
 	t.Fatalf("streams still lack a checkpoint within %d rounds of round %d", every, r.sent)
 }

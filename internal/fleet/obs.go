@@ -23,12 +23,11 @@ type fleetObs struct {
 	replayed     *obs.Counter // journal rounds replayed during recovery
 	reconnects   *obs.Counter // sessions re-established to a crashed shard
 	failovers    *obs.Counter // streams re-homed onto a different shard
-	crashes      *obs.Counter // shard sessions lost (read/write error or heartbeat)
-	hbTimeouts   *obs.Counter // crashes declared by heartbeat loss specifically
+	crashes      *obs.Counter // shard sessions lost (read/write error or shed)
 	refusals     *obs.Counter // admission refusals (CDA block capacity)
 	shedWindows  *obs.Counter // rounds shed by shard-side backpressure (from flush ledgers)
 	journalSheds *obs.Counter // sessions shed for exceeding the replay-journal byte cap
-	stallSheds   *obs.Counter // sessions shed for acknowledging no round envelope
+	stallSheds   *obs.Counter // sessions shed for silence in a wait on a verdict, a round window or a flush
 	windowWaits  *obs.Counter // times RunRounds waited on a full round window
 	wireTx       *obs.Counter // bytes written to shard sockets
 	wireRx       *obs.Counter // bytes read from shard sockets
@@ -46,12 +45,11 @@ var (
 			replayed:     reg.NewCounter("afs_fleet_replayed_rounds_total", "journal rounds replayed during crash recovery", s),
 			reconnects:   reg.NewCounter("afs_fleet_reconnects_total", "shard sessions re-established after a crash", s),
 			failovers:    reg.NewCounter("afs_fleet_failovers_total", "streams re-homed onto a surviving shard", s),
-			crashes:      reg.NewCounter("afs_fleet_shard_crashes_total", "shard sessions lost to read/write errors or heartbeat loss", s),
-			hbTimeouts:   reg.NewCounter("afs_fleet_heartbeat_timeouts_total", "shard crashes declared by heartbeat loss", s),
+			crashes:      reg.NewCounter("afs_fleet_shard_crashes_total", "shard sessions lost to read/write errors or shed by the router", s),
 			refusals:     reg.NewCounter("afs_fleet_admission_refusals_total", "stream opens refused by CDA block admission", s),
 			shedWindows:  reg.NewCounter("afs_fleet_shed_rounds_total", "rounds shed by shard-side backpressure (folded in at flush)", s),
 			journalSheds: reg.NewCounter("afs_fleet_journal_shed_sessions_total", "shard sessions shed for exceeding the replay-journal byte cap", s),
-			stallSheds:   reg.NewCounter("afs_fleet_stall_shed_sessions_total", "shard sessions shed for acknowledging no round envelope within the wait", s),
+			stallSheds:   reg.NewCounter("afs_fleet_stall_shed_sessions_total", "shard sessions shed for sending nothing within the router's wait limit while it waited on an open verdict, a full round window or a flush", s),
 			windowWaits:  reg.NewCounter("afs_fleet_window_waits_total", "times the router waited on a full round window", s),
 			wireTx:       reg.NewCounter("afs_fleet_wire_tx_bytes_total", "bytes written to shard sockets", s),
 			wireRx:       reg.NewCounter("afs_fleet_wire_rx_bytes_total", "bytes read from shard sockets", s),

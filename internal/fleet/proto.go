@@ -12,8 +12,9 @@
 // The robustness core is crash recovery with byte-identical decoding:
 // shards checkpoint each stream's decoder (stream.Snapshot) every
 // CheckpointEvery rounds, the router journals every post-chaos round since
-// the last checkpoint, and a shard crash — detected by read/write errors or
-// heartbeat loss — triggers bounded-backoff reconnect and, past the retry
+// the last checkpoint, and a shard crash — detected by a read or write
+// error, or by a session that sends nothing for waitLimit while the router
+// waits on it — triggers bounded-backoff reconnect and, past the retry
 // budget, deterministic failover to the surviving shards. Either way the
 // replacement decoder restores the checkpoint, replays the journal, and
 // continues the stream as if nothing happened; duplicate corrections
@@ -50,11 +51,15 @@ import (
 // msgCorrs envelope returns the corrections it produced, and opens and
 // checkpoints carry binary stream snapshots. Version 3 acknowledges every
 // msgRounds envelope with a msgRoundsOK, which bounds the rounds in flight,
-// and carries each round unframed inside its entry.
-const ProtoVersion = 3
+// and carries each round unframed inside its entry. Version 4 answers a
+// flush with one msgFlushOK per stream and retires types 9 and 10: a
+// router waiting on a shard sheds it once it falls silent, so no probe
+// checks liveness.
+const ProtoVersion = 4
 
-// Message types. Router→shard: open, rounds, flush, ping, close.
-// Shard→router: openOK/refuse, corrs, checkpoint, flushOK, pong, roundsOK.
+// Message types. Router→shard: open, rounds, flush, close. Shard→router:
+// openOK/refuse, corrs, checkpoint, flushOK, roundsOK. Types 9 and 10 were
+// version 3's heartbeat ping and pong; they are retired, not reused.
 const (
 	msgOpen       = 1  // open or adopt a stream (openPayload)
 	msgOpenOK     = 2  // stream admitted
@@ -63,9 +68,7 @@ const (
 	msgCorrs      = 5  // committed corrections (corrsPayload)
 	msgCheckpoint = 6  // periodic decoder snapshot (ckptPayload)
 	msgFlush      = 7  // flush every stream on the shard
-	msgFlushOK    = 8  // per-stream ledgers (JSON map[uint32]faults.Report)
-	msgPing       = 9  // heartbeat probe
-	msgPong       = 10 // heartbeat reply
+	msgFlushOK    = 8  // one stream flushed, after its corrections (payload = JSON faults.Report)
 	msgClose      = 11 // drop a stream without flushing (it moved elsewhere)
 	msgRoundsOK   = 12 // one msgRounds envelope fully handled (no payload)
 )

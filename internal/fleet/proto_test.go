@@ -52,9 +52,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{msgCorrs, 0, testCorrs()},
 		{msgCheckpoint, 42, appendCkptPayload(nil, 64, 12, testSnapshot())},
 		{msgFlush, 0, nil},
-		{msgFlushOK, 0, []byte(`{"1":{}}`)},
-		{msgPing, 0, nil},
-		{msgPong, 0, nil},
+		{msgFlushOK, 1, []byte(`{}`)},
 		{msgClose, 3, nil},
 		{msgRoundsOK, 0, nil},
 	}
@@ -107,7 +105,7 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 }
 
 func TestEnvelopeRejectsVersionSkew(t *testing.T) {
-	wire := appendEnvelope(nil, msgPing, 0, nil)
+	wire := appendEnvelope(nil, msgFlush, 0, nil)
 	// Patch the version byte and re-seal the CRC so only the version is
 	// wrong — decode must fail with ErrVersion specifically.
 	body := wire[4:]
@@ -313,8 +311,8 @@ func FuzzWireProtocol(f *testing.F) {
 	f.Add(appendEnvelope(nil, msgRounds, 0, appendRoundsEntry(nil, 3, 0, nil, true, 100, 20)))
 	f.Add(appendEnvelope(nil, msgCorrs, 0, appendCorrEntry(nil, 1, 4, stream.Correction{Kind: lattice.Spatial, Qubit: 2, Ancilla: -1, Round: 11})))
 	f.Add(appendEnvelope(nil, msgCheckpoint, 1, appendCkptPayload(nil, 128, 40, testSnapshot())))
-	f.Add(appendEnvelope(nil, msgFlushOK, 0, []byte(`{"0":{"Windows":3}}`)))
-	f.Add(append(appendEnvelope(nil, msgPing, 0, nil), appendEnvelope(nil, msgPong, 0, nil)...))
+	f.Add(appendEnvelope(nil, msgFlushOK, 0, []byte(`{"Windows":3}`)))
+	f.Add(append(appendEnvelope(nil, msgFlush, 0, nil), appendEnvelope(nil, msgClose, 2, nil)...))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Add(appendEnvelope(nil, msgRounds, 0, testRounds()))
 	f.Add(appendEnvelope(nil, msgCorrs, 0, testCorrs()))
@@ -417,14 +415,15 @@ func TestWireSteadyStateZeroAllocs(t *testing.T) {
 		msgCorrs:      testCorrs(),
 		msgCheckpoint: appendCkptPayload(nil, 64, 12, testSnapshot()),
 		msgFlush:      nil,
-		msgFlushOK:    []byte(`{"1":{}}`),
-		msgPing:       nil,
-		msgPong:       nil,
+		msgFlushOK:    []byte(`{}`),
 		msgClose:      nil,
 		msgRoundsOK:   nil,
 	}
 	var wire []byte
 	for typ := uint8(msgOpen); typ <= msgRoundsOK; typ++ {
+		if typ == 9 || typ == 10 {
+			continue // retired
+		}
 		p, ok := payloads[typ]
 		if !ok {
 			t.Fatalf("no payload for message type %d", typ)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"afs/internal/faults"
+	"afs/internal/obs"
 	"afs/internal/stream"
 )
 
@@ -49,25 +50,19 @@ type Config struct {
 	// retry waits reconnectBackoff, doubling per attempt.
 	ReconnectAttempts int
 
-	// HeartbeatEvery is the ping cadence per shard session (0 selects
-	// 250ms; negative disables heartbeats). A session whose pong is older
-	// than heartbeatMiss periods is declared dead even if the socket never
-	// errors — the stalled-shard case a kill -9 on a remote box produces.
-	HeartbeatEvery time.Duration
-
 	// JournalMaxBytes caps each stream's replay journal (0 selects 4 MiB;
 	// negative disables the cap), counted in journalEntryCost units. The
 	// journal only trims on shard checkpoints. A shard that stops decoding
 	// altogether — stalled decode loop, a kill -STOP — stops acknowledging
 	// round envelopes, and the round window sheds it after roundWindow
-	// unacknowledged envelopes and journalTrimWait without an ack, long
-	// before any cap. What the cap still bounds is a shard that keeps
-	// decoding and acknowledging rounds but never checkpoints (a wedged
-	// snapshot path): its streams' journals would otherwise grow without
-	// bound while the socket, heartbeats and acks stay healthy. Crossing
-	// the cap first gives the shard a bounded wait to deliver a trimming
-	// checkpoint (it may simply be catching up on a replayed journal); if
-	// the journal stays over budget the laggard is shed: the session is
+	// unacknowledged envelopes and waitLimit of silence, long before any
+	// cap. What the cap still bounds is a shard that keeps decoding and
+	// acknowledging rounds but never checkpoints (a wedged snapshot path):
+	// its streams' journals would otherwise grow without bound while the
+	// socket and acks stay healthy. Crossing the cap first gives the shard
+	// a bounded wait to deliver a trimming checkpoint (it may simply be
+	// catching up on a replayed journal); if it falls silent with the
+	// journal still over budget, the laggard is shed: the session is
 	// declared dead exactly like a crash, and the usual recovery (reconnect
 	// or failover, checkpoint restore, journal replay) moves its streams to
 	// a shard that makes progress. No rounds are dropped — the journal
@@ -84,11 +79,9 @@ type Config struct {
 }
 
 // Fixed router timings: the first reconnect retry's delay (doubling per
-// attempt), the heartbeat periods a pong may lag before its session is
-// declared dead, and the bound on each connection attempt.
+// attempt) and the bound on each connection attempt.
 const (
 	reconnectBackoff = 25 * time.Millisecond
-	heartbeatMiss    = 4
 	dialTimeout      = 2 * time.Second
 )
 
@@ -100,13 +93,6 @@ func (c Config) reconnectAttempts() int {
 		return 4
 	}
 	return c.ReconnectAttempts
-}
-
-func (c Config) heartbeatEvery() time.Duration {
-	if c.HeartbeatEvery == 0 {
-		return 250 * time.Millisecond
-	}
-	return c.HeartbeatEvery
 }
 
 func (c Config) journalMaxBytes() int {
@@ -161,7 +147,7 @@ func (b *journalBlock) events(e *journalEntry) []int32 { return b.arena[e.off : 
 type streamState struct {
 	id   int
 	home int // preferred shard (deterministic placement)
-	cur  int // shard currently decoding the stream
+	cur  int // shard currently decoding the stream (-1: none)
 
 	ch *faults.Channel // router-side chaos link, nil without Chaos
 
@@ -190,11 +176,10 @@ type streamState struct {
 	flushed bool
 }
 
-// link is one shard connection. Writes (rounds, opens, pings) serialize
-// under wmu; reads run on a dedicated goroutine per session. gen increments
-// per session so messages and deaths of a stale session cannot affect its
-// successor, and so does win: each session counts its round envelopes in
-// a window of its own.
+// link is one shard connection. Writes (rounds, opens, flushes, closes)
+// serialize under wmu; reads run on a dedicated goroutine per session.
+// Each session has state of its own, so the messages and the death of a
+// stale session cannot affect its successor.
 type link struct {
 	idx  int
 	addr string
@@ -209,27 +194,35 @@ type link struct {
 	wmu  sync.Mutex
 	conn net.Conn
 	bw   *bufio.Writer
-	gen  uint64
-	win  *window // the current session's; replaced only on the caller thread
+	sess *session // the current one; replaced only on the caller thread
 	wbuf []byte
 	pbuf []byte
 
-	up       atomic.Bool
-	lastPong atomic.Int64 // unix nanos
+	up atomic.Bool
 }
 
-// window counts one session's msgRounds envelopes: sent, by the caller
-// thread under the link's wmu as each is handed to the writer, and
-// acknowledged, by the session's reader goroutine as each msgRoundsOK
-// arrives. A session's reader holds its own window, so a late ack from a
-// dead session lands there and never opens its successor's.
-type window struct {
-	sent, acked atomic.Uint64
+// session is what one shard connection has told the router, written by
+// the session's reader goroutine; the caller thread only counts sent
+// (under the link's wmu, as it hands each msgRounds envelope to the
+// writer) and clears verdict before each open. A session's reader holds
+// its own session, so a late ack, verdict or flush answer from a dead
+// session lands there and never in its successor's.
+type session struct {
+	// sent and acked count msgRounds envelopes and their msgRoundsOK (the
+	// round window); heard counts every envelope the reader has handled.
+	sent, acked, heard atomic.Uint64
+
+	// Under the router's mu: the verdict on the open in flight (msgOpenOK
+	// or msgRefuse, 0 until it arrives) with its refusal reason, and the
+	// msgFlushOK answers handled.
+	verdict uint8
+	reason  string
+	flushes int
 }
 
 // unacked is the number of the session's envelopes the shard has not
 // acknowledged yet.
-func (w *window) unacked() uint64 { return w.sent.Load() - w.acked.Load() }
+func (s *session) unacked() uint64 { return s.sent.Load() - s.acked.Load() }
 
 // roundWindow is how many msgRounds envelopes RunRounds lets a shard
 // session leave unacknowledged before it waits. Rounds queued in socket
@@ -253,7 +246,7 @@ type RecoveryStats struct {
 	// journal rounds were replayed to restore them.
 	Streams        int
 	ReplayedRounds int
-	// Detect is the wall time from the crash being detected to recovery
+	// Duration is the wall time from the crash being detected to recovery
 	// completing (reconnect/backoff plus adopt and replay for every
 	// affected stream).
 	Duration time.Duration
@@ -262,8 +255,8 @@ type RecoveryStats struct {
 // Router is the fleet front end: it owns stream placement, the per-stream
 // chaos channels, the bounded replay journal, and crash recovery. Router
 // methods must not be called concurrently with each other; the concurrency
-// inside (per-shard reader and heartbeat goroutines) is invisible to the
-// caller beyond sink invocations.
+// inside (a reader goroutine per shard session) is invisible to the caller
+// beyond sink invocations.
 type Router struct {
 	cfg Config
 	per int
@@ -283,17 +276,16 @@ type Router struct {
 	over   []*streamState
 
 	// mu guards stream state (journal marks, checkpoints, delivery
-	// counters), the journal's block list, the pending-open table, and
-	// flush signaling. Never held across a socket write.
-	mu      sync.Mutex
-	pending map[pendingKey]chan pendingResult
-	flushCh chan int // receives link indices whose flushOK arrived
-	// trimCond (on mu) is broadcast whenever a checkpoint trims a journal,
-	// an ack arrives or a session dies; awaitShard waits on it instead of
-	// sleep-polling mu, and wake broadcasts it once a wait's deadline
-	// passes.
-	trimCond *sync.Cond
-	wake     *time.Timer
+	// counters, flush ledgers), the journal's block list, and each
+	// session's verdict and flush answers. Never held across a socket
+	// write.
+	mu sync.Mutex
+	// changed (on mu) is broadcast whenever what awaitShard waits on may
+	// have changed: a checkpoint trims a journal, an ack, verdict or flush
+	// answer arrives, or a session dies. wake broadcasts it once a wait's
+	// deadline passes.
+	changed *sync.Cond
+	wake    *time.Timer
 
 	recoveries   int
 	lastRecovery RecoveryStats
@@ -304,21 +296,7 @@ type Router struct {
 	ended  bool // Flush completed: streams are over
 }
 
-type pendingKey struct {
-	gen uint64
-	id  uint32
-}
-
-type pendingResult struct {
-	ok     bool
-	reason string
-}
-
-var (
-	errShardDown       = errors.New("fleet: shard down")
-	errJournalOverflow = errors.New("fleet: replay journal over budget, shedding shard")
-	errStalled         = errors.New("fleet: no round envelope acknowledged, shedding shard")
-)
+var errShardDown = errors.New("fleet: shard down")
 
 // Dial connects to every shard, opens the fleet's streams across them
 // (stream i prefers shard i mod N; admission refusals spill to the next
@@ -340,8 +318,8 @@ func Dial(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("fleet: shard %d (%s): %w", l.idx, l.addr, err)
 		}
 	}
-	// Place every stream: batches of opens per shard, pipelined, spilling
-	// on refusal.
+	// Place every stream in order, one open at a time: place sends an open
+	// and waits for its verdict, spilling to the next shard on a refusal.
 	for _, st := range r.streams {
 		if err := r.place(st); err != nil {
 			r.Close()
@@ -355,15 +333,13 @@ func Dial(cfg Config) (*Router, error) {
 // chaos channels.
 func newRouter(cfg Config) *Router {
 	r := &Router{
-		cfg:     cfg,
-		per:     cfg.Distance * (cfg.Distance - 1),
-		pending: map[pendingKey]chan pendingResult{},
-		flushCh: make(chan int, len(cfg.Shards)*4),
+		cfg: cfg,
+		per: cfg.Distance * (cfg.Distance - 1),
 	}
-	r.trimCond = sync.NewCond(&r.mu)
-	r.wake = time.AfterFunc(journalTrimWait, func() {
+	r.changed = sync.NewCond(&r.mu)
+	r.wake = time.AfterFunc(waitLimit, func() {
 		r.mu.Lock()
-		r.trimCond.Broadcast()
+		r.changed.Broadcast()
 		r.mu.Unlock()
 	})
 	r.wake.Stop()
@@ -396,34 +372,28 @@ func (r *Router) connect(l *link) error {
 	return nil
 }
 
-// attach makes conn l's new session, with a window of its own, and starts
-// its reader and heartbeat goroutines.
+// attach makes conn l's new session, which is not shed, and starts its
+// reader.
 func (r *Router) attach(l *link, conn net.Conn) {
-	win := &window{}
+	s := &session{}
+	l.shed = false
 	l.wmu.Lock()
 	l.conn = conn
 	l.bw = bufio.NewWriterSize(conn, 1<<16)
-	l.gen++
-	gen := l.gen
-	l.win = win
-	l.lastPong.Store(time.Now().UnixNano())
+	l.sess = s
 	l.up.Store(true)
 	l.wmu.Unlock()
 	shardsUp.Add(1)
-	go r.reader(l, conn, gen, win)
-	if r.cfg.HeartbeatEvery >= 0 {
-		go r.heartbeat(l, gen)
-	}
+	go r.reader(l, conn, s)
 }
 
-// markDead tears the session down once: later calls for the same
-// generation, and any call for a stale generation, are no-ops. It runs from
-// reader goroutines, the heartbeat, or the caller thread on a write error;
-// actual recovery (reconnect, failover, replay) happens only on the caller
-// thread.
-func (r *Router) markDead(l *link, gen uint64, cause error, heartbeat bool) {
+// markDead tears session s of l down once: later calls for the same
+// session, and any call for a stale one, are no-ops. It runs from reader
+// goroutines, or from the caller thread on a write error or a shed; actual
+// recovery (reconnect, failover, replay) happens only on the caller thread.
+func (r *Router) markDead(l *link, s *session) {
 	l.wmu.Lock()
-	if l.gen != gen || !l.up.Load() {
+	if l.sess != s || !l.up.Load() {
 		l.wmu.Unlock()
 		return
 	}
@@ -432,93 +402,64 @@ func (r *Router) markDead(l *link, gen uint64, cause error, heartbeat bool) {
 	l.wmu.Unlock()
 	shardsUp.Add(-1)
 	fObs.crashes.Inc(l.idx)
-	if heartbeat {
-		fObs.hbTimeouts.Inc(l.idx)
-	}
-	// Fail pending opens and wake a flush, window or journal waiter so the
-	// caller thread can run recovery instead of blocking.
+	// Wake a waiter so the caller thread can run recovery instead of
+	// blocking.
 	r.mu.Lock()
-	for k, ch := range r.pending {
-		if k.gen>>32 == uint64(l.idx) { // see pendKey
-			delete(r.pending, k)
-			ch <- pendingResult{ok: false, reason: errShardDown.Error()}
-		}
-	}
-	r.trimCond.Broadcast()
+	r.changed.Broadcast()
 	r.mu.Unlock()
-	select {
-	case r.flushCh <- -1 - l.idx: // negative: death notice, not a flushOK
-	default:
-	}
 }
 
-// pendKey packs (link, session generation) so markDead can sweep exactly
-// the opens in flight on the session that died.
-func pendKey(l *link, gen uint64, id uint32) pendingKey {
-	return pendingKey{gen: uint64(l.idx)<<32 | (gen & 0xffffffff), id: id}
-}
-
-// reader drains one session's messages. Corrections and checkpoints from a
-// session that died microseconds ago are still valid — the shard really did
-// decode them, and replay dedup makes re-delivery harmless — so only the
-// pending-open table is generation-checked, and acks count in the
-// session's own window.
-func (r *Router) reader(l *link, conn net.Conn, gen uint64, win *window) {
+// reader drains one session's messages until the session fails. Corrections,
+// checkpoints and flush ledgers from a session that died microseconds ago
+// are still valid — the shard really did decode them, and replay dedup
+// makes re-delivery harmless — and acks, verdicts and flush answers count
+// in the session's own state.
+func (r *Router) reader(l *link, conn net.Conn, s *session) {
 	br := bufio.NewReaderSize(&countingReader{r: conn, shard: l.idx, total: &r.wireRx}, 1<<16)
 	var buf []byte
 	for {
 		env, err := readEnvelope(br, &buf)
-		if err != nil {
-			r.markDead(l, gen, err, false)
-			return
+		if err == nil {
+			s.heard.Add(1)
+			err = r.handle(l, s, env)
 		}
-		switch env.typ {
-		case msgCorrs:
-			if err := r.handleCorrs(l, env.payload); err != nil {
-				r.markDead(l, gen, err, false)
-				return
-			}
-		case msgCheckpoint:
-			if err := r.handleCheckpoint(l, env); err != nil {
-				r.markDead(l, gen, err, false)
-				return
-			}
-		case msgOpenOK, msgRefuse:
-			r.mu.Lock()
-			k := pendKey(l, gen, env.stream)
-			if ch, ok := r.pending[k]; ok {
-				delete(r.pending, k)
-				ch <- pendingResult{ok: env.typ == msgOpenOK, reason: string(env.payload)}
-			}
-			r.mu.Unlock()
-		case msgFlushOK:
-			if err := r.handleFlushOK(l, env); err != nil {
-				r.markDead(l, gen, err, false)
-				return
-			}
-		case msgPong:
-			l.lastPong.Store(time.Now().UnixNano())
-		case msgRoundsOK:
-			if err := r.ack(win); err != nil {
-				r.markDead(l, gen, err, false)
-				return
-			}
-		default:
-			r.markDead(l, gen, fmt.Errorf("fleet: router got unexpected message type %d", env.typ), false)
+		if err != nil {
+			r.markDead(l, s)
 			return
 		}
 	}
 }
 
+// handle applies one envelope that session s of l sent.
+func (r *Router) handle(l *link, s *session, env envelope) error {
+	switch env.typ {
+	case msgCorrs:
+		return r.handleCorrs(l, env.payload)
+	case msgCheckpoint:
+		return r.handleCheckpoint(l, env)
+	case msgOpenOK, msgRefuse:
+		r.mu.Lock()
+		s.verdict, s.reason = env.typ, string(env.payload)
+		r.changed.Broadcast()
+		r.mu.Unlock()
+		return nil
+	case msgFlushOK:
+		return r.handleFlushOK(l, s, env)
+	case msgRoundsOK:
+		return r.ack(s)
+	}
+	return fmt.Errorf("fleet: router got unexpected message type %d", env.typ)
+}
+
 // ack counts one msgRoundsOK in its session's window and wakes a waiter.
 // An ack for an envelope never sent is a protocol error.
-func (r *Router) ack(win *window) error {
-	if win.acked.Load() >= win.sent.Load() {
+func (r *Router) ack(s *session) error {
+	if s.acked.Load() >= s.sent.Load() {
 		return errors.New("fleet: shard acknowledged a round envelope it was never sent")
 	}
 	r.mu.Lock()
-	win.acked.Add(1)
-	r.trimCond.Broadcast()
+	s.acked.Add(1)
+	r.changed.Broadcast()
 	r.mu.Unlock()
 	return nil
 }
@@ -593,62 +534,33 @@ func (r *Router) handleCheckpoint(l *link, env envelope) error {
 	// stay until every stream has passed them; only the marks move.
 	st.jtrim = r.block(rounds - 1).entries[i].total
 	st.jbase = rounds
-	r.trimCond.Broadcast()
+	r.changed.Broadcast()
 	fObs.checkpoints.Inc(l.idx)
 	return nil
 }
 
-func (r *Router) handleFlushOK(l *link, env envelope) error {
-	var ledgers map[uint32]faults.Report
-	if err := json.Unmarshal(env.payload, &ledgers); err != nil {
+// handleFlushOK takes one stream's flush answer, which the shard sends
+// after the stream's last correction: the first answer for a stream is its
+// ledger, and the session counts every answer it sends.
+func (r *Router) handleFlushOK(l *link, s *session, env envelope) error {
+	var rep faults.Report
+	if err := json.Unmarshal(env.payload, &rep); err != nil {
 		return err
 	}
+	i := int(env.stream)
+	if i >= len(r.streams) {
+		return fmt.Errorf("fleet: flush ledger for unknown stream %d", i)
+	}
+	st := r.streams[i]
 	r.mu.Lock()
-	for id, rep := range ledgers {
-		if int(id) >= len(r.streams) {
-			r.mu.Unlock()
-			return fmt.Errorf("fleet: flush ledger for unknown stream %d", id)
-		}
-		st := r.streams[id]
-		if !st.flushed {
-			st.ledger = rep
-			st.flushed = true
-			fObs.shedWindows.Add(l.idx, rep.ShedRounds)
-		}
+	defer r.mu.Unlock()
+	if !st.flushed {
+		st.ledger, st.flushed = rep, true
+		fObs.shedWindows.Add(l.idx, rep.ShedRounds)
 	}
-	r.mu.Unlock()
-	r.flushCh <- l.idx
+	s.flushes++
+	r.changed.Broadcast()
 	return nil
-}
-
-// heartbeat probes one session until it dies. Heartbeats are wall-clock and
-// affect only liveness detection — never decode results.
-func (r *Router) heartbeat(l *link, gen uint64) {
-	every := r.cfg.heartbeatEvery()
-	miss := heartbeatMiss * every
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for range t.C {
-		l.wmu.Lock()
-		if l.gen != gen || !l.up.Load() {
-			l.wmu.Unlock()
-			return
-		}
-		if time.Since(time.Unix(0, l.lastPong.Load())) > miss {
-			l.wmu.Unlock()
-			r.markDead(l, gen, errors.New("fleet: heartbeat timeout"), true)
-			return
-		}
-		err := r.sendLocked(l, msgPing, 0, nil)
-		if err == nil {
-			err = l.bw.Flush()
-		}
-		l.wmu.Unlock()
-		if err != nil {
-			r.markDead(l, gen, err, false)
-			return
-		}
-	}
 }
 
 // sendLocked frames one message into l's write buffer and hands it to the
@@ -657,7 +569,7 @@ func (r *Router) heartbeat(l *link, gen uint64) {
 // emit point for every outbound message; callers hold l.wmu.
 func (r *Router) sendLocked(l *link, typ uint8, id uint32, payload []byte) error {
 	if typ == msgRounds {
-		l.win.sent.Add(1)
+		l.sess.sent.Add(1)
 	}
 	l.wbuf = appendEnvelope(l.wbuf[:0], typ, id, payload)
 	n, err := l.bw.Write(l.wbuf)
@@ -674,11 +586,11 @@ func (r *Router) write(l *link, typ uint8, id uint32, payload []byte) error {
 		l.wmu.Unlock()
 		return errShardDown
 	}
-	gen := l.gen
+	s := l.sess
 	err := r.sendLocked(l, typ, id, payload)
 	l.wmu.Unlock()
 	if err != nil {
-		r.markDead(l, gen, err, false)
+		r.markDead(l, s)
 		return errShardDown
 	}
 	return nil
@@ -691,11 +603,11 @@ func (r *Router) flushLink(l *link) error {
 		l.wmu.Unlock()
 		return errShardDown
 	}
-	gen := l.gen
+	s := l.sess
 	err := l.bw.Flush()
 	l.wmu.Unlock()
 	if err != nil {
-		r.markDead(l, gen, err, false)
+		r.markDead(l, s)
 		return errShardDown
 	}
 	return nil
@@ -711,7 +623,8 @@ type replayPlan struct {
 }
 
 // openOn sends one open for st on l and waits for the verdict, returning
-// the replay plan captured atomically with the open's checkpoint.
+// the replay plan captured atomically with the open's checkpoint. A
+// session that dies or is shed before it answers reads as errShardDown.
 func (r *Router) openOn(st *streamState, l *link) (ok bool, reason string, plan replayPlan) {
 	op := openPayload{
 		Distance:   r.cfg.Distance,
@@ -724,32 +637,22 @@ func (r *Router) openOn(st *streamState, l *link) (ok bool, reason string, plan 
 	// recovery state: a checkpoint arriving between them would advance
 	// jbase past the base the open just promised. Encode inside the lock
 	// too — ckptSnap is rewritten in place when the next checkpoint lands.
+	s := l.sess
 	r.mu.Lock()
 	op.Rounds = st.jbase
 	op.CorrSeq = st.ckptCorrSeq
 	op.Snapshot = st.ckptSnap
 	blob := appendOpenPayload(nil, op)
 	plan = replayPlan{base: st.jbase, end: r.sent}
+	s.verdict = 0
 	r.mu.Unlock()
-	ch := make(chan pendingResult, 1)
-	l.wmu.Lock()
-	gen := l.gen
-	l.wmu.Unlock()
-	k := pendKey(l, gen, uint32(st.id))
-	r.mu.Lock()
-	r.pending[k] = ch
-	r.mu.Unlock()
-	if r.write(l, msgOpen, uint32(st.id), blob) != nil || r.flushLink(l) != nil {
-		// The session may have died before the pending entry was registered,
-		// in which case markDead's sweep missed it: remove it here so the
-		// table cannot accumulate dead entries.
-		r.mu.Lock()
-		delete(r.pending, k)
-		r.mu.Unlock()
+	if r.write(l, msgOpen, uint32(st.id), blob) != nil || r.flushLink(l) != nil ||
+		!r.awaitShard(l, fObs.stallSheds, func() bool { return s.verdict != 0 }) {
 		return false, errShardDown.Error(), plan
 	}
-	res := <-ch
-	return res.ok, res.reason, plan
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return s.verdict == msgOpenOK, s.reason, plan
 }
 
 // place finds a shard for a homeless stream: its home shard first, then the
@@ -791,7 +694,7 @@ func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 			l.wmu.Unlock()
 			return errShardDown
 		}
-		gen := l.gen
+		s := l.sess
 		l.pbuf = l.pbuf[:0]
 		for ; k < plan.end && len(l.pbuf) < maxBatch; k++ {
 			b := r.block(k)
@@ -801,7 +704,7 @@ func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 		err := r.sendLocked(l, msgRounds, 0, l.pbuf)
 		l.wmu.Unlock()
 		if err != nil {
-			r.markDead(l, gen, err, false)
+			r.markDead(l, s)
 			return errShardDown
 		}
 	}
@@ -820,7 +723,8 @@ func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 // then — same shard or survivors — deterministic re-placement of every
 // stream it was decoding, restoring each from its last checkpoint and
 // replaying its journal. On return every affected stream is live again (or
-// an error says the fleet is out of capacity).
+// an error says the fleet is out of capacity). Streams the shard had
+// flushed have left it with their ledgers and do not move.
 //
 // A session the router shed made no progress, and a shard that still
 // answers opens would take its streams back and be shed again every round.
@@ -831,17 +735,20 @@ func (r *Router) recover(idx int) error {
 	start := time.Now()
 	l := r.links[idx]
 	late := l.shed // reconnect only for a stream no survivor admits
-	l.shed = false
 	reconnected := !late && r.reconnect(l)
 	var affected []*streamState
+	r.mu.Lock()
 	for _, st := range r.streams {
 		if st.cur == idx {
-			affected = append(affected, st)
+			st.cur = -1
+			if !st.flushed {
+				affected = append(affected, st)
+			}
 		}
 	}
+	r.mu.Unlock()
 	replayedBefore := fObs.replayed.Value()
 	for _, st := range affected {
-		st.cur = -1
 		// place prefers the home shard — reborn or not — and falls back to
 		// the survivors if it is dead, refuses or dies again.
 		err := r.place(st)
@@ -959,23 +866,16 @@ func (r *Router) journalRound(round int, feed func(stream, round int) []int32) {
 // enforceBudget handles a stream whose journal is over budget: its shard
 // has taken a cap's worth of rounds without a checkpoint. Flush the link
 // (the shard cannot checkpoint rounds still sitting in our write buffer)
-// and give it a bounded wall-clock window to catch up — a healthy shard
-// that just adopted the stream answers with a trimming checkpoint almost
-// immediately. If the journal is still over budget after the wait, the
-// shard is wedged: shed it. Declaring the session dead routes this through
-// the same recovery as a crash — the journal is replayed (nothing sheds
-// data), and the adopting shard's first checkpoint trims it.
+// and wait for a trimming checkpoint — a healthy shard that just adopted
+// the stream sends one almost immediately. A shard that falls silent
+// first is wedged, and the wait sheds it (a journal shed): the session is
+// declared dead, so this takes the same recovery as a crash — the journal
+// is replayed (nothing sheds data), and the adopting shard's first
+// checkpoint trims it.
 func (r *Router) enforceBudget(st *streamState) error {
 	l := r.links[st.cur]
-	if r.flushLink(l) != nil {
-		return errShardDown
-	}
 	budget := uint64(r.cfg.journalMaxBytes())
-	if !r.awaitShard(l, func() bool { return r.journalBytes(st) <= budget }) {
-		if l.up.Load() {
-			fObs.journalSheds.Inc(l.idx)
-			r.shed(l, errJournalOverflow)
-		}
+	if r.flushLink(l) != nil || !r.awaitShard(l, fObs.journalSheds, func() bool { return r.journalBytes(st) <= budget }) {
 		return errShardDown
 	}
 	return nil
@@ -984,12 +884,9 @@ func (r *Router) enforceBudget(st *streamState) error {
 // shed declares l's live session dead for making no progress, so that
 // recovery moves its streams exactly as after a crash, except that it
 // fails them over before it tries to reconnect.
-func (r *Router) shed(l *link, cause error) {
+func (r *Router) shed(l *link) {
 	l.shed = true
-	l.wmu.Lock()
-	gen := l.gen
-	l.wmu.Unlock()
-	r.markDead(l, gen, cause, false)
+	r.markDead(l, l.sess)
 }
 
 // sendRound hands the newest journal block to the shards: one msgRounds
@@ -1037,63 +934,68 @@ func (r *Router) sendBatch(l *link) error {
 	return nil
 }
 
-// journalTrimWait bounds how long a waiting router gives a shard to show
-// progress — an acknowledged round envelope — before it sheds the session:
-// a full round window that sees no ack, or an over-budget journal that is
-// not trimmed. A shard that is decoding at all acknowledges an envelope
-// within microseconds of reading it; a quarter second of silence means it
-// is not decoding.
-const journalTrimWait = 250 * time.Millisecond
+// waitLimit bounds every wait on a shard session — an open's verdict, a
+// full round window, an over-budget journal, a flush: a session that sends
+// nothing for this long while the router waits on it is shed. A shard that
+// is decoding answers within microseconds of reading an envelope, and one
+// flushing many streams answers each stream as it goes, so a quarter
+// second of silence means it is not decoding.
+const waitLimit = 250 * time.Millisecond
 
-// awaitShard blocks the caller thread until done holds (it is evaluated
-// under r.mu), l's session dies, or journalTrimWait passes without an ack
-// on the session; every ack restarts the deadline. Acks, checkpoints and
-// markDead broadcast trimCond, so the waiter wakes the moment any of them
-// lands instead of on a poll tick; the deadline arrives as one broadcast
-// from r.wake. It reports whether done holds. Wall-clock only affects
-// *when* a stalled shard is shed, never decode results — the journal
-// replays identically either way.
-func (r *Router) awaitShard(l *link, done func() bool) bool {
-	win := l.win
+// awaitShard is the router's one wait on a shard session. It blocks the
+// caller thread until done holds (it is evaluated under r.mu), l's session
+// dies, or the session has sent nothing for waitLimit, which sheds it and
+// counts the shed on sheds. It reports whether done holds.
+//
+// Every envelope the session's reader handles restarts the deadline. Acks,
+// checkpoints, verdicts, flush answers and deaths broadcast r.changed, so
+// the waiter sees them the moment they land; an envelope that wakes no
+// waiter (a correction batch) is seen at the next wake-up, at the latest
+// when r.wake fires at the deadline, so a shed session was silent for
+// between one and two waitLimits. Wall-clock only affects *when* a silent
+// shard is shed, never decode results: the journal replays identically
+// either way.
+func (r *Router) awaitShard(l *link, sheds *obs.Counter, done func() bool) bool {
+	s := l.sess
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	acked, deadline := win.acked.Load(), time.Now().Add(journalTrimWait)
-	r.wake.Reset(journalTrimWait)
-	defer r.wake.Stop()
+	heard, deadline := s.heard.Load(), time.Now().Add(waitLimit)
+	r.wake.Reset(waitLimit)
 	for !done() && l.up.Load() {
-		if a := win.acked.Load(); a != acked {
-			acked, deadline = a, time.Now().Add(journalTrimWait)
-			r.wake.Reset(journalTrimWait)
+		if h := s.heard.Load(); h != heard {
+			heard, deadline = h, time.Now().Add(waitLimit)
+			r.wake.Reset(waitLimit)
 		} else if !time.Now().Before(deadline) {
 			break
 		}
-		r.trimCond.Wait()
+		r.changed.Wait()
 	}
-	return done()
+	ok := done()
+	r.mu.Unlock()
+	r.wake.Stop()
+	if !ok && l.up.Load() {
+		sheds.Inc(l.idx)
+		r.shed(l)
+	}
+	return ok
 }
 
 // awaitWindows runs after every round of RunRounds. A live session with
 // roundWindow envelopes unacknowledged makes the router flush every link —
 // the shards cannot acknowledge rounds still in its write buffers — and
-// wait for an ack. A session that dies while it waits, or acknowledges
-// nothing for journalTrimWait (which sheds it), is recovered like any
-// crash. Flushing only here means a round goes out with the others of its
-// window, in one write per shard.
+// wait for an ack. A session that dies while it waits, or is shed for
+// silence, is recovered like any crash. Flushing only here means a round
+// goes out with the others of its window, in one write per shard.
 func (r *Router) awaitWindows() error {
 	for _, l := range r.links {
-		if !l.up.Load() || l.win.unacked() < roundWindow {
+		if !l.up.Load() || l.sess.unacked() < roundWindow {
 			continue
 		}
 		fObs.windowWaits.Inc(l.idx)
 		if err := r.flushAll(); err != nil {
 			return err
 		}
-		if r.awaitShard(l, func() bool { return l.win.unacked() < roundWindow }) {
+		if r.awaitShard(l, fObs.stallSheds, func() bool { return l.sess.unacked() < roundWindow }) {
 			continue
-		}
-		if l.up.Load() {
-			fObs.stallSheds.Inc(l.idx)
-			r.shed(l, errStalled)
 		}
 		if err := r.recover(l.idx); err != nil {
 			return err
@@ -1160,83 +1062,54 @@ func (r *Router) flushAll() error {
 }
 
 // Flush ends every stream: shards decode the remaining buffered layers as
-// closed windows, deliver the final corrections, and return each stream's
-// decoder ledger. A shard crash during the flush is recovered like any
-// other (checkpoint + replay on a survivor, then re-flush). After Flush the
-// fleet session is over: corrections and ledgers are complete and stable.
+// closed windows, deliver the final corrections, and answer each stream
+// with its decoder ledger. A shard that dies or falls silent during the
+// flush is recovered like any crash (reconnect or failover, checkpoint +
+// replay), and its unanswered streams flush again; answered streams keep
+// their ledgers. After Flush the fleet session is over: corrections and ledgers
+// are complete and stable.
 func (r *Router) Flush() error {
 	if r.closed || r.ended {
 		return errors.New("fleet: router used after Flush or Close")
 	}
-	if err := r.flushAll(); err != nil {
-		return err
-	}
-	// Drain signals left over from earlier activity: death notices of
-	// crashes RunRounds already recovered, and flushOKs a previous Flush
-	// attempt stopped waiting for. Everything that matters now is re-derived
-	// below — dead links fail their writes, flushed streams are skipped.
-drain:
-	for {
-		select {
-		case <-r.flushCh:
-		default:
-			break drain
-		}
-	}
-	for try := 0; try < 1+len(r.links)*(1+r.cfg.reconnectAttempts()); try++ {
-		// Ask every live link that still owns unflushed streams to flush.
-		asked := map[int]bool{}
+	owed := make([]int, len(r.links))
+	for try := 0; try <= len(r.links)*(1+r.cfg.reconnectAttempts()); try++ {
+		// owed[i] is the count of flush answers link i's session will have
+		// sent once it has answered each unflushed stream it decodes, or 0
+		// if it decodes none. Every link is asked before any is waited on,
+		// so the shards flush in parallel.
+		clear(owed)
+		left := 0
+		r.mu.Lock()
 		for _, st := range r.streams {
-			r.mu.Lock()
-			done := st.flushed
-			r.mu.Unlock()
-			if done || asked[st.cur] {
-				continue
-			}
-			asked[st.cur] = true
-			l := r.links[st.cur]
-			if r.write(l, msgFlush, 0, nil) != nil || r.flushLink(l) != nil {
-				if err := r.recover(l.idx); err != nil {
-					return err
-				}
-				return r.Flush()
+			if !st.flushed {
+				owed[st.cur]++
+				left++
 			}
 		}
-		if len(asked) == 0 {
+		for i, l := range r.links {
+			if owed[i] > 0 {
+				owed[i] += l.sess.flushes
+			}
+		}
+		r.mu.Unlock()
+		if left == 0 {
 			r.ended = true
 			return nil
 		}
-		// Wait for flushOKs (or death notices) from the asked links.
-		waiting := len(asked)
-		for waiting > 0 {
-			sig := <-r.flushCh
-			if sig < 0 {
-				// A shard died while we were waiting for its flushOK. Only
-				// recover if it still owns unflushed streams — a notice for
-				// a link that owns nothing (or that a concurrent reader
-				// raced us on) must not spin up a spurious recovery.
-				idx := -1 - sig
-				owns := false
-				for _, st := range r.streams {
-					r.mu.Lock()
-					done := st.flushed
-					r.mu.Unlock()
-					if st.cur == idx && !done {
-						owns = true
-						break
-					}
-				}
-				if !owns {
-					continue
-				}
-				if err := r.recover(idx); err != nil {
+		for i, l := range r.links {
+			// A failed write kills the session, and the wait below
+			// recovers it.
+			if owed[i] > 0 && r.write(l, msgFlush, 0, nil) == nil {
+				_ = r.flushLink(l)
+			}
+		}
+		for i, l := range r.links {
+			s, want := l.sess, owed[i]
+			if want > 0 && !r.awaitShard(l, fObs.stallSheds, func() bool { return s.flushes >= want }) {
+				if err := r.recover(i); err != nil {
 					return err
 				}
-				return r.Flush()
-			}
-			if asked[sig] {
-				asked[sig] = false
-				waiting--
 			}
 		}
 	}
@@ -1362,12 +1235,10 @@ func (r *Router) Close() {
 	r.wake.Stop()
 	for _, l := range r.links {
 		l.wmu.Lock()
-		gen := l.gen
-		up := l.up.Load()
-		conn := l.conn
+		s, up, conn := l.sess, l.up.Load(), l.conn
 		l.wmu.Unlock()
 		if up {
-			r.markDead(l, gen, errors.New("fleet: router closed"), false)
+			r.markDead(l, s)
 		} else if conn != nil {
 			conn.Close()
 		}

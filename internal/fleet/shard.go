@@ -8,7 +8,6 @@ import (
 	"net"
 
 	"afs/internal/cda"
-	"afs/internal/faults"
 	"afs/internal/stream"
 )
 
@@ -69,7 +68,7 @@ func Serve(l net.Listener, cfg ShardConfig) error {
 			return err
 		}
 		cfg.logf("fleet shard: session from %v", conn.RemoteAddr())
-		if err := session(conn, cfg); err != nil && err != io.EOF {
+		if err := runSession(conn, cfg); err != nil && err != io.EOF {
 			cfg.logf("fleet shard: session ended: %v", err)
 		}
 		conn.Close()
@@ -123,7 +122,7 @@ func (s *shardSession) send(typ uint8, id uint32, payload []byte) error {
 	return err
 }
 
-func session(conn net.Conn, cfg ShardConfig) error {
+func runSession(conn net.Conn, cfg ShardConfig) error {
 	s := &shardSession{
 		cfg:   cfg,
 		cap:   cda.AdmissionCap(cfg.Blocks, cfg.CDA),
@@ -133,9 +132,13 @@ func session(conn net.Conn, cfg ShardConfig) error {
 	}
 	for {
 		// Everything queued for the router goes out before the session
-		// blocks on an empty connection: corrections, checkpoints and
-		// heartbeat replies must not sit in the buffer while both sides
-		// wait on each other.
+		// blocks on an empty connection: corrections, checkpoints, acks,
+		// verdicts and flush answers must not sit in the buffer while both
+		// sides wait on each other. This one goroutine both decodes and
+		// answers, so a shard that stops decoding falls silent on every
+		// message at once, and the router, which sheds a session that
+		// stays silent while it waits on it, needs no liveness probe of
+		// its own.
 		if s.br.Buffered() == 0 {
 			if err := s.bw.Flush(); err != nil {
 				return err
@@ -171,8 +174,6 @@ func (s *shardSession) handle(env envelope) error {
 		return nil
 	case msgFlush:
 		return s.handleFlush()
-	case msgPing:
-		return s.send(msgPong, env.stream, env.payload)
 	default:
 		return fmt.Errorf("fleet: shard got unexpected message type %d", env.typ)
 	}
@@ -338,31 +339,30 @@ func (s *shardSession) checkpoint(st *shardStream) error {
 	return s.send(msgCheckpoint, st.id, s.pbuf)
 }
 
-// handleFlush ends every stream on the shard: remaining buffered layers are
-// decoded as closed windows (their corrections go out as usual), and the
-// per-stream decoder ledgers are returned in one msgFlushOK. Streams are
-// flushed in ascending id so the correction interleaving on the wire is
-// deterministic; the per-stream state is discarded afterwards — a session
+// handleFlush ends every stream on the shard, in ascending id so the wire
+// order is deterministic. Each stream's remaining buffered layers are
+// decoded as closed windows, its corrections go out, and then one
+// msgFlushOK carrying its decoder ledger: the router holds a stream's whole
+// output once it holds its answer, and a flush of many streams keeps
+// answering as it goes. A flushed stream's state is discarded — a session
 // that flushed a stream is done with it, and the router re-opens if it
 // wants more.
 func (s *shardSession) handleFlush() error {
-	ledgers := make(map[uint32]faults.Report, s.open)
 	for id, st := range s.streams {
 		if st == nil {
 			continue
 		}
 		s.lanes.Flush(st.dec)
-		ledgers[uint32(id)] = st.dec.Report()
+		s.sendCorrs()
+		blob, err := json.Marshal(st.dec.Report())
+		if err != nil {
+			return err
+		}
 		s.streams[id] = nil
+		s.open--
+		if err := s.send(msgFlushOK, uint32(id), blob); err != nil {
+			return err
+		}
 	}
-	s.open = 0
-	s.sendCorrs()
-	if s.werr != nil {
-		return s.werr
-	}
-	blob, err := json.Marshal(ledgers)
-	if err != nil {
-		return err
-	}
-	return s.send(msgFlushOK, 0, blob)
+	return s.werr
 }

@@ -156,8 +156,7 @@ func TestWindowBoundsRoundsInFlight(t *testing.T) {
 		Network: "tcp", Shards: []string{gate.ln.Addr().String(), plain.addr},
 		Streams: streams, Distance: d,
 		DeadlineNS: 600, QueueCap: 8,
-		Chaos:          chaosCfg(41),
-		HeartbeatEvery: -1, // a ping would open the gate
+		Chaos: chaosCfg(41),
 	}
 	wantCorrs, wantReps := runEngine(t, cfg, rounds, seed, p, []int{rounds})
 	waits, stalls := fObs.windowWaits.Value(), fObs.stallSheds.Value()
@@ -172,7 +171,7 @@ func TestWindowBoundsRoundsInFlight(t *testing.T) {
 	feed := func(s, round int) []int32 {
 		if s == 0 { // journalRound is starting a new round
 			for _, l := range r.links {
-				worst = max(worst, l.win.unacked())
+				worst = max(worst, l.sess.unacked())
 			}
 		}
 		return inner(s, round)
@@ -212,7 +211,7 @@ func TestWindowBoundsRoundsInFlight(t *testing.T) {
 // waits until the healthy shard has acknowledged everything it was sent,
 // so that no ack or checkpoint can wake the router; closing the silent
 // shard's sessions must then wake it through markDead at once — not at
-// the journalTrimWait deadline, and not as a stall shed — and the
+// the waitLimit deadline, and not as a stall shed — and the
 // recovery must keep the fleet's output bit-identical to the in-process
 // engine.
 func TestWindowKillWhileBlocked(t *testing.T) {
@@ -230,7 +229,6 @@ func TestWindowKillWhileBlocked(t *testing.T) {
 		Streams: streams, Distance: d,
 		Chaos:             chaosCfg(47),
 		ReconnectAttempts: -1,
-		HeartbeatEvery:    -1,
 	}
 	wantCorrs, wantReps := runEngine(t, cfg, rounds, seed, p, []int{rounds})
 	stalls := fObs.stallSheds.Value()
@@ -244,7 +242,7 @@ func TestWindowKillWhileBlocked(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		drained := r.links[1].win
+		drained := r.links[1].sess
 		for silent.rounds.Load() < roundWindow || drained.unacked() > 0 {
 			time.Sleep(time.Millisecond)
 		}
@@ -278,7 +276,7 @@ func TestWindowKillWhileBlocked(t *testing.T) {
 	if resumedAt.Load() == 0 {
 		t.Fatal("RunRounds journaled no round after the kill")
 	}
-	if gap := time.Duration(resumedAt.Load() - killedAt.Load()); gap >= journalTrimWait/2 {
+	if gap := time.Duration(resumedAt.Load() - killedAt.Load()); gap >= waitLimit/2 {
 		t.Fatalf("RunRounds resumed %v after the kill: the death did not wake its window wait", gap)
 	}
 }
@@ -311,18 +309,23 @@ func (c *gatedConn) Close() error                { return nil }
 
 // TestWindowStaleAckIgnored delivers an ack from a dead session after its
 // successor has filled its window: the ack counts in the dead session's
-// own window and leaves the successor's full.
+// own window and leaves the successor's full. A verdict and a flush answer
+// the dead session sent after it land in its own state too, and the
+// successor has neither.
 func TestWindowStaleAckIgnored(t *testing.T) {
-	r := newRouter(Config{Shards: []string{"unused"}, Streams: 1, Distance: 5, HeartbeatEvery: -1})
+	r := newRouter(Config{Shards: []string{"unused"}, Streams: 1, Distance: 5})
 	defer r.Close()
 	l := r.links[0]
-	old := &gatedConn{release: make(chan struct{}), data: appendEnvelope(nil, msgRoundsOK, 0, nil), read: make(chan struct{})}
+	late := appendEnvelope(nil, msgRoundsOK, 0, nil)
+	late = appendEnvelope(late, msgOpenOK, 0, nil)
+	late = appendEnvelope(late, msgFlushOK, 0, []byte(`{}`))
+	old := &gatedConn{release: make(chan struct{}), data: late, read: make(chan struct{})}
 	r.attach(l, old)
-	stale := l.win
+	stale := l.sess
 	if err := r.write(l, msgRounds, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	r.shed(l, errStalled) // the session dies with its ack still unread
+	r.shed(l) // the session dies with its ack still unread
 
 	next := &gatedConn{release: make(chan struct{}), read: make(chan struct{})}
 	defer close(next.release)
@@ -338,9 +341,15 @@ func TestWindowStaleAckIgnored(t *testing.T) {
 	if got := stale.acked.Load(); got != 1 {
 		t.Fatalf("the dead session's window counted %d acks, want 1", got)
 	}
-	if got := l.win.unacked(); got != roundWindow {
+	if got := l.sess.unacked(); got != roundWindow {
 		t.Fatalf("a stale ack opened the successor's window: %d unacknowledged, want %d", got, roundWindow)
 	}
+	r.mu.Lock()
+	if stale.verdict != msgOpenOK || stale.flushes != 1 || l.sess.verdict != 0 || l.sess.flushes != 0 {
+		t.Errorf("late verdict and flush answer: dead session has (%d, %d), successor (%d, %d); want (%d, 1) and (0, 0)",
+			stale.verdict, stale.flushes, l.sess.verdict, l.sess.flushes, msgOpenOK)
+	}
+	r.mu.Unlock()
 	if !l.up.Load() {
 		t.Fatal("the stale session's end killed its successor")
 	}
