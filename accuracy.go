@@ -49,8 +49,6 @@ type AccuracyConfig struct {
 	// applied every round while measurements are noisy, demonstrating why
 	// decoders must process d rounds at once.
 	Repeated2D bool
-	// DecoderOptions selects Union-Find ablation variants.
-	DecoderOptions core.Options
 	// StopRelCI, when positive, enables adaptive early stopping: the run
 	// ends once the 95% CI half-width falls to StopRelCI times the
 	// observed rate (see montecarlo.AccuracyConfig.StopRelCI). 0 runs the
@@ -78,27 +76,30 @@ type AccuracyResult struct {
 	// MeanSyndromeWeight is the mean number of non-trivial detection
 	// events per trial.
 	MeanSyndromeWeight float64
+	// GreedyFallbacks counts the MWPM decodes that exceeded its exact
+	// matcher's limit (20 defects) and were matched greedily, so the rate
+	// mixes in that many inexact decodes; 0 for every other decoder.
+	GreedyFallbacks uint64
 }
+
+// leanOpts is every accuracy run's Union-Find option set: accuracy runs
+// consume only the correction, so they skip the per-decode execution
+// profile the latency model would need.
+var leanOpts = core.Options{LeanStats: true}
 
 func (c AccuracyConfig) factory() (montecarlo.Factory, error) {
 	switch c.Decoder {
 	case "", UnionFind:
-		// Accuracy runs consume only the correction, so skip the per-decode
-		// execution profile the latency model would need.
-		opts := c.DecoderOptions
-		opts.LeanStats = true
 		return func(g *lattice.Graph) montecarlo.Decoder {
-			return core.NewDecoder(g, opts)
+			return core.NewDecoder(g, leanOpts)
 		}, nil
 	case MWPM:
 		return func(g *lattice.Graph) montecarlo.Decoder {
 			return mwpm.NewDecoder(g)
 		}, nil
 	case Hierarchical:
-		opts := c.DecoderOptions
-		opts.LeanStats = true
 		return func(g *lattice.Graph) montecarlo.Decoder {
-			return hierarchical.New(g, core.NewDecoder(g, opts))
+			return hierarchical.New(g, core.NewDecoder(g, leanOpts))
 		}, nil
 	case LUT:
 		// Validate constructibility eagerly so the caller gets an error
@@ -173,5 +174,6 @@ func MeasureLogicalErrorRate(cfg AccuracyConfig) (AccuracyResult, error) {
 		CILow:              r.CI.Lo,
 		CIHigh:             r.CI.Hi,
 		MeanSyndromeWeight: r.MeanDefects,
+		GreedyFallbacks:    r.GreedyFallbacks,
 	}, nil
 }

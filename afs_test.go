@@ -254,6 +254,33 @@ func TestDecoderKinds(t *testing.T) {
 	}
 }
 
+// TestMWPMGreedyFallbacksReported: at 3-D d=5, p=0.02 some trials leave
+// MWPM more than its 20 exact-matching defects, and the result counts
+// them, the same count at every worker count (two chunks here). Union-Find
+// has no fallback and reports 0.
+func TestMWPMGreedyFallbacksReported(t *testing.T) {
+	var counts []uint64
+	for _, w := range []int{1, 2} {
+		r, err := MeasureLogicalErrorRate(AccuracyConfig{
+			Distance: 5, P: 0.02, Trials: 2048, Seed: 77, Decoder: MWPM, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, r.GreedyFallbacks)
+	}
+	if counts[0] == 0 || counts[0] != counts[1] {
+		t.Fatalf("MWPM greedy fallbacks at 1 and 2 workers: %v, want equal and nonzero", counts)
+	}
+	uf, err := MeasureLogicalErrorRate(AccuracyConfig{
+		Distance: 5, P: 0.02, Trials: 2048, Seed: 77, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uf.GreedyFallbacks != 0 {
+		t.Fatalf("Union-Find reports %d greedy fallbacks", uf.GreedyFallbacks)
+	}
+}
+
 func TestRepeated2DFacade(t *testing.T) {
 	r, err := MeasureLogicalErrorRate(AccuracyConfig{
 		Distance: 5, P: 0.01, Trials: 5000, Seed: 6, Repeated2D: true})

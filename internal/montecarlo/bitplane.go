@@ -43,6 +43,8 @@ type chunkTally struct {
 	peelResolved uint64
 	residual     uint64
 	resHist      [5]uint64 // residual defect count: <=2, <=4, <=8, <=16, >16
+
+	greedy uint64 // decodes the decoder solved by its inexact fallback
 }
 
 // resBucket maps a residual defect count to its chunkTally.resHist bucket.
@@ -100,6 +102,8 @@ type bpKernel struct {
 	g       *lattice.Graph
 	s       *noise.PlaneSampler
 	dec     Decoder
+	fb      fallbackCounter // dec, if it has an inexact fallback
+	fbSeen  uint64          // fb's count at the end of the last chunk
 	tri     *core.Triage
 	lt      *core.LaneTriage
 	cutEdge []bool
@@ -129,6 +133,7 @@ func newBPKernel(cfg AccuracyConfig, g *lattice.Graph) *bpKernel {
 	}
 	k.peel = k.triage && !cfg.DisablePeel
 	k.cutEdge = k.s.CutEdges()
+	k.fb, _ = k.dec.(fallbackCounter)
 	return k
 }
 
@@ -277,6 +282,10 @@ func (k *bpKernel) run(n uint64) chunkTally {
 			}
 		}
 		n -= uint64(kk)
+	}
+	if k.fb != nil {
+		n := k.fb.GreedyFallbacks()
+		t.greedy, k.fbSeen = n-k.fbSeen, n
 	}
 	return t
 }

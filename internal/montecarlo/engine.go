@@ -32,6 +32,8 @@ type point struct {
 	// Partial-residual peel tallies (see chunkTally).
 	peeled, peelResolved, residual atomic.Uint64
 	resHist                        [5]atomic.Uint64
+
+	greedy atomic.Uint64 // inexact fallback decodes (see fallbackCounter)
 }
 
 func newPoint(cfg AccuracyConfig) *point {
@@ -98,6 +100,9 @@ func (pt *point) finish(trials uint64, t chunkTally) {
 			}
 		}
 	}
+	if t.greedy != 0 {
+		pt.greedy.Add(t.greedy)
+	}
 	done := pt.trials.Add(trials)
 	if pt.cfg.StopRelCI <= 0 || pt.stopped.Load() {
 		return
@@ -149,6 +154,7 @@ func (pt *point) result() AccuracyResult {
 	for i := range res.ResidualDefects {
 		res.ResidualDefects[i] = pt.resHist[i].Load()
 	}
+	res.GreedyFallbacks = pt.greedy.Load()
 	res.CI = rateInterval(failures, executed, pt.cfg.Seed)
 	return res
 }

@@ -22,9 +22,18 @@ import (
 
 // Decoder is the minimal decoding contract: defects in, correction edge
 // indices out. Both the Union-Find decoder (internal/core) and the MWPM
-// baseline (internal/mwpm) satisfy it.
+// baseline (internal/mwpm) satisfy it. A decoder that solves some
+// instances inexactly (MWPM's greedy matcher above its exact-DP limit)
+// also implements fallbackCounter, and the run reports the count.
 type Decoder interface {
 	Decode(defects []int32) []int32
+}
+
+// fallbackCounter is implemented by decoders with an inexact fallback:
+// GreedyFallbacks returns the running count of decodes that took it.
+// Workers read it once per chunk, after the chunk's trials.
+type fallbackCounter interface {
+	GreedyFallbacks() uint64
 }
 
 // Factory builds a fresh decoder bound to g. Each worker calls it once per
@@ -171,6 +180,10 @@ type AccuracyResult struct {
 	PeelResolved     uint64
 	ResidualDecodes  uint64
 	ResidualDefects  [5]uint64
+	// GreedyFallbacks counts the decodes New's decoder solved inexactly
+	// (fallbackCounter; MWPM above its exact-matching limit), 0 for a
+	// decoder without a fallback. It is reported, never enforced.
+	GreedyFallbacks uint64
 }
 
 // rateInterval attaches a 95% confidence interval to a Monte-Carlo rate:

@@ -40,13 +40,15 @@ func RunRepeated2D(cfg AccuracyConfig) AccuracyResult {
 		workers = int(nChunks)
 	}
 
-	var next, failures atomic.Uint64
+	var next, failures, greedy atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			dec := cfg.New(g)
+			fb, _ := dec.(fallbackCounter)
+			var seen uint64 // fb's count at the end of the last chunk
 			pcg := rand.NewPCG(0, 0)
 			rng := rand.New(pcg)
 			nq := g.NumDataQubits()
@@ -102,6 +104,11 @@ func RunRepeated2D(cfg AccuracyConfig) AccuracyResult {
 					}
 				}
 				failures.Add(fails)
+				if fb != nil {
+					n := fb.GreedyFallbacks()
+					greedy.Add(n - seen)
+					seen = n
+				}
 			}
 		}()
 	}
@@ -114,6 +121,7 @@ func RunRepeated2D(cfg AccuracyConfig) AccuracyResult {
 		Trials:          cfg.Trials,
 		TrialsRequested: cfg.Trials,
 		Failures:        failures.Load(),
+		GreedyFallbacks: greedy.Load(),
 		Elapsed:         time.Since(start),
 	}
 	if cfg.Trials > 0 {

@@ -68,6 +68,11 @@ func NewDecoder(g *lattice.Graph) *Decoder {
 	return &Decoder{G: g, MaxExact: DefaultMaxExact}
 }
 
+// GreedyFallbacks returns how many decodes so far exceeded MaxExact and
+// were matched greedily (Stats.GreedyInstances), the count Monte-Carlo
+// runs report.
+func (d *Decoder) GreedyFallbacks() uint64 { return d.Stats.GreedyInstances }
+
 // Decode returns the correction for the given defects as edge indices into
 // G.Edges. The returned slice is reused by the next call.
 func (d *Decoder) Decode(defects []int32) []int32 {

@@ -13,7 +13,7 @@ import (
 // Baseline and Decoder in the same process). It buffers layers as freshly
 // allocated slices, dedupes with an O(k^2) scan, sorts with insertion sort,
 // carries seam toggles through a map, and re-slices its buffer on every
-// slide — exactly the costs the ring-buffer Decoder removes. Committed
+// slide — exactly the costs Decoder's reused defect list removes. Committed
 // corrections are identical to Decoder's for identical input.
 type Baseline struct {
 	Distance       int

@@ -1,26 +1,37 @@
 package stream
 
 import (
-	"math/bits"
 	"slices"
 	"testing"
 
 	"afs/internal/noise"
 )
 
-// checkOcc asserts the slot-occupancy invariant: occ[s] equals the
-// popcount of slot s's ring words, for every slot (buffered or free —
-// free slots must be zero on both sides).
-func checkOcc(t *testing.T, d *Decoder, when string) {
+// checkList asserts the buffer invariant: the defect list is strictly
+// ascending with every id below Buffered()*per, no erasure flag is set past
+// the buffered layers, and nErased counts the flags that are.
+func checkList(t *testing.T, d *Decoder, when string) {
 	t.Helper()
-	for s := 0; s < d.Window; s++ {
-		var pc int32
-		for k := 0; k < d.perWords; k++ {
-			pc += int32(bits.OnesCount64(d.ring[s*d.perWords+k]))
+	for i, v := range d.win {
+		if v < 0 || v >= int32(d.Buffered()*d.per) {
+			t.Fatalf("%s: id %d outside [0,%d) for %d buffered layers", when, v, d.Buffered()*d.per, d.Buffered())
 		}
-		if pc != d.occ[s] {
-			t.Fatalf("%s: slot %d occupancy %d, words hold %d bits", when, s, d.occ[s], pc)
+		if i > 0 && v <= d.win[i-1] {
+			t.Fatalf("%s: defect list not strictly ascending at %d: %v", when, i, d.win)
 		}
+	}
+	n := 0
+	for l, e := range d.erased {
+		if !e {
+			continue
+		}
+		if l >= d.Buffered() {
+			t.Fatalf("%s: layer %d flagged erased past %d buffered layers", when, l, d.Buffered())
+		}
+		n++
+	}
+	if n != d.nErased {
+		t.Fatalf("%s: %d erasure flags set, nErased %d", when, n, d.nErased)
 	}
 }
 
@@ -142,13 +153,12 @@ func TestStreamW0SkipBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamSlotOccupancyInvariant drives every path that writes ring
-// words — duplicate-index ingestion, the commit seam's carry toggle,
-// erased rounds, backpressure shedding, slides, and final flushes — and
-// checks after each round that the per-slot occupancy counters match the
-// actual popcount of the slot words. The counters are what lets
-// decodeWindow skip empty slots without scanning, so a drift here would
-// silently drop defects.
+// TestStreamSlotOccupancyInvariant drives every path that writes the
+// defect list — duplicate-index ingestion, the commit seam's carry toggle,
+// erased rounds, backpressure shedding, degraded commits, slides, and
+// final flushes — and checks after each round that it stays the window's
+// defect list (checkList). Both decode routes read it in place, so an
+// unsorted, duplicated or out-of-window id would reach a decode.
 func TestStreamSlotOccupancyInvariant(t *testing.T) {
 	const d, rounds = 5, 500
 	for _, robust := range []bool{false, true} {
@@ -163,7 +173,7 @@ func TestStreamSlotOccupancyInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		// p high enough that temporal corrections regularly cross the
-		// commit seam and exercise the carry-toggle occupancy updates.
+		// commit seam and exercise the carry toggle's inserts and deletes.
 		s := noise.NewRoundSampler(d, 0.03, 5, 3)
 		for r := 0; r < rounds; r++ {
 			switch {
@@ -180,14 +190,21 @@ func TestStreamSlotOccupancyInvariant(t *testing.T) {
 				if robust && r%31 == 7 {
 					dec.AddPenaltyNS(900)
 				}
+				if robust && r%97 == 50 {
+					// A stall longer than the queue cap: backlog shedding.
+					dec.AddPenaltyNS(8000)
+				}
 				if err := dec.PushLayer(s.SampleRound()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			checkOcc(t, dec, "after push")
+			checkList(t, dec, "after push")
 		}
 		dec.Flush()
-		checkOcc(t, dec, "after flush")
+		checkList(t, dec, "after flush")
+		if rep := dec.Report(); robust && (rep.ShedRounds == 0 || rep.DegradedCommits == 0) {
+			t.Fatalf("robust run shed %d rounds and degraded %d commits, want both nonzero", rep.ShedRounds, rep.DegradedCommits)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // partition belongs to one helper goroutine for the engine's life. Every
 // PushRound, RunRounds batch and Flush runs in all partitions at once: a
 // partition ingests its own streams' rounds and resolves its own lane
-// groups of up to 64 consecutive streams, so a stream's ring and a
+// groups of up to 64 consecutive streams, so a stream's defect list and a
 // partition's Union-Find working set stay with one worker.
 //
 // The round handoffs are atomic: the caller publishes a round by bumping a

@@ -265,7 +265,7 @@ func TestEngineProgressOnOneProcessor(t *testing.T) {
 }
 
 // BenchmarkStreamDecoder measures single-stream steady-state throughput of
-// the rebuilt ring-buffer decoder at the paper's operating point.
+// the rebuilt decoder at the paper's operating point.
 func BenchmarkStreamDecoder(b *testing.B) {
 	benchSingle(b, func() pusher {
 		d, err := New(11, 11, 0)

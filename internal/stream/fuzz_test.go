@@ -90,10 +90,10 @@ func fuzzLayers(raw []byte, per, maxRounds int) [][]int32 {
 	return out
 }
 
-// FuzzStreamMatchesBaseline is the differential fuzz target for the ring
-// rebuild: arbitrary layers through the new Decoder and the preserved
-// pre-rebuild Baseline must commit identical correction sets, across a
-// window geometry that actually slides.
+// FuzzStreamMatchesBaseline is the differential fuzz target for the
+// streaming rebuild: arbitrary layers, duplicates included, through the
+// Decoder and the preserved pre-rebuild Baseline must commit identical
+// correction sets, across a window geometry that actually slides.
 func FuzzStreamMatchesBaseline(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 3, 3, 0, 1, 2})

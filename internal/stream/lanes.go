@@ -28,11 +28,11 @@ import (
 // classified word-parallel by core.LaneTriage.ClassifySparse. A lane the
 // certificate resolves whole (fast) commits its closed-form correction,
 // the edges a full decode returns, with no per-stream decode at all; the
-// rest (gathered) run a full core decode on the defect list the scatter
-// pass already extracted (so the heavy tail re-reads nothing). Both finish
-// through the same deadline charge and commit/slide code, so a window's
-// corrections, fault ledger and trace do not depend on the group it lands
-// in, or on the group's size and fill, robust streams included.
+// rest (gathered) run a full core decode on the stream's buffered defect
+// list, the same list the scatter pass read. Both finish through the same
+// deadline charge and commit/slide code, so a window's corrections, fault
+// ledger and trace do not depend on the group it lands in, or on the
+// group's size and fill, robust streams included.
 //
 // Group-formation rules (deterministic — a pure function of the decs slice
 // order and the decoders' pending flags, never of worker timing):
@@ -60,17 +60,15 @@ type laneKey struct {
 }
 
 // laneShape is the per-(distance, window) working set: the shared window
-// graph and classifier plus the transpose planes and per-lane scratch. All
-// of it reaches a high-water capacity and is reused, so steady-state
-// batches allocate nothing.
+// graph and classifier plus the transpose planes and per-lane emit
+// scratch. All of it reaches a high-water capacity and is reused, so
+// steady-state batches allocate nothing.
 type laneShape struct {
 	g       *lattice.Graph
 	lt      *core.LaneTriage
 	planes  []uint64 // g.V + 1: defect planes plus the always-zero sentinel
 	touched []uint64
 	emits   [64][]int32 // per-lane fast-path edge emits (ClassifySparse)
-	lists   [64][]int32 // per-lane defect lists (collectScatter)
-	counts  [64]int
 	lanes   [64]*Decoder
 }
 
@@ -153,22 +151,20 @@ func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 	for lane := 0; lane < n; lane++ {
 		d := sh.lanes[lane]
 		d.pending = false
-		nd, anyErased := d.windowSummary()
-		sh.counts[lane] = nd
 		switch {
-		case anyErased || d.disableW0Skip:
+		case d.nErased != 0 || d.disableW0Skip:
 			// Per-stream state the planes cannot carry (erasure flags, the
 			// W0-skip test hook): a full window decode, outside the planes.
 			d.decodeWindow(&l.units, false)
 			sh.lanes[lane] = nil
 			scalar++
-		case nd == 0:
+		case len(d.win) == 0:
 			// The weight-0 skip, lane-side: nothing to scatter, nothing to
 			// decode — commit the empty correction and slide.
-			d.commitFast(nil, 0)
+			d.commitFast(nil)
 			sh.lanes[lane] = nil
 		default:
-			d.collectScatter(sh.planes, sh.touched, uint(lane), &sh.lists[lane])
+			d.scatter(sh.planes, sh.touched, uint(lane))
 			elig |= 1 << uint(lane)
 		}
 	}
@@ -180,9 +176,9 @@ func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 			ew &^= 1 << uint(lane)
 			d := sh.lanes[lane]
 			if fast>>uint(lane)&1 != 0 {
-				d.commitFast(sh.emits[lane], sh.counts[lane])
+				d.commitFast(sh.emits[lane])
 			} else {
-				d.decodeGathered(&l.units, sh.lists[lane])
+				d.decodeWindow(&l.units, false)
 			}
 			sh.lanes[lane] = nil
 		}
@@ -203,51 +199,13 @@ func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 	}
 }
 
-// windowSummary scans the (full — pending implies ringLen == Window) ring
-// for the window's defect count and whether any round was erased. Slot
-// order is irrelevant for either, so the scan skips the ring rotation.
-func (d *Decoder) windowSummary() (ndefects int, anyErased bool) {
-	n := int32(0)
-	for si := 0; si < d.Window; si++ {
-		n += d.occ[si]
-		anyErased = anyErased || d.erased[si]
-	}
-	return int(n), anyErased
-}
-
-// collectScatter extracts the window's defects in ascending window-local
-// vertex order (layer t's ancilla x at vertex t*per + x), OR-ing each into
-// a lane group's planes at bit `lane` and appending it to *list. One
-// rotated pass serves both routes out of classification: the planes feed
-// the word-parallel certifier, and if the lane is gathered the full decode
-// takes the list without re-reading the ring. The scatter is
-// OR-only, which is what licenses core.LaneTriage.ClearPlanes's
-// O(defects) cleanup.
-func (d *Decoder) collectScatter(planes, touched []uint64, lane uint, list *[]int32) {
+// scatter ORs the window's defects into a lane group's planes at bit
+// `lane`, marking each vertex in touched. The scatter is OR-only, which is
+// what licenses core.LaneTriage.ClearPlanes's O(defects) cleanup.
+func (d *Decoder) scatter(planes, touched []uint64, lane uint) {
 	bit := uint64(1) << lane
-	out := (*list)[:0]
-	for t := 0; t < d.Window; t++ {
-		si := d.ringStart + t
-		if si >= d.Window {
-			si -= d.Window
-		}
-		if d.occ[si] == 0 {
-			continue
-		}
-		wi := si * d.perWords
-		off := t * d.per
-		for k := 0; k < d.perWords; k++ {
-			w := d.ring[wi+k]
-			base := off + k<<6
-			for w != 0 {
-				x := bits.TrailingZeros64(w)
-				w &^= 1 << uint(x)
-				v := base + x
-				planes[v] |= bit
-				touched[v>>6] |= 1 << (uint(v) & 63)
-				out = append(out, int32(v))
-			}
-		}
+	for _, v := range d.win {
+		planes[v] |= bit
+		touched[v>>6] |= 1 << (uint(v) & 63)
 	}
-	*list = out
 }

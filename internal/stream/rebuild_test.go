@@ -30,11 +30,10 @@ func sortCorrections(cs []Correction) {
 }
 
 // TestStreamMatchesBaselineExactly is the rebuild's differential harness:
-// identical event streams through the pre-engine Baseline and the ring-
-// buffer Decoder must commit identical correction multisets, window
-// geometry by window geometry. This transitively pins the bitset
-// ingestion, the seam carry-as-XOR, and the lane route to the seed
-// implementation's decisions.
+// identical event streams through the pre-engine Baseline and the Decoder
+// must commit identical correction multisets, window geometry by window
+// geometry. This transitively pins the sorted-list ingestion, the seam
+// carry, and the lane route to the seed implementation's decisions.
 func TestStreamMatchesBaselineExactly(t *testing.T) {
 	for _, cfg := range []struct{ d, T, w, c int }{
 		{3, 17, 3, 1}, {4, 13, 4, 2}, {4, 13, 4, 1}, {4, 13, 4, 3},
@@ -124,9 +123,10 @@ func TestStreamSinkMatchesRetained(t *testing.T) {
 
 // TestStreamSteadyStateMemoryIsBounded is the regression test for the
 // pre-rebuild leak: `buffer = buffer[commit:]` kept every consumed layer's
-// backing array reachable for the stream's lifetime. The ring buffer must
-// hold exactly Window slots forever, and a long steady-state run must not
-// allocate at all.
+// backing array reachable for the stream's lifetime. The defect list's
+// capacity must stay within one window of vertices and stop growing once
+// the stream is warm, and a long steady-state run must not allocate at
+// all.
 func TestStreamSteadyStateMemoryIsBounded(t *testing.T) {
 	const d, w, c = 5, 4, 2
 	dec, err := New(d, w, c)
@@ -148,12 +148,16 @@ func TestStreamSteadyStateMemoryIsBounded(t *testing.T) {
 		}
 	}
 
-	ringWords := len(dec.ring)
-	for i := 0; i < 100_000; i++ {
+	const n = 100_000
+	half := 0
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			half = cap(dec.win)
+		}
 		dec.PushLayer(rounds[i%len(rounds)])
 	}
-	if len(dec.ring) != ringWords || ringWords != w*dec.perWords {
-		t.Fatalf("ring grew: %d words, want %d", len(dec.ring), w*dec.perWords)
+	if c := cap(dec.win); c > w*dec.per || c != half {
+		t.Fatalf("defect list capacity %d (%d at mid-run), want at most %d and no growth over the second half", c, half, w*dec.per)
 	}
 	if dec.Buffered() >= w {
 		t.Fatalf("buffered %d layers, want < window %d", dec.Buffered(), w)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"afs/internal/backlog"
 	"afs/internal/faults"
@@ -23,9 +24,10 @@ import (
 //
 // The buffered layers are captured post-carry: a committed temporal edge
 // crossing the commit seam has already toggled the first buffered layer,
-// so restoring the layers verbatim reproduces the exact ring content, not
-// merely the raw input rounds. That is what makes a checkpoint + bounded
-// round journal sufficient for replay — no unbounded history is needed.
+// so restoring the layers verbatim reproduces the exact buffer content,
+// not merely the raw input rounds. That is what makes a checkpoint +
+// bounded round journal sufficient for replay — no unbounded history is
+// needed.
 type Snapshot struct {
 	Distance int `json:"distance"`
 	Window   int `json:"window"`
@@ -34,7 +36,7 @@ type Snapshot struct {
 	// Base is the global round index of buffered layer 0.
 	Base int `json:"base"`
 	// Layers holds the buffered layers in order, each a sorted list of
-	// ancilla indices (the post-carry ring content). Always fewer than
+	// ancilla indices (the post-carry buffer content). Always fewer than
 	// Window entries: a full window decodes immediately on ingest.
 	Layers [][]int32 `json:"layers"`
 	// Erased flags layers synthesized empty (link erasure or shedding).
@@ -53,7 +55,8 @@ type Snapshot struct {
 // Snapshot captures the decoder's dynamic state. The returned value shares
 // nothing with the decoder and may be serialized or held across further
 // pushes. Cost is O(buffered defects), so checkpointing a quiet stream is
-// cheap. A deferred (pending) window is resolved first — alone, as a
+// cheap: the layers split one copy of the defect list, and an empty layer
+// is nil. A deferred (pending) window is resolved first — alone, as a
 // one-lane group, bit-identically — so the snapshot always holds fewer
 // than Window layers, the invariant Restore enforces.
 func (d *Decoder) Snapshot() Snapshot {
@@ -63,32 +66,23 @@ func (d *Decoder) Snapshot() Snapshot {
 		Window:    d.Window,
 		Commit:    d.Commit,
 		Base:      d.base,
-		Layers:    make([][]int32, d.ringLen),
-		Erased:    make([]bool, d.ringLen),
+		Layers:    make([][]int32, d.buffered),
+		Erased:    make([]bool, d.buffered),
 		PenaltyNS: d.penaltyNS,
 		Queue:     d.queue.State(),
 		Ledger:    d.rep,
 	}
-	for t := 0; t < d.ringLen; t++ {
-		si := d.ringStart + t
-		if si >= d.Window {
-			si -= d.Window
+	copy(s.Erased, d.erased)
+	ids := slices.Clone(d.win)
+	for t := range s.Layers {
+		off, n := int32(t*d.per), 0
+		for n < len(ids) && ids[n] < off+int32(d.per) {
+			ids[n] -= off
+			n++
 		}
-		s.Erased[t] = d.erased[si]
-		if d.occ[si] == 0 {
-			continue
+		if n > 0 {
+			s.Layers[t], ids = ids[:n:n], ids[n:]
 		}
-		wi := si * d.perWords
-		layer := make([]int32, 0, d.occ[si])
-		for k := 0; k < d.perWords; k++ {
-			w := d.ring[wi+k]
-			base := int32(k << 6)
-			for w != 0 {
-				layer = append(layer, base+int32(bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-		}
-		s.Layers[t] = layer
 	}
 	return s
 }
@@ -99,10 +93,12 @@ func (d *Decoder) Snapshot() Snapshot {
 // snapshot carries the queue clocks, not the configuration they run
 // under). Feeding the restored decoder the same rounds the
 // snapshotted one went on to receive reproduces its corrections and its
-// fault ledger bit for bit. Any malformed snapshot — shape mismatch, too
-// many layers, an out-of-range ancilla index, a non-finite or negative
-// penalty (pending or ledger total) or queue clock (NowNS, FreeNS), or
-// episode counters no queue can reach (Sheds != Recoveries, plus one while
+// fault ledger bit for bit. A layer's indices may come in any order and
+// repeat; each layer is restored sorted and deduplicated, as PushLayer
+// would ingest it. Any malformed snapshot — shape mismatch, too many
+// layers, an out-of-range ancilla index, a non-finite or negative penalty
+// (pending or ledger total) or queue clock (NowNS, FreeNS), or episode
+// counters no queue can reach (Sheds != Recoveries, plus one while
 // Shedding) — is rejected with an error before any decoder state changes.
 func (d *Decoder) Restore(s Snapshot) error {
 	if s.Distance != d.Distance || s.Window != d.Window || s.Commit != d.Commit {
@@ -156,31 +152,23 @@ func (d *Decoder) Restore(s Snapshot) error {
 		}
 	}
 
-	for i := range d.ring {
-		d.ring[i] = 0
+	d.win = d.win[:0]
+	clear(d.erased)
+	d.nErased = 0
+	for t, layer := range s.Layers {
+		d.appendLayer(t, layer)
+		if s.Erased[t] {
+			d.erased[t] = true
+			d.nErased++
+		}
 	}
-	for i := range d.occ {
-		d.occ[i] = 0
-		d.erased[i] = false
-	}
-	d.ringStart = 0
-	d.ringLen = len(s.Layers)
+	d.buffered = len(s.Layers)
 	// A window still pending on a deferred decoder belongs to the state
 	// being overwritten: a snapshot holds fewer than Window layers, so
 	// nothing is left to resolve.
 	d.pending = false
 	d.base = s.Base
 	d.committed = nil
-	for t, layer := range s.Layers {
-		w := d.ring[t*d.perWords : (t+1)*d.perWords]
-		for _, x := range layer {
-			if bit := uint64(1) << (uint(x) & 63); w[x>>6]&bit == 0 {
-				w[x>>6] |= bit
-				d.occ[t]++
-			}
-		}
-		d.erased[t] = s.Erased[t]
-	}
 	d.penaltyNS = s.PenaltyNS
 	d.queue.SetState(s.Queue)
 	d.rep = s.Ledger

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"afs/internal/backlog"
@@ -38,7 +39,7 @@ func feedRounds(t *testing.T, d *Decoder, sampler *noise.RoundSampler, ch *fault
 // decoder restored from a mid-stream snapshot and fed the remaining rounds
 // commits byte-identical corrections and reports an identical ledger,
 // including under deadline enforcement, backpressure, and link faults, and
-// including snapshots taken at every possible ring fill level.
+// including snapshots taken at every possible buffer fill level.
 func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	const d, rounds = 5, 160
 	cases := []struct {
@@ -284,6 +285,79 @@ func TestSnapshotRestoreOntoPendingDecoder(t *testing.T) {
 		t.Fatalf("restored lane-built decoder diverges from its restored twin (%d vs %d corrections)", len(out), len(twinOut))
 	}
 	if got, want := dec.Report(), twin.Report(); got != want {
+		t.Fatalf("ledger diverges:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestRestoreCanonicalizesLayers: a snapshot layer may list its indices in
+// any order and repeat them, as PushLayer accepts a round. A JSON snapshot
+// whose layers are reversed and doubled restores to the same state as the
+// canonical layers: Snapshot returns the canonical form, and the two
+// decoders commit identical corrections and ledgers over further rounds.
+func TestRestoreCanonicalizesLayers(t *testing.T) {
+	const d, w, c = 5, 9, 3
+	robust := Robust{DeadlineNS: 350, QueueCap: 4}
+	sampler := noise.NewRoundSampler(d, 0.05, 31, 1)
+	src, err := NewRobust(d, w, c, robust)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedRounds(t, src, sampler, nil, 2*w+4)
+	snap := src.Snapshot()
+	messy := snap
+	messy.Layers = make([][]int32, len(snap.Layers))
+	multi := 0
+	for i, layer := range snap.Layers {
+		rev := slices.Clone(layer)
+		slices.Reverse(rev)
+		messy.Layers[i] = append(rev, layer...)
+		if len(layer) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatalf("no snapshot layer holds two indices to reorder: %v", snap.Layers)
+	}
+	blob, err := json.Marshal(messy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromJSON Snapshot
+	if err := json.Unmarshal(blob, &fromJSON); err != nil {
+		t.Fatal(err)
+	}
+
+	var outs [2][]Correction
+	var decs [2]*Decoder
+	for i, s := range []Snapshot{snap, fromJSON} {
+		dec, err := NewRobust(d, w, c, robust)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.SetSink(func(c Correction) { outs[i] = append(outs[i], c) })
+		if err := dec.Restore(s); err != nil {
+			t.Fatal(err)
+		}
+		if got := dec.Snapshot(); !reflect.DeepEqual(got, snap) {
+			t.Fatalf("restore %d: snapshot not canonical:\n got  %+v\n want %+v", i, got, snap)
+		}
+		decs[i] = dec
+	}
+	for r := 0; r < 100; r++ {
+		ev := sampler.SampleRound()
+		for _, dec := range decs {
+			if err := dec.PushLayer(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, dec := range decs {
+		dec.Flush()
+	}
+	if len(outs[0]) == 0 || !sameCorrections(outs[0], outs[1]) {
+		t.Fatalf("messy restore commits %d corrections, canonical %d, or they differ", len(outs[1]), len(outs[0]))
+	}
+	if got, want := decs[1].Report(), decs[0].Report(); got != want {
 		t.Fatalf("ledger diverges:\n got  %+v\n want %+v", got, want)
 	}
 }

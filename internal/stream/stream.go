@@ -10,32 +10,33 @@
 // internal/storage and lattice.New3DWindow). This package supplies the
 // control loop around that window graph:
 //
-//   - detector layers are ingested into a fixed ring of per-round bitsets
-//     (PushLayer); setting a bit is the deduplication;
+//   - detector layers are appended to one sorted list of window-local
+//     vertex ids (PushLayer), which is the window's defect list; sorting a
+//     round's events drops its duplicates;
 //   - when W layers are buffered, the window graph is decoded; clusters
 //     may match forward into the temporal boundary, deferring ambiguous
 //     decisions to the future;
 //   - corrections in the first C layers (the commit region) are final;
 //     a committed temporal edge crossing the commit seam explains half of
 //     a defect pair, so the far detection event is toggled before the next
-//     window sees it (one XOR into the ring slot that becomes the next
-//     window's first layer);
+//     window sees it (an insert into or a delete from the list, in the
+//     layer that becomes the next window's first);
 //   - corrections in the tentative region are discarded and re-derived by
 //     the next window with more context;
 //   - Flush decodes whatever remains as a closed window (the stream's
 //     final round is measured perfectly, as in the accuracy simulations).
 //
-// The steady-state path allocates nothing: the ring is sized once at W
-// layers, the defect scratch and the Union-Find working sets reach fixed
-// capacities, and committed corrections can be delivered through a sink
-// (SetSink) instead of an ever-growing slice. Engine runs many Decoders —
-// one per logical qubit — in fixed partitions whose Lanes lend their
-// working sets to the streams, so decoding memory does not grow with them.
+// The steady-state path allocates nothing: the defect list and the
+// Union-Find working sets reach high-water capacities, and committed
+// corrections can be delivered through a sink (SetSink) instead of an
+// ever-growing slice. Engine runs many Decoders — one per logical qubit —
+// in fixed partitions whose Lanes lend their working sets to the streams,
+// so decoding memory does not grow with them.
 package stream
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"afs/internal/backlog"
 	"afs/internal/core"
@@ -79,36 +80,27 @@ type Decoder struct {
 	// it usually stays nil. Built on first use, like every working set.
 	own *Lanes
 
-	// The layer ring: Window slots of perWords words each, slot
-	// (ringStart+t) % Window holding buffered layer t's detection events as
-	// a bitset over ancilla indices. Bit-set ingestion dedupes for free, and
-	// scanning slots in layer order yields the defect list already sorted.
-	per       int
-	perWords  int
-	ring      []uint64
-	ringStart int
-	ringLen   int
+	// The window buffer: win holds the buffered layers' detection events as
+	// one strictly ascending list of window-local vertex ids (buffered
+	// layer t's ancilla x is t*per + x), every id below buffered*per. It is
+	// the window's defect list as both decode routes read it: a lane group
+	// scatters it, a full decode takes it in place, and Flush decodes it on
+	// a closed graph that numbers its vertices the same way. It grows to a
+	// high-water capacity and is reused.
+	per      int
+	win      []int32
+	buffered int
 
-	// occ[s] is the number of set bits in ring slot s, maintained at ingest
-	// (bits are membership-checked before setting, so duplicate indices
-	// within a round cannot double-count) and by the commit seam's carry
-	// toggle, zeroed on shed and slide. It lets decodeWindow skip empty
-	// slots without scanning their words — at deployed error rates most
-	// rounds of a quiet logical qubit are empty, so the per-slide defect
-	// scan drops from O(W·perWords) to O(W + faults) — and lets the
-	// slide/shed word-zeroing loops skip already-zero slots. Invariant
-	// (test-enforced): occ[s] == popcount(slot s's words) at all times.
-	occ []int32
-
-	// erased flags the ring slots whose rounds were lost (link erasure or
-	// backpressure shedding): the layer is synthesized empty and the next
-	// window re-derives context instead of the stream stalling.
-	erased []bool
+	// erased[t] flags buffered layer t as lost (link erasure or backpressure
+	// shedding): the layer is synthesized empty and the next window
+	// re-derives context instead of the stream stalling. nErased counts the
+	// flags set.
+	erased  []bool
+	nErased int
 
 	base      int // global index of buffered layer 0
 	committed []Correction
 	sink      func(Correction)
-	defects   []int32 // scratch, in window-local vertex ids
 
 	// Deadline-aware degradation (NewRobust), fixed at construction. All
 	// accounting runs in model nanoseconds — never wall clock — so
@@ -276,18 +268,13 @@ func newDecoder(distance, window, commit int, r Robust, deferred bool) (*Decoder
 		return nil, fmt.Errorf("stream: commit %d outside [1, %d); committing a full window would finalize its deferred boundary matches", commit, window)
 	}
 	g := lattice.Cached3DWindow(distance, window)
-	per := distance * (distance - 1)
-	perWords := (per + 63) / 64
 	d := &Decoder{
 		Distance:    distance,
 		Window:      window,
 		Commit:      commit,
 		g:           g,
-		per:         per,
-		perWords:    perWords,
-		ring:        make([]uint64, window*perWords),
+		per:         distance * (distance - 1),
 		erased:      make([]bool, window),
-		occ:         make([]int32, window),
 		robust:      r,
 		robustOn:    r.enabled(),
 		queue:       backlog.BoundedQueue{ArrivalNS: microarch.SyndromeRoundNS, Cap: r.QueueCap},
@@ -353,7 +340,7 @@ func (d *Decoder) SetSink(fn func(Correction)) { d.sink = fn }
 // Buffered returns the number of layers currently buffered (below Window
 // between calls, except while a deferred window waits for its Lanes to
 // resolve it).
-func (d *Decoder) Buffered() int { return d.ringLen }
+func (d *Decoder) Buffered() int { return d.buffered }
 
 // PushLayer feeds one round's detection events (per-layer ancilla indices,
 // 0 <= index < d(d-1)). The slice is not retained; duplicate indices within
@@ -423,8 +410,8 @@ func (d *Decoder) ownLanes() *Lanes {
 // ingest buffers one layer (validated events, or an erased blank) and
 // decodes when the window fills.
 func (d *Decoder) ingest(events []int32, erased bool) {
-	// A deferred window must resolve before the next layer lands — the ring
-	// holds exactly Window slots, all of them occupied while pending.
+	// A deferred window must resolve before the next layer lands: a pending
+	// decoder buffers a full window.
 	d.resolvePending()
 	if d.robustOn {
 		sheds, recovers := d.queue.Sheds, d.queue.Recoveries
@@ -453,32 +440,44 @@ func (d *Decoder) ingest(events []int32, erased bool) {
 	}
 	d.omRounds++
 	if erased {
+		d.erased[d.buffered] = true
+		d.nErased++
 		if d.om != nil {
 			d.om.erasedRounds.Inc(d.omShard)
 		}
 		if d.trace != nil {
-			ts := float64(d.base+d.ringLen) * microarch.SyndromeRoundNS
+			ts := float64(d.base+d.buffered) * microarch.SyndromeRoundNS
 			d.trace.Emit(obs.Event{TS: ts, TID: d.tid, Kind: obs.EvErasedRound})
 		}
 	}
-	si := d.ringStart + d.ringLen
-	if si >= d.Window {
-		si -= d.Window
-	}
-	w := d.ring[si*d.perWords : (si+1)*d.perWords]
-	for _, x := range events {
-		if bit := uint64(1) << (uint(x) & 63); w[x>>6]&bit == 0 {
-			w[x>>6] |= bit
-			d.occ[si]++
-		}
-	}
-	d.erased[si] = erased
-	d.ringLen++
-	if d.ringLen >= d.Window {
+	d.appendLayer(d.buffered, events)
+	d.buffered++
+	if d.buffered >= d.Window {
 		d.pending = true
 		if !d.deferDecode {
 			d.resolvePending()
 		}
+	}
+}
+
+// appendLayer appends buffered layer t's events (in-range ancilla indices,
+// any order, duplicates allowed) to win as vertex ids t*per + x. Every id
+// already in win lies below t*per, so sorting and deduplicating the new
+// tail keeps the whole list strictly ascending; sorted input costs one
+// pass.
+func (d *Decoder) appendLayer(t int, events []int32) {
+	n, off := len(d.win), int32(t*d.per)
+	prev, sorted := off-1, true
+	for _, x := range events {
+		v := off + x
+		sorted = sorted && v > prev
+		prev = v
+		d.win = append(d.win, v)
+	}
+	if !sorted {
+		tail := d.win[n:]
+		slices.Sort(tail)
+		d.win = d.win[:n+len(slices.Compact(tail))]
 	}
 }
 
@@ -487,22 +486,15 @@ func (d *Decoder) ingest(events []int32, erased bool) {
 // backlog drains by making future windows cheaper instead of diverging
 // (paper §II-C — an unbounded backlog stalls the machine).
 func (d *Decoder) shedOldest() {
-	for t := 0; t < d.ringLen; t++ {
-		si := d.ringStart + t
-		if si >= d.Window {
-			si -= d.Window
-		}
-		if d.erased[si] {
+	for t := 0; t < d.buffered; t++ {
+		if d.erased[t] {
 			continue
 		}
-		if d.occ[si] != 0 {
-			wi := si * d.perWords
-			for k := 0; k < d.perWords; k++ {
-				d.ring[wi+k] = 0
-			}
-			d.occ[si] = 0
-		}
-		d.erased[si] = true
+		lo, _ := slices.BinarySearch(d.win, int32(t*d.per))
+		hi, _ := slices.BinarySearch(d.win, int32((t+1)*d.per))
+		d.win = slices.Delete(d.win, lo, hi)
+		d.erased[t] = true
+		d.nErased++
 		d.rep.ShedRounds++
 		if d.om != nil {
 			d.om.shedRounds.Inc(d.omShard)
@@ -528,13 +520,12 @@ func (d *Decoder) flush(l *Lanes) []Correction {
 	if d.pending {
 		l.resolveOne(d)
 	}
-	for d.ringLen > 0 {
+	for d.buffered > 0 {
 		d.decodeWindow(&l.units, true)
 	}
 	out := d.committed
 	d.committed = nil
 	d.base = 0
-	d.ringStart = 0
 	// A new stream starts with fresh clocks; the fault ledger is cumulative.
 	// Reset closes a still-open shedding episode (counting the recovery), so
 	// mirror that close into the live metrics and the trace.
@@ -566,60 +557,19 @@ func (d *Decoder) emit(c Correction) {
 	d.committed = append(d.committed, c)
 }
 
-// decodeWindow decodes the current buffer prefix in full on working set u.
-// In sliding mode (a window a lane group cannot scatter) the prefix is
-// exactly Window layers on the boundary window graph and only the commit
-// region is finalized; in final mode the whole buffer is decoded on a
-// closed graph and fully committed.
+// decodeWindow decodes the window in full on working set u, taking win in
+// place as its defect list. In sliding mode (a window a lane group cannot
+// scatter, or could not certify) the buffer holds exactly Window layers,
+// decoded on the boundary window graph with only the commit region
+// finalized; in final mode every buffered layer is decoded on a closed
+// graph and fully committed. The decode dispatch lives here, the deadline
+// accounting and the sliding commit depth in chargeWindow,
+// commit/slide/observability in finishWindow.
 func (d *Decoder) decodeWindow(u *units, final bool) {
 	layers := d.Window
 	if final {
-		layers = d.ringLen
+		layers = d.buffered
 	}
-	d.collectDefects(layers)
-	d.decodeCollected(u, final, layers)
-}
-
-// collectDefects rebuilds d.defects from the first `layers` buffered
-// layers, in window-local vertex ids.
-func (d *Decoder) collectDefects(layers int) {
-	// Build the defect list in window-local vertex ids. Scanning layers in
-	// order and words in order yields it sorted with no extra pass; the
-	// per-layer vertex offset is the only translation needed. Ring slots are
-	// indexed directly — this loop runs every slide and slice headers per
-	// layer are measurable. Slots with zero occupancy contribute nothing
-	// and are skipped without touching their words, so a quiet stream's
-	// per-slide scan is O(W) counter loads; the weight-0 window skip below
-	// then fires off an empty defect list exactly as before.
-	d.defects = d.defects[:0]
-	for t := 0; t < layers; t++ {
-		si := d.ringStart + t
-		if si >= d.Window {
-			si -= d.Window
-		}
-		if d.occ[si] == 0 {
-			continue
-		}
-		wi := si * d.perWords
-		off := int32(t * d.per)
-		for k := 0; k < d.perWords; k++ {
-			w := d.ring[wi+k]
-			base := off + int32(k<<6)
-			for w != 0 {
-				bit := bits.TrailingZeros64(w)
-				d.defects = append(d.defects, base+int32(bit))
-				w &^= 1 << uint(bit)
-			}
-		}
-	}
-}
-
-// decodeCollected decodes d.defects (already collected from the first
-// `layers` buffered layers) on working set u and finishes the window: the
-// decode dispatch lives here, the deadline accounting and the sliding
-// commit depth in chargeWindow (a final window commits every layer),
-// commit/slide/observability in finishWindow.
-func (d *Decoder) decodeCollected(u *units, final bool, layers int) {
 	// Weight-0 fast path: a window with no detection events has the empty
 	// correction, and skipping Decode outright is safe because the
 	// decoder's reset is deferred, not lost — an empty decode would only
@@ -629,7 +579,8 @@ func (d *Decoder) decodeCollected(u *units, final bool, layers int) {
 	// that empty decode (w0CostNS), so robust-mode accounting stays
 	// bit-identical too. At deployed error rates most windows of a quiet
 	// logical qubit take this path.
-	w0 := len(d.defects) == 0 && !d.disableW0Skip
+	ndefects := len(d.win)
+	w0 := ndefects == 0 && !d.disableW0Skip
 	var g *lattice.Graph
 	var corr []int32
 	var stats *core.DecodeStats
@@ -644,14 +595,14 @@ func (d *Decoder) decodeCollected(u *units, final bool, layers int) {
 			g = lattice.Cached3D(d.Distance, layers)
 		}
 		dec := u.decoder(g)
-		corr = dec.Decode(d.defects)
+		corr = dec.Decode(d.win)
 		stats = &dec.Stats
 	}
 	commit, cost := layers, 0.0
 	if !final {
 		commit, cost = d.chargeWindow(stats)
 	}
-	d.finishWindow(g, corr, commit, final, w0, len(d.defects), cost)
+	d.finishWindow(g, corr, commit, final, w0, ndefects, cost)
 }
 
 // chargeWindow runs a sliding window through the deadline model and
@@ -725,13 +676,14 @@ func (d *Decoder) chargeWindow(stats *core.DecodeStats) (commit int, cost float6
 // commitFast finishes a pending sliding window the lane certificate
 // resolved whole: corr holds its emit edges (window-graph edge ids), the
 // edges a full decode of the window returns (core's
-// TestClassifySparseMatchesFullDecode), and ndefects the window's defect
-// count. The deadline model charges it DecodeStats{NumDefects: ndefects}
-// with no clusters (microarch.Model.WindowCost); an empty lane is the
-// weight-0 skip. corr lists every edge regardless of the commit depth; the
-// commit loop's round filter keeps the commit region, at the normal depth
-// and at a degraded one alike.
-func (d *Decoder) commitFast(corr []int32, ndefects int) {
+// TestClassifySparseMatchesFullDecode). The deadline model charges it
+// DecodeStats{NumDefects: len(win)} with no clusters
+// (microarch.Model.WindowCost); an empty lane is the weight-0 skip. corr
+// lists every edge regardless of the commit depth; the commit loop's round
+// filter keeps the commit region, at the normal depth and at a degraded
+// one alike.
+func (d *Decoder) commitFast(corr []int32) {
+	ndefects := len(d.win)
 	var stats *core.DecodeStats
 	if ndefects != 0 {
 		stats = &core.DecodeStats{NumDefects: ndefects}
@@ -740,38 +692,19 @@ func (d *Decoder) commitFast(corr []int32, ndefects int) {
 	d.finishWindow(d.g, corr, commit, false, ndefects == 0, ndefects, cost)
 }
 
-// decodeGathered finishes a pending sliding window the lane certificate
-// could not resolve whole through a full decode on working set u, taking
-// the defect list from the Lanes scatter pass (ascending vertex order, as
-// collectDefects builds it).
-func (d *Decoder) decodeGathered(u *units, defects []int32) {
-	d.defects = append(d.defects[:0], defects...)
-	d.decodeCollected(u, false, d.Window)
-}
-
-// finishWindow commits a decoded window and slides the ring: the commit
+// finishWindow commits a decoded window and slides the buffer: the commit
 // loop with its seam carry, the steady-state observability tallies, and
-// the slot recycling. g/corr are the decode's graph and correction (g may
-// be nil when corr is empty), ndefects the window's defect count (passed
-// explicitly — the lane fast path never materializes d.defects), cost the
-// robust model charge (0 otherwise).
+// the slide. g/corr are the decode's graph and correction (g may be nil
+// when corr is empty), ndefects the window's defect count, cost the robust
+// model charge (0 otherwise).
 func (d *Decoder) finishWindow(g *lattice.Graph, corr []int32, commit int, final, w0 bool, ndefects int, cost float64) {
 	// winTS is the window's model-time anchor (its first buffered layer's
 	// arrival slot) for the trace; cost stays 0 outside deadline mode.
 	winTS := float64(d.base) * microarch.SyndromeRoundNS
 
 	// Commit region: record final corrections; a temporal edge crossing the
-	// seam toggles the layer that becomes the next window's first layer —
-	// directly in its ring slot, which the slide below leaves in place.
-	var carry []uint64
-	carrySI := 0
-	if !final {
-		carrySI = d.ringStart + commit
-		if carrySI >= d.Window {
-			carrySI -= d.Window
-		}
-		carry = d.ring[carrySI*d.perWords : (carrySI+1)*d.perWords]
-	}
+	// seam toggles an event in layer `commit`, which the slide below makes
+	// the next window's first layer.
 	committed := 0
 	for _, ei := range corr {
 		e := &g.Edges[ei]
@@ -795,15 +728,14 @@ func (d *Decoder) finishWindow(g *lattice.Graph, corr []int32, commit int, final
 			if round == commit-1 && !g.IsBoundary(e.V) {
 				// The edge's far end lies in the tentative region: the
 				// committed measurement-error decision explains the event
-				// at layer `commit`, so cancel it there. The toggle can set
-				// or clear the bit, so the slot occupancy moves both ways.
-				bit := uint64(1) << (uint(x) & 63)
-				if carry[x>>6]&bit == 0 {
-					d.occ[carrySI]++
+				// at layer `commit`, so cancel it there: delete the event,
+				// or insert it if the layer did not hold it.
+				v := int32(commit*d.per) + x
+				if i, ok := slices.BinarySearch(d.win, v); ok {
+					d.win = slices.Delete(d.win, i, i+1)
 				} else {
-					d.occ[carrySI]--
+					d.win = slices.Insert(d.win, i, v)
 				}
-				carry[x>>6] ^= bit
 			}
 		}
 	}
@@ -831,25 +763,27 @@ func (d *Decoder) finishWindow(g *lattice.Graph, corr []int32, commit int, final
 		d.trace.Emit(obs.Event{TS: winTS, Dur: cost, Arg: float64(ndefects), TID: d.tid, Kind: obs.EvWindow})
 	}
 
-	// Slide: clear the consumed slots for reuse and advance the ring.
-	// Empty slots (occ == 0) already hold all-zero words and only need
-	// their erased flag cleared.
-	for t := 0; t < commit; t++ {
-		si := d.ringStart + t
-		if si >= d.Window {
-			si -= d.Window
+	// Slide: drop the committed layers' events, renumber the rest from
+	// layer 0 in one pass (a handful of ids at deployed rates), and shift
+	// any erasure flags down with them.
+	cut, n := int32(commit*d.per), 0
+	for _, v := range d.win {
+		if v >= cut {
+			d.win[n] = v - cut
+			n++
 		}
-		if d.occ[si] != 0 {
-			wi := si * d.perWords
-			for k := 0; k < d.perWords; k++ {
-				d.ring[wi+k] = 0
-			}
-			d.occ[si] = 0
-		}
-		d.erased[si] = false
 	}
-	d.ringStart = (d.ringStart + commit) % d.Window
-	d.ringLen -= commit
+	d.win = d.win[:n]
+	if d.nErased != 0 {
+		for _, e := range d.erased[:commit] {
+			if e {
+				d.nErased--
+			}
+		}
+		copy(d.erased, d.erased[commit:d.buffered])
+		clear(d.erased[d.buffered-commit : d.buffered])
+	}
+	d.buffered -= commit
 	d.base += commit
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // feed splits a closed-graph trial (T detector layers) into per-layer
-// detection events and streams them through the decoder (either the ring
+// detection events and streams them through the decoder (either the
 // Decoder or the pre-rebuild Baseline).
 func feed(d pusher, g *lattice.Graph, defects []int32) {
 	per := g.LayerVertices()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"afs/internal/cda"
-	"afs/internal/core"
 	"afs/internal/microarch"
 	"afs/internal/stats"
 )
@@ -24,10 +23,6 @@ type LatencyConfig struct {
 	// ClosedCycle decodes isolated logical cycles instead of the default
 	// continuous decoding windows.
 	ClosedCycle bool
-	// Model selects latency-model variants (ablations).
-	Model microarch.Model
-	// DecoderOptions selects Union-Find variants (ablations).
-	DecoderOptions core.Options
 }
 
 // LatencyResult is the outcome of MeasureLatency: the latency distribution
@@ -73,8 +68,6 @@ func MeasureLatency(cfg LatencyConfig) (LatencyResult, error) {
 		Trials:         cfg.Trials,
 		Seed:           cfg.Seed,
 		Workers:        cfg.Workers,
-		Model:          cfg.Model,
-		Decoder:        cfg.DecoderOptions,
 		ClosedCycle:    cfg.ClosedCycle,
 		KeepBreakdowns: true,
 	})
