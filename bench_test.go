@@ -120,11 +120,14 @@ func BenchmarkTable2_CDAStorage(b *testing.B) {
 }
 
 func BenchmarkFig9_MemoryScaling(b *testing.B) {
-	ls := []int{1, 10, 100, 1000}
+	var sink int64
 	for i := 0; i < b.N; i++ {
-		storage.MemoryCurve(ls, 11, false)
+		for _, l := range []int{1, 10, 100, 1000} {
+			sink += storage.ForSystem(l, 11, false).TotalBits()
+		}
 	}
 	b.ReportMetric(storage.MB(storage.ForSystem(1000, 11, false).TotalBits()), "MB@1000q")
+	_ = sink
 }
 
 // --- Figure 12: CDA contention -------------------------------------------

@@ -33,24 +33,3 @@ func CompressedGbps(l, d int, windowNS, ratio float64) float64 {
 	}
 	return RequiredGbps(l, d, windowNS) / ratio
 }
-
-// Point is one (distance, window) sample of the Figure 13 sweep.
-type Point struct {
-	Distance int
-	WindowNS float64
-	Gbps     float64
-}
-
-// Sweep evaluates the bandwidth requirement over every combination of the
-// given distances and transmission windows for an l-qubit system,
-// regenerating the series of Figure 13 (the paper uses l=1000 and windows
-// of 100 ns, 400 ns and 1 us).
-func Sweep(l int, distances []int, windowsNS []float64) []Point {
-	out := make([]Point, 0, len(distances)*len(windowsNS))
-	for _, w := range windowsNS {
-		for _, d := range distances {
-			out = append(out, Point{Distance: d, WindowNS: w, Gbps: RequiredGbps(l, d, w)})
-		}
-	}
-	return out
-}

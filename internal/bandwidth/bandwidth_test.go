@@ -58,17 +58,3 @@ func TestBandwidthScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSweepLayout(t *testing.T) {
-	pts := Sweep(1000, []int{3, 11}, []float64{100, 400})
-	if len(pts) != 4 {
-		t.Fatalf("sweep size %d", len(pts))
-	}
-	// Window-major ordering: all distances for the first window first.
-	if pts[0].WindowNS != 100 || pts[1].WindowNS != 100 || pts[2].WindowNS != 400 {
-		t.Fatalf("sweep order wrong: %+v", pts)
-	}
-	if pts[3].Distance != 11 || pts[3].Gbps != 550 {
-		t.Fatalf("sweep values wrong: %+v", pts[3])
-	}
-}

@@ -49,18 +49,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // frameHeaderBytes is magic+seq+mode; sparse adds the u16 count.
 const frameHeaderBytes = 1 + 4 + 1
 
-// RoundFrameBytes returns the encoded size of a round with n events over a
-// per-ancilla range of per bits (the smaller of the two payload modes plus
-// header and CRC).
-func RoundFrameBytes(n, per int) int {
-	sparse := 2 + 2*n
-	bitmap := (per + 7) / 8
-	if bitmap < sparse {
-		return frameHeaderBytes + bitmap + 4
-	}
-	return frameHeaderBytes + sparse + 4
-}
-
 // AppendRoundFrame appends one framed syndrome round to dst and returns the
 // extended slice. events must be ascending ancilla indices in [0, per); the
 // caller keeps ownership of the slice. The steady-state path allocates

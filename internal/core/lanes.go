@@ -12,9 +12,9 @@ import (
 // LaneTriage is the plane certificate: it classifies 64 lanes at once from
 // defect planes (one uint64 per vertex, bit t = lane t has a defect there —
 // see noise.PlaneGroup) for the Monte-Carlo kernel (Classify) and for the
-// stream's lane batcher (ClassifySparse). Both entry points run one scan
-// and one single rule, which enforce the isolation rule of DESIGN.md
-// ("Isolation certificate") word-parallel:
+// stream's lane batcher (ClassifySparse). Both entry points run one
+// certify step, the scan and the single rule, which enforce the isolation
+// rule of DESIGN.md ("Isolation certificate") word-parallel:
 //
 //   - scan folds each defect's six lattice neighbours into a saturating
 //     per-lane degree (0, 1 or >= 2), refills the compact defect list
@@ -29,20 +29,20 @@ import (
 //     single–single bound 1+1+1). Isolation already excludes distances 0
 //     and 1.
 //
-// A lane that certifies nothing is gathered (GatherLists) for the scalar
-// certificate or the decoder, so the plane certificate needs soundness,
-// never completeness.
+// A lane passes iff it holds no degree->=2 defect and every isolated
+// defect passes the single rule: it is then adjacent pairs plus B = 1
+// singles, each of which a full decode resolves on its own. A lane that
+// fails goes to the caller's scalar path (the kernel's PeelResidual, the
+// stream's full decode), so the certificate needs soundness, never
+// completeness.
 type LaneTriage struct {
 	*laneTables
 
 	// Per-call scratch: isolated-defect positions and lane masks for the
-	// single rule, and the degree-2 analog for Chain4's re-fold.
-	// Preallocated by NewLaneTriage and truncated (never reallocated)
-	// between calls so heavy batches see no regrowth churn.
+	// single rule. Preallocated by NewLaneTriage and truncated (never
+	// reallocated) between calls so heavy batches see no regrowth churn.
 	isoV []int32
 	isoM []uint64
-	d2V  []int32
-	d2M  []uint64
 	// isoPlane[v] = lanes in which v holds an isolated defect, populated by
 	// singles for its ring-3 scan and re-zeroed before it returns.
 	isoPlane []uint64
@@ -50,8 +50,9 @@ type LaneTriage struct {
 	// DefV/DefW are the compact defect list of the most recent Classify or
 	// ClassifySparse call: the touched vertices with a nonzero plane word,
 	// in increasing vertex order, paired with those words. The kernel's
-	// heavy-tail gather (GatherLists) iterates this instead of re-scanning
-	// the touched bitmap. Valid until the next classification call.
+	// gather (GatherLists) and the stream's plane reset (ClearPlanes)
+	// iterate this instead of re-scanning the touched bitmap. Valid until
+	// the next classification call.
 	DefV []int32
 	DefW []uint64
 }
@@ -60,8 +61,6 @@ type LaneTriage struct {
 // once per *lattice.Graph and shared by every LaneTriage on that graph
 // (see laneTablesFor), so a classifier costs only its scratch.
 type laneTables struct {
-	g *lattice.Graph
-
 	// nbr6 is the fixed-width coordinate-neighbor table: entries
 	// [6v, 6v+6) are v's L1-distance-1 real neighbors, padded with the
 	// sentinel index g.V whose plane word is always zero (PlaneGroup
@@ -96,34 +95,19 @@ type laneTables struct {
 	upEdge []int32
 }
 
-// LaneClasses is LaneTriage.Classify's output: per-lane class masks (all
-// confined to the group's LaneMask) plus the plane-level aggregates the
-// kernel folds into parities and tallies.
+// LaneClasses is LaneTriage.Classify's output: per-lane masks, all
+// confined to the group's LaneMask, plus the defect total.
 type LaneClasses struct {
 	W0, W1, W2 uint64 // syndrome weight exactly 0 / 1 / 2
 	Heavy      uint64 // syndrome weight >= 3
-	// Matched: every defect has exactly one defect at L1 distance 1, so
-	// the lane is adjacent pairs only (vacuously true for W0 lanes — mask
-	// with W2|Heavy before resolving). Parity 0.
-	Matched uint64
-	// Chain4: adjacent pairs plus exactly one 4-defect path. Parity 0.
-	// Disjoint from Matched (it requires two degree-2 defects) and from
-	// SinglesOK (no isolated defects allowed).
-	Chain4 uint64
-	// SinglesOK: adjacent pairs plus >= 1 isolated defects, each a
-	// strict-side B = 1 single the single rule certifies; parity =
-	// SingleParity. Disjoint from Matched (it requires an isolated defect).
-	SinglesOK uint64
-	// NorthParity bit t = XOR over lane t's defects of "strictly nearest
-	// boundary is north". For W1 lanes this is the closed-form parity.
-	NorthParity uint64
-	// SingleParity bit t = XOR over lane t's singles of their north-side
-	// bits; meaningful only on SinglesOK lanes (masked so).
+	// Certified: the lanes that pass the certificate (W0 lanes vacuously)
+	// and whose singles all sit on a strict side, so the parity below is
+	// the lane's correction parity.
+	Certified uint64
+	// SingleParity bit t = XOR over certified lane t's singles of "the
+	// nearest boundary is north". A pair's connecting edge never crosses
+	// the cut, so this is the whole lane's parity.
 	SingleParity uint64
-	// TieAny bit t = lane t contains a defect on a SideTie vertex. W1
-	// lanes in TieAny must punt (closed 3-D accuracy graphs never tie;
-	// window graphs do near the temporal boundary).
-	TieAny uint64
 	// Defects is the total defect count across all lanes (the kernel's
 	// MeanDefects tally).
 	Defects int
@@ -137,15 +121,13 @@ type LaneClasses struct {
 func NewLaneTriage(g *lattice.Graph) *LaneTriage {
 	lt := &LaneTriage{laneTables: laneTablesFor(g)}
 	// Preallocate the per-Classify scratch so steady-state calls never
-	// grow a slice: the iso/d2/defect lists are bounded by the touched
+	// grow a slice: the iso/defect lists are bounded by the touched
 	// vertex count, for which 1/4 of the lattice is far beyond any
 	// realistic batch; truncation keeps whatever larger capacity an
 	// outlier forced.
 	pre := g.V/4 + 16
 	lt.isoV = make([]int32, 0, pre)
 	lt.isoM = make([]uint64, 0, pre)
-	lt.d2V = make([]int32, 0, pre)
-	lt.d2M = make([]uint64, 0, pre)
 	lt.DefV = make([]int32, 0, pre)
 	lt.DefW = make([]uint64, 0, pre)
 	lt.isoPlane = make([]uint64, g.V+1)
@@ -167,7 +149,7 @@ var laneTableCache sync.Map // *lattice.Graph → *laneTables
 
 func newLaneTables(g *lattice.Graph) *laneTables {
 	bd := lut.BoundaryFor(g)
-	lt := &laneTables{g: g}
+	lt := &laneTables{}
 	words := (g.V + 63) / 64
 	lt.northBits = make([]uint64, words)
 	lt.tieBits = make([]uint64, words)
@@ -274,9 +256,8 @@ func abs32i(x int) int {
 
 // weights is Classify's per-lane tally, accumulated inside the shared scan.
 type weights struct {
-	cnt        swar.LaneCounts
-	north, tie uint64
-	defects    int
+	cnt     swar.LaneCounts
+	defects int
 }
 
 // scan is the shared pass over the touched vertices (see the type doc). It
@@ -284,9 +265,9 @@ type weights struct {
 // an isolated defect. planes must include the always-zero sentinel slot at
 // index g.V (the padded neighbor table loads through it); untouched
 // vertices must be zero. A non-nil wt also accumulates Classify's weight
-// counters and north/tie parities: fused here, because a separate pass
-// over DefV made Classify about 4% slower (median of 15 interleaved runs
-// at d=11, p=1e-3, 2-vCPU Intel Xeon).
+// counters: fused here, because a separate pass over DefV made Classify
+// about 4% slower (median of 15 interleaved runs at d=11, p=1e-3, 2-vCPU
+// Intel Xeon).
 func (lt *LaneTriage) scan(planes, touched []uint64, wt *weights) (conflict, isoAny uint64) {
 	lt.isoV = lt.isoV[:0]
 	lt.isoM = lt.isoM[:0]
@@ -310,8 +291,6 @@ func (lt *LaneTriage) scan(planes, touched []uint64, wt *weights) (conflict, iso
 			if wt != nil {
 				wt.cnt.Add(w)
 				wt.defects += bits.OnesCount64(w)
-				wt.north ^= w & -(lt.northBits[wi] >> uint(b) & 1)
-				wt.tie |= w & -(lt.tieBits[wi] >> uint(b) & 1)
 			}
 			// Two-level saturating neighbor fold: n1 = "degree >= 2", and
 			// with it n0 separates degree 0 from degree 1. Interior
@@ -394,90 +373,44 @@ func (lt *LaneTriage) singles(planes []uint64) (bad uint64) {
 	return bad
 }
 
+// certify is the step both entry points share: the scan, then the single
+// rule wherever a live lane still has an isolated defect to check. It
+// returns the lanes that fail the certificate; lanes outside laneMask may
+// be set either way.
+func (lt *LaneTriage) certify(planes, touched []uint64, laneMask uint64, wt *weights) (bad uint64) {
+	bad, isoAny := lt.scan(planes, touched, wt)
+	if isoAny&^bad&laneMask != 0 {
+		bad |= lt.singles(planes)
+	}
+	return bad
+}
+
 // Classify is the Monte-Carlo entry point. planes[v] bit t = lane t has a
 // defect at v, with the sentinel slot at g.V; touched is the vertex bitmap
 // of possibly-nonzero plane words (untouched vertices MUST be zero);
 // laneMask confines every returned mask to the live lanes.
 //
-// On top of the shared scan and single rule it adds the weight counters
-// and north/tie parities (accumulated in the scan), Chain4 (a three-level
-// re-fold over the conflicted lanes that hold no isolated defect), and the
-// strict-side requirement a single's parity needs.
+// On top of certify it adds the weight counters (accumulated in the scan)
+// and what a parity needs: a single on a SideTie vertex has no strict
+// side, so its lane is left uncertified (closed 3-D accuracy graphs never
+// tie; window graphs do near the temporal boundary).
 func (lt *LaneTriage) Classify(planes []uint64, touched []uint64, laneMask uint64) LaneClasses {
 	var wt weights
-	conflict, isoAny := lt.scan(planes, touched, &wt)
-	cls := LaneClasses{
-		W0:          wt.cnt.Exactly0() & laneMask,
-		W1:          wt.cnt.Exactly1() & laneMask,
-		W2:          wt.cnt.Exactly2() & laneMask,
-		Heavy:       wt.cnt.AtLeast3() & laneMask,
-		Matched:     ^(conflict | isoAny) & laneMask,
-		NorthParity: wt.north & laneMask,
-		TieAny:      wt.tie & laneMask,
-		Defects:     wt.defects,
+	bad := lt.certify(planes, touched, laneMask, &wt)
+	var north uint64
+	for i, v := range lt.isoV {
+		m := lt.isoM[i]
+		north ^= m & -(lt.northBits[v>>6] >> (uint(v) & 63) & 1)
+		bad |= m & -(lt.tieBits[v>>6] >> (uint(v) & 63) & 1)
 	}
-	if cand := conflict &^ isoAny & laneMask; cand != 0 {
-		cls.Chain4 = lt.chain4(planes, cand)
+	cert := laneMask &^ bad
+	return LaneClasses{
+		W0:           wt.cnt.Exactly0() & laneMask,
+		W1:           wt.cnt.Exactly1() & laneMask,
+		W2:           wt.cnt.Exactly2() & laneMask,
+		Heavy:        wt.cnt.AtLeast3() & laneMask,
+		Certified:    cert,
+		SingleParity: north & cert,
+		Defects:      wt.defects,
 	}
-	if cand := isoAny &^ conflict & laneMask; cand != 0 {
-		bad := lt.singles(planes)
-		var sNorth uint64
-		for i, v := range lt.isoV {
-			m := lt.isoM[i]
-			sNorth ^= m & -(lt.northBits[v>>6] >> (uint(v) & 63) & 1)
-			bad |= m & -(lt.tieBits[v>>6] >> (uint(v) & 63) & 1)
-		}
-		cls.SinglesOK = cand &^ bad
-		cls.SingleParity = sNorth & cls.SinglesOK
-	}
-	return cls
-}
-
-// chain4 returns the lanes of cand (conflicted, no isolated defect) whose
-// distance-1 graph is adjacent pairs plus one 4-path: no defect of degree
-// >= 3, exactly two of degree 2, and those two adjacent.
-func (lt *LaneTriage) chain4(planes []uint64, cand uint64) uint64 {
-	var cnt2 swar.LaneCounts
-	var deg3 uint64
-	lt.d2V = lt.d2V[:0]
-	lt.d2M = lt.d2M[:0]
-	for i, v := range lt.DefV {
-		w := lt.DefW[i] & cand
-		if w == 0 {
-			continue
-		}
-		var n0, n1, n2 uint64
-		for _, u := range lt.nbr6[6*int(v) : 6*int(v)+6] {
-			p := planes[u]
-			n2 |= n1 & p
-			n1 |= n0 & p
-			n0 ^= p
-		}
-		deg3 |= w & n2
-		if d2 := w & n1 &^ n2; d2 != 0 {
-			cnt2.Add(d2)
-			lt.d2V = append(lt.d2V, v)
-			lt.d2M = append(lt.d2M, d2)
-		}
-	}
-	cand &= cnt2.Exactly2() &^ deg3
-	var adjPair uint64
-	for i := 1; i < len(lt.d2V) && cand != 0; i++ {
-		mi := lt.d2M[i] & cand
-		pi := lt.g.PackedCoords(lt.d2V[i])
-		for j := 0; j < i && mi != 0; j++ {
-			both := mi & lt.d2M[j]
-			if both == 0 {
-				continue
-			}
-			pj := lt.g.PackedCoords(lt.d2V[j])
-			d := abs32(int32(pi&0xffff)-int32(pj&0xffff)) +
-				abs32(int32(pi>>16&0xffff)-int32(pj>>16&0xffff)) +
-				abs32(int32(pi>>32&0xffff)-int32(pj>>32&0xffff))
-			if d == 1 {
-				adjPair |= both
-			}
-		}
-	}
-	return cand & adjPair
 }

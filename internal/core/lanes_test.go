@@ -13,30 +13,18 @@ import (
 )
 
 // laneRef is the per-lane scalar reference for LaneTriage.Classify: weight
-// class from the defect count, parities from the side table, the
-// perfect-matching predicate and the pairs-plus-singles certificate from
-// pairwise L1 distances.
+// class from the defect count, and the certificate and its parity from
+// pairwise L1 distances and the boundary table.
 type laneRef struct {
 	weight      int
-	north       bool
-	tie         bool
-	matched     bool
-	chain4      bool
-	singlesOK   bool
+	certified   bool
+	single      bool // the lane holds an isolated defect
+	tieSingle   bool // the lane holds an isolated defect on a SideTie vertex
 	singleNorth bool
 }
 
 func refClassify(g *lattice.Graph, bd *lut.Boundary, defs []int32) laneRef {
-	var ref laneRef
-	ref.weight = len(defs)
-	for _, v := range defs {
-		switch bd.Side[v] {
-		case lut.SideNorth:
-			ref.north = !ref.north
-		case lut.SideTie:
-			ref.tie = true
-		}
-	}
+	ref := laneRef{weight: len(defs), certified: true}
 	deg := make([]int, len(defs))
 	for i, u := range defs {
 		for j, v := range defs {
@@ -45,56 +33,34 @@ func refClassify(g *lattice.Graph, bd *lut.Boundary, defs []int32) laneRef {
 			}
 		}
 	}
-	ref.matched = true
-	for _, d := range deg {
-		if d != 1 {
-			ref.matched = false
-			break
-		}
-	}
-	// chain4: no isolated or degree >= 3 defect, exactly two degree-2
-	// defects, and those two adjacent (dominoes plus one 4-path).
-	ref.chain4 = len(defs) > 0
-	var d2idx []int
-	for i, d := range deg {
-		if d == 0 || d >= 3 {
-			ref.chain4 = false
-		}
-		if d == 2 {
-			d2idx = append(d2idx, i)
-		}
-	}
-	if len(d2idx) != 2 {
-		ref.chain4 = false
-	} else if ref.chain4 {
-		ref.chain4 = g.GraphDistance(defs[d2idx[0]], defs[d2idx[1]]) == 1
-	}
-	// singlesOK: no defect with two adjacent partners, at least one
-	// isolated defect, and every isolated defect a strict-side single at
-	// boundary distance 1 with no defect at distance 2 and no isolated
-	// defect at distance 3.
-	ok := len(defs) > 0
+	// certified: no defect with two adjacent partners, and every isolated
+	// defect a strict-side single at boundary distance 1 with no defect at
+	// distance 2 and no isolated defect at distance 3.
 	for i, u := range defs {
 		if deg[i] >= 2 {
-			ok = false
+			ref.certified = false
 		}
 		if deg[i] != 0 {
 			continue
 		}
-		if bd.Side[u] == lut.SideTie || bd.Dist[u] != 1 {
-			ok = false
+		ref.single = true
+		if bd.Side[u] == lut.SideTie {
+			ref.tieSingle = true
+			ref.certified = false
+		}
+		if bd.Dist[u] != 1 {
+			ref.certified = false
 		}
 		for j, v := range defs {
 			if d := g.GraphDistance(u, v); d == 2 || d == 3 && deg[j] == 0 {
-				ok = false
+				ref.certified = false
 			}
 		}
 		if bd.Side[u] == lut.SideNorth {
 			ref.singleNorth = !ref.singleNorth
 		}
 	}
-	ref.singlesOK = ok && !ref.matched
-	if !ref.singlesOK {
+	if !ref.certified {
 		ref.singleNorth = false
 	}
 	return ref
@@ -120,7 +86,8 @@ func buildPlanes(g *lattice.Graph, lanes [][]int32, extraTouched []int32) (plane
 }
 
 // randomLanes draws 64 random defect sets: a mix of uniform scatters,
-// adjacent pairs (so Matched lanes actually occur), and empty lanes.
+// adjacency walks, adjacent pairs (so pair-only lanes actually occur), and
+// empty lanes.
 func randomLanes(g *lattice.Graph, rng *rand.Rand) [][]int32 {
 	lanes := make([][]int32, 64)
 	for lane := range lanes {
@@ -231,6 +198,7 @@ func checkClasses(t *testing.T, g *lattice.Graph, bd *lut.Boundary, lt *LaneTria
 	planes, touched := buildPlanes(g, lanes, extra)
 	cls := lt.Classify(planes, touched, laneMask)
 	wantDefects := 0
+	var tieSingles uint64
 	for lane, defs := range lanes {
 		bit := uint64(1) << uint(lane)
 		if bit&laneMask == 0 {
@@ -259,38 +227,29 @@ func checkClasses(t *testing.T, g *lattice.Graph, bd *lut.Boundary, lt *LaneTria
 		if got := cls.Heavy&bit != 0; got != (ref.weight >= 3) {
 			t.Fatalf("lane %d: heavy=%v, want %v", lane, got, ref.weight >= 3)
 		}
-		if got := cls.NorthParity&bit != 0; got != ref.north {
-			t.Fatalf("lane %d: north parity %v, want %v (defects %v)", lane, got, ref.north, defs)
-		}
-		if got := cls.TieAny&bit != 0; got != ref.tie {
-			t.Fatalf("lane %d: tie %v, want %v (defects %v)", lane, got, ref.tie, defs)
-		}
-		if got := cls.Matched&bit != 0; got != ref.matched {
-			t.Fatalf("lane %d: matched %v, want %v (defects %v)", lane, got, ref.matched, defs)
-		}
-		if got := cls.Chain4&bit != 0; got != ref.chain4 {
-			t.Fatalf("lane %d: chain4 %v, want %v (defects %v)", lane, got, ref.chain4, defs)
-		}
-		if got := cls.SinglesOK&bit != 0; got != ref.singlesOK {
-			t.Fatalf("lane %d: singlesOK %v, want %v (defects %v)", lane, got, ref.singlesOK, defs)
+		if got := cls.Certified&bit != 0; got != ref.certified {
+			t.Fatalf("lane %d: certified %v, want %v (defects %v)", lane, got, ref.certified, defs)
 		}
 		if got := cls.SingleParity&bit != 0; got != ref.singleNorth {
 			t.Fatalf("lane %d: single parity %v, want %v (defects %v)", lane, got, ref.singleNorth, defs)
+		}
+		if ref.tieSingle {
+			tieSingles |= bit
 		}
 	}
 	if cls.Defects != wantDefects {
 		t.Fatalf("defect total %d, want %d", cls.Defects, wantDefects)
 	}
-	all := cls.W0 | cls.W1 | cls.W2 | cls.Heavy | cls.NorthParity | cls.TieAny |
-		cls.Matched | cls.Chain4 | cls.SinglesOK | cls.SingleParity
+	all := cls.W0 | cls.W1 | cls.W2 | cls.Heavy | cls.Certified | cls.SingleParity
 	if all != all&laneMask {
 		t.Fatal("class masks leak outside the lane mask")
 	}
-	if cls.Matched&cls.SinglesOK != 0 {
-		t.Fatal("Matched and SinglesOK overlap")
-	}
-	if cls.Chain4&(cls.Matched|cls.SinglesOK) != 0 {
-		t.Fatal("Chain4 overlaps Matched or SinglesOK")
+	// One rule behind both entry points: the Monte-Carlo certificate is the
+	// stream's, less the lanes whose tie-side singles carry no parity.
+	var emits [64][]int32
+	if fast := lt.ClassifySparse(planes, touched, laneMask, &emits); cls.Certified != fast&^tieSingles {
+		t.Fatalf("Certified %#x, want ClassifySparse's %#x less tie-single lanes %#x",
+			cls.Certified, fast, tieSingles)
 	}
 	// The compact defect list must enumerate exactly the nonzero plane
 	// words, in ascending vertex order.
@@ -307,9 +266,9 @@ func checkClasses(t *testing.T, g *lattice.Graph, bd *lut.Boundary, lt *LaneTria
 }
 
 // Steady-state lane classification must not allocate: every scratch slice
-// — the d2 capture, the defect gather list, and the single rule's
-// isoV/isoM/isoPlane — is preallocated in NewLaneTriage or retained at its
-// high-water mark across Classify calls.
+// — the defect list and the single rule's isoV/isoM/isoPlane — is
+// preallocated in NewLaneTriage or retained at its high-water mark across
+// Classify calls.
 func TestLaneClassifyZeroAllocSteadyState(t *testing.T) {
 	g := lattice.New3D(7, 7)
 	lt := NewLaneTriage(g)
@@ -465,49 +424,41 @@ func TestLaneTriageMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// Every bitwise-resolved lane must be a syndrome the scalar certificate
-// resolves whole (empty residual) with the same parity — when it is small
-// enough for the peel at all. Larger resolved lanes (beyond
-// maxTriageDefects) are the bit-plane layer's win over the peel.
+// Every certified lane must be a syndrome the scalar certificate resolves
+// whole (empty residual) with the same parity — when it is small enough
+// for the peel at all. Larger certified lanes (beyond maxTriageDefects)
+// are the bit-plane layer's win over the peel.
 func TestLaneTriageResolvedAgreesWithScalarTriage(t *testing.T) {
 	g := lattice.New3D(7, 7)
+	bd := lut.BoundaryFor(g)
 	lt := NewLaneTriage(g)
 	tri := NewTriage(g)
 	rng := rand.New(rand.NewPCG(7, 11))
-	matchedChecked, singlesChecked, chainChecked := 0, 0, 0
-	for trial := 0; trial < 300 && (matchedChecked < 300 || singlesChecked < 100 || chainChecked < 50); trial++ {
+	pairsChecked, singlesChecked := 0, 0
+	for trial := 0; trial < 300 && (pairsChecked < 300 || singlesChecked < 100); trial++ {
 		lanes := randomLanes(g, rng)
 		planes, touched := buildPlanes(g, lanes, nil)
 		cls := lt.Classify(planes, touched, ^uint64(0))
-		for lane := 0; lane < 64; lane++ {
+		for lane, defs := range lanes {
 			bit := uint64(1) << uint(lane)
-			if len(lanes[lane]) > maxTriageDefects || len(lanes[lane]) < 2 {
+			if cls.Certified&bit == 0 || len(defs) > maxTriageDefects || len(defs) < 2 {
 				continue
 			}
-			var wantParity bool
-			switch {
-			case cls.Matched&bit != 0:
-				wantParity = false
-				matchedChecked++
-			case cls.Chain4&bit != 0:
-				wantParity = false
-				chainChecked++
-			case cls.SinglesOK&bit != 0:
-				wantParity = cls.SingleParity&bit != 0
+			if refClassify(g, bd, defs).single {
 				singlesChecked++
-			default:
-				continue
+			} else {
+				pairsChecked++
 			}
-			parity, res, _ := tri.PeelResidual(lanes[lane])
-			if len(res) != 0 || parity != wantParity {
-				t.Fatalf("resolved lane %v: peel leaves residual %v parity=%v, want none and parity=%v",
-					lanes[lane], res, parity, wantParity)
+			want := cls.SingleParity&bit != 0
+			parity, res, _ := tri.PeelResidual(defs)
+			if len(res) != 0 || parity != want {
+				t.Fatalf("certified lane %v: peel leaves residual %v parity=%v, want none and parity=%v",
+					defs, res, parity, want)
 			}
 		}
 	}
-	if matchedChecked == 0 || singlesChecked == 0 || chainChecked == 0 {
-		t.Fatalf("vacuous: matched=%d singles=%d chain4=%d lanes checked",
-			matchedChecked, singlesChecked, chainChecked)
+	if pairsChecked == 0 || singlesChecked == 0 {
+		t.Fatalf("vacuous: pair-only=%d with-single=%d lanes checked", pairsChecked, singlesChecked)
 	}
 }
 

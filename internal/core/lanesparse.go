@@ -3,13 +3,13 @@ package core
 import "math/bits"
 
 // ClassifySparse is the stream entry point: it classifies up to 64
-// same-shape stream windows (one per lane) with the shared scan and single
-// rule (see LaneTriage) and, for every lane that certifies, rebuilds the
+// same-shape stream windows (one per lane) with the shared certify step
+// (see LaneTriage) and, for every lane that certifies, rebuilds the
 // window's correction: exactly the edge set a full Decode of the window
-// returns (TestClassifySparseMatchesFullDecode). A lane certifies iff it
-// holds no degree->=2 defect and every isolated defect passes the single
-// rule, so it is adjacent pairs, each emitting its connecting edge, and
-// B = 1 singles, each emitting lattice.FirstBoundaryEdge.
+// returns (TestClassifySparseMatchesFullDecode). A certified lane is
+// adjacent pairs, each emitting its connecting edge, and B = 1 singles,
+// each emitting lattice.FirstBoundaryEdge; a tie-side single needs no
+// parity here, so unlike Classify it certifies too.
 //
 // One pass over the compact defect list in ascending vertex order emits
 // them: a pair at its smaller member through the id-increasing neighbor
@@ -19,13 +19,9 @@ import "math/bits"
 //
 // planes/touched follow Classify's contract; laneMask confines the result
 // and the emit rebuild to the live lanes. Returns the fast lane mask; DefV
-// and DefW are left describing this call's defect list for GatherLists.
+// and DefW are left describing this call's defect list for ClearPlanes.
 func (lt *LaneTriage) ClassifySparse(planes, touched []uint64, laneMask uint64, emits *[64][]int32) uint64 {
-	bad, isoAny := lt.scan(planes, touched, nil)
-	if isoAny&^bad != 0 {
-		bad |= lt.singles(planes)
-	}
-	fast := laneMask &^ bad
+	fast := laneMask &^ lt.certify(planes, touched, laneMask, nil)
 	if fast == 0 {
 		return 0
 	}
@@ -75,8 +71,9 @@ func (lt *LaneTriage) ClassifySparse(planes, touched []uint64, laneMask uint64, 
 // scalar decode paths expect. Lists for lanes outside gather are left
 // untouched; gathered lanes' lists are truncated and refilled in place, so
 // steady-state callers allocate nothing once the lists reach their
-// high-water capacity. Shared by the Monte-Carlo bit-plane kernel and the
-// streaming lane batcher.
+// high-water capacity. The Monte-Carlo kernel gathers its uncertified
+// lanes this way; the stream needs no gather, since each stream already
+// buffers its window as a sorted defect list.
 func (lt *LaneTriage) GatherLists(gather uint64, lists *[64][]int32) {
 	for gw := gather; gw != 0; {
 		lane := bits.TrailingZeros64(gw)

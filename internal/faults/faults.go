@@ -17,7 +17,7 @@
 // A Channel wraps the transfer of one stream's rounds. It is push-style —
 // Transfer(events) returns what the decoder receives — so stream.Decoder,
 // stream.Engine and cmd/afs-sim all compose with it without duplicating
-// the injection logic; Wrap adapts it to a pull-style Source. The receiver
+// the injection logic. The receiver
 // retries a failed round up to a bounded budget with exponential backoff
 // (penalized in model nanoseconds) and past the budget marks the round
 // *erased*: the decoder gets an empty, flagged layer and the next window
@@ -135,11 +135,6 @@ func (c Config) corruptBits() int {
 func StreamSeed(base uint64, stream int) uint64 {
 	return base + uint64(stream)*0x9e3779b9
 }
-
-// Source yields successive syndrome rounds of one stream (the pull-style
-// shape cmd drivers use); the returned slice may be reused by the next
-// call.
-type Source func() []int32
 
 // Channel models one stream's qubit→decoder link under injected faults.
 // Not safe for concurrent use; in a fleet each stream owns one Channel,
@@ -321,21 +316,4 @@ func (c *Channel) transfer(events []int32) (delivered []int32, erased bool, pena
 	// empty, flagged layer and the next window re-derives context.
 	c.rep.ErasedRounds++
 	return nil, true, pen
-}
-
-// Wrap composes the channel over a pull-style source: the returned Source
-// yields what the decoder receives (an erased round becomes an empty event
-// list), and onRound — when non-nil — observes each round's erasure flag
-// and service-time penalty so the caller can charge its deadline budget.
-func (c *Channel) Wrap(src Source, onRound func(erased bool, penaltyNS float64)) Source {
-	return func() []int32 {
-		events, erased, pen := c.Transfer(src())
-		if onRound != nil {
-			onRound(erased, pen)
-		}
-		if erased {
-			return nil
-		}
-		return events
-	}
 }

@@ -165,20 +165,6 @@ func TestChannelResetRewindsDeterministically(t *testing.T) {
 	}
 }
 
-func TestWrapDeliversErasedAsEmpty(t *testing.T) {
-	ch := NewChannel(20, Config{Seed: 30, DropRate: 1, RetryBudget: -1})
-	var sawErased bool
-	src := ch.Wrap(func() []int32 { return []int32{3, 4} }, func(erased bool, pen float64) {
-		sawErased = sawErased || erased
-	})
-	if got := src(); len(got) != 0 {
-		t.Fatalf("erased round delivered %d events", len(got))
-	}
-	if !sawErased {
-		t.Fatal("onRound never saw the erasure")
-	}
-}
-
 func TestTransferZeroAllocFaultFree(t *testing.T) {
 	const per = 110
 	ch := NewChannel(per, Config{Seed: 40})

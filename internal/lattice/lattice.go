@@ -190,9 +190,6 @@ func (g *Graph) AncillaIndex(v int32) int32 {
 	return v % int32(g.LayerVertices())
 }
 
-// LayerOf returns the detector layer of real vertex v.
-func (g *Graph) LayerOf(v int32) int { return int(v) / g.LayerVertices() }
-
 // EdgeBetween returns the lowest index of an edge connecting real vertices
 // u and v, or -1 if they are not adjacent. On this lattice two real
 // vertices at L1 (graph) distance 1 always share exactly one edge.

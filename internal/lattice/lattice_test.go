@@ -292,12 +292,9 @@ func TestQubitIndexingDisjoint(t *testing.T) {
 func TestAncillaIndexAndLayer(t *testing.T) {
 	for _, g := range []*Graph{New2D(5), New3D(4, 7), New3DWindow(3, 3)} {
 		for v := int32(0); v < int32(g.V); v++ {
-			r, c, layer := g.VertexCoords(v)
+			r, c, _ := g.VertexCoords(v)
 			if got := g.AncillaIndex(v); got != int32(r*g.Distance+c) {
 				t.Fatalf("%v: AncillaIndex(%d) = %d, want %d", g, v, got, r*g.Distance+c)
-			}
-			if got := g.LayerOf(v); got != layer {
-				t.Fatalf("%v: LayerOf(%d) = %d, want %d", g, v, got, layer)
 			}
 		}
 	}

@@ -61,29 +61,3 @@ func (g *Graph) glyphAt(i, j, layer int, qubitMark func(q int32) byte, vertexMar
 		return GlyphXAncilla
 	}
 }
-
-// RenderSyndrome draws a layer with its detection events: defects as '#',
-// and any data qubits marked in errQubits as 'E'.
-func (g *Graph) RenderSyndrome(layer int, defects []int32, errQubits []int32) string {
-	defectSet := make(map[int32]bool, len(defects))
-	for _, v := range defects {
-		defectSet[v] = true
-	}
-	errSet := make(map[int32]bool, len(errQubits))
-	for _, q := range errQubits {
-		errSet[q] = true
-	}
-	return g.Render(layer,
-		func(q int32) byte {
-			if errSet[q] {
-				return 'E'
-			}
-			return 0
-		},
-		func(v int32) byte {
-			if defectSet[v] {
-				return '#'
-			}
-			return 0
-		})
-}

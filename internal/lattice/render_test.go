@@ -37,13 +37,30 @@ func TestRenderGlyphCounts(t *testing.T) {
 	}
 }
 
-func TestRenderSyndromeMarksErrorAndDefects(t *testing.T) {
+// markDefects is Render's vertexMark for a defect set: '#' on each defect.
+func markDefects(defects ...int32) func(v int32) byte {
+	return func(v int32) byte {
+		for _, u := range defects {
+			if u == v {
+				return '#'
+			}
+		}
+		return 0
+	}
+}
+
+func TestRenderMarksErrorAndDefects(t *testing.T) {
 	g := New2D(3)
 	// An error on the central horizontal qubit flips its two row ancillas.
 	q := g.HorizontalQubit(0, 0)
 	e := g.SpatialEdge(q, 0)
 	ed := g.Edges[e]
-	got := g.RenderSyndrome(0, []int32{ed.U, ed.V}, []int32{q})
+	got := g.Render(0, func(u int32) byte {
+		if u == q {
+			return 'E'
+		}
+		return 0
+	}, markDefects(ed.U, ed.V))
 	want := strings.Join([]string{
 		". x . x .",
 		"# E # . o",
@@ -60,8 +77,8 @@ func TestRenderSyndromeMarksErrorAndDefects(t *testing.T) {
 func TestRenderLayerSelectsVertices(t *testing.T) {
 	g := New3D(3, 3)
 	v := g.VertexID(0, 0, 2) // defect in layer 2 only
-	layer0 := g.RenderSyndrome(0, []int32{v}, nil)
-	layer2 := g.RenderSyndrome(2, []int32{v}, nil)
+	layer0 := g.Render(0, nil, markDefects(v))
+	layer2 := g.Render(2, nil, markDefects(v))
 	if strings.Contains(layer0, "#") {
 		t.Fatal("layer 0 shows a layer-2 defect")
 	}

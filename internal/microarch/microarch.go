@@ -28,7 +28,6 @@ package microarch
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -163,12 +162,6 @@ type StageUtilization struct {
 	GrGen, DFS, Corr float64
 }
 
-// LatencySample is one decoded syndrome's latency profile.
-type LatencySample struct {
-	Breakdown
-	Defects int
-}
-
 // CollectConfig configures a Monte-Carlo latency collection run.
 type CollectConfig struct {
 	Distance int
@@ -300,22 +293,4 @@ func CollectLatencies(cfg CollectConfig) CollectResult {
 		res.MeanDefects = float64(defects) / float64(cfg.Trials)
 	}
 	return res
-}
-
-// PercentileNS returns the p-th percentile of the collected exposed
-// latencies (sorting a copy).
-func (r *CollectResult) PercentileNS(p float64) float64 {
-	if len(r.ExposedNS) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(r.ExposedNS))
-	copy(sorted, r.ExposedNS)
-	sort.Float64s(sorted)
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

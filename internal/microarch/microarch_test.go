@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"afs/internal/core"
+	"afs/internal/stats"
 )
 
 func TestLatencyEquations(t *testing.T) {
@@ -113,19 +114,6 @@ func TestCollectLatenciesIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
-func TestPercentileNS(t *testing.T) {
-	r := CollectResult{ExposedNS: []float64{4, 1, 3, 2}}
-	if got := r.PercentileNS(0); got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := r.PercentileNS(100); got != 4 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := r.PercentileNS(50); got != 2.5 {
-		t.Fatalf("p50 = %v", got)
-	}
-}
-
 // TestZeroErrorRateZeroLatency: with no faults there is nothing to decode.
 func TestZeroErrorRateZeroLatency(t *testing.T) {
 	r := CollectLatencies(CollectConfig{Distance: 5, P: 0, Trials: 100, Seed: 1})
@@ -157,7 +145,7 @@ func TestDesignPointCalibration(t *testing.T) {
 	if mean < 35 || mean > 50 {
 		t.Errorf("mean latency = %.1f ns, paper reports 42 ns", mean)
 	}
-	if p999 := r.PercentileNS(99.9); p999 > 160 {
+	if p999 := stats.Percentile(r.ExposedNS, 99.9); p999 > 160 {
 		t.Errorf("p99.9 = %.1f ns, paper reports <150 ns", p999)
 	}
 }

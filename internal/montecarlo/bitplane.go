@@ -20,9 +20,9 @@ const BatchTrials = 256
 type chunkTally struct {
 	failures uint64
 	defects  uint64
-	w0       uint64 // trials resolved by the weight-0 fast path
-	w1       uint64 // trials resolved by the weight-1 closed form
-	w2       uint64 // trials resolved by the weight-2 closed form
+	w0       uint64 // weight-0 trials
+	w1       uint64 // weight-1 trials resolved without a decoder walk
+	w2       uint64 // weight-2 trials resolved without a decoder walk
 	multi    uint64 // weight >= 3 trials resolved without a decoder walk
 	full     uint64 // trials that fell through to the full decoder
 
@@ -68,32 +68,28 @@ func resBucket(n int) int {
 // core.LaneTriage classifies all 64 lanes in one fused word-parallel
 // pass, and lanes resolve in two tiers:
 //
-//   - fast-pathed, straight from plane algebra with no per-lane loop at
-//     all: W0 (fail = sampled cut parity bit), W1 off the north-parity
-//     plane, Matched lanes (adjacent pairs only — parity 0, covering both
-//     the adjacent W2 pair and the heavy all-pairs decomposition), Chain4
-//     lanes (pairs plus exactly one 4-defect path — the dominant
-//     conflicted shape, also parity 0), and SinglesOK lanes (pairs plus
-//     strict-side B = 1 boundary singles — parity from the single-parity
-//     plane). Their failure bits and tallies are popcounts over mask
-//     words.
-//   - gathered: the remainder (conflicted adjacency, deeper or crowded
-//     singles, W1 ties) has its per-lane defect lists extracted from the
+//   - fast: the lanes the plane certificate certifies (cls.Certified:
+//     adjacent pairs plus strict-side B = 1 singles, W0 lanes included),
+//     resolved with no per-lane loop at all. A lane's correction parity is
+//     its singles' north parity (cls.SingleParity), so its failure bit is
+//     that parity XOR the sampled cut bit, and failures and tallies are
+//     popcounts over mask words.
+//   - gathered: every other lane has its defect list extracted from the
 //     classifier's compact defect list — vertex order ascends, so lists
 //     arrive sorted — and runs the scalar certificate,
 //     core.Triage.PeelResidual: the closed forms at weight <= 2, and at
-//     heavier weights certified components stripped off before the
-//     decoder sees the residual. Corrections are never materialized: a
-//     full decode's cut-edge crossings fold into the lane's sampled cut
-//     parity.
+//     heavier weights certified components (4-paths among them) stripped
+//     off before the decoder sees the residual. Corrections are never
+//     materialized: a full decode's cut-edge crossings fold into the
+//     lane's sampled cut parity.
 //
 // The fast/gathered split is what the afs_mc_bitplane_* counters publish;
 // fast + gathered == trials by construction.
 //
 // Triage-class tallies: w0, w1 and w2 count the resolved trials of weight
 // 0, 1 and 2, and multi the weight >= 3 trials resolved without a decoder
-// walk — Matched, Chain4 and SinglesOK heavy lanes, and gathered lanes the
-// peel certifies whole — so w0+w1+w2+multi+full == trials.
+// walk — certified heavy lanes, and gathered lanes the peel certifies
+// whole — so w0+w1+w2+multi+full == trials.
 //
 // A kernel is single-owner state; each engine worker builds its own per
 // point, exactly like the decoder it wraps. Its lane classifier shares the
@@ -172,31 +168,18 @@ func (k *bpKernel) run(n uint64) chunkTally {
 		if k.triage {
 			cls := k.lt.Classify(k.pg.Defects, k.pg.Touched, mask)
 			t.defects += uint64(cls.Defects)
-			w1Fast := cls.W1 &^ cls.TieAny
-			resolved := (cls.Matched | cls.Chain4) & (cls.W2 | cls.Heavy)
-			singles := cls.SinglesOK & (cls.W2 | cls.Heavy)
-			fast := cls.W0 | w1Fast | resolved | singles
-			// Bulk resolution: the fast classes are disjoint (Chain4
-			// requires a conflict, Matched forbids one, SinglesOK needs
-			// an isolated defect, Chain4 forbids one), and each one's
-			// failure bits are a mask expression — Matched and Chain4
-			// lanes have parity 0, so the sampled cut bit alone decides.
-			failMask = cls.W0&cut |
-				w1Fast&(cut^cls.NorthParity) |
-				resolved&cut |
-				singles&(cut^cls.SingleParity)
+			fast := cls.Certified
+			failMask = fast & (cut ^ cls.SingleParity)
 			t.w0 += uint64(bits.OnesCount64(cls.W0))
-			t.w1 += uint64(bits.OnesCount64(w1Fast))
-			t.w2 += uint64(bits.OnesCount64((resolved | singles) & cls.W2))
-			t.multi += uint64(bits.OnesCount64((resolved | singles) & cls.Heavy))
+			t.w1 += uint64(bits.OnesCount64(fast & cls.W1))
+			t.w2 += uint64(bits.OnesCount64(fast & cls.W2))
+			t.multi += uint64(bits.OnesCount64(fast & cls.Heavy))
 			t.bpFast += uint64(bits.OnesCount64(fast))
 
 			if gather := mask &^ fast; gather != 0 {
 				// Gather scan over the classifier's compact defect list
 				// (ascending vertex order → sorted lists), then the scalar
-				// triage / full-decode path per gathered lane. The scan is
-				// core.LaneTriage.GatherLists, shared with the streaming
-				// lane batcher.
+				// triage / full-decode path per gathered lane.
 				k.lt.GatherLists(gather, &k.lists)
 				for gw := gather; gw != 0; {
 					lane := bits.TrailingZeros64(gw)

@@ -75,9 +75,9 @@ func TestBitPlaneTriagedBitIdenticalToFullPath(t *testing.T) {
 // per-lane scalar resolution of the SAME plane-sampled trials: extract each
 // lane's sorted defect list, resolve it through the weight <= 2 closed
 // forms (core.Triage.PeelResidual's base case), and fully decode everything
-// else. This pins every piece of the lane machinery — weight masks, north
-// parity, the Matched, Chain4 and SinglesOK rules, and the gather scan —
-// against the code path the repo already trusts. The reference
+// else. This pins every piece of the lane machinery — weight masks, the
+// certified mask and its single parity, and the gather scan — against the
+// code path the repo already trusts. The reference
 // deliberately decodes heavier lanes whole (no peel), so agreement here
 // also differentially validates the kernel's partial-residual peel against
 // undecomposed decodes on exactly the syndrome population the kernel sees.
@@ -223,10 +223,10 @@ func TestBitPlaneKernelZeroAllocSteadyState(t *testing.T) {
 // processing lives, so a regression that silently falls back to scalar
 // speed trips here. Three floors: raw throughput (set ~2x under dev-machine
 // numbers, so only real regressions — not CI jitter — fail), the
-// machine-independent fast-lane fraction (0.953 at this seed; a broken
-// Matched/Chain4/SinglesOK class drops it far below the 0.90 floor), and
+// machine-independent fast-lane fraction (0.9148 at this seed; a broken
+// pair or single rule drops it far below the 0.90 floor), and
 // the machine-independent residual-peel fraction — the share of
-// full-decoder visits that peeling resolved or shrank (0.975 at this
+// full-decoder visits that peeling resolved or shrank (0.986 at this
 // seed; a broken PeelResidual certificate or kernel wiring drops it far
 // below 0.60). Enabled by AFS_PERF_SMOKE=1.
 func TestPerfSmokeBitPlaneKernel(t *testing.T) {

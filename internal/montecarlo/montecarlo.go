@@ -155,7 +155,7 @@ type AccuracyResult struct {
 	Elapsed          time.Duration
 	// Triage-class tallies: how many trials each closed-form fast path
 	// resolved (weight 0, 1, 2, and weight >= 3 syndromes resolved by the
-	// lane classes or the peel) and how many ran the full decoder.
+	// lane certificate or the peel) and how many ran the full decoder.
 	// TriageW0+TriageW1+TriageW2+TriageMulti+FullDecodes == Trials; with
 	// DisableTriage set, FullDecodes == Trials.
 	TriageW0    uint64

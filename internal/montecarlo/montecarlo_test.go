@@ -1,6 +1,8 @@
 package montecarlo
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"afs/internal/core"
@@ -90,14 +92,82 @@ func TestRepeated2DIndependentOfWorkerCount(t *testing.T) {
 }
 
 // TestMWPMAtLeastAsAccurateAsUF2D: on the 2-D perfect-measurement problem,
-// exact matching is the more accurate decoder (UF approximates it).
+// exact matching is the more accurate decoder (UF approximates it); see
+// checkMWPMAgainstUF.
 func TestMWPMAtLeastAsAccurateAsUF2D(t *testing.T) {
-	uf := RunAccuracy(AccuracyConfig{Distance: 5, P: 0.03, Rounds: 1, Trials: 60000, Seed: 9, New: ufFactory})
-	mw := RunAccuracy(AccuracyConfig{Distance: 5, P: 0.03, Rounds: 1, Trials: 60000, Seed: 9, New: mwpmFactory})
-	// Allow Monte-Carlo noise: MWPM must not be meaningfully worse.
-	if mw.LogicalErrorRate > uf.LogicalErrorRate*1.15 {
-		t.Fatalf("MWPM (%.4g) worse than UF (%.4g)", mw.LogicalErrorRate, uf.LogicalErrorRate)
+	checkMWPMAgainstUF(t, lattice.Cached2D(5), 0.03, 9)
+}
+
+// TestMWPMAtLeastAsAccurateAsUF3D is the same check on the d=5
+// phenomenological cycle.
+func TestMWPMAtLeastAsAccurateAsUF3D(t *testing.T) {
+	checkMWPMAgainstUF(t, lattice.Cached3D(5, 5), 0.01, 10)
+}
+
+// checkMWPMAgainstUF decodes the same sampled syndromes with Union-Find and
+// exact MWPM. Where MWPM stayed exact (its greedy-fallback count did not
+// move), both corrections must reproduce the syndrome and MWPM's must be
+// no heavier: every edge has unit weight, so the weight is the edge count.
+// Over all trials, MWPM may fail more often than Union-Find only by
+// Monte-Carlo noise: at most z = 3.89 standard deviations of a sign test
+// over the trials where exactly one of them fails.
+func checkMWPMAgainstUF(t *testing.T, g *lattice.Graph, p float64, seed uint64) {
+	t.Helper()
+	const groups = 64 // 4,096 trials
+	uf := core.NewDecoder(g, core.Options{LeanStats: true})
+	mw := mwpm.NewDecoder(g)
+	s := noise.NewPlaneSampler(g, p, seed, 0, g.NorthCutQubits())
+	cutEdge := s.CutEdges()
+	fails := func(par bool, corr []int32) bool {
+		for _, e := range corr {
+			par = par != cutEdge[e]
+		}
+		return par
 	}
+	var pg noise.PlaneGroup
+	var defs []int32
+	var exact, heavierUF, ufFails, mwFails, discordant int
+	for n := 0; n < groups; n++ {
+		s.SampleGroup(&pg, 64)
+		for lane := 0; lane < 64; lane++ {
+			defs = pg.AppendLaneDefects(lane, defs[:0])
+			par := pg.CutParity>>uint(lane)&1 != 0
+			cu := slices.Clone(uf.Decode(defs))
+			greedy := mw.GreedyFallbacks()
+			cm := mw.Decode(defs)
+			fu, fm := fails(par, cu), fails(par, cm)
+			if fu {
+				ufFails++
+			}
+			if fm {
+				mwFails++
+			}
+			if fu != fm {
+				discordant++
+			}
+			if len(defs) == 0 || mw.GreedyFallbacks() != greedy {
+				continue
+			}
+			exact++
+			if !slices.Equal(core.SyndromeOf(g, cu), defs) || !slices.Equal(core.SyndromeOf(g, cm), defs) {
+				t.Fatalf("%v defects %v: a correction misses the syndrome (uf %v, mwpm %v)", g, defs, cu, cm)
+			}
+			if len(cm) > len(cu) {
+				t.Fatalf("%v defects %v: MWPM weight %d exceeds Union-Find's %d", g, defs, len(cm), len(cu))
+			}
+			if len(cu) > len(cm) {
+				heavierUF++
+			}
+		}
+	}
+	if exact == 0 || heavierUF == 0 {
+		t.Fatalf("%v: vacuous: %d exact decodes, %d with a heavier Union-Find correction", g, exact, heavierUF)
+	}
+	if excess := float64(mwFails - ufFails); excess > 3.89*math.Sqrt(float64(discordant)) {
+		t.Fatalf("%v: MWPM %d failures against Union-Find %d over %d discordant trials", g, mwFails, ufFails, discordant)
+	}
+	t.Logf("%v: %d exact decodes, Union-Find heavier on %d; failures MWPM %d, Union-Find %d, discordant %d",
+		g, exact, heavierUF, mwFails, ufFails, discordant)
 }
 
 func TestCIBracketsRate(t *testing.T) {

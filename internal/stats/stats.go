@@ -55,21 +55,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return percentileSorted(sorted, p)
 }
 
-// PercentileSorted returns the p-th percentile of an already-sorted slice.
-// It avoids the copy performed by Percentile and is intended for computing
-// several percentiles of the same large sample. sort.Float64s orders NaN
-// samples before every real number; that prefix is skipped, so a sample
-// containing NaNs yields real low percentiles instead of NaN.
-func PercentileSorted(sorted []float64, p float64) float64 {
-	for len(sorted) > 0 && math.IsNaN(sorted[0]) {
-		sorted = sorted[1:]
-	}
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	return percentileSorted(sorted, p)
-}
-
 // sortedClean returns a sorted copy of xs with NaN samples dropped.
 // sort.Float64s places NaNs before all real numbers, so the NaN prefix is
 // trimmed with one scan.
@@ -188,20 +173,6 @@ func (h *Histogram) Density(i int) float64 {
 		return 0
 	}
 	return float64(h.Bins[i]) / float64(h.Total)
-}
-
-// CCDF returns the empirical complementary CDF evaluated at the left edge of
-// every bin: CCDF[i] = P(X >= left edge of bin i), including Over samples.
-func (h *Histogram) CCDF() []float64 {
-	out := make([]float64, len(h.Bins))
-	cum := h.Over
-	for i := len(h.Bins) - 1; i >= 0; i-- {
-		cum += h.Bins[i]
-		if h.Total > 0 {
-			out[i] = float64(cum) / float64(h.Total)
-		}
-	}
-	return out
 }
 
 // RateCI is a two-sided confidence interval for a Bernoulli rate.

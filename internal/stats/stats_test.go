@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -76,13 +75,6 @@ func TestHistogram(t *testing.T) {
 		if c := h.BinCenter(i); !almost(c, float64(i*10+5), 1e-12) {
 			t.Fatalf("bin center %d = %v", i, c)
 		}
-	}
-	ccdf := h.CCDF()
-	if !almost(ccdf[0], 101.0/102, 1e-12) {
-		t.Fatalf("ccdf[0] = %v", ccdf[0])
-	}
-	if !almost(ccdf[9], 11.0/102, 1e-12) {
-		t.Fatalf("ccdf[9] = %v", ccdf[9])
 	}
 }
 
@@ -229,37 +221,6 @@ func TestBinomialSampleMoments(t *testing.T) {
 	}
 }
 
-func TestPercentileSortedPropertyMatchesPercentile(t *testing.T) {
-	f := func(seed uint64, pRaw uint8) bool {
-		rng := rand.New(rand.NewPCG(seed, 5))
-		xs := make([]float64, 50+rng.IntN(100))
-		for i := range xs {
-			xs[i] = rng.Float64() * 100
-		}
-		p := float64(pRaw) / 255 * 100
-		a := Percentile(xs, p)
-		sorted := append([]float64(nil), xs...)
-		sortFloats(sorted)
-		b := PercentileSorted(sorted, p)
-		return almost(a, b, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
-}
-
 // TestSingleSampleSummary pins the n=1 edge: the unbiased variance is
 // undefined at one sample, so StdDev reports the conventional 0 and every
 // order statistic collapses to the sample itself.
@@ -297,13 +258,6 @@ func TestPercentileIgnoresNaN(t *testing.T) {
 	if got := Percentile([]float64{nan, nan}, 50); !math.IsNaN(got) {
 		t.Errorf("all-NaN sample: got %v, want NaN", got)
 	}
-	sorted := []float64{nan, nan, 1, 2, 3} // already in sort.Float64s order
-	if got := PercentileSorted(sorted, 0); got != 1 {
-		t.Errorf("PercentileSorted skipping NaN prefix: got %v, want 1", got)
-	}
-	if got := PercentileSorted([]float64{nan}, 50); !math.IsNaN(got) {
-		t.Errorf("PercentileSorted all-NaN: got %v, want NaN", got)
-	}
 }
 
 // TestSummarizeDropsNaN: one unmeasurable sample must not poison the run's
@@ -332,29 +286,5 @@ func TestHistogramAddIgnoresNaN(t *testing.T) {
 	h.Add(5)
 	if h.Total != 1 {
 		t.Fatalf("Total = %d, want 1 (NaN ignored)", h.Total)
-	}
-}
-
-// TestHistogramCCDFIncludesUnder pins the CCDF convention: CCDF[i] is
-// P(X >= left edge of bin i) over all samples, so Under samples dilute the
-// probabilities (they sit below every edge) and CCDF[0] < 1 when Under > 0,
-// while Over samples keep every entry positive.
-func TestHistogramCCDFIncludesUnder(t *testing.T) {
-	h := NewHistogram(0, 4, 4) // unit bins
-	for _, x := range []float64{-1, -2, 0.5, 1.5, 2.5, 3.5, 9} {
-		h.Add(x)
-	}
-	ccdf := h.CCDF()
-	want := []float64{5.0 / 7, 4.0 / 7, 3.0 / 7, 2.0 / 7}
-	for i := range want {
-		if math.Abs(ccdf[i]-want[i]) > 1e-12 {
-			t.Fatalf("CCDF[%d] = %v, want %v (all: %v)", i, ccdf[i], want[i], ccdf)
-		}
-	}
-	empty := NewHistogram(0, 1, 2).CCDF()
-	for i, v := range empty {
-		if v != 0 {
-			t.Fatalf("empty histogram CCDF[%d] = %v, want 0", i, v)
-		}
 	}
 }

@@ -159,13 +159,3 @@ func Reduction(l, d int) float64 {
 	cda := ForSystem(l, d, true).TotalBits()
 	return float64(ded) / float64(cda)
 }
-
-// MemoryCurve returns the dedicated-decoder total memory (MB) for each
-// logical-qubit count in ls — the linear growth of Figure 9.
-func MemoryCurve(ls []int, d int, cda bool) []float64 {
-	out := make([]float64, len(ls))
-	for i, l := range ls {
-		out[i] = MB(ForSystem(l, d, cda).TotalBits())
-	}
-	return out
-}
