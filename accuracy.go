@@ -78,7 +78,11 @@ type AccuracyResult struct {
 	MeanSyndromeWeight float64
 	// GreedyFallbacks counts the MWPM decodes that exceeded its exact
 	// matcher's limit (20 defects) and were matched greedily, so the rate
-	// mixes in that many inexact decodes; 0 for every other decoder.
+	// mixes in that many inexact decodes; 0 for every other decoder. A
+	// trial with no greedy decode runs exactly as exact MWPM would, and at
+	// most GreedyFallbacks trials hold one, so exact MWPM's failures on the
+	// same trials lie in [Failures − GreedyFallbacks, Failures +
+	// GreedyFallbacks].
 	GreedyFallbacks uint64
 }
 

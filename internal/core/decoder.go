@@ -52,8 +52,8 @@ type Options struct {
 	// per cluster — unlike the full profile, whose per-visit row tracking
 	// and counting Union-Find variants sit on the growth hot path. The
 	// streaming deadline model needs exactly this slice
-	// (microarch.Model.WindowCost) and nothing else. Ignored when
-	// LeanStats is off (the full profile subsumes it).
+	// (microarch.Model.Latency) and nothing else. Ignored when LeanStats is
+	// off (the full profile subsumes it).
 	ClusterStats bool
 }
 
@@ -98,19 +98,6 @@ type DecodeStats struct {
 	// Register bit is set, i.e. the rows the ZDR lets the DFS Engine visit
 	// instead of scanning the whole memory.
 	TouchedRows int
-}
-
-// PipelineDefects returns the number of defects the per-cluster stats
-// cover. After a Decode that is every defect; a profile a caller builds for
-// a window it resolved in closed form (a stream's fast lane,
-// DecodeStats{NumDefects: n}) has no clusters, and streaming cost models
-// charge the remainder separately (microarch.Model.WindowCost).
-func (st *DecodeStats) PipelineDefects() int {
-	n := 0
-	for _, c := range st.Clusters {
-		n += c.Defects
-	}
-	return n
 }
 
 // Decoder is a reusable Union-Find decoder bound to one decoding graph.

@@ -465,10 +465,13 @@ func TestLaneTriageResolvedAgreesWithScalarTriage(t *testing.T) {
 // checkFastLanes runs ClassifySparse over one plane group with every
 // non-empty lane eligible, as the stream batcher admits them, and pins
 // each fast lane to a full Union-Find decode of its window: the lane's
-// emits and the decode's correction, both sorted, must be the same edges.
-// That is the property a stream commits on. It returns the eligible and
-// fast lane counts.
-func checkFastLanes(t *testing.T, g *lattice.Graph, lt *LaneTriage, dec *Decoder, lanes [][]int32, planes, touched []uint64) (eligible, fast int) {
+// emits and the decode's correction, both sorted, must be the same edges,
+// which is the property a stream commits on; and LaneClusters of the emits
+// must equal the decode's Stats.Clusters element for element, which is the
+// profile a robust stream is charged. dec runs with the stream's options
+// (LeanStats and ClusterStats). It returns the eligible and fast lane
+// counts and the fast lanes holding a single.
+func checkFastLanes(t *testing.T, g *lattice.Graph, lt *LaneTriage, dec *Decoder, lanes [][]int32, planes, touched []uint64) (eligible, fast, singles int) {
 	t.Helper()
 	var elig uint64
 	for lane, defs := range lanes {
@@ -494,8 +497,15 @@ func checkFastLanes(t *testing.T, g *lattice.Graph, lt *LaneTriage, dec *Decoder
 		if !slices.Equal(got, want) {
 			t.Fatalf("%v: fast lane %v: emits %v, full decode %v", g, defs, got, want)
 		}
+		prof := LaneClusters(g, emits[lane], nil)
+		if !slices.Equal(prof, dec.Stats.Clusters) {
+			t.Fatalf("%v: fast lane %v: cluster profile %+v, full decode %+v", g, defs, prof, dec.Stats.Clusters)
+		}
+		if len(prof) != 0 && prof[0].TouchesBoundary {
+			singles++
+		}
 	}
-	return eligible, fast
+	return eligible, fast, singles
 }
 
 // TestClassifySparseMatchesFullDecode pins the stream's lane certificate to
@@ -511,8 +521,8 @@ func TestClassifySparseMatchesFullDecode(t *testing.T) {
 		var pg noise.PlaneGroup
 		g := lattice.Cached3DWindow(sh.d, sh.w)
 		lt := NewLaneTriage(g)
-		dec := NewDecoder(g, Options{LeanStats: true})
-		eligible, fast := 0, 0
+		dec := NewDecoder(g, Options{LeanStats: true, ClusterStats: true})
+		eligible, fast, singles := 0, 0, 0
 		for pi, p := range []float64{1e-3, 5e-3, 2e-2} {
 			s := noise.NewPlaneSampler(g, p, 41, uint64(pi), g.NorthCutQubits())
 			for n := 0; n < groups; n++ {
@@ -520,15 +530,17 @@ func TestClassifySparseMatchesFullDecode(t *testing.T) {
 				for lane := range lanes {
 					lanes[lane] = pg.AppendLaneDefects(lane, lanes[lane][:0])
 				}
-				e, f := checkFastLanes(t, g, lt, dec, lanes, pg.Defects, pg.Touched)
+				e, f, sg := checkFastLanes(t, g, lt, dec, lanes, pg.Defects, pg.Touched)
 				eligible += e
 				fast += f
+				singles += sg
 			}
 		}
-		if fast == 0 || fast == eligible {
-			t.Fatalf("%v: %d of %d eligible lanes fast: fast or gathered lanes never ran", g, fast, eligible)
+		if fast == 0 || fast == eligible || singles == 0 {
+			t.Fatalf("%v: %d of %d eligible lanes fast, %d with a single: fast lanes, singles or gathered lanes never ran",
+				g, fast, eligible, singles)
 		}
-		t.Logf("%v: %d of %d eligible lanes fast, each equal to its full decode", g, fast, eligible)
+		t.Logf("%v: %d of %d eligible lanes fast (%d with a single), each equal to its full decode", g, fast, eligible, singles)
 	}
 }
 
@@ -541,7 +553,7 @@ func FuzzLaneClassify(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(64))
 	graphs := []*lattice.Graph{lattice.New3D(3, 3), lattice.New3DWindow(4, 4)}
 	lts := []*LaneTriage{NewLaneTriage(graphs[0]), NewLaneTriage(graphs[1])}
-	dec := NewDecoder(graphs[1], Options{LeanStats: true})
+	dec := NewDecoder(graphs[1], Options{LeanStats: true, ClusterStats: true})
 	f.Fuzz(func(t *testing.T, data []byte, kByte uint8) {
 		k := 1 + int(kByte)%64
 		mask := ^uint64(0) >> uint(64-k)

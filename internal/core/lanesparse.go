@@ -1,6 +1,10 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"afs/internal/lattice"
+)
 
 // ClassifySparse is the stream entry point: it classifies up to 64
 // same-shape stream windows (one per lane) with the shared certify step
@@ -63,6 +67,49 @@ func (lt *LaneTriage) ClassifySparse(planes, touched []uint64, laneMask uint64, 
 		}
 	}
 	return fast
+}
+
+// LaneClusters appends to dst the clusters a full Decode of a certified
+// lane records in Stats.Clusters, element for element, given the edges
+// ClassifySparse emitted for the lane (TestClassifySparseMatchesFullDecode).
+// The certificate fixes them: a pair merges over its edge in the first
+// growth round (2 vertices, 1 growth step). A B = 1 single at v fills every
+// incident edge in the second round and merges into the boundary; no other
+// defect lies within distance 2 of v, so its cluster is v and v's real
+// neighbours (2 growth steps). Every single merges in that round, in
+// ascending edge order, and the boundary's tree list is last-in first-out,
+// so Decode peels the singles first, in descending order of their boundary
+// edge, then the pairs in ascending order of their smaller member, which
+// is the emit order. The order matters: Eq. 3's exposed term reads the
+// last cluster.
+func LaneClusters(g *lattice.Graph, emits []int32, dst []ClusterStat) []ClusterStat {
+	b := g.Boundary()
+	for prev := int32(len(g.Edges)); ; {
+		next := int32(-1)
+		for _, e := range emits {
+			if e < prev && e > next && g.Edges[e].V == b {
+				next = e
+			}
+		}
+		if next < 0 {
+			break
+		}
+		prev = next
+		v := g.Edges[next].U
+		n := 1
+		for _, e := range g.AdjacentEdges(v) {
+			if g.Other(e, v) != b {
+				n++
+			}
+		}
+		dst = append(dst, ClusterStat{Vertices: n, GrowthSteps: 2, Defects: 1, TouchesBoundary: true})
+	}
+	for _, e := range emits {
+		if g.Edges[e].V != b {
+			dst = append(dst, ClusterStat{Vertices: 2, GrowthSteps: 1, Defects: 2})
+		}
+	}
+	return dst
 }
 
 // GatherLists extracts the per-lane defect index lists for the lanes in

@@ -27,10 +27,6 @@ type AccessModel struct {
 	// DisableZDR makes the DFS Engine scan the full STM instead of only
 	// occupied rows (ablation).
 	DisableZDR bool
-	// AccessNS overrides the per-access latency; 0 selects AccessNS.
-	AccessNS float64
-	// DisablePipeline serializes DFS and CORR (no alternate edge stack).
-	DisablePipeline bool
 }
 
 // NewAccessModel builds the model for graph g.
@@ -40,10 +36,6 @@ func NewAccessModel(g *lattice.Graph) AccessModel {
 
 // Latency charges the decode's counted accesses per stage.
 func (m AccessModel) Latency(st *core.DecodeStats) Breakdown {
-	a := m.AccessNS
-	if a <= 0 {
-		a = AccessNS
-	}
 	// Gr-Gen: one row read per boundary-list visit, a read-modify-write
 	// (2 accesses) per half-edge growth increment, plus Union-Find table
 	// traffic.
@@ -69,17 +61,13 @@ func (m AccessModel) Latency(st *core.DecodeStats) Breakdown {
 	// write per emitted edge; syndrome state lives in hold registers.
 	corr := float64(st.SupportEdges) + float64(st.CorrectionEdges)
 
-	b := Breakdown{GrGen: gg * a, DFS: dfs * a, Corr: corr * a}
-	if m.DisablePipeline {
-		b.Exposed = b.GrGen + b.DFS + b.Corr
-	} else {
-		// Only the last cluster's peel is exposed behind the double edge
-		// stack; approximate its share of CORR by its vertex fraction.
-		last := 0.0
-		if vertices > 0 {
-			last = b.Corr * float64(lastV) / float64(vertices)
-		}
-		b.Exposed = b.GrGen + b.DFS + last
+	b := Breakdown{GrGen: gg * AccessNS, DFS: dfs * AccessNS, Corr: corr * AccessNS}
+	// Only the last cluster's peel is exposed behind the double edge stack;
+	// approximate its share of CORR by its vertex fraction.
+	last := 0.0
+	if vertices > 0 {
+		last = b.Corr * float64(lastV) / float64(vertices)
 	}
+	b.Exposed = b.GrGen + b.DFS + last
 	return b
 }

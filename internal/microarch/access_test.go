@@ -96,23 +96,3 @@ func TestTouchedRowsCounted(t *testing.T) {
 		t.Fatalf("empty decode touched %d rows", dec.Stats.TouchedRows)
 	}
 }
-
-func TestAccessModelPipelineAblation(t *testing.T) {
-	g := lattice.New3DWindow(7, 7)
-	m := NewAccessModel(g)
-	serial := NewAccessModel(g)
-	serial.DisablePipeline = true
-	dec := core.NewDecoder(g, core.Options{})
-	s := noise.NewSampler(g, 5e-3, 47, 1)
-	var trial noise.Trial
-	for i := 0; i < 300; i++ {
-		s.Sample(&trial)
-		if len(trial.Defects) == 0 {
-			continue
-		}
-		dec.Decode(trial.Defects)
-		if serial.Latency(&dec.Stats).Exposed < m.Latency(&dec.Stats).Exposed-1e-9 {
-			t.Fatal("serial execution faster than pipelined")
-		}
-	}
-}

@@ -46,13 +46,13 @@ const (
 	AccessNS = float64(AccessCycles) / ClockGHz
 	// WordBits is the memory word width.
 	WordBits = 32
-	// SequentialReadsPerOp is the number of dependent memory reads issued
+	// SequentialReads is the number of dependent memory reads issued
 	// per counted operation: the paper states the decoder "requires up to
 	// three sequential memory reads every cycle" (§IV-E), so each unit of
 	// Eqs. (2)-(3) costs three back-to-back accesses. With this factor the
 	// model reproduces the paper's dedicated-decoder numbers (42 ns mean,
 	// <150 ns 99.9th percentile at d=11, p=1e-3).
-	SequentialReadsPerOp = 3
+	SequentialReads = 3
 	// SyndromeRoundNS is the syndrome-generation cycle time for
 	// superconducting qubits; decoding d rounds must finish within one
 	// round to avoid the backlog problem.
@@ -65,11 +65,6 @@ type Model struct {
 	// DisablePipeline serializes the three stages per cluster (no S1
 	// alternate edge stack): the full CORR time is exposed.
 	DisablePipeline bool
-	// AccessNS overrides the per-access latency; 0 selects AccessNS.
-	AccessNS float64
-	// ReadsPerOp overrides the sequential reads charged per operation;
-	// 0 selects SequentialReadsPerOp.
-	ReadsPerOp int
 	// HalfEdgeGrowthCost charges Eq. 2 per half-edge growth sweep instead
 	// of per full-edge growth iteration. The STM stores half-edge growth
 	// state (2 bits per edge), but a growth iteration of the hardware
@@ -79,17 +74,9 @@ type Model struct {
 	HalfEdgeGrowthCost bool
 }
 
-func (m Model) accessNS() float64 {
-	a := m.AccessNS
-	if a <= 0 {
-		a = AccessNS
-	}
-	r := m.ReadsPerOp
-	if r <= 0 {
-		r = SequentialReadsPerOp
-	}
-	return a * float64(r)
-}
+// opNS is the charge of one operation of Eqs. (2)-(3): its sequential
+// reads, back to back.
+const opNS = AccessNS * SequentialReads
 
 // Breakdown is the per-stage latency of one decode, in nanoseconds.
 type Breakdown struct {
@@ -118,40 +105,17 @@ func (m Model) Latency(st *core.DecodeStats) Breakdown {
 		b.Corr += float64(c.Vertices)
 		lastV = c.Vertices
 	}
-	a := m.accessNS()
-	b.GrGen *= a
-	b.DFS *= a
-	b.Corr *= a
+	b.GrGen *= opNS
+	b.DFS *= opNS
+	b.Corr *= opNS
 	if m.DisablePipeline {
 		b.Exposed = b.GrGen + b.DFS + b.Corr
 	} else {
 		// DFS/CORR overlap through the double edge stack: only the last
 		// cluster's peeling remains exposed after DFS drains.
-		b.Exposed = b.GrGen + b.DFS + float64(lastV)*a
+		b.Exposed = b.GrGen + b.DFS + float64(lastV)*opNS
 	}
 	return b
-}
-
-// WindowCost estimates the exposed latency of one *streaming-window*
-// decode in model nanoseconds, so the stream runtime can charge each window
-// against a deadline budget deterministically (wall-clock time would break
-// bit-identical replay across worker counts). A window decoded in full
-// carries per-cluster stats for every defect and is charged exactly like
-// Latency: Eqs. 2–3 over every cluster, as the paper's pipeline runs
-// Gr-Gen, DFS and CORR on each. A window the lane certificate resolves
-// whole (a stream's fast lane) is profiled as DecodeStats{NumDefects: n}
-// with no clusters, so its defects are charged the certificate's worst
-// closed-form profile — a pair merging in one growth iteration (Eq. 2 with
-// j=1) and DFS+CORR over its two vertices, i.e. 5 charged operations per
-// pair, 2.5 per defect. Boundary singles cost slightly more per defect (2
-// growth iterations over ~5 vertices) but are rarer than pairs at deployed
-// error rates; the pair profile is the deliberate middle estimate.
-func (m Model) WindowCost(st *core.DecodeStats) float64 {
-	b := m.Latency(st)
-	if fast := st.NumDefects - st.PipelineDefects(); fast > 0 {
-		b.Exposed += 2.5 * float64(fast) * m.accessNS()
-	}
-	return b.Exposed
 }
 
 // StageUtilization is the fraction of decode time spent in each stage,
@@ -170,8 +134,6 @@ type CollectConfig struct {
 	Trials   int
 	Seed     uint64
 	Workers  int // 0 => GOMAXPROCS
-	Model    Model
-	Decoder  core.Options
 	// ClosedCycle decodes isolated logical cycles (accuracy-style graphs)
 	// instead of the default continuous decoding windows the hardware is
 	// provisioned for (temporal boundary at the window end).
@@ -245,7 +207,7 @@ func CollectLatencies(cfg CollectConfig) CollectResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dec := core.NewDecoder(g, cfg.Decoder)
+			dec := core.NewDecoder(g, core.Options{})
 			s := noise.NewSampler(g, cfg.P, cfg.Seed, 1)
 			var trial noise.Trial
 			for {
@@ -258,7 +220,7 @@ func CollectLatencies(cfg CollectConfig) CollectResult {
 				for i := c * collectChunk; i < min((c+1)*collectChunk, cfg.Trials); i++ {
 					s.Sample(&trial)
 					dec.Decode(trial.Defects)
-					b := cfg.Model.Latency(&dec.Stats)
+					b := Model{}.Latency(&dec.Stats)
 					res.ExposedNS[i] = b.Exposed
 					if cfg.KeepBreakdowns {
 						res.Breakdowns[i] = b

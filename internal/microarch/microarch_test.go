@@ -18,7 +18,7 @@ func TestLatencyEquations(t *testing.T) {
 	}}
 	m := Model{}
 	b := m.Latency(st)
-	a := AccessNS * SequentialReadsPerOp
+	a := AccessNS * SequentialReads
 	// Eq. 2: (1+4) + (1) = 6 ops.
 	if want := 6 * a; !almost(b.GrGen, want) {
 		t.Errorf("GrGen = %v, want %v", b.GrGen, want)
@@ -44,14 +44,6 @@ func TestLatencyEquations(t *testing.T) {
 }
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-
-func TestModelOverrides(t *testing.T) {
-	st := &core.DecodeStats{Clusters: []core.ClusterStat{{Vertices: 1, GrowthSteps: 1}}}
-	b := Model{AccessNS: 2, ReadsPerOp: 1}.Latency(st)
-	if !almost(b.GrGen, 2) || !almost(b.DFS, 2) {
-		t.Fatalf("override model wrong: %+v", b)
-	}
-}
 
 func TestEmptySyndromeZeroLatency(t *testing.T) {
 	b := Model{}.Latency(&core.DecodeStats{})

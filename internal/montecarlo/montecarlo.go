@@ -182,7 +182,10 @@ type AccuracyResult struct {
 	ResidualDefects  [5]uint64
 	// GreedyFallbacks counts the decodes New's decoder solved inexactly
 	// (fallbackCounter; MWPM above its exact-matching limit), 0 for a
-	// decoder without a fallback. It is reported, never enforced.
+	// decoder without a fallback. It is reported, never enforced. A trial
+	// with no greedy decode runs exactly as exact MWPM would, and at most
+	// GreedyFallbacks trials hold one, so exact MWPM's failures on the same
+	// trials lie in [Failures − GreedyFallbacks, Failures + GreedyFallbacks].
 	GreedyFallbacks uint64
 }
 

@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
 	"afs/internal/noise"
+	"afs/internal/obs"
 )
 
 // checkList asserts the buffer invariant: the defect list is strictly
@@ -95,12 +97,15 @@ func TestStreamPushLayersMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStreamW0SkipBitIdentical proves the weight-0 window skip is an
-// optimization, not a behavior change: a decoder with the skip forced off
-// commits identical corrections and reports an identical fault ledger, in
-// plain mode and in robust (deadline + backpressure) mode where the skip
-// must also reproduce the empty decode's cost accounting — including
-// injected penalties pushing an empty window over its deadline.
+// TestStreamW0SkipBitIdentical proves the weight-0 window skip and the
+// lane route are optimizations, not behavior changes: a decoder held to
+// the full route (every window a full decode, empty ones included) commits
+// identical corrections and reports an identical fault ledger, in plain
+// mode and in robust (deadline + backpressure) mode, and exports a
+// byte-identical Chrome trace. In robust mode that pins every window's
+// model cost (a trace window's duration) to be the same on either route:
+// the empty decode's, including injected penalties pushing an empty window
+// over its deadline, and a fast lane's clusters.
 func TestStreamW0SkipBitIdentical(t *testing.T) {
 	const d, rounds = 4, 600
 	for _, robust := range []bool{false, true} {
@@ -116,7 +121,10 @@ func TestStreamW0SkipBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.disableW0Skip = true
+		b.fullRoute = true
+		ta, tb := obs.NewTrace(1<<12), obs.NewTrace(1<<12)
+		a.SetTrace(ta, 0)
+		b.SetTrace(tb, 0)
 		// p low enough that most windows are empty, high enough that some
 		// are not — both sides of the branch run in one stream.
 		sa := noise.NewRoundSampler(d, 0.002, 11, 2)
@@ -141,6 +149,9 @@ func TestStreamW0SkipBitIdentical(t *testing.T) {
 		}
 		if ra, rb := a.Report(), b.Report(); ra != rb {
 			t.Fatalf("robust=%v: W0 skip changed the fault ledger:\n skip %+v\n full %+v", robust, ra, rb)
+		}
+		if ca, cb := chromeTrace(t, ta), chromeTrace(t, tb); !bytes.Equal(ca, cb) {
+			t.Fatalf("robust=%v: W0 skip and lane route changed the trace (%d vs %d bytes)", robust, len(ca), len(cb))
 		}
 		// An all-empty flush exercises the skip on final (closed) windows.
 		for r := 0; r < d+1; r++ {

@@ -42,8 +42,8 @@ import (
 //     independent of the commit depth and each lane commits against, and
 //     charges the deadline model of, its own decoder;
 //   - windows containing an erased round (link erasure or backpressure
-//     shedding) and decoders with the weight-0 skip disabled route
-//     straight to a full decode without touching the planes (counted
+//     shedding) and decoders held to the full route (a test reference)
+//     go straight to a full decode without touching the planes (counted
 //     laneIneligible) — erasure flags are per-stream state the planes
 //     cannot carry.
 //
@@ -68,7 +68,8 @@ type laneShape struct {
 	lt      *core.LaneTriage
 	planes  []uint64 // g.V + 1: defect planes plus the always-zero sentinel
 	touched []uint64
-	emits   [64][]int32 // per-lane fast-path edge emits (ClassifySparse)
+	emits   [64][]int32      // per-lane fast-path edge emits (ClassifySparse)
+	prof    core.DecodeStats // a robust fast lane's clusters (commitFast)
 	lanes   [64]*Decoder
 }
 
@@ -152,16 +153,16 @@ func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 		d := sh.lanes[lane]
 		d.pending = false
 		switch {
-		case d.nErased != 0 || d.disableW0Skip:
+		case d.nErased != 0 || d.fullRoute:
 			// Per-stream state the planes cannot carry (erasure flags, the
-			// W0-skip test hook): a full window decode, outside the planes.
+			// full-route test hook): a full window decode, outside the planes.
 			d.decodeWindow(&l.units, false)
 			sh.lanes[lane] = nil
 			scalar++
 		case len(d.win) == 0:
 			// The weight-0 skip, lane-side: nothing to scatter, nothing to
 			// decode — commit the empty correction and slide.
-			d.commitFast(nil)
+			d.commitFast(nil, &sh.prof)
 			sh.lanes[lane] = nil
 		default:
 			d.scatter(sh.planes, sh.touched, uint(lane))
@@ -176,7 +177,7 @@ func (l *Lanes) decodeGroup(sh *laneShape, n int) {
 			ew &^= 1 << uint(lane)
 			d := sh.lanes[lane]
 			if fast>>uint(lane)&1 != 0 {
-				d.commitFast(sh.emits[lane])
+				d.commitFast(sh.emits[lane], &sh.prof)
 			} else {
 				d.decodeWindow(&l.units, false)
 			}

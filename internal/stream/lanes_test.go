@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -276,8 +277,9 @@ func runRobustLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, ro
 // runRobustSoloDecoders is runRobustLaneEngine's oracle: each stream
 // decoded at fill by its own NewRobust decoder, fed by feedRounds through
 // its own faults.StreamSeed channel, tracing into one shared trace under
-// its stream index.
-func runRobustSoloDecoders(t *testing.T, streams, d, w, c, rounds int, robust Robust, chaos *faults.Config) robustRun {
+// its stream index. With fullRoute every decoder is held to the full
+// route, so no window reaches the lane certificate.
+func runRobustSoloDecoders(t *testing.T, streams, d, w, c, rounds int, robust Robust, chaos *faults.Config, fullRoute bool) robustRun {
 	t.Helper()
 	run := robustRun{corrs: make([][]Correction, streams), reps: make([]faults.Report, streams)}
 	tr := obs.NewTrace(1 << 17)
@@ -287,6 +289,7 @@ func runRobustSoloDecoders(t *testing.T, streams, d, w, c, rounds int, robust Ro
 		if err != nil {
 			t.Fatal(err)
 		}
+		dec.fullRoute = fullRoute
 		dec.SetTrace(tr, int32(i))
 		var ch *faults.Channel
 		if chaos != nil {
@@ -311,8 +314,13 @@ func runRobustSoloDecoders(t *testing.T, streams, d, w, c, rounds int, robust Ro
 // decoders that decode each window at fill — under deadlines tight enough
 // to time out and degrade, queue caps small enough to shed, and link chaos
 // with stalls and service-time inflation, for every fleet size and worker
-// count. The run must exercise the lane fast path and every robust event,
-// or the identity would hold vacuously.
+// count. The solo decoders must in turn match the same decoders held to
+// the full route: a window's deadline charge depends on its syndrome, not
+// on whether the lane certificate resolved it, so ledgers and traces are
+// equal and corrections equal as sorted multisets (the certificate emits a
+// window's edges in vertex order, a full decode in peel order). The run
+// must exercise the lane fast path and every robust event, or the identity
+// would hold vacuously.
 func TestLaneEngineIdentityRobust(t *testing.T) {
 	const rounds = 200
 	configs := []struct {
@@ -334,11 +342,26 @@ func TestLaneEngineIdentityRobust(t *testing.T) {
 	fastBefore := registeredObs.laneFast.Value()
 	for _, cfg := range configs {
 		for _, streams := range []int{1, 5, 64, 70} {
-			want := runRobustSoloDecoders(t, streams, cfg.d, cfg.w, cfg.c, rounds, cfg.robust, cfg.chaos)
+			want := runRobustSoloDecoders(t, streams, cfg.d, cfg.w, cfg.c, rounds, cfg.robust, cfg.chaos, false)
 			for _, rep := range want.reps {
 				timeouts += rep.Timeouts
 				degraded += rep.DegradedCommits
 				shed += rep.ShedRounds
+			}
+			full := runRobustSoloDecoders(t, streams, cfg.d, cfg.w, cfg.c, rounds, cfg.robust, cfg.chaos, true)
+			for i := range want.corrs {
+				if !slices.Equal(sortedCorrections(full.corrs[i]), sortedCorrections(want.corrs[i])) {
+					t.Fatalf("d=%d %+v L=%d stream %d: lane-route corrections diverge from the full route (%d vs %d)",
+						cfg.d, cfg.robust, streams, i, len(want.corrs[i]), len(full.corrs[i]))
+				}
+				if full.reps[i] != want.reps[i] {
+					t.Fatalf("d=%d %+v L=%d stream %d: lane-route ledger diverges from the full route:\n lane %+v\n full %+v",
+						cfg.d, cfg.robust, streams, i, want.reps[i], full.reps[i])
+				}
+			}
+			if !bytes.Equal(full.trace, want.trace) {
+				t.Fatalf("d=%d %+v L=%d: lane-route trace differs from the full route's (%d vs %d bytes)",
+					cfg.d, cfg.robust, streams, len(want.trace), len(full.trace))
 			}
 			for _, workers := range []int{1, 2, 3} {
 				got := runRobustLaneEngine(t, streams, workers, cfg.d, cfg.w, cfg.c, rounds, cfg.robust, cfg.chaos)
@@ -433,6 +456,17 @@ func TestLaneDeferredRobustLedger(t *testing.T) {
 	}
 }
 
+// sortedCorrections returns a sorted copy of cs, for comparisons that hold
+// only as multisets.
+func sortedCorrections(cs []Correction) []Correction {
+	out := slices.Clone(cs)
+	slices.SortFunc(out, func(a, b Correction) int {
+		return cmp.Or(cmp.Compare(a.Round, b.Round), cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.Qubit, b.Qubit), cmp.Compare(a.Ancilla, b.Ancilla))
+	})
+	return out
+}
+
 // laneTwinPair is one lane-batched decoder plus its scalar twin, fed
 // identical rounds.
 type laneTwinPair struct {
@@ -440,14 +474,14 @@ type laneTwinPair struct {
 	laneOut, scalarOut []Correction
 }
 
-func newLaneTwinPair(t *testing.T, d, w, c int) *laneTwinPair {
+func newLaneTwinPair(t *testing.T, d, w, c int, r Robust) *laneTwinPair {
 	t.Helper()
 	p := &laneTwinPair{}
 	var err error
-	if p.lane, err = NewLanes().NewRobust(d, w, c, Robust{}); err != nil {
+	if p.lane, err = NewLanes().NewRobust(d, w, c, r); err != nil {
 		t.Fatal(err)
 	}
-	if p.scalar, err = New(d, w, c); err != nil {
+	if p.scalar, err = NewRobust(d, w, c, r); err != nil {
 		t.Fatal(err)
 	}
 	p.lane.SetSink(func(c Correction) { p.laneOut = append(p.laneOut, c) })
@@ -485,8 +519,8 @@ func randLayer(rng *rand.Rand, per int, p float64) []int32 {
 // TestLaneBatcherMatchesScalarTwins is the decoder-level property test: for
 // every group size 1..64, a set of lane-batched decoders fed random rounds
 // must commit exactly what solo twins (each window a one-lane group)
-// commit on the identical rounds — including erased rounds, a
-// W0-skip-disabled lane, and dense rounds with dozens of defects a window.
+// commit on the identical rounds — including erased rounds, a lane held
+// to the full route, and dense rounds with dozens of defects a window.
 func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 	const d, w = 4, 4
 	per := d * (d - 1)
@@ -495,12 +529,12 @@ func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 		pairs := make([]*laneTwinPair, n)
 		decs := make([]*Decoder, n)
 		for i := range pairs {
-			pairs[i] = newLaneTwinPair(t, d, w, 0)
+			pairs[i] = newLaneTwinPair(t, d, w, 0, Robust{})
 			if i == 1 {
-				// One lane with the weight-0 skip disabled: ineligible for
-				// the planes, must route scalar inside the group.
-				pairs[i].lane.disableW0Skip = true
-				pairs[i].scalar.disableW0Skip = true
+				// One lane held to the full route: ineligible for the
+				// planes, must route scalar inside the group.
+				pairs[i].lane.fullRoute = true
+				pairs[i].scalar.fullRoute = true
 			}
 			decs[i] = pairs[i].lane
 		}
@@ -541,7 +575,7 @@ func TestLaneBatcherMixedShapes(t *testing.T) {
 	var decs []*Decoder
 	for i := 0; i < perShape; i++ {
 		for _, sh := range shapes { // interleaved, not contiguous
-			p := newLaneTwinPair(t, sh.d, sh.w, 0)
+			p := newLaneTwinPair(t, sh.d, sh.w, 0, Robust{})
 			pairs = append(pairs, p)
 			decs = append(decs, p.lane)
 		}
@@ -574,7 +608,7 @@ func TestLaneDeferredResolution(t *testing.T) {
 	const d, w = 3, 3
 	per := d * (d - 1)
 	rng := rand.New(rand.NewSource(5))
-	p := newLaneTwinPair(t, d, w, 0)
+	p := newLaneTwinPair(t, d, w, 0, Robust{})
 	b := NewLanes()
 	for r := 0; r < 90; r++ {
 		p.push(t, randLayer(rng, per, 0.1), false)
@@ -613,7 +647,11 @@ func TestLaneDeferredResolution(t *testing.T) {
 
 // FuzzLaneIdentity feeds fuzzer-shaped rounds to a small lane group and its
 // scalar twins; any divergence in committed corrections is a bug in the
-// word-parallel classification or the fast-path emission order.
+// word-parallel classification or the fast-path emission order. A second,
+// robust leg (a deadline two pairs overrun, a queue cap of 2, and a 1000 ns
+// stall on every 0xfe byte, enough to shed) holds the twins to the full
+// route: corrections must match as sorted multisets and ledgers exactly,
+// so a fast lane must be charged what its full decode is.
 func FuzzLaneIdentity(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0xff, 0x03}, uint8(2))
 	f.Add([]byte{0xaa, 0x55, 0x12, 0x34, 0x56, 0x78}, uint8(3))
@@ -622,40 +660,55 @@ func FuzzLaneIdentity(f *testing.F) {
 		const d, w = 3, 3
 		per := d * (d - 1)
 		n := 1 + int(nLanes)%5
-		pairs := make([]*laneTwinPair, n)
-		decs := make([]*Decoder, n)
-		for i := range pairs {
-			pairs[i] = newLaneTwinPair(t, d, w, 0)
-			decs[i] = pairs[i].lane
-		}
-		b := NewLanes()
-		// Each byte drives one lane-round: bit per ancilla (per=6 fits), with
-		// 0xff meaning an erased round.
-		for off := 0; off+n <= len(data); off += n {
-			for i := 0; i < n; i++ {
-				bits := data[off+i]
-				if bits == 0xff {
-					pairs[i].push(t, nil, true)
-					continue
-				}
-				var ev []int32
-				for x := 0; x < per; x++ {
-					if bits>>uint(x)&1 != 0 {
-						ev = append(ev, int32(x))
-					}
-				}
-				pairs[i].push(t, ev, false)
+		for _, robust := range []Robust{{}, {DeadlineNS: 15, QueueCap: 2}} {
+			pairs := make([]*laneTwinPair, n)
+			decs := make([]*Decoder, n)
+			for i := range pairs {
+				pairs[i] = newLaneTwinPair(t, d, w, 0, robust)
+				pairs[i].scalar.fullRoute = robust.enabled()
+				decs[i] = pairs[i].lane
 			}
-			b.Resolve(decs)
-		}
-		for _, p := range pairs {
-			p.lane.Flush()
-			p.scalar.Flush()
-		}
-		for i, p := range pairs {
-			if !slices.Equal(p.laneOut, p.scalarOut) {
-				t.Fatalf("lane %d diverges from scalar twin (%d vs %d corrections)",
-					i, len(p.laneOut), len(p.scalarOut))
+			b := NewLanes()
+			// Each byte drives one lane-round: bit per ancilla (per=6 fits), with
+			// 0xff meaning an erased round and, in the robust leg, 0xfe a stall
+			// before its round.
+			for off := 0; off+n <= len(data); off += n {
+				for i := 0; i < n; i++ {
+					bits := data[off+i]
+					if bits == 0xff {
+						pairs[i].push(t, nil, true)
+						continue
+					}
+					if bits == 0xfe && robust.enabled() {
+						pairs[i].lane.AddPenaltyNS(1000)
+						pairs[i].scalar.AddPenaltyNS(1000)
+					}
+					var ev []int32
+					for x := 0; x < per; x++ {
+						if bits>>uint(x)&1 != 0 {
+							ev = append(ev, int32(x))
+						}
+					}
+					pairs[i].push(t, ev, false)
+				}
+				b.Resolve(decs)
+			}
+			for _, p := range pairs {
+				p.lane.Flush()
+				p.scalar.Flush()
+			}
+			for i, p := range pairs {
+				got, want := p.laneOut, p.scalarOut
+				if robust.enabled() {
+					got, want = sortedCorrections(got), sortedCorrections(want)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%+v lane %d diverges from scalar twin (%d vs %d corrections)",
+						robust, i, len(p.laneOut), len(p.scalarOut))
+				}
+				if got, want := p.lane.Report(), p.scalar.Report(); got != want {
+					t.Fatalf("%+v lane %d: ledger diverges from scalar twin:\n lane   %+v\n scalar %+v", robust, i, got, want)
+				}
 			}
 		}
 	})

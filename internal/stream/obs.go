@@ -63,7 +63,7 @@ func newStreamObs(reg *obs.Registry) *streamObs {
 		laneWindows:     reg.NewCounter("afs_stream_lane_windows_total", "stream windows entering a lane group (fill = windows / (64*groups))", s),
 		laneFast:        reg.NewCounter("afs_stream_lane_fast_total", "lane-batched windows resolved by the closed-form fast path", s),
 		laneGathered:    reg.NewCounter("afs_stream_lane_gathered_total", "lane-batched windows gathered back to a full decode", s),
-		laneIneligible:  reg.NewCounter("afs_stream_lane_ineligible_total", "lane-group windows decoded in full without scattering (erased, W0 skip off)", s),
+		laneIneligible:  reg.NewCounter("afs_stream_lane_ineligible_total", "lane-group windows decoded in full without scattering (erased, or held to the full route)", s),
 		engineParks:     reg.NewCounter("afs_stream_engine_parks_total", "stream engine round handoffs that outlasted their spin and parked", s),
 		windowDefects:   reg.NewHistogram("afs_stream_window_defects", "detection events per decoded window", 0, 64, 32, s),
 		windowCostNS:    reg.NewHistogram("afs_stream_window_cost_ns", "model decode cost per window in ns (deadline mode)", 0, 800, 40, s),

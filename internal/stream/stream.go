@@ -111,9 +111,12 @@ type Decoder struct {
 	penaltyNS float64 // injected service time charged to the next window
 	rep       faults.Report
 
-	// disableW0Skip forces weight-0 windows down the full Decode path; it
-	// exists only so tests can prove the skip is bit-identical.
-	disableW0Skip bool
+	// fullRoute sends every window down the full decode: Lanes.decodeGroup
+	// treats the decoder as ineligible, so no window reaches the lane
+	// certificate, and decodeWindow decodes weight-0 windows too. It exists
+	// only for tests, as a reference for the lane route and the weight-0
+	// skip.
+	fullRoute bool
 
 	// Deferred decoding (Lanes.NewRobust, for every Engine and fleet shard
 	// stream): a window that fills on ingest is not decoded immediately —
@@ -222,11 +225,6 @@ type Robust struct {
 }
 
 func (r Robust) enabled() bool { return r.DeadlineNS > 0 || r.QueueCap > 0 }
-
-// w0CostNS is the deadline charge of a weight-0 window. The skipped Decode
-// would have left DecodeStats at the zero value (no clusters, no defects),
-// and WindowCost is a pure function of that value.
-var w0CostNS = microarch.Model{}.WindowCost(&core.DecodeStats{})
 
 // New creates a streaming decoder without deadline enforcement or
 // backpressure: NewRobust with the zero Robust.
@@ -575,12 +573,12 @@ func (d *Decoder) decodeWindow(u *units, final bool) {
 	// decoder's reset is deferred, not lost — an empty decode would only
 	// restore the previous window's touched state and zero DecodeStats,
 	// and the next non-empty decode's reset restores exactly the same
-	// state from the same undo logs. The deadline charge uses the cost of
-	// that empty decode (w0CostNS), so robust-mode accounting stays
-	// bit-identical too. At deployed error rates most windows of a quiet
-	// logical qubit take this path.
+	// state from the same undo logs. The empty decode grows no cluster, so
+	// its deadline charge is 0, which chargeWindow charges for a nil
+	// profile: robust-mode accounting stays bit-identical too. At deployed
+	// error rates most windows of a quiet logical qubit take this path.
 	ndefects := len(d.win)
-	w0 := ndefects == 0 && !d.disableW0Skip
+	w0 := ndefects == 0 && !d.fullRoute
 	var g *lattice.Graph
 	var corr []int32
 	var stats *core.DecodeStats
@@ -607,20 +605,21 @@ func (d *Decoder) decodeWindow(u *units, final bool) {
 
 // chargeWindow runs a sliding window through the deadline model and
 // returns the commit depth it finalizes and its model cost (Commit and 0
-// outside robust mode). stats is the window's decode profile, nil for a
-// weight-0 window: a full decode's clusters, or a fast lane's
-// closed-form profile (commitFast). Every sliding window reaches here
-// through a lane group, so a solo decoder and a lane batch charge the same.
+// outside robust mode). stats holds the clusters of the window's decode,
+// nil for a weight-0 window: a full decode's own, or those a fast lane's
+// full decode would grow (commitFast). Either way the cost is Eqs. 2–3
+// over them, so a window's charge depends on its syndrome, not on the
+// route that resolved it.
 func (d *Decoder) chargeWindow(stats *core.DecodeStats) (commit int, cost float64) {
 	if !d.robustOn {
 		return d.Commit, 0
 	}
 	// Charge the window against the deadline budget in model time: its
-	// decode cost under the memory-access model, plus any injected link
-	// penalties (retries, stalls), plus queueing behind earlier windows.
-	cost = w0CostNS
+	// decode cost under the memory-access model (0 without clusters), plus
+	// any injected link penalties (retries, stalls), plus queueing behind
+	// earlier windows.
 	if stats != nil {
-		cost = microarch.Model{}.WindowCost(stats)
+		cost = microarch.Model{}.Latency(stats).Exposed
 	}
 	cost += d.penaltyNS
 	d.penaltyNS = 0
@@ -676,19 +675,18 @@ func (d *Decoder) chargeWindow(stats *core.DecodeStats) (commit int, cost float6
 // commitFast finishes a pending sliding window the lane certificate
 // resolved whole: corr holds its emit edges (window-graph edge ids), the
 // edges a full decode of the window returns (core's
-// TestClassifySparseMatchesFullDecode). The deadline model charges it
-// DecodeStats{NumDefects: len(win)} with no clusters
-// (microarch.Model.WindowCost); an empty lane is the weight-0 skip. corr
-// lists every edge regardless of the commit depth; the commit loop's round
-// filter keeps the commit region, at the normal depth and at a degraded
-// one alike.
-func (d *Decoder) commitFast(corr []int32) {
-	ndefects := len(d.win)
-	var stats *core.DecodeStats
-	if ndefects != 0 {
-		stats = &core.DecodeStats{NumDefects: ndefects}
+// TestClassifySparseMatchesFullDecode); an empty lane is the weight-0 skip.
+// A robust decoder is charged the clusters that full decode would grow
+// (core.LaneClusters), built into prof, scratch the caller lends; other
+// decoders build nothing. corr lists every edge regardless of the commit
+// depth; the commit loop's round filter keeps the commit region, at the
+// normal depth and at a degraded one alike.
+func (d *Decoder) commitFast(corr []int32, prof *core.DecodeStats) {
+	if d.robustOn {
+		prof.Clusters = core.LaneClusters(d.g, corr, prof.Clusters[:0])
 	}
-	commit, cost := d.chargeWindow(stats)
+	commit, cost := d.chargeWindow(prof)
+	ndefects := len(d.win)
 	d.finishWindow(d.g, corr, commit, false, ndefects == 0, ndefects, cost)
 }
 
