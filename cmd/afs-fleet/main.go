@@ -154,6 +154,9 @@ type benchOut struct {
 		RequiredGbps   float64 `json:"raw_required_gbps_at_1us"`
 		Corrections    uint64  `json:"corrections"`
 		PTimeout       float64 `json:"p_timeout"`
+		Timeouts       uint64  `json:"timeouts"`
+		Degraded       uint64  `json:"degraded_commits"`
+		ShedRounds     uint64  `json:"shed_rounds"`
 		IdentityOK     bool    `json:"identity_ok"`
 		LedgerOK       bool    `json:"ledger_ok"`
 	} `json:"fleet"`
@@ -333,6 +336,7 @@ func soak(cfg soakConfig) error {
 	f.RequiredGbps = bandwidth.RequiredGbps(cfg.streams, cfg.d, 1000)
 	f.Corrections = eng.TotalCorrections()
 	f.PTimeout = rep.PTimeout()
+	f.Timeouts, f.Degraded, f.ShedRounds = rep.Timeouts, rep.DegradedCommits, rep.ShedRounds
 	f.IdentityOK = mismatches == 0
 	f.LedgerOK = ledgerErr == nil
 

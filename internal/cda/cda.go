@@ -42,11 +42,9 @@ type Config struct {
 	GrGenUnits int
 	DFSUnits   int
 	CorrUnits  int
-	// SharedTables serializes Gr-Gen growth across the block (paired
-	// Gr-Gen units share Root/Size tables). Default true, as in the paper's
-	// final design point.
-	SharedTables bool
-	// NoSharedTables disables table sharing (ablation).
+	// NoSharedTables disables table sharing (ablation). By default paired
+	// Gr-Gen units share Root/Size tables, which serializes Gr-Gen growth
+	// across the block, as in the paper's final design point.
 	NoSharedTables bool
 	// TimeoutNS is the decoding deadline; 0 selects DefaultTimeoutNS.
 	TimeoutNS float64
@@ -68,7 +66,6 @@ func (c Config) withDefaults() Config {
 	if c.TimeoutNS == 0 {
 		c.TimeoutNS = DefaultTimeoutNS
 	}
-	c.SharedTables = !c.NoSharedTables
 	return c
 }
 
@@ -147,7 +144,7 @@ func Simulate(cfg Config, pool []microarch.Breakdown, cycles int, seed uint64) R
 		// shared Root/Size tables only one Gr-Gen grows at a time, so the
 		// block behaves as a single growth server; without sharing, each
 		// qubit's Gr-Gen runs its own two tasks back to back.
-		if cfg.SharedTables {
+		if !cfg.NoSharedTables {
 			clock := 0.0
 			for i := 0; i < tasks; i++ {
 				clock += draw[i].GrGen

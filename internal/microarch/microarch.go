@@ -27,13 +27,10 @@
 package microarch
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"afs/internal/core"
 	"afs/internal/lattice"
 	"afs/internal/noise"
+	"afs/internal/pool"
 )
 
 // Hardware constants of the paper's design point.
@@ -167,7 +164,7 @@ const collectChunk = 256
 
 // CollectLatencies samples cfg.Trials random syndromes, decodes each, and
 // returns the latency distribution under the hardware model. Trials run
-// in chunks of collectChunk claimed off a shared counter, chunk c drawing
+// in chunks of collectChunk through internal/pool, chunk c drawing
 // from its own stream PCG(Seed, c+1) and merging in chunk order, so the
 // result depends on (Seed, Trials) and not on Workers.
 func CollectLatencies(cfg CollectConfig) CollectResult {
@@ -185,12 +182,6 @@ func CollectLatencies(cfg CollectConfig) CollectResult {
 		g = lattice.New3DWindow(cfg.Distance, rounds)
 	}
 	nChunks := (cfg.Trials + collectChunk - 1) / collectChunk
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(min(workers, nChunks), 1)
-
 	res := CollectResult{ExposedNS: make([]float64, cfg.Trials)}
 	if cfg.KeepBreakdowns {
 		res.Breakdowns = make([]Breakdown, cfg.Trials)
@@ -201,41 +192,30 @@ func CollectLatencies(cfg CollectConfig) CollectResult {
 		maxRT, maxES  int
 	}
 	parts := make([]part, nChunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dec := core.NewDecoder(g, core.Options{})
-			s := noise.NewSampler(g, cfg.P, cfg.Seed, 1)
-			var trial noise.Trial
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= nChunks {
-					return
+	pool.Run(cfg.Workers, nChunks, func(int) func(int) {
+		dec := core.NewDecoder(g, core.Options{})
+		s := noise.NewSampler(g, cfg.P, cfg.Seed, 1)
+		var trial noise.Trial
+		return func(c int) {
+			s.Reseed(cfg.Seed, uint64(c)+1)
+			pt := &parts[c]
+			for i := c * collectChunk; i < min((c+1)*collectChunk, cfg.Trials); i++ {
+				s.Sample(&trial)
+				dec.Decode(trial.Defects)
+				b := Model{}.Latency(&dec.Stats)
+				res.ExposedNS[i] = b.Exposed
+				if cfg.KeepBreakdowns {
+					res.Breakdowns[i] = b
 				}
-				s.Reseed(cfg.Seed, uint64(c)+1)
-				pt := &parts[c]
-				for i := c * collectChunk; i < min((c+1)*collectChunk, cfg.Trials); i++ {
-					s.Sample(&trial)
-					dec.Decode(trial.Defects)
-					b := Model{}.Latency(&dec.Stats)
-					res.ExposedNS[i] = b.Exposed
-					if cfg.KeepBreakdowns {
-						res.Breakdowns[i] = b
-					}
-					pt.gg += b.GrGen
-					pt.dfs += b.DFS
-					pt.corr += b.Corr
-					pt.defects += uint64(len(trial.Defects))
-					pt.maxRT = max(pt.maxRT, dec.Stats.MaxRuntimeStack)
-					pt.maxES = max(pt.maxES, dec.Stats.MaxEdgeStack)
-				}
+				pt.gg += b.GrGen
+				pt.dfs += b.DFS
+				pt.corr += b.Corr
+				pt.defects += uint64(len(trial.Defects))
+				pt.maxRT = max(pt.maxRT, dec.Stats.MaxRuntimeStack)
+				pt.maxES = max(pt.maxES, dec.Stats.MaxEdgeStack)
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 
 	var gg, dfs, corr float64
 	var defects uint64

@@ -1,24 +1,22 @@
 package montecarlo
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"afs/internal/pool"
 	"afs/internal/stats"
 )
 
-// point is one (d, p) measurement point: the chunk counter the worker pool
-// claims from and the tallies it folds chunk results into.
+// point is one (d, p) measurement point: its fixed chunk set and the
+// tallies the pool's goroutines fold chunk results into.
 type point struct {
 	cfg   AccuracyConfig
 	chunk uint64 // trials per chunk
 	// nChunks fixes the chunk set (and with it the random streams): chunk
 	// c covers trials [c*chunk, min((c+1)*chunk, Trials)).
-	nChunks uint64
+	nChunks int
 
-	next     atomic.Uint64 // next unclaimed chunk index
 	trials   atomic.Uint64 // trials executed
 	failures atomic.Uint64
 	defects  atomic.Uint64 // total defects observed (for MeanDefects)
@@ -38,26 +36,8 @@ type point struct {
 
 func newPoint(cfg AccuracyConfig) *point {
 	pt := &point{cfg: cfg, chunk: cfg.chunkTrials()}
-	pt.nChunks = (cfg.Trials + pt.chunk - 1) / pt.chunk
+	pt.nChunks = int((cfg.Trials + pt.chunk - 1) / pt.chunk)
 	return pt
-}
-
-// claim returns the next chunk's trial range, or ok=false when the point
-// is exhausted or stopped.
-func (pt *point) claim() (lo, hi uint64, c uint64, ok bool) {
-	if pt.stopped.Load() {
-		return 0, 0, 0, false
-	}
-	c = pt.next.Add(1) - 1
-	if c >= pt.nChunks {
-		return 0, 0, 0, false
-	}
-	lo = c * pt.chunk
-	hi = lo + pt.chunk
-	if hi > pt.cfg.Trials {
-		hi = pt.cfg.Trials
-	}
-	return lo, hi, c, true
 }
 
 // finish records a completed chunk's tallies and evaluates the adaptive
@@ -159,46 +139,29 @@ func (pt *point) result() AccuracyResult {
 	return res
 }
 
-// run drives the worker pool over the point: every worker claims chunks
-// off the point's shared counter until it is drained, so a hard chunk in
-// one worker never idles the rest.
+// run runs the point's chunks through the pool. Each chunk owns the
+// deterministic random stream PCG(Seed, chunkIndex), and the kernel's lane
+// groups depend only on the chunk's length, so results do not depend on
+// which goroutine runs it. A chunk claimed after early stopping fired runs
+// nothing.
 func (pt *point) run(workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	engineObs.points.Add(0, 1)
 	g := pt.cfg.graph()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			shard := nextMCShard()
-			var k *bpKernel
-			for {
-				lo, hi, c, ok := pt.claim()
-				if !ok {
-					return
-				}
-				// Lazy kernel: a worker that never claims a chunk builds
-				// nothing. Each chunk owns the deterministic random stream
-				// PCG(Seed, chunkIndex), and the kernel's lane groups depend
-				// only on the chunk's length, so results do not depend on
-				// which worker runs it.
-				if k == nil {
-					k = newBPKernel(pt.cfg, g)
-				}
-				k.reseed(pt.cfg.Seed, c)
-				t := k.run(hi - lo)
-				pt.finish(hi-lo, t)
-				engineObs.flushChunk(shard, hi-lo, t)
+	pool.Run(workers, pt.nChunks, func(int) func(int) {
+		shard := nextMCShard()
+		k := newBPKernel(pt.cfg, g)
+		return func(c int) {
+			if pt.stopped.Load() {
+				return
 			}
-		}()
-	}
-	wg.Wait()
+			lo := uint64(c) * pt.chunk
+			n := min(pt.chunk, pt.cfg.Trials-lo)
+			k.reseed(pt.cfg.Seed, uint64(c))
+			t := k.run(n)
+			pt.finish(n, t)
+			engineObs.flushChunk(shard, n, t)
+		}
+	})
 }
 
 // RunAccuracy measures the logical error rate of cfg's decoder: each trial
@@ -206,10 +169,10 @@ func (pt *point) run(workers int) {
 // the correction, and declares a logical failure when the residual error
 // crosses the north boundary cut an odd number of times.
 //
-// Trials are distributed over chunked work stealing with per-chunk seeding,
-// so for a fixed (Seed, Trials, ChunkTrials) the result is bit-identical
-// for every worker count (early stopping, when enabled, relaxes this —
-// see AccuracyConfig.StopRelCI).
+// Trials run in fixed chunks with per-chunk seeding (internal/pool hands
+// them to goroutines), so for a fixed (Seed, Trials, ChunkTrials) the
+// result is bit-identical for every worker count (early stopping, when
+// enabled, relaxes this — see AccuracyConfig.StopRelCI).
 func RunAccuracy(cfg AccuracyConfig) AccuracyResult {
 	start := time.Now()
 	pt := newPoint(cfg)

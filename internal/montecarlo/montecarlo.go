@@ -4,12 +4,12 @@
 // counts logical failures, and attaches bootstrap confidence intervals to
 // the measured rates.
 //
-// Trials are executed by a work-stealing engine (see engine.go): work is
-// split into fixed-size chunks claimed off a shared atomic counter, each
-// chunk carrying its own deterministic seed, so measured numbers are exactly
-// reproducible and — unlike per-worker seeding — independent of the worker
-// count. An optional adaptive early-stopping rule terminates a point once
-// its confidence interval is tight enough.
+// Each point's trials are split into fixed-size chunks (see engine.go),
+// each carrying its own deterministic seed, and internal/pool hands the
+// chunks to goroutines, so measured numbers are exactly reproducible and —
+// unlike per-worker seeding — independent of the worker count. An optional
+// adaptive early-stopping rule ends a point once its confidence interval
+// is tight enough.
 package montecarlo
 
 import (
@@ -41,11 +41,11 @@ type fallbackCounter interface {
 // use.
 type Factory func(g *lattice.Graph) Decoder
 
-// DefaultChunkTrials is the work-stealing chunk size used when
-// AccuracyConfig.ChunkTrials is zero. It is part of the reproducibility
-// contract: results are bit-identical across worker counts for a fixed
-// (Seed, Trials, ChunkTrials) triple, because every chunk owns the
-// deterministic random stream PCG(Seed, chunkIndex).
+// DefaultChunkTrials is the chunk size used when AccuracyConfig.ChunkTrials
+// is zero. It is part of the reproducibility contract: results are
+// bit-identical across worker counts for a fixed (Seed, Trials,
+// ChunkTrials) triple, because every chunk owns the deterministic random
+// stream PCG(Seed, chunkIndex).
 const DefaultChunkTrials = 1024
 
 // AccuracyConfig describes one logical-error-rate measurement point.
@@ -67,9 +67,9 @@ type AccuracyConfig struct {
 	// New builds the decoder under test.
 	New Factory
 
-	// ChunkTrials is the number of trials per work-stealing chunk; 0
-	// selects DefaultChunkTrials. Results depend on the chunking (each
-	// chunk is its own random stream), not on how chunks land on workers.
+	// ChunkTrials is the number of trials per chunk; 0 selects
+	// DefaultChunkTrials. Results depend on the chunking (each chunk is
+	// its own random stream), not on how chunks land on workers.
 	ChunkTrials uint64
 
 	// DisableTriage turns off the closed-form certificates (core.LaneTriage

@@ -7,7 +7,7 @@ import (
 )
 
 // mcObs publishes the Monte-Carlo engine's live progress: trials and
-// failures as they are tallied, chunks as workers claim them, and the
+// failures as they are tallied, chunks as workers run them, and the
 // early-stop decisions the Wilson-CI rule makes. Everything increments on
 // the same code paths that update the per-point atomics, so a scrape
 // mid-sweep shows exactly how far the sweep has gotten.
@@ -98,7 +98,7 @@ var (
 		const s = obs.DefaultShards
 		return &mcObs{
 			points:      reg.NewCounter("afs_mc_points_total", "(d, p) measurement points started", s),
-			chunks:      reg.NewCounter("afs_mc_chunks_total", "trial chunks claimed by workers", s),
+			chunks:      reg.NewCounter("afs_mc_chunks_total", "trial chunks run by workers", s),
 			trials:      reg.NewCounter("afs_mc_trials_total", "Monte-Carlo trials executed", s),
 			failures:    reg.NewCounter("afs_mc_failures_total", "logical failures observed", s),
 			earlyStops:  reg.NewCounter("afs_mc_early_stops_total", "points stopped early by the Wilson-CI rule", s),

@@ -40,9 +40,7 @@ const DefaultMaxExact = 20
 
 // Stats counts how instances were solved.
 type Stats struct {
-	ExactInstances  uint64
-	GreedyInstances uint64
-	MaxDefects      int
+	GreedyInstances uint64 // decodes above MaxExact, matched greedily
 }
 
 // Decoder is a reusable MWPM decoder bound to one decoding graph. Not safe
@@ -81,16 +79,12 @@ func (d *Decoder) Decode(defects []int32) []int32 {
 	if n == 0 {
 		return d.correction
 	}
-	if n > d.Stats.MaxDefects {
-		d.Stats.MaxDefects = n
-	}
 	d.prepare(defects)
 	maxExact := d.MaxExact
 	if maxExact <= 0 {
 		maxExact = DefaultMaxExact
 	}
 	if n <= maxExact {
-		d.Stats.ExactInstances++
 		d.solveExact(n)
 	} else {
 		d.Stats.GreedyInstances++

@@ -10,6 +10,7 @@ import (
 
 	"afs/internal/faults"
 	"afs/internal/obs"
+	"afs/internal/pool"
 )
 
 // Engine drives L independent logical-qubit streams in fixed partitions —
@@ -178,13 +179,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Streams < 1 {
 		return nil, fmt.Errorf("stream: engine needs at least one stream")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Streams {
-		workers = cfg.Streams
-	}
+	workers := pool.Workers(cfg.Workers, cfg.Streams)
 	e := &Engine{
 		decs:   make([]*Decoder, cfg.Streams),
 		errs:   make([]error, cfg.Streams),

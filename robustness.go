@@ -2,13 +2,12 @@ package afs
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"afs/internal/faults"
 	"afs/internal/lattice"
 	"afs/internal/noise"
 	"afs/internal/obs"
+	"afs/internal/pool"
 	"afs/internal/stream"
 )
 
@@ -98,118 +97,99 @@ func MeasureStreamRobustness(cfg StreamRobustnessConfig) (StreamRobustnessResult
 	if rounds < 2 {
 		return StreamRobustnessResult{}, fmt.Errorf("afs: stream length %d < 2 rounds", rounds)
 	}
-	// Probe the decoder configuration once so bad parameters fail fast
-	// instead of inside the worker pool.
+	// Every worker's decoder is built up front, so bad parameters fail
+	// before any trial runs.
 	robust := stream.Robust{DeadlineNS: cfg.DeadlineNS, QueueCap: cfg.QueueCap}
-	if _, err := stream.NewRobust(cfg.Distance, cfg.Window, cfg.Commit, robust); err != nil {
-		return StreamRobustnessResult{}, err
+	decs := make([]*stream.Decoder, pool.Workers(cfg.Workers, cfg.Trials))
+	for w := range decs {
+		dec, err := stream.NewRobust(cfg.Distance, cfg.Window, cfg.Commit, robust)
+		if err != nil {
+			return StreamRobustnessResult{}, err
+		}
+		decs[w] = dec
 	}
-
 	g := lattice.New3D(cfg.Distance, rounds)
 	cut := g.NorthCutQubits()
 	per := g.LayerVertices()
-	workers := clampWorkers(cfg.Workers, cfg.Trials)
 
 	type part struct {
 		failures int
 		rep      FaultReport
+		err      error
 	}
-	parts := make([]part, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	parts := make([]part, len(decs))
+	pool.Run(len(decs), cfg.Trials, func(w int) func(int) {
+		dec, pt := decs[w], &parts[w]
+		var ch *faults.Channel
+		if cfg.Chaos != nil {
+			ch = faults.NewChannel(per, *cfg.Chaos)
 		}
-		errMu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dec, err := stream.NewRobust(cfg.Distance, cfg.Window, cfg.Commit, robust)
-			if err != nil {
-				fail(err)
+		layers := make([][]int32, rounds)
+		var trial noise.Trial
+		var residual noise.Bitset
+		return func(i int) {
+			if pt.err != nil {
 				return
 			}
-			var ch *faults.Channel
-			if cfg.Chaos != nil {
-				ch = faults.NewChannel(per, *cfg.Chaos)
+			// Per-trial seeding keeps every trial's noise and faults
+			// independent of which worker runs it.
+			s := noise.NewSampler(g, cfg.P, cfg.Seed, uint64(i)+1)
+			if cfg.Trace != nil {
+				dec.SetTrace(cfg.Trace, int32(i))
 			}
-			layers := make([][]int32, rounds)
-			var trial noise.Trial
-			var residual noise.Bitset
-			pt := &parts[w]
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= cfg.Trials {
-					break
-				}
-				// Per-trial seeding keeps every trial's noise and faults
-				// independent of which worker runs it.
-				s := noise.NewSampler(g, cfg.P, cfg.Seed, uint64(i)+1)
-				if cfg.Trace != nil {
-					dec.SetTrace(cfg.Trace, int32(i))
-				}
+			if ch != nil {
+				ch.Reset(faults.StreamSeed(cfg.Chaos.Seed, i))
+			}
+			s.Sample(&trial)
+			for t := range layers {
+				layers[t] = layers[t][:0]
+			}
+			for _, v := range trial.Defects {
+				layers[int(v)/per] = append(layers[int(v)/per], int32(int(v)%per))
+			}
+			for _, l := range layers {
+				ev := l
 				if ch != nil {
-					ch.Reset(faults.StreamSeed(cfg.Chaos.Seed, i))
-				}
-				s.Sample(&trial)
-				for t := range layers {
-					layers[t] = layers[t][:0]
-				}
-				for _, v := range trial.Defects {
-					layers[int(v)/per] = append(layers[int(v)/per], int32(int(v)%per))
-				}
-				for _, l := range layers {
-					ev := l
-					if ch != nil {
-						delivered, erased, pen := ch.Transfer(l)
-						dec.AddPenaltyNS(pen)
-						if erased {
-							dec.PushErased()
-							continue
-						}
-						ev = delivered
+					delivered, erased, pen := ch.Transfer(l)
+					dec.AddPenaltyNS(pen)
+					if erased {
+						dec.PushErased()
+						continue
 					}
-					if err := dec.PushLayer(ev); err != nil {
-						fail(err)
-						return
-					}
+					ev = delivered
 				}
-				residual.Resize(g.NumDataQubits())
-				residual.Clear()
-				residual.Xor(trial.NetData)
-				for _, c := range dec.Flush() {
-					if c.Kind == lattice.Spatial {
-						residual.Flip(int(c.Qubit))
-					}
-				}
-				if residual.Parity(cut) {
-					pt.failures++
-				}
-				if ch != nil {
-					// Reset rewinds the ledger with the RNG, so bank this
-					// trial's link counters before the next trial reseeds.
-					pt.rep.Merge(ch.Report())
+				if pt.err = dec.PushLayer(ev); pt.err != nil {
+					return
 				}
 			}
-			pt.rep.Merge(dec.Report())
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return StreamRobustnessResult{}, firstErr
-	}
+			residual.Resize(g.NumDataQubits())
+			residual.Clear()
+			residual.Xor(trial.NetData)
+			for _, c := range dec.Flush() {
+				if c.Kind == lattice.Spatial {
+					residual.Flip(int(c.Qubit))
+				}
+			}
+			if residual.Parity(cut) {
+				pt.failures++
+			}
+			if ch != nil {
+				// Reset rewinds the ledger with the RNG, so bank this
+				// trial's link counters before the next trial reseeds.
+				pt.rep.Merge(ch.Report())
+			}
+		}
+	})
 
 	var res StreamRobustnessResult
 	res.Trials = cfg.Trials
-	for i := range parts {
-		res.Failures += parts[i].failures
-		res.Report.Merge(parts[i].rep)
+	for w, pt := range parts {
+		if pt.err != nil {
+			return StreamRobustnessResult{}, pt.err
+		}
+		pt.rep.Merge(decs[w].Report())
+		res.Failures += pt.failures
+		res.Report.Merge(pt.rep)
 	}
 	res.PLogical = float64(res.Failures) / float64(res.Trials)
 	res.PTimeout = res.Report.PTimeout()

@@ -2,17 +2,16 @@ package afs
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"afs/internal/noise"
+	"afs/internal/pool"
 	"afs/internal/stream"
 )
 
 // System manages the decoding subsystem of an FTQC with many logical
-// qubits: a decoder pair per qubit, concurrent per-cycle decoding across a
-// worker pool, and aggregate accuracy/latency accounting. It is the
+// qubits: a decoder pair per qubit, concurrent per-cycle decoding through
+// the chunk pool, and aggregate accuracy/latency accounting. It is the
 // library-level counterpart of the paper's system studies (§V): the models
 // in MemoryPerQubit/SystemMemory size the hardware, and System actually
 // runs the fleet in simulation.
@@ -56,7 +55,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err := checkRate(cfg.P); err != nil {
 		return nil, err
 	}
-	s := &System{workers: clampWorkers(cfg.Workers, cfg.LogicalQubits)}
+	s := &System{workers: cfg.Workers}
 	for i := 0; i < cfg.LogicalQubits; i++ {
 		q := NewLogicalQubit(cfg.Distance, cfg.EngineOptions...)
 		s.qubits = append(s.qubits, q)
@@ -73,63 +72,48 @@ func (s *System) Size() int { return len(s.qubits) }
 func (s *System) Qubit(i int) *LogicalQubit { return s.qubits[i] }
 
 // RunCycles simulates n logical cycles of the whole fleet: every qubit
-// samples its X/Z syndromes and decodes them, qubits claimed off a shared
-// counter so a hard qubit never stalls the others (work stealing, like the
-// Monte-Carlo engine). Each qubit's sampler advances only under the worker
-// that claimed it, so results are independent of the worker count. Returns
-// the number of qubit-cycles that suffered a logical error.
+// samples its X/Z syndromes and decodes them, one qubit per pool chunk so
+// a hard qubit never stalls the others. Each qubit's sampler advances only
+// in its own chunk and its tallies merge in qubit order, so results are
+// independent of the worker count. Returns the number of qubit-cycles
+// that suffered a logical error.
 func (s *System) RunCycles(n int) uint64 {
 	if n <= 0 {
 		return 0
 	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	errsPer := make([]uint64, s.workers)
-	latSum := make([]float64, s.workers)
-	latMax := make([]float64, s.workers)
-	for w := 0; w < s.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var x, z Syndrome
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(s.qubits) {
-					return
-				}
-				q, sp := s.qubits[i], s.samplers[i]
-				for c := 0; c < n; c++ {
-					sp.Sample(&x, &z)
-					res := q.DecodeCycle(&x, &z)
-					if res.LogicalError() {
-						errsPer[w]++
-					}
-					latSum[w] += res.LatencyNS
-					if res.LatencyNS > latMax[w] {
-						latMax[w] = res.LatencyNS
-					}
-				}
-			}
-		}(w)
+	type tally struct {
+		errs           uint64
+		latSum, latMax float64
 	}
-	wg.Wait()
+	tallies := make([]tally, len(s.qubits))
+	pool.Run(s.workers, len(s.qubits), func(int) func(int) {
+		var x, z Syndrome
+		return func(i int) {
+			q, sp, t := s.qubits[i], s.samplers[i], &tallies[i]
+			for c := 0; c < n; c++ {
+				sp.Sample(&x, &z)
+				res := q.DecodeCycle(&x, &z)
+				if res.LogicalError() {
+					t.errs++
+				}
+				t.latSum += res.LatencyNS
+				t.latMax = max(t.latMax, res.LatencyNS)
+			}
+		}
+	})
 
 	var errs uint64
-	var sum, max float64
-	for w := 0; w < s.workers; w++ {
-		errs += errsPer[w]
-		sum += latSum[w]
-		if latMax[w] > max {
-			max = latMax[w]
-		}
+	var sum, latMax float64
+	for _, t := range tallies {
+		errs += t.errs
+		sum += t.latSum
+		latMax = max(latMax, t.latMax)
 	}
 	s.mu.Lock()
 	s.Cycles += uint64(n) * uint64(len(s.qubits))
 	s.LogicalErrors += errs
 	s.totalLatencyNS += sum
-	if max > s.maxLatencyNS {
-		s.maxLatencyNS = max
-	}
+	s.maxLatencyNS = max(s.maxLatencyNS, latMax)
 	s.mu.Unlock()
 	return errs
 }
@@ -173,20 +157,6 @@ func checkRate(p float64) error {
 		return fmt.Errorf("afs: physical error rate %v outside [0,1)", p)
 	}
 	return nil
-}
-
-// clampWorkers resolves a requested worker count against a fleet size:
-// 0 selects GOMAXPROCS, and the pool never exceeds one worker per unit of
-// work.
-func clampWorkers(requested, units int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > units {
-		w = units
-	}
-	return w
 }
 
 // StreamEngine runs L continuously-decoded logical-qubit streams — the
@@ -254,7 +224,7 @@ func NewStreamEngine(cfg StreamEngineConfig) (*StreamEngine, error) {
 		Distance: cfg.Distance,
 		Window:   cfg.Window,
 		Commit:   cfg.Commit,
-		Workers:  clampWorkers(cfg.Workers, cfg.Streams),
+		Workers:  cfg.Workers,
 		Sink:     cfg.OnCorrection,
 		Chaos:    cfg.Chaos,
 		Robust: stream.Robust{

@@ -109,7 +109,11 @@ func TestSystemRunCycles(t *testing.T) {
 }
 
 func TestSystemDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) uint64 {
+	type outcome struct {
+		errs          uint64
+		meanNS, maxNS float64
+	}
+	run := func(workers int) outcome {
 		sys, err := NewSystem(SystemConfig{
 			LogicalQubits: 6, Distance: 3, P: 0.02, Seed: 11, Workers: workers,
 		})
@@ -117,12 +121,13 @@ func TestSystemDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.RunCycles(400)
-		return sys.LogicalErrors
+		return outcome{sys.LogicalErrors, sys.MeanLatencyNS(), sys.MaxLatencyNS()}
 	}
-	// Each qubit owns an independent seeded stream, so the failure count
-	// must not depend on how qubits are spread over workers.
+	// Each qubit owns an independent seeded stream and its tallies merge
+	// in qubit order, so neither the failure count nor the latency
+	// statistics may depend on how qubits are spread over workers.
 	if a, b := run(1), run(4); a != b {
-		t.Fatalf("worker count changed results: %d vs %d", a, b)
+		t.Fatalf("worker count changed results: %+v vs %+v", a, b)
 	}
 }
 
